@@ -15,7 +15,7 @@ from .errors import (CertificationError, CurvlabError, DomainError,
                      EvaluationError, NumericalError, ParameterError,
                      QuadratureError, SimulationError)
 from .feynman_kac import (commutation_check, gradient_bound,
-                          supermartingale_check, unit_certificate)
+                          supermartingale_check)
 from .mfunctions import (MFUNCTION_NAMES, MFunction, PsdReport, catalog,
                          certify_psd, condition_matrix)
 from .potentials import (POTENTIAL_KINDS, LyapunovCertificate, Potential,
@@ -25,8 +25,8 @@ from .potentials import (POTENTIAL_KINDS, LyapunovCertificate, Potential,
                          scan_points)
 from .sde import PathBatch, simulate
 from .semigroup import (ENGINE_KINDS, GridEngine, MehlerEngine,
-                        MonteCarloEngine, TestFunction, gamma, gamma2,
-                        make_engine, mehler_apply)
+                        MonteCarloEngine, TestFunction, as_points, gamma,
+                        gamma2, make_engine, mehler_apply)
 from .spectral import (HermiteSeries, HoudreKagan, MultiM, PolySeries,
                        Q_iterate, apply_L, apply_Lk, apply_Pt, expand,
                        generalized_local_check, houdre_kagan, to_poly,
@@ -49,7 +49,8 @@ __all__ = [
     "scan_points", "rho_min",
     "PathBatch", "simulate",
     "TestFunction", "MehlerEngine", "GridEngine", "MonteCarloEngine",
-    "ENGINE_KINDS", "make_engine", "mehler_apply", "gamma", "gamma2",
+    "ENGINE_KINDS", "make_engine", "mehler_apply", "as_points", "gamma",
+    "gamma2",
     "MFunction", "MFUNCTION_NAMES", "catalog", "condition_matrix",
     "certify_psd", "PsdReport",
     "Schedule", "Record", "InequalityReport", "QuadSpec",
@@ -57,8 +58,7 @@ __all__ = [
     "verify_local", "verify_reverse_local", "verify_H_monotone",
     "verify_integrated_limit", "verify_integrated_condition",
     "exp_integrability_bound_check",
-    "unit_certificate", "supermartingale_check", "gradient_bound",
-    "commutation_check",
+    "supermartingale_check", "gradient_bound", "commutation_check",
     "PolySeries", "HermiteSeries", "expand", "to_poly",
     "apply_L", "apply_Pt", "apply_Lk", "houdre_kagan", "HoudreKagan",
     "Q_iterate", "MultiM", "generalized_local_check",

@@ -23,10 +23,11 @@ import numpy as np
 
 from .errors import CurvlabError, ParameterError
 from .feynman_kac import (commutation_check, gradient_bound,
-                          supermartingale_check, unit_certificate)
+                          supermartingale_check)
 from .mfunctions import MFUNCTION_NAMES, catalog, certify_psd
-from .potentials import (POTENTIAL_KINDS, local_eigenvalue_margin,
-                         make_lyapunov, parse_potential_id, scan_points)
+from .potentials import (POTENTIAL_KINDS, constant_certificate,
+                         local_eigenvalue_margin, make_lyapunov,
+                         parse_potential_id, scan_points)
 from .semigroup import ENGINE_KINDS, make_engine
 from .spectral import houdre_kagan
 from .suite import get
@@ -636,7 +637,7 @@ def _cmd_psd(args) -> int:
 
 def _auto_certificate(args, potential):
     if args.cert == "unit":
-        return unit_certificate(p=args.p, beta=args.beta, n=potential.n)
+        return constant_certificate(p=args.p, beta=args.beta, n=potential.n)
     if args.cert == "auto":
         if potential.family not in ("spherical", "product-power"):
             raise ParameterError(

@@ -13,7 +13,9 @@ pass rule:
   the standard scan grid, never assumed.
 
 Path integrals use left-endpoint Riemann sums, matching the weak order of
-the Euler scheme that produces the paths.
+the Euler scheme that produces the paths.  The left sides of the gradient
+and commutation checks come from a deterministic engine's `value_grad`,
+never from paths that share the right side's random numbers.
 """
 
 from __future__ import annotations
@@ -26,60 +28,28 @@ import numpy as np
 from .errors import CertificationError, ParameterError
 from .potentials import (LyapunovCertificate, Potential,
                          local_eigenvalue_margin, scan_points)
-from .sde import BLOCK_SIZE, EXPLOSION_RADIUS, PathBatch, simulate
-from .semigroup import TestFunction
+from .sde import simulate
+from .semigroup import TestFunction, as_points
 from .verify import InequalityReport, Record
 
 __all__ = [
-    "PathBatch",
-    "simulate",
-    "BLOCK_SIZE",
-    "EXPLOSION_RADIUS",
-    "unit_certificate",
     "supermartingale_check",
     "gradient_bound",
     "commutation_check",
-    "batch_summary",
 ]
-
-
-def unit_certificate(p: float = 2.0, beta: float | None = None,
-                     n: int = 1, rho0: float = 1.0) -> LyapunovCertificate:
-    """g identically 1, valid whenever beta <= p * inf rho.
-
-    Defaults to beta = p * rho0, the constant-curvature optimum.
-    """
-    if beta is None:
-        beta = p * rho0
-
-    def zero_scalar(x):
-        x = np.asarray(x, dtype=float)
-        return np.zeros(x.shape[:-1])
-
-    def zero_vec(x):
-        return np.zeros_like(np.asarray(x, dtype=float))
-
-    return LyapunovCertificate(p=p, beta=beta, c=0.0, n=n,
-                               log_value=zero_scalar, log_grad=zero_vec,
-                               log_laplacian=zero_scalar, kind="unit",
-                               label="g=1")
-
-
-def _point_list(xs, n: int) -> np.ndarray:
-    xs = np.atleast_1d(np.asarray(xs, dtype=float))
-    if xs.ndim == 1:
-        if n != 1:
-            raise ParameterError(f"scalar points but dimension n={n}")
-        return xs[:, None]
-    if xs.shape[-1] != n:
-        raise ParameterError(f"points of shape {xs.shape} in dimension {n}")
-    return xs
 
 
 def _mean_se(values: np.ndarray) -> tuple:
     m = float(np.mean(values))
-    se = float(np.std(values) / math.sqrt(len(values)))
+    se = float(np.std(values, ddof=1) / math.sqrt(len(values)))
     return m, se
+
+
+def _check_lhs_engine(lhs_engine) -> None:
+    # a Monte Carlo left side would draw from SeedSequence(seed), the same
+    # random numbers as the right side's paths
+    if lhs_engine.kind == "monte-carlo":
+        raise ParameterError("the left side needs a deterministic engine")
 
 
 def supermartingale_check(potential: Potential, g, x0,
@@ -120,7 +90,8 @@ def gradient_bound(potential: Potential, f: TestFunction, xs, ts: Sequence,
                    lhs_engine, n_paths: int = 50_000, dt: float = 1e-3,
                    seed: int = 0) -> InequalityReport:
     """|grad P_t f(x)| <= E[|grad f(X_t)| e^{-int rho(X_s) ds}]."""
-    pts = _point_list(xs, potential.n)
+    _check_lhs_engine(lhs_engine)
+    pts = as_points(xs, potential.n)
     records = []
     for t in ts:
         for x in pts:
@@ -129,8 +100,9 @@ def gradient_bound(potential: Potential, f: TestFunction, xs, ts: Sequence,
             w = np.linalg.norm(f.gradient(batch.positions), axis=-1) \
                 * np.exp(-batch.integrals["rho"])
             rhs, se = _mean_se(w)
-            lhs = float(np.linalg.norm(np.atleast_1d(
-                lhs_engine.grad_pt(f, float(t), x))))
+            # one point per call: a batched Mehler sum rounds differently
+            lhs = float(np.linalg.norm(
+                lhs_engine.value_grad(f, float(t), x)[2]))
             records.append(Record(x=tuple(float(v) for v in x), t=float(t),
                                   alpha=None, lhs=lhs, rhs=rhs,
                                   margin=rhs - lhs, stderr=se))
@@ -150,6 +122,7 @@ def commutation_check(potential: Potential, cert: LyapunovCertificate,
     standard scan grid first; a negative margin there is a certification
     error, not a report.
     """
+    _check_lhs_engine(lhs_engine)
     margins = local_eigenvalue_margin(potential, cert,
                                       scan_points(potential.n))
     worst = float(np.min(margins))
@@ -160,7 +133,7 @@ def commutation_check(potential: Potential, cert: LyapunovCertificate,
             f"is unsupported")
     p = cert.p
     q = p / (p - 1.0)
-    pts = _point_list(xs, potential.n)
+    pts = as_points(xs, potential.n)
     records = []
     for t in ts:
         for x in pts:
@@ -173,8 +146,8 @@ def commutation_check(potential: Potential, cert: LyapunovCertificate,
             scale = math.exp(-cert.beta * float(t)) * gx
             rhs = scale * m ** (p - 1.0)
             se = scale * (p - 1.0) * m ** (p - 2.0) * se_m if m > 0.0 else 0.0
-            lhs = float(np.linalg.norm(np.atleast_1d(
-                lhs_engine.grad_pt(f, float(t), x)))) ** p
+            lhs = float(np.linalg.norm(
+                lhs_engine.value_grad(f, float(t), x)[2])) ** p
             records.append(Record(x=tuple(float(v) for v in x), t=float(t),
                                   alpha=None, lhs=lhs, rhs=rhs,
                                   margin=rhs - lhs, stderr=float(se)))
@@ -184,20 +157,3 @@ def commutation_check(potential: Potential, cert: LyapunovCertificate,
         records=tuple(records),
         tolerance=getattr(lhs_engine, "tolerance", 0.0))
 
-
-def batch_summary(batch: PathBatch) -> dict:
-    """JSON-ready digest of a PathBatch; raw paths never serialize."""
-    pos = batch.positions
-    out = {
-        "n_paths": batch.n_paths,
-        "t": batch.t,
-        "dt": batch.dt,
-        "n_steps": batch.n_steps,
-        "seed": batch.seed,
-        "exploded_fraction": batch.exploded_fraction,
-        "mean": [float(v) for v in np.mean(pos, axis=0)],
-        "std": [float(v) for v in np.std(pos, axis=0)],
-    }
-    for name, vals in batch.integrals.items():
-        out[f"integral_{name}_mean"] = float(np.mean(vals))
-    return out

@@ -414,8 +414,14 @@ def make_lyapunov(kind: str, alpha: float, p: float, n: int = 1) -> LyapunovCert
     raise ParameterError(f"unknown certificate kind {kind!r}")
 
 
-def constant_certificate(p: float, beta: float, n: int = 1) -> LyapunovCertificate:
-    """g identically 1 (c = 0); the trivial certificate."""
+def constant_certificate(p: float = 2.0, beta: float | None = None,
+                         n: int = 1) -> LyapunovCertificate:
+    """g identically 1 (c = 0), valid whenever beta <= p * inf rho.
+
+    beta defaults to p, the optimum at constant curvature 1.
+    """
+    if beta is None:
+        beta = p
 
     def zero_scalar(x):
         x = np.asarray(x, dtype=float)
@@ -426,7 +432,7 @@ def constant_certificate(p: float, beta: float, n: int = 1) -> LyapunovCertifica
         return np.zeros_like(x)
 
     return LyapunovCertificate(p, beta, 0.0, n, zero_scalar, zero_vec, zero_scalar,
-                               "constant", float("nan"), 1.0, f"constant:p={p:g}")
+                               "constant", float("nan"), 1.0, "g=1")
 
 
 def parse_potential_id(text: str) -> Potential:

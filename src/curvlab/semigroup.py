@@ -1,11 +1,18 @@
 """Semigroup evaluation P_t f and the carre-du-champ calculus.
 
-Three interchangeable engines share one interface: exact Gauss-Hermite
-quadrature of the Mehler integral (gaussian potential only), Crank-Nicolson
-time stepping of u_t = Lu on a 1-D grid with reflecting ends, and
-Euler-Maruyama Monte Carlo.  `apply` takes a plain vectorized function of
-position and returns (estimate, stderr); stderr is 0 for the deterministic
-engines.
+Three interchangeable engines share one two-method contract: exact
+Gauss-Hermite quadrature of the Mehler integral (gaussian potential only),
+Crank-Nicolson time stepping of u_t = Lu on a 1-D grid with reflecting ends,
+and Euler-Maruyama Monte Carlo.
+
+- `apply(func, t, xs) -> (values, stderr)` evaluates P_t of a plain
+  vectorized function of position.
+- `value_grad(f, t, xs) -> (values, stderr, grads)` evaluates P_t f and
+  grad P_t f of a `TestFunction` from one evolution of f.
+
+Both read points through `as_points`, so xs is anything it accepts, and
+both always return arrays: values and stderr of shape (k,), grads of shape
+(k, n).  stderr is exactly 0 for the deterministic engines.
 
 Gamma(f, g) = grad f . grad g and
 Gamma2(f) = ||Hess f||_HS^2 + grad f . Hess V grad f.  The gradient of
@@ -28,6 +35,7 @@ from .sde import _step_plan, simulate
 
 __all__ = [
     "TestFunction",
+    "as_points",
     "GridFunction",
     "MehlerEngine",
     "GridEngine",
@@ -37,7 +45,6 @@ __all__ = [
     "mehler_apply",
     "grid_generator",
     "grid_apply",
-    "mc_apply",
     "gamma",
     "gamma2",
     "gamma_gamma",
@@ -76,8 +83,24 @@ class TestFunction:
         return TestFunction(1, value, gradient, hessian, label)
 
 
-def _as_callable(f) -> Callable:
-    return f.value if isinstance(f, TestFunction) else f
+def as_points(x, n: int) -> np.ndarray:
+    """Evaluation points as a (k, n) float array.
+
+    A scalar is one point in dimension 1.  A 1-D array is k points in
+    dimension 1 and a single point in any other dimension.  A 2-D array
+    must have n columns.  An empty set and non-finite coordinates are
+    rejected.
+    """
+    pts = np.asarray(x, dtype=float)
+    if pts.ndim == 0 or (pts.ndim == 1 and n == 1):
+        pts = pts.reshape(-1, 1)
+    elif pts.ndim == 1:
+        pts = pts[None, :]
+    if pts.ndim != 2 or pts.shape[1] != n or len(pts) == 0:
+        raise ParameterError(f"points of shape {np.shape(x)} in dimension {n}")
+    if not np.all(np.isfinite(pts)):
+        raise ParameterError("non-finite evaluation point")
+    return pts
 
 
 def gamma(f: TestFunction, g: TestFunction, x) -> np.ndarray:
@@ -132,21 +155,6 @@ def _gh_nodes(order: int, n: int):
     return Y, W
 
 
-def _points_2d(x, n: int):
-    x = np.asarray(x, dtype=float)
-    if x.ndim == 0:
-        if n != 1:
-            raise ParameterError("scalar point only valid in dimension 1")
-        return x.reshape(1, 1), True
-    if x.ndim == 1:
-        if x.shape[0] != n:
-            raise ParameterError(f"point of length {x.shape[0]} in dimension {n}")
-        return x[None, :], True
-    if x.shape[-1] != n:
-        raise ParameterError(f"points of shape {x.shape} in dimension {n}")
-    return x, False
-
-
 def mehler_apply(f, t: float, x, order: int = 64, n: int | None = None):
     """P_t f(x) for the gaussian potential by Gauss-Hermite quadrature.
 
@@ -157,18 +165,14 @@ def mehler_apply(f, t: float, x, order: int = 64, n: int | None = None):
         raise ParameterError(f"quadrature order must be >= 2, got {order}")
     if t < 0.0:
         raise ParameterError(f"time must be >= 0, got {t}")
-    func = _as_callable(f)
     if n is None:
         n = f.n if isinstance(f, TestFunction) else np.atleast_1d(np.asarray(x)).shape[-1]
-    xs, single = _points_2d(x, n)
-    if not np.all(np.isfinite(xs)):
-        raise ParameterError("non-finite evaluation point")
+    xs = as_points(x, n)
     Y, W = _gh_nodes(order, n)
     decay = math.exp(-t)
     spread = math.sqrt(max(0.0, 1.0 - decay * decay))
     z = decay * xs[:, None, :] + spread * Y[None, :, :]
-    vals = func(z) @ W
-    return float(vals[0]) if single else vals
+    return f(z) @ W
 
 
 @dataclass(frozen=True)
@@ -188,24 +192,18 @@ class MehlerEngine:
         if self.order < 2:
             raise ParameterError("quadrature order must be >= 2")
 
-    def apply(self, f, t: float, x):
-        return mehler_apply(f, t, x, self.order, self.potential.n), 0.0
+    def apply(self, func, t: float, x):
+        vals = mehler_apply(func, t, x, self.order, self.potential.n)
+        return vals, np.zeros(len(vals))
 
-    def value_pt(self, f, t: float, x):
-        return mehler_apply(f, t, x, self.order, self.potential.n)
-
-    def grad_pt(self, f: TestFunction, t: float, x) -> np.ndarray:
-        # exact commutation: grad P_t f = e^-t P_t grad f
+    def value_grad(self, f: TestFunction, t: float, x):
         n = self.potential.n
-        xs, single = _points_2d(x, n)
+        xs = as_points(x, n)
+        vals, err = self.apply(f, t, xs)
+        # exact commutation: grad P_t f = e^-t P_t grad f
         comps = [mehler_apply(lambda z, i=i: f.gradient(z)[..., i], t, xs,
                               self.order, n) for i in range(n)]
-        g = math.exp(-t) * np.stack(comps, axis=-1)
-        return g[0] if single else g
-
-    def gamma_pt(self, f: TestFunction, t: float, x):
-        g = self.grad_pt(f, t, x)
-        return np.sum(np.square(g), axis=-1)
+        return vals, err, math.exp(-t) * np.stack(comps, axis=-1)
 
     def describe(self) -> dict:
         return {"kind": self.kind, "potential": self.potential.label,
@@ -246,17 +244,7 @@ class GridFunction:
     @staticmethod
     def sample(func, lo: float, hi: float, m: int) -> "GridFunction":
         nodes = np.linspace(lo, hi, m)
-        return GridFunction(lo, hi, _as_callable(func)(nodes[:, None]))
-
-    def to_csv(self, path):
-        np.savetxt(path, np.column_stack([self.nodes, self.values]),
-                   delimiter=",", header="node,value", comments="")
-
-    @staticmethod
-    def from_csv(path) -> "GridFunction":
-        data = np.loadtxt(path, delimiter=",", skiprows=1)
-        nodes = data[:, 0]
-        return GridFunction(nodes[0], nodes[-1], data[:, 1])
+        return GridFunction(lo, hi, func(nodes[:, None]))
 
 
 @dataclass(frozen=True)
@@ -359,33 +347,29 @@ class GridEngine:
         start = GridFunction.sample(func, self.lo, self.hi, self.m)
         return grid_apply(self.generator, start, t, min(self.dt, t) if t > 0 else self.dt)
 
-    def apply(self, f, t: float, x):
-        func = _as_callable(f)
-        xs, single = _points_2d(x, 1)
+    def _points(self, x) -> np.ndarray:
+        # np.interp would clamp a point outside the window to the end value
+        xs = as_points(x, 1)
+        if np.any((xs < self.lo) | (xs > self.hi)):
+            raise DomainError(f"points outside the grid window "
+                              f"[{self.lo:g}, {self.hi:g}]")
+        return xs
+
+    def apply(self, func, t: float, x):
+        xs = self._points(x)
         if t == 0.0:
-            vals = func(xs)
-            return (float(vals[0]) if single else vals), 0.0
+            return func(xs), np.zeros(len(xs))
         u = self._evolved(func, t)
-        vals = np.interp(xs[:, 0], u.nodes, u.values)
-        return (float(vals[0]) if single else vals), 0.0
+        return np.interp(xs[:, 0], u.nodes, u.values), np.zeros(len(xs))
 
-    def value_pt(self, f, t: float, x):
-        return self.apply(f, t, x)[0]
-
-    def grad_pt(self, f, t: float, x) -> np.ndarray:
-        func = _as_callable(f)
-        xs, single = _points_2d(x, 1)
-        if t == 0.0 and isinstance(f, TestFunction):
-            g = f.gradient(xs)
-            return g[0] if single else g
-        u = self._evolved(func, t)
+    def value_grad(self, f: TestFunction, t: float, x):
+        xs = self._points(x)
+        if t == 0.0:
+            return f(xs), np.zeros(len(xs)), f.gradient(xs)
+        u = self._evolved(f, t)
         du = np.gradient(u.values, u.h)
-        g = np.interp(xs[:, 0], u.nodes, du)[:, None]
-        return g[0] if single else g
-
-    def gamma_pt(self, f, t: float, x):
-        g = self.grad_pt(f, t, x)
-        return np.sum(np.square(g), axis=-1)
+        return (np.interp(xs[:, 0], u.nodes, u.values), np.zeros(len(xs)),
+                np.interp(xs[:, 0], u.nodes, du)[:, None])
 
     def describe(self) -> dict:
         return {"kind": self.kind, "potential": self.potential.label,
@@ -409,13 +393,10 @@ class MonteCarloEngine:
         if self.n_paths < 100:
             raise ParameterError(f"need at least 100 paths, got {self.n_paths}")
 
-    def apply(self, f, t: float, x):
-        func = _as_callable(f)
-        xs, single = _points_2d(x, self.potential.n)
+    def apply(self, func, t: float, x):
+        xs = as_points(x, self.potential.n)
         if t == 0.0:
-            vals = func(xs)
-            zeros = np.zeros_like(vals)
-            return (float(vals[0]), 0.0) if single else (vals, zeros)
+            return func(xs), np.zeros(len(xs))
         means = np.empty(len(xs))
         errs = np.empty(len(xs))
         for i, x0 in enumerate(xs):
@@ -424,38 +405,26 @@ class MonteCarloEngine:
             v = func(batch.positions)
             means[i] = v.mean()
             errs[i] = v.std(ddof=1) / math.sqrt(len(v))
-        return (float(means[0]), float(errs[0])) if single else (means, errs)
+        return means, errs
 
-    def value_pt(self, f, t: float, x):
-        return self.apply(f, t, x)[0]
-
-    def grad_pt(self, f, t: float, x) -> np.ndarray:
+    def value_grad(self, f: TestFunction, t: float, x):
+        xs = as_points(x, self.potential.n)
+        vals, errs = self.apply(f, t, xs)
         # common-random-number central differences: both shifted starts reuse
         # the same seed, so the noise largely cancels
-        n = self.potential.n
-        xs, single = _points_2d(x, n)
-        out = np.empty_like(xs)
-        for i in range(n):
+        grads = np.empty_like(xs)
+        for i in range(self.potential.n):
             h = 1e-3 * (1.0 + np.abs(xs[:, i]))
             e = np.zeros_like(xs)
             e[:, i] = h
             up, _ = self.apply(f, t, xs + e)
             dn, _ = self.apply(f, t, xs - e)
-            out[:, i] = (np.atleast_1d(up) - np.atleast_1d(dn)) / (2.0 * h)
-        return out[0] if single else out
-
-    def gamma_pt(self, f, t: float, x):
-        g = self.grad_pt(f, t, x)
-        return np.sum(np.square(g), axis=-1)
+            grads[:, i] = (up - dn) / (2.0 * h)
+        return vals, errs, grads
 
     def describe(self) -> dict:
         return {"kind": self.kind, "potential": self.potential.label,
                 "n_paths": self.n_paths, "dt": self.dt, "seed": self.seed}
-
-
-def mc_apply(engine: MonteCarloEngine, f, t: float, x):
-    """Monte Carlo estimate (mean, stderr) of P_t f(x)."""
-    return engine.apply(f, t, x)
 
 
 Engine = Union[MehlerEngine, GridEngine, MonteCarloEngine]

@@ -23,6 +23,7 @@ from numpy.polynomial import hermite_e as herme
 from numpy.polynomial import polynomial as P
 
 from .errors import ParameterError
+from .semigroup import as_points, mehler_apply
 from .verify import InequalityReport, Record, g_alpha
 
 __all__ = [
@@ -316,12 +317,9 @@ def generalized_local_check(mm: MultiM, f, t: float, alpha: float,
     The hypothesis matrix is sampled on the values the check visits; a
     violation returns a precondition report instead of inequality records.
     """
-    from .semigroup import mehler_apply
-
     if t < 0.0 or alpha < 0.0:
         raise ParameterError("need t >= 0 and alpha >= 0")
-    xs = np.atleast_1d(np.asarray(
-        xs if xs is not None else np.linspace(-3.0, 3.0, 7), dtype=float))
+    xs = as_points(np.linspace(-3.0, 3.0, 7) if xs is None else xs, 1)
     h = expand(f)
     k = mm.n_args - 1
     d_polys = [to_poly(apply_Lk(h, j)).coef for j in range(k + 1)]
@@ -347,9 +345,9 @@ def generalized_local_check(mm: MultiM, f, t: float, alpha: float,
         y = np.maximum(g_fac * P.polyval(z0, fp) ** 2, 0.0)
         return np.asarray(mm.value(args, y), dtype=float)
 
-    rhs = np.atleast_1d(mehler_apply(composed, t, xs[:, None], order=order))
+    rhs = mehler_apply(composed, t, xs, order=order)
     records = []
-    for i, x in enumerate(xs):
+    for i, x in enumerate(xs[:, 0]):
         args = [P.polyval(x, c) for c in pt_polys]
         y = max(alpha * P.polyval(x, pt_grad) ** 2, 0.0)
         lhs = float(mm.value([np.asarray(a) for a in args], np.asarray(y)))

@@ -26,7 +26,7 @@ from scipy.optimize import brentq
 from .errors import ParameterError, QuadratureError
 from .mfunctions import MFunction
 from .potentials import Potential
-from .semigroup import TestFunction, gamma2, gamma_gamma
+from .semigroup import TestFunction, as_points, gamma2, gamma_gamma
 
 __all__ = [
     "Schedule",
@@ -82,18 +82,6 @@ class Schedule:
             raise ParameterError("schedule needs t >= 0 and alpha >= 0")
         if self.s_count < 2:
             raise ParameterError("monotonicity grid needs at least 2 points")
-
-    def points(self, n: int) -> np.ndarray:
-        xs = self.xs
-        if xs.ndim == 1:
-            if n != 1:
-                raise ParameterError(
-                    f"schedule points are scalars but the potential has n={n}")
-            return xs[:, None]
-        if xs.shape[-1] != n:
-            raise ParameterError(
-                f"schedule points of shape {xs.shape} in dimension {n}")
-        return xs
 
 
 def default_schedule() -> Schedule:
@@ -176,21 +164,13 @@ def _composite(mf: MFunction, f: TestFunction, factor: float):
     return func
 
 
-def _lhs_stderr(mf, engine, f, t, xs, u, y):
-    # Monte Carlo left sides are noisy through P_t f; propagate that part
-    if engine.kind != "monte-carlo":
-        return np.zeros(len(xs))
-    _, se_u = engine.apply(f, t, xs)
-    return np.abs(mf.m_x(u, np.maximum(y, 1e-12))) * np.atleast_1d(se_u)
-
-
 def _local_records(mf, engine, f, schedule, rho, reverse: bool):
-    n = engine.potential.n
-    xs = schedule.points(n)
+    xs = as_points(schedule.xs, engine.potential.n)
     records = []
     for t in schedule.ts:
-        u = np.atleast_1d(engine.value_pt(f, t, xs))
-        gam_pt = np.atleast_1d(engine.gamma_pt(f, t, xs))
+        u, se_u, grad = engine.value_grad(f, t, xs)
+        gam_pt = np.sum(np.square(grad), axis=-1)
+        noisy = se_u > 0.0
         for alpha in schedule.alphas:
             if reverse:
                 lhs_factor = h_alpha(0.0, t, alpha, rho)
@@ -200,11 +180,13 @@ def _local_records(mf, engine, f, schedule, rho, reverse: bool):
                 rhs_factor = g_alpha(t, alpha, rho)
             y = np.maximum(lhs_factor * gam_pt, 0.0)
             mf.check_domain(u, y)
-            lhs = np.atleast_1d(mf.value(u, y))
-            rhs, err = engine.apply(_composite(mf, f, rhs_factor), t, xs)
-            rhs = np.atleast_1d(rhs)
-            err = np.atleast_1d(err) if np.ndim(err) else np.full(len(xs), float(err))
-            se = err + _lhs_stderr(mf, engine, f, t, xs, u, y)
+            lhs = mf.value(u, y)
+            rhs, se = engine.apply(_composite(mf, f, rhs_factor), t, xs)
+            if np.any(noisy):
+                # Monte Carlo left sides are noisy through P_t f; propagate
+                # that part where it is nonzero, so |m_x| * 0 never forms
+                se[noisy] += np.abs(mf.m_x(
+                    u[noisy], np.maximum(y[noisy], 1e-12))) * se_u[noisy]
             for i in range(len(xs)):
                 records.append(Record(
                     x=tuple(float(v) for v in xs[i]), t=t, alpha=alpha,
@@ -249,7 +231,7 @@ def verify_H_monotone(mf: MFunction, engine, f: TestFunction, t: float,
     if engine.kind == "monte-carlo":
         raise ParameterError("monotonicity checks need a deterministic engine")
     n = engine.potential.n
-    xs = Schedule(xs=xs).points(n) if xs is not None else Schedule().points(n)
+    xs = as_points(default_schedule().xs if xs is None else xs, n)
     s_grid = np.linspace(0.0, t, s_count)
     H = np.empty((s_count, len(xs)))
     for j, s in enumerate(s_grid):
@@ -259,9 +241,8 @@ def verify_H_monotone(mf: MFunction, engine, f: TestFunction, t: float,
 
         def inner(z, factor=factor, rem=rem):
             z = np.asarray(z, dtype=float)
-            flat = z.reshape(-1, n)
-            u = np.atleast_1d(engine.value_pt(f, rem, flat))
-            v = np.atleast_1d(engine.gamma_pt(f, rem, flat))
+            u, _, grad = engine.value_grad(f, rem, z.reshape(-1, n))
+            v = np.sum(np.square(grad), axis=-1)
             out = mf.value(u, np.maximum(factor * v, 0.0))
             return np.asarray(out).reshape(z.shape[:-1])
 

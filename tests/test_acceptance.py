@@ -15,10 +15,11 @@ from curvlab.cli import PRESETS, parse_config, run
 from curvlab.mfunctions import (catalog, certify_psd, condition_matrix,
                                 default_sample_spec, exp_integrability_F,
                                 isoperimetric_I)
-from curvlab.potentials import (local_eigenvalue_margin, make_lyapunov,
-                                parse_potential_id, scan_points)
+from curvlab.potentials import (constant_certificate, local_eigenvalue_margin,
+                                make_lyapunov, parse_potential_id,
+                                scan_points)
 from curvlab.feynman_kac import (commutation_check, gradient_bound,
-                                 supermartingale_check, unit_certificate)
+                                 supermartingale_check)
 from curvlab.sde import simulate
 from curvlab.semigroup import MehlerEngine, gamma, make_engine
 from curvlab.spectral import (Q_iterate, derivative_l2, expand, gauss_mean,
@@ -49,12 +50,13 @@ def test_criterion_01_ou_commutation():
     eq_worst = 0.0
     for f in main_suite():
         for t in TS5:
-            gamma_pt = MEHLER.gamma_pt(f, t, XS7)
+            gam_pt = np.sum(np.square(MEHLER.value_grad(f, t, XS7)[2]),
+                              axis=-1)
             pt_gamma, _ = MEHLER.apply(lambda z: gamma(f, f, z), t, XS7)
-            m_ii = np.exp(-2.0 * t) * pt_gamma - gamma_pt
+            m_ii = np.exp(-2.0 * t) * pt_gamma - gam_pt
             pt_root, _ = MEHLER.apply(
                 lambda z: np.sqrt(gamma(f, f, z)), t, XS7)
-            m_iii = np.exp(-t) * pt_root - np.sqrt(gamma_pt)
+            m_iii = np.exp(-t) * pt_root - np.sqrt(gam_pt)
             worst_ii = min(worst_ii, float(np.min(m_ii)))
             worst_iii = min(worst_iii, float(np.min(m_iii)))
             if f.label == "linear":
@@ -276,7 +278,7 @@ def test_criterion_10_feynman_kac():
                             seed=seed)
     grad_ok = grad_g.passed and grad_s.passed
 
-    comm = commutation_check(GAUSS, unit_certificate(p=2.0), get("linear"),
+    comm = commutation_check(GAUSS, constant_certificate(p=2.0), get("linear"),
                              xs=np.array([0.7]), ts=(0.5, 1.0),
                              lhs_engine=MEHLER, n_paths=100_000, dt=1e-3,
                              seed=seed)

@@ -1,4 +1,3 @@
-import json
 import math
 import os
 
@@ -6,11 +5,12 @@ import numpy as np
 import pytest
 
 from curvlab.errors import CertificationError, ParameterError
-from curvlab.feynman_kac import (batch_summary, commutation_check,
-                                 gradient_bound, simulate,
-                                 supermartingale_check, unit_certificate)
-from curvlab.potentials import make_example_potential, make_lyapunov
-from curvlab.semigroup import GridEngine, MehlerEngine
+from curvlab.feynman_kac import (commutation_check, gradient_bound,
+                                 supermartingale_check)
+from curvlab.potentials import (constant_certificate, make_example_potential,
+                                make_lyapunov)
+from curvlab.sde import simulate
+from curvlab.semigroup import GridEngine, MehlerEngine, MonteCarloEngine
 from curvlab.suite import get
 
 GAUSS = make_example_potential("gaussian")
@@ -38,7 +38,7 @@ def test_constant_curvature_weight_is_exact():
 
 
 def test_supermartingale_unit_g_is_exact():
-    rep = supermartingale_check(GAUSS, unit_certificate(), x0=0.5,
+    rep = supermartingale_check(GAUSS, constant_certificate(), x0=0.5,
                                 ts=(0.25, 1.0), n_paths=500, dt=1e-2, seed=1)
     assert all(r.margin == 0.0 for r in rep.records)
     assert all(r.stderr == 0.0 for r in rep.records)
@@ -110,8 +110,8 @@ def test_gradient_bound_suite_functions(kind, alpha):
         assert rep.passed, (kind, fname, rep.worst)
 
 
-def test_commutation_unit_certificate_linear_equality():
-    rep = commutation_check(GAUSS, unit_certificate(), get("linear"),
+def test_commutation_constant_certificate_linear_equality():
+    rep = commutation_check(GAUSS, constant_certificate(), get("linear"),
                             xs=[0.3], ts=(0.4,), lhs_engine=ENGINE,
                             n_paths=400, dt=1e-2, seed=3)
     r = rep.records[0]
@@ -186,20 +186,24 @@ def test_thread_count_does_not_change_paths():
     assert np.array_equal(serial.integrals["rho"], threaded.integrals["rho"])
 
 
-def test_batch_summary_serializes():
-    batch = simulate(GAUSS, np.array([0.0]), 0.2, dt=1e-2, n_paths=300,
-                     seed=8)
-    blob = json.dumps(batch_summary(batch))
-    got = json.loads(blob)
-    assert got["n_paths"] == 300
-    assert got["exploded_fraction"] == 0.0
-    assert "positions" not in got
-
-
-def test_unit_certificate_defaults():
-    cert = unit_certificate()
-    assert cert.p == 2.0
-    assert cert.beta == 2.0
-    assert float(np.asarray(cert.g_value(np.array([[3.0]])))[0]) == 1.0
+def test_monte_carlo_left_side_is_rejected():
+    # its central difference would reuse the right side's random numbers
+    mc = MonteCarloEngine(GAUSS, n_paths=200, seed=0)
     with pytest.raises(ParameterError):
-        unit_certificate(p=1.0)
+        gradient_bound(GAUSS, get("sine"), xs=[0.5], ts=(0.5,),
+                       lhs_engine=mc, n_paths=200, dt=1e-2, seed=0)
+    with pytest.raises(ParameterError):
+        commutation_check(GAUSS, constant_certificate(), get("sine"),
+                          xs=[0.5], ts=(0.5,), lhs_engine=mc, n_paths=200,
+                          dt=1e-2, seed=0)
+
+
+def test_stderr_uses_sample_deviation():
+    rep = gradient_bound(GAUSS, get("sine"), xs=[0.5], ts=(0.5,),
+                         lhs_engine=ENGINE, n_paths=300, dt=1e-2, seed=6)
+    batch = simulate(GAUSS, np.array([0.5]), 0.5, dt=1e-2, n_paths=300,
+                     seed=6, functionals={"rho": GAUSS.curvature_at})
+    w = np.abs(get("sine").gradient(batch.positions)[:, 0]) \
+        * np.exp(-batch.integrals["rho"])
+    assert rep.records[0].stderr == pytest.approx(
+        np.std(w, ddof=1) / math.sqrt(300), rel=1e-12)

@@ -275,3 +275,12 @@ def test_certification_error_carries_witness():
         _bisect_feasible_c(build, P)
     assert exc.value.worst_margin < 0.0
     assert exc.value.worst_point is not None
+
+
+def test_constant_certificate_defaults():
+    cert = constant_certificate()
+    assert (cert.p, cert.beta, cert.n, cert.label) == (2.0, 2.0, 1, "g=1")
+    assert constant_certificate(p=3.0).beta == 3.0
+    assert float(np.asarray(cert.g_value(np.array([[3.0]])))[0]) == 1.0
+    with pytest.raises(ParameterError):
+        constant_certificate(p=1.0)

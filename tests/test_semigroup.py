@@ -11,6 +11,7 @@ from curvlab.semigroup import (
     MehlerEngine,
     MonteCarloEngine,
     TestFunction,
+    as_points,
     enhanced_gap,
     gamma,
     gamma2,
@@ -18,7 +19,6 @@ from curvlab.semigroup import (
     grid_apply,
     grid_generator,
     make_engine,
-    mc_apply,
     mehler_apply,
 )
 from curvlab import suite
@@ -215,7 +215,7 @@ def test_mehler_parameter_errors():
     with pytest.raises(ParameterError):
         mehler_apply(f, -0.1, np.array([1.0]))
     with pytest.raises(ParameterError):
-        mehler_apply(f, 0.5, np.array([1.0, 2.0]))  # wrong dimension
+        mehler_apply(f, 0.5, np.zeros((2, 2)))  # wrong dimension
     with pytest.raises(ParameterError):
         MehlerEngine(SPH15)
     with pytest.raises(ParameterError):
@@ -228,13 +228,14 @@ def test_mehler_engine_commutation_bounds():
     f = suite.get("sine")
     x = np.linspace(-3, 3, 7)[:, None]
     for t in (0.1, 0.5, 1.0):
-        lhs = np.abs(eng.grad_pt(f, t, x)[:, 0])
+        _, _, grad = eng.value_grad(f, t, x)
+        lhs = np.abs(grad[:, 0])
         absgrad = lambda z: np.abs(f.gradient(z)[..., 0])
         rhs = math.exp(-t) * eng.apply(absgrad, t, x)[0]
         assert np.all(rhs - lhs >= -1e-9)
         sqgrad = lambda z: f.gradient(z)[..., 0] ** 2
         rhs2 = math.exp(-2 * t) * eng.apply(sqgrad, t, x)[0]
-        assert np.all(rhs2 - eng.gamma_pt(f, t, x) >= -1e-9)
+        assert np.all(rhs2 - np.sum(np.square(grad), axis=-1) >= -1e-9)
 
 
 def test_mehler_engine_gradient_exact():
@@ -243,7 +244,7 @@ def test_mehler_engine_gradient_exact():
     t, x = 0.7, np.array([0.9])
     spread = 1.0 - math.exp(-2 * t)
     want = math.exp(-t) * math.cos(math.exp(-t) * 0.9) * math.exp(-spread / 2)
-    assert eng.grad_pt(f, t, x)[0] == pytest.approx(want, abs=1e-10)
+    assert eng.value_grad(f, t, x)[2][0] == pytest.approx(want, abs=1e-10)
 
 
 # ---------------------------------------------------------------------------
@@ -309,19 +310,13 @@ def test_grid_apply_time_zero_and_errors():
         grid_apply(gen, other, 0.5, 1e-3)
 
 
-def test_grid_function_validation_and_csv(tmp_path):
+def test_grid_function_validation():
     with pytest.raises(ParameterError):
         GridFunction(-1.0, 1.0, np.array([0.0, 1.0]))
     with pytest.raises(ParameterError):
         GridFunction(1.0, -1.0, np.zeros(5))
     with pytest.raises(ParameterError):
         GridFunction(-1.0, 1.0, np.array([0.0, np.nan, 1.0]))
-    f = GridFunction.sample(suite.get("gauss-bump"), -2.0, 2.0, 11)
-    path = tmp_path / "f.csv"
-    f.to_csv(path)
-    g = GridFunction.from_csv(path)
-    assert (g.lo, g.hi, g.m) == (f.lo, f.hi, f.m)
-    np.testing.assert_allclose(g.values, f.values, atol=1e-12)
 
 
 def test_grid_engine_values_and_gradient():
@@ -331,14 +326,16 @@ def test_grid_engine_values_and_gradient():
     vals, err = eng.apply(f, 0.5, x)
     want = math.exp(-1.0) * x[:, 0] ** 2 + 1.0 - math.exp(-1.0)
     np.testing.assert_allclose(vals, want, atol=1e-3)
-    assert err == 0.0
-    g = eng.grad_pt(f, 0.5, x)
+    assert np.all(err == 0.0)
+    v, verr, g = eng.value_grad(f, 0.5, x)
+    np.testing.assert_array_equal(v, vals)
+    assert np.all(verr == 0.0)
     np.testing.assert_allclose(g[:, 0], 2.0 * math.exp(-1.0) * x[:, 0], atol=1e-3)
-    np.testing.assert_allclose(eng.gamma_pt(f, 0.5, x), g[:, 0] ** 2, atol=1e-12)
     # t = 0 short-circuits to the analytic values
     v0, _ = eng.apply(f, 0.0, x)
     np.testing.assert_allclose(v0, x[:, 0] ** 2, atol=1e-15)
-    np.testing.assert_allclose(eng.grad_pt(f, 0.0, x)[:, 0], 2 * x[:, 0], atol=1e-15)
+    np.testing.assert_allclose(eng.value_grad(f, 0.0, x)[2][:, 0], 2 * x[:, 0],
+                               atol=1e-15)
 
 
 def test_grid_engine_small_time():
@@ -373,7 +370,7 @@ def test_mc_engine_matches_mehler():
     assert err > 0.0
     assert abs(val - math.exp(-0.5)) < 4 * err + 5e-4
     v0, e0 = eng.apply(f, 0.0, np.array([1.0]))
-    assert (v0, e0) == (1.0, 0.0)
+    assert np.all(v0 == 1.0) and np.all(e0 == 0.0)
 
 
 def test_mc_engine_reproducible():
@@ -381,15 +378,13 @@ def test_mc_engine_reproducible():
     f = suite.get("sine")
     a = eng.apply(f, 0.3, np.array([0.5]))
     b = eng.apply(f, 0.3, np.array([0.5]))
-    assert a == b
-    c = mc_apply(eng, f, 0.3, np.array([0.5]))
-    assert c == a
+    assert all(np.array_equal(u, v) for u, v in zip(a, b))
 
 
 def test_mc_engine_gradient_common_random_numbers():
     eng = MonteCarloEngine(GAUSS, n_paths=50_000, dt=1e-3, seed=5)
     f = suite.get("quadratic")
-    g = eng.grad_pt(f, 0.25, np.array([1.0]))
+    g = eng.value_grad(f, 0.25, np.array([1.0]))[2]
     assert g[0] == pytest.approx(2.0 * math.exp(-0.5), abs=0.02)
 
 
@@ -407,3 +402,81 @@ def test_make_engine_factory():
     for kind in ("mehler", "grid", "monte-carlo"):
         d = make_engine(kind, GAUSS).describe()
         assert d["kind"] == kind and "potential" in d
+
+
+# ---------------------------------------------------------------------------
+# the engine contract
+# ---------------------------------------------------------------------------
+
+def _three_engines():
+    return (MehlerEngine(GAUSS),
+            GridEngine(GAUSS, lo=-8.0, hi=8.0, m=801, dt=1e-2),
+            MonteCarloEngine(GAUSS, n_paths=200, dt=1e-2, seed=1))
+
+
+@pytest.mark.parametrize("x,n,shape", [
+    (0.5, 1, (1, 1)),
+    (np.array([0.0, 1.0]), 1, (2, 1)),
+    (np.array([0.0, 1.0]), 2, (1, 2)),
+    (np.zeros((3, 1)), 1, (3, 1)),
+    (np.zeros((3, 2)), 2, (3, 2)),
+])
+def test_as_points_shapes(x, n, shape):
+    pts = as_points(x, n)
+    assert pts.shape == shape
+    assert pts.dtype == float
+
+
+@pytest.mark.parametrize("x,n", [
+    (np.zeros((3, 2)), 1),
+    (0.5, 2),
+    (np.zeros(3), 2),
+    (np.zeros((2, 2, 1)), 1),
+    (np.zeros(0), 1),
+    (np.array([0.0, np.nan]), 1),
+    (np.array([[0.0, np.inf]]), 2),
+])
+def test_as_points_rejects(x, n):
+    with pytest.raises(ParameterError):
+        as_points(x, n)
+
+
+def test_engines_read_a_1d_array_as_points():
+    f = suite.get("quadratic")
+    x = np.array([0.0, 1.0])
+    for eng in _three_engines():
+        vals, err = eng.apply(f, 0.3, x)
+        assert vals.shape == err.shape == (2,)
+        v, verr, g = eng.value_grad(f, 0.3, x)
+        assert v.shape == verr.shape == (2,) and g.shape == (2, 1)
+        with pytest.raises(ParameterError):
+            eng.apply(f, 0.3, np.zeros((3, 2)))
+        with pytest.raises(ParameterError):
+            eng.value_grad(f, 0.3, np.array([0.0, np.nan]))
+
+
+def test_value_grad_values_match_apply():
+    f = suite.get("sine")
+    x = np.linspace(-2.0, 2.0, 5)
+    for eng in _three_engines():
+        for t in (0.0, 0.4):
+            vals, err = eng.apply(f, t, x)
+            v, verr, _ = eng.value_grad(f, t, x)
+            np.testing.assert_array_equal(v, vals)
+            np.testing.assert_array_equal(verr, err)
+            if eng.kind != "monte-carlo" or t == 0.0:
+                assert np.all(verr == 0.0)
+
+
+def test_grid_engine_rejects_points_outside_window():
+    # np.interp would return the end value 0.895 at x = 5 and x = 50,
+    # where P_t x = e^{-t} x is 3.03 and 30.3
+    eng = GridEngine(GAUSS, lo=-2.0, hi=2.0, m=401)
+    f = suite.get("linear")
+    for x in (5.0, 50.0, -2.5):
+        with pytest.raises(DomainError):
+            eng.apply(f, 0.5, np.array([x]))
+        with pytest.raises(DomainError):
+            eng.value_grad(f, 0.5, np.array([0.0, x]))
+    vals, _ = eng.apply(f, 0.5, np.array([-2.0, 2.0]))
+    assert vals.shape == (2,)

@@ -4,11 +4,12 @@ import math
 import numpy as np
 import pytest
 
+from curvlab import semigroup
 from curvlab.errors import ParameterError, QuadratureError
 from curvlab.mfunctions import catalog
 from curvlab.potentials import make_double_well, make_example_potential
 from curvlab.semigroup import (GridEngine, MehlerEngine, MonteCarloEngine,
-                               TestFunction)
+                               TestFunction, as_points)
 from curvlab.suite import get
 from curvlab.verify import (InequalityReport, QuadSpec, Record, Schedule,
                             default_schedule, exp_integrability_bound_check,
@@ -80,9 +81,9 @@ def test_schedule_validation():
     with pytest.raises(ParameterError):
         Schedule(s_count=1)
     with pytest.raises(ParameterError):
-        Schedule(xs=np.zeros((3, 2))).points(1)
+        as_points(Schedule(xs=np.zeros((3, 2))).xs, 1)
     sched = default_schedule()
-    assert sched.points(1).shape == (7, 1)
+    assert as_points(sched.xs, 1).shape == (7, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -427,3 +428,47 @@ def test_report_worst_record():
     rep = verify_local(catalog("log-sobolev"), ENGINE, get("shifted-sine"),
                        sched, rho=1.0)
     assert rep.worst.margin == rep.min_margin
+
+
+# ---------------------------------------------------------------------------
+# work per check: each (t, x) evolves f once for its value and gradient
+# ---------------------------------------------------------------------------
+
+def _count_calls(monkeypatch, name):
+    calls = []
+    real = getattr(semigroup, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(semigroup, name, counted)
+    return calls
+
+
+def test_mc_local_simulation_count(monkeypatch):
+    # 5 times t > 0, 7 points: one run for P_t f and its stderr, two for the
+    # central difference, and one per alpha for the right side
+    calls = _count_calls(monkeypatch, "simulate")
+    eng = MonteCarloEngine(GAUSS, n_paths=100, dt=1e-2, seed=0)
+    verify_local(catalog("poincare"), eng, get("sine"), default_schedule(),
+                 rho=1.0)
+    assert len(calls) == 5 * 7 * (1 + 2 + 3)
+
+
+def test_grid_local_march_count(monkeypatch):
+    # one march for value and gradient plus one per alpha, at each t > 0
+    calls = _count_calls(monkeypatch, "grid_apply")
+    eng = GridEngine(make_double_well(), lo=-6.0, hi=6.0, m=2001, dt=1e-2)
+    verify_local(catalog("y"), eng, get("linear"), default_schedule(),
+                 rho=0.5)
+    assert len(calls) == 5 * (1 + 3)
+
+
+def test_grid_monotone_march_count(monkeypatch):
+    # s > 0 marches the outer function; s < t marches the inner one
+    calls = _count_calls(monkeypatch, "grid_apply")
+    eng = GridEngine(make_double_well(), lo=-6.0, hi=6.0, m=2001, dt=1e-2)
+    verify_H_monotone(catalog("poincare"), eng, get("sine"), t=0.6,
+                      alpha=0.2, rho=-1.0, s_count=21)
+    assert len(calls) == 20 + 20
