@@ -6,6 +6,11 @@ fields never changes the config hash.  Run summaries carry that hash plus
 per-check outcomes, and everything written is deterministic for a fixed
 config: checks execute in sorted id order and the only varying fields are
 the timestamp and wall time.
+
+`run` and the check subcommands (verify, verify-reverse, monotone and the
+limit and condition halves of integrated) share one executor: a subcommand
+turns its arguments into an ExperimentConfig, and `_check_plan` plus
+`_execute_one` turn that into verifier calls.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ import hashlib
 import json
 import sys
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -28,7 +33,7 @@ from .mfunctions import MFUNCTION_NAMES, catalog, certify_psd
 from .potentials import (POTENTIAL_KINDS, constant_certificate,
                          local_eigenvalue_margin, make_lyapunov,
                          parse_potential_id, scan_points)
-from .semigroup import ENGINE_KINDS, make_engine
+from .semigroup import ENGINE_KINDS, check_engine_params, make_engine
 from .spectral import houdre_kagan
 from .suite import get
 from .suite import catalog as function_catalog
@@ -42,6 +47,8 @@ __all__ = ["ExperimentConfig", "RunSummary", "parse_config", "run",
 
 CHECK_NAMES = ("local", "reverse", "monotone", "integrated-limit",
                "integrated-condition")
+# the checks that evaluate the semigroup through an engine
+ENGINE_CHECKS = ("local", "reverse", "monotone")
 
 
 # ---------------------------------------------------------------------------
@@ -62,7 +69,6 @@ class ExperimentConfig:
     s_count: int = 21
     t: float = 0.6
     alpha: float = 0.2
-    direction: str = "forward"
     variant: str = "plain"
     seed: int = 0
     tol: float | None = None
@@ -79,6 +85,8 @@ class ExperimentConfig:
                                  "not be empty")
         if self.engine not in ENGINE_KINDS:
             raise ParameterError(f"unknown engine {self.engine!r}")
+        object.__setattr__(self, "engine_params", check_engine_params(
+            self.engine, self.engine_params))
         if self.tol is not None and not self.tol > 0.0:
             raise ParameterError("tolerances must be positive")
         if self.ts is not None and not self.ts:
@@ -120,24 +128,28 @@ _FLOAT_LIST_KEYS = {"ts", "alphas", "xs"}
 _FLOAT_KEYS = {"rho", "t", "alpha", "tol"}
 _INT_KEYS = {"s_count", "seed"}
 _BOOL_KEYS = {"expected_fail"}
-_STR_KEYS = {"potential", "engine", "direction", "variant"}
+_STR_KEYS = {"potential", "engine", "variant"}
+_CONFIG_FIELDS = frozenset(f.name for f in fields(ExperimentConfig))
 
 
-def _coerce_engine_param(key: str, raw: str):
+def _number(key: str, raw: str, cast=float):
     try:
-        v = float(raw)
+        return cast(raw)
     except ValueError:
-        raise ParameterError(f"engine parameter {key!r} must be numeric, "
-                             f"got {raw!r}")
-    return int(v) if v == int(v) and key in ("m", "order", "n_paths",
-                                             "seed") else v
+        raise ParameterError(f"{key} must be numeric, got {raw!r}") from None
 
 
 def parse_config(text: str) -> ExperimentConfig:
     """Flat ``key = value`` lines ('#' comments, commas for lists), or JSON."""
     stripped = text.lstrip()
     if stripped.startswith("{"):
-        data = json.loads(text)
+        try:
+            data = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise ParameterError(f"malformed JSON config: {exc}") from None
+        unknown = sorted(set(data) - _CONFIG_FIELDS)
+        if unknown:
+            raise ParameterError(f"unknown config keys {unknown}")
         for k in _LIST_KEYS | _FLOAT_LIST_KEYS:
             if k in data and data[k] is not None:
                 data[k] = tuple(data[k])
@@ -153,16 +165,17 @@ def parse_config(text: str) -> ExperimentConfig:
                                  f"{line!r}")
         key, raw = (s.strip() for s in line.split("=", 1))
         if key.startswith("engine."):
-            pname = key[len("engine."):]
-            engine_params[pname] = _coerce_engine_param(pname, raw)
+            # ExperimentConfig checks and converts engine parameters
+            engine_params[key[len("engine."):]] = raw
         elif key in _LIST_KEYS:
             kv[key] = tuple(s.strip() for s in raw.split(",") if s.strip())
         elif key in _FLOAT_LIST_KEYS:
-            kv[key] = tuple(float(s) for s in raw.split(",") if s.strip())
+            kv[key] = tuple(_number(key, s) for s in raw.split(",")
+                            if s.strip())
         elif key in _FLOAT_KEYS:
-            kv[key] = float(raw)
+            kv[key] = _number(key, raw)
         elif key in _INT_KEYS:
-            kv[key] = int(raw)
+            kv[key] = _number(key, raw, int)
         elif key in _BOOL_KEYS:
             if raw.lower() not in ("true", "false"):
                 raise ParameterError(f"{key} must be true or false, got "
@@ -230,28 +243,41 @@ def _is_reverse(name: str) -> bool:
 
 
 def _check_plan(config: ExperimentConfig) -> list:
-    """(check_id, check, mf_id, fn) triples, sorted by id.
+    """(check_id, check, mf_id, fn) tuples in argument order.
 
-    Forward checks use the forward M-functions, reverse checks the
-    reverse-* ones; integrated checks are forward-only.
+    Reverse checks take the reverse-* M-functions, monotone takes both
+    kinds, and the other checks take the forward ones.  An M-function that
+    no configured check takes is an error.
     """
     plan = []
+    used = set()
     for check in config.checks:
         for mf_id in config.mfunctions:
-            # monotone handles both directions; every other check is
-            # specific to one side of the catalog
             if check != "monotone" and _is_reverse(mf_id) != (check == "reverse"):
                 continue
-            for fn in config.functions:
-                plan.append((f"{check}:{mf_id}:{fn}", check, mf_id, fn))
-    if not plan:
-        raise ParameterError("no (check, mfunction) combinations apply; "
-                             "reverse checks need reverse-* M-functions")
-    return sorted(plan)
+            used.add(mf_id)
+            plan += [(f"{check}:{mf_id}:{fn}", check, mf_id, fn)
+                     for fn in config.functions]
+    unused = [m for m in config.mfunctions if m not in used]
+    if unused:
+        raise ParameterError(
+            f"no check of {', '.join(config.checks)} takes the M-function "
+            f"{', '.join(unused)}; reverse checks take reverse-* "
+            f"M-functions, monotone takes both kinds, the others forward ones")
+    return plan
 
 
-def _execute_one(check: str, mf_id: str, fn_name: str, config,
-                 potential, engine) -> InequalityReport:
+def _make_engine(kind: str, potential, params: dict, seed: int):
+    """The one engine builder of the CLI; a Monte Carlo engine without a
+    seed parameter takes `seed`."""
+    params = dict(params)
+    if kind == "monte-carlo":
+        params.setdefault("seed", seed)
+    return make_engine(kind, potential, **params)
+
+
+def _execute_one(check: str, mf_id: str, fn_name: str, config, potential,
+                 engine, spec: QuadSpec) -> InequalityReport:
     mf = _mfunction_from_id(mf_id)
     f = get(fn_name)
     sched = config.schedule()
@@ -266,15 +292,29 @@ def _execute_one(check: str, mf_id: str, fn_name: str, config,
                                 s_count=config.s_count,
                                 xs=sched.xs, direction=direction)
     elif check == "integrated-limit":
-        rep = verify_integrated_limit(mf, potential, f, rho=config.rho)
-    elif check == "integrated-condition":
-        rep = verify_integrated_condition(mf, potential, f, rho=config.rho,
+        rep = verify_integrated_limit(mf, potential, f, spec=spec,
+                                      rho=config.rho)
+    else:  # integrated-condition; the config admits no other check
+        rep = verify_integrated_condition(mf, potential, f, spec=spec,
+                                          rho=config.rho,
                                           variant=config.variant)
-    else:
-        raise ParameterError(f"unknown check {check!r}")
     if config.tol is not None:
         rep = replace(rep, tolerance=config.tol)
     return rep
+
+
+def _execute(config: ExperimentConfig, plan: list,
+             spec: QuadSpec = QuadSpec()) -> tuple:
+    """The engine (None when no check of the plan needs one) and the
+    (check_id, report) pairs of the plan, in its order."""
+    potential = parse_potential_id(config.potential)
+    engine = None
+    if any(check in ENGINE_CHECKS for _, check, _, _ in plan):
+        engine = _make_engine(config.engine, potential, config.engine_params,
+                              config.seed)
+    return engine, [(check_id, _execute_one(check, mf_id, fn, config,
+                                            potential, engine, spec))
+                    for check_id, check, mf_id, fn in plan]
 
 
 @dataclass(frozen=True)
@@ -284,7 +324,7 @@ class RunSummary:
     all_pass: bool
     expected_fail: bool
     succeeded: bool
-    engine: dict
+    engine: dict | None      # None when no check runs on an engine
     wall_time_s: float
     timestamp: str
 
@@ -316,19 +356,9 @@ def run(config: ExperimentConfig, out_dir: str | None = None) -> RunSummary:
     all_pass, inverted when expected_fail is set.
     """
     t0 = time.monotonic()
-    potential = parse_potential_id(config.potential)
-    params = dict(config.engine_params)
-    if config.engine == "monte-carlo":
-        params.setdefault("seed", config.seed)
-    engine = make_engine(config.engine, potential, **params)
-    plan = _check_plan(config)
-    rows = []
-    reports = []
-    for check_id, check, mf_id, fn in plan:
-        rep = _execute_one(check, mf_id, fn, config, potential, engine)
-        rows.append((check_id, rep.label, rep.passed, rep.min_margin,
-                     rep.worst.to_dict()))
-        reports.append((check_id, rep))
+    engine, reports = _execute(config, sorted(_check_plan(config)))
+    rows = [(check_id, rep.label, rep.passed, rep.min_margin,
+             rep.worst.to_dict()) for check_id, rep in reports]
     all_pass = all(r[2] for r in rows)
     summary = RunSummary(
         config_hash=config.config_hash,
@@ -336,7 +366,7 @@ def run(config: ExperimentConfig, out_dir: str | None = None) -> RunSummary:
         all_pass=all_pass,
         expected_fail=config.expected_fail,
         succeeded=(not all_pass) if config.expected_fail else all_pass,
-        engine=engine.describe(),
+        engine=None if engine is None else engine.describe(),
         wall_time_s=round(time.monotonic() - t0, 6),
         timestamp=datetime.now(timezone.utc).isoformat(),
     )
@@ -417,6 +447,10 @@ def _floats(text: str) -> tuple:
     return tuple(float(s) for s in text.split(",") if s.strip())
 
 
+_ENGINE_FLAGS = {"order": int, "m": int, "lo": float, "hi": float,
+                 "dt": float, "n_paths": int}
+
+
 def _add_common(sub, schedule: bool = True):
     sub.add_argument("--potential", default="gaussian",
                      help="potential id, e.g. gaussian or spherical:alpha=1.5")
@@ -426,23 +460,19 @@ def _add_common(sub, schedule: bool = True):
         sub.add_argument("--ts", type=_floats, default=None)
         sub.add_argument("--alphas", type=_floats, default=None)
     sub.add_argument("--xs", type=_floats, default=None)
-    for name, cast in (("--order", int), ("--m", int), ("--lo", float),
-                       ("--hi", float), ("--dt", float),
-                       ("--n-paths", int)):
-        sub.add_argument(name, type=cast, default=None)
+    for key, cast in _ENGINE_FLAGS.items():
+        sub.add_argument("--" + key.replace("_", "-"), type=cast,
+                         default=None)
 
 
-def _engine_from_args(args, potential):
-    params = {}
-    for key in ("order", "m", "lo", "hi", "dt"):
-        v = getattr(args, key, None)
-        if v is not None:
-            params[key] = v
-    if getattr(args, "n_paths", None) is not None:
-        params["n_paths"] = args.n_paths
-    if args.engine == "monte-carlo":
-        params.setdefault("seed", args.seed)
-    return make_engine(args.engine, potential, **params)
+# the check each check subcommand runs
+_SUBCOMMAND_CHECKS = {"verify": "local", "verify-reverse": "reverse",
+                      "monotone": "monotone"}
+
+
+def _engine_params(args) -> dict:
+    return {k: getattr(args, k) for k in _ENGINE_FLAGS
+            if getattr(args, k, None) is not None}
 
 
 def _emit_reports(reports, args) -> int:
@@ -469,29 +499,27 @@ def _emit_reports(reports, args) -> int:
     return 0 if all(r.passed for r in reports) else 1
 
 
-def _schedule_from_args(args) -> Schedule:
-    kw = {}
-    if getattr(args, "ts", None) is not None:
-        kw["ts"] = args.ts
-    if getattr(args, "alphas", None) is not None:
-        kw["alphas"] = args.alphas
-    if getattr(args, "xs", None) is not None:
-        kw["xs"] = np.asarray(args.xs, dtype=float)
-    return Schedule(**kw)
+def _write_or_print(args, name: str, text: str) -> None:
+    """Write `text` to the file `name` under --out, or print it."""
+    if args.out is None:
+        print(text, end="")
+        return
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    (out / name).write_text(text)
 
 
 def _global_flags(p, suppress: bool):
     # defined on the root parser and again on every subparser (with
     # SUPPRESS defaults) so they work on either side of the subcommand
     d = argparse.SUPPRESS if suppress else None
-
-    def dv(value):
-        return argparse.SUPPRESS if suppress else value
-
-    p.add_argument("--seed", type=int, default=dv(0))
+    p.add_argument("--seed", type=int, default=d,
+                   help="random seed (default 0); on run, overrides the "
+                        "config's seed")
     p.add_argument("--tol", type=float, default=d)
     p.add_argument("--out", default=d, metavar="DIR")
-    p.add_argument("--format", choices=("json", "csv"), default=dv("json"))
+    p.add_argument("--format", choices=("json", "csv"),
+                   default=argparse.SUPPRESS if suppress else "json")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -514,8 +542,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--t", type=float, default=0.6)
     sub.add_argument("--alpha", type=float, default=0.2)
     sub.add_argument("--s-count", type=int, default=21)
-    sub.add_argument("--direction", choices=("forward", "reverse"),
-                     default="forward")
     _add_common(sub, schedule=False)
 
     sub = subs.add_parser("integrated")
@@ -570,52 +596,31 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_verify(args, reverse: bool) -> int:
-    potential = parse_potential_id(args.potential)
-    engine = _engine_from_args(args, potential)
-    sched = _schedule_from_args(args)
-    fn = verify_reverse_local if reverse else verify_local
-    reports = [fn(_mfunction_from_id(m), engine, get(f), sched, rho=args.rho)
-               for m in args.mfunction for f in args.function]
-    return _emit_reports(reports, args)
-
-
-def _cmd_monotone(args) -> int:
-    potential = parse_potential_id(args.potential)
-    engine = _engine_from_args(args, potential)
-    xs = np.asarray(args.xs, dtype=float) if args.xs is not None else None
-    reports = [
-        verify_H_monotone(_mfunction_from_id(m), engine, get(f), t=args.t,
-                          alpha=args.alpha, rho=args.rho,
-                          s_count=args.s_count, xs=xs,
-                          direction=args.direction)
-        for m in args.mfunction for f in args.function]
-    return _emit_reports(reports, args)
+def _cmd_checks(args, check: str) -> int:
+    """Run one check subcommand through the executor of `run`."""
+    # --tol is left to _emit_reports, which applies it to every subcommand
+    kw = {k: v for k, v in vars(args).items()
+          if k in _CONFIG_FIELDS and k != "tol" and v is not None}
+    config = ExperimentConfig(checks=(check,),
+                              mfunctions=tuple(args.mfunction),
+                              functions=tuple(args.function),
+                              engine_params=_engine_params(args), **kw)
+    spec = QuadSpec(half_width=getattr(args, "half_width", None))
+    _, reports = _execute(config, _check_plan(config), spec)
+    return _emit_reports([rep for _, rep in reports], args)
 
 
 def _cmd_integrated(args) -> int:
-    potential = parse_potential_id(args.potential)
-    spec = QuadSpec(half_width=args.half_width)
-    reports = []
-    if args.check == "exp-bound":
-        for f in args.function:
-            reports.append(exp_integrability_bound_check(
-                potential, get(f), spec=spec, rho=args.rho))
-    else:
+    if args.check != "exp-bound":
         if not args.mfunction:
             raise ParameterError(f"--mfunction is required for "
                                  f"--check {args.check}")
-        for m in args.mfunction:
-            for f in args.function:
-                mf = _mfunction_from_id(m)
-                if args.check == "limit":
-                    reports.append(verify_integrated_limit(
-                        mf, potential, get(f), spec=spec, rho=args.rho))
-                else:
-                    reports.append(verify_integrated_condition(
-                        mf, potential, get(f), spec=spec, rho=args.rho,
-                        variant=args.variant))
-    return _emit_reports(reports, args)
+        return _cmd_checks(args, f"integrated-{args.check}")
+    potential = parse_potential_id(args.potential)
+    spec = QuadSpec(half_width=args.half_width)
+    return _emit_reports([exp_integrability_bound_check(
+        potential, get(f), spec=spec, rho=args.rho) for f in args.function],
+        args)
 
 
 def _cmd_psd(args) -> int:
@@ -626,12 +631,7 @@ def _cmd_psd(args) -> int:
         out.append(rep.to_dict())
         ok = ok and rep.passed
     text = json.dumps(out if len(out) > 1 else out[0], indent=2)
-    if args.out is not None:
-        outdir = Path(args.out)
-        outdir.mkdir(parents=True, exist_ok=True)
-        (outdir / "psd-check.json").write_text(text + "\n")
-    else:
-        print(text)
+    _write_or_print(args, "psd-check.json", text + "\n")
     return 0 if ok else 1
 
 
@@ -652,24 +652,25 @@ def _auto_certificate(args, potential):
 def _cmd_feynman_kac(args) -> int:
     potential = parse_potential_id(args.potential)
     cert = _auto_certificate(args, potential)
+    seed = args.seed or 0
     if args.check == "supermartingale":
-        rep = supermartingale_check(potential, cert, x0=np.array(args.x0),
+        rep = supermartingale_check(potential, cert, x0=args.x0,
                                     ts=args.ts, n_paths=args.paths,
-                                    dt=args.sim_dt, seed=args.seed)
+                                    dt=args.sim_dt, seed=seed)
     else:
-        engine = _engine_from_args(args, potential)
-        xs = np.asarray(args.xs if args.xs is not None else (0.0,),
-                        dtype=float)
+        engine = _make_engine(args.engine, potential, _engine_params(args),
+                              seed)
+        xs = (0.0,) if args.xs is None else args.xs
         if args.check == "gradient":
             rep = gradient_bound(potential, get(args.function), xs=xs,
                                  ts=args.ts, lhs_engine=engine,
                                  n_paths=args.paths, dt=args.sim_dt,
-                                 seed=args.seed)
+                                 seed=seed)
         else:
             rep = commutation_check(potential, cert, get(args.function),
                                     xs=xs, ts=args.ts, lhs_engine=engine,
                                     n_paths=args.paths, dt=args.sim_dt,
-                                    seed=args.seed)
+                                    seed=seed)
     return _emit_reports([rep], args)
 
 
@@ -678,13 +679,7 @@ def _cmd_houdre_kagan(args) -> int:
     lines = ["k,partial_sum,variance"]
     for k, s in enumerate(hk.partial_sums, start=1):
         lines.append(f"{k},{s!r},{hk.variance!r}")
-    text = "\n".join(lines) + "\n"
-    if args.out is not None:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        (out / "houdre-kagan.csv").write_text(text)
-    else:
-        print(text, end="")
+    _write_or_print(args, "houdre-kagan.csv", "\n".join(lines) + "\n")
     return 0 if hk.brackets else 1
 
 
@@ -704,13 +699,8 @@ def _cmd_lyapunov_scan(args) -> int:
         "pass": bool(margins[i] >= 0.0),
         "constants": {"c": cert.c, "beta": cert.beta, "theta": cert.theta},
     }
-    text = json.dumps(result, indent=2)
-    if args.out is not None:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        (out / "lyapunov-scan.json").write_text(text + "\n")
-    else:
-        print(text)
+    _write_or_print(args, "lyapunov-scan.json",
+                    json.dumps(result, indent=2) + "\n")
     return 0 if result["pass"] else 1
 
 
@@ -725,7 +715,7 @@ def _cmd_run(args) -> int:
                                  f"({', '.join(sorted(PRESETS))}) nor a file")
         text = path.read_text()
     config = parse_config(text)
-    if args.seed:
+    if args.seed is not None:
         config = replace(config, seed=args.seed)
     if args.tol is not None:
         config = replace(config, tol=args.tol)
@@ -737,12 +727,8 @@ def _cmd_run(args) -> int:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.command == "verify":
-            return _cmd_verify(args, reverse=False)
-        if args.command == "verify-reverse":
-            return _cmd_verify(args, reverse=True)
-        if args.command == "monotone":
-            return _cmd_monotone(args)
+        if args.command in _SUBCOMMAND_CHECKS:
+            return _cmd_checks(args, _SUBCOMMAND_CHECKS[args.command])
         if args.command == "integrated":
             return _cmd_integrated(args)
         if args.command == "psd-check":

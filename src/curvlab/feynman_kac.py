@@ -70,7 +70,11 @@ def supermartingale_check(potential: Potential, g, x0,
         if lg_over_g is None:
             raise ParameterError("a plain callable g needs lg_over_g")
         g_value, rate, g_label = g, lg_over_g, getattr(g, "__name__", "g")
-    x0 = np.atleast_1d(np.asarray(x0, dtype=float))
+    pts = as_points(x0, potential.n)
+    if len(pts) != 1:
+        raise ParameterError(f"the supermartingale check starts from one "
+                             f"point, got {len(pts)}")
+    x0 = pts[0]
     records = []
     for t in ts:
         batch = simulate(potential, x0, float(t), dt=dt, n_paths=n_paths,
@@ -94,15 +98,14 @@ def gradient_bound(potential: Potential, f: TestFunction, xs, ts: Sequence,
     pts = as_points(xs, potential.n)
     records = []
     for t in ts:
-        for x in pts:
+        lhs_at = np.linalg.norm(lhs_engine.value_grad(f, float(t), pts)[2],
+                                axis=-1)
+        for x, lhs in zip(pts, lhs_at.tolist()):
             batch = simulate(potential, x, float(t), dt=dt, n_paths=n_paths,
                              seed=seed, functionals={"rho": potential.curvature_at})
             w = np.linalg.norm(f.gradient(batch.positions), axis=-1) \
                 * np.exp(-batch.integrals["rho"])
             rhs, se = _mean_se(w)
-            # one point per call: a batched Mehler sum rounds differently
-            lhs = float(np.linalg.norm(
-                lhs_engine.value_grad(f, float(t), x)[2]))
             records.append(Record(x=tuple(float(v) for v in x), t=float(t),
                                   alpha=None, lhs=lhs, rhs=rhs,
                                   margin=rhs - lhs, stderr=se))
@@ -136,7 +139,9 @@ def commutation_check(potential: Potential, cert: LyapunovCertificate,
     pts = as_points(xs, potential.n)
     records = []
     for t in ts:
-        for x in pts:
+        grad_at = np.linalg.norm(lhs_engine.value_grad(f, float(t), pts)[2],
+                                 axis=-1)
+        for x, grad in zip(pts, grad_at.tolist()):
             batch = simulate(potential, x, float(t), dt=dt, n_paths=n_paths,
                              seed=seed,
                              functionals={"rho": potential.curvature_at})
@@ -146,8 +151,7 @@ def commutation_check(potential: Potential, cert: LyapunovCertificate,
             scale = math.exp(-cert.beta * float(t)) * gx
             rhs = scale * m ** (p - 1.0)
             se = scale * (p - 1.0) * m ** (p - 2.0) * se_m if m > 0.0 else 0.0
-            lhs = float(np.linalg.norm(
-                lhs_engine.value_grad(f, float(t), x)[2])) ** p
+            lhs = grad ** p
             records.append(Record(x=tuple(float(v) for v in x), t=float(t),
                                   alpha=None, lhs=lhs, rhs=rhs,
                                   margin=rhs - lhs, stderr=float(se)))

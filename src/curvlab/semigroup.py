@@ -22,7 +22,7 @@ Gamma(f) is 2 Hess f grad f, so Gamma(Gamma(f)) needs no third derivatives.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property, lru_cache
 from typing import Callable, Union
 
@@ -42,6 +42,7 @@ __all__ = [
     "MonteCarloEngine",
     "TridiagonalGenerator",
     "make_engine",
+    "check_engine_params",
     "mehler_apply",
     "grid_generator",
     "grid_apply",
@@ -429,14 +430,39 @@ class MonteCarloEngine:
 
 Engine = Union[MehlerEngine, GridEngine, MonteCarloEngine]
 
-ENGINE_KINDS = ("mehler", "grid", "monte-carlo")
+_ENGINES = {"mehler": MehlerEngine, "grid": GridEngine,
+            "monte-carlo": MonteCarloEngine}
+ENGINE_KINDS = tuple(_ENGINES)
+
+
+def check_engine_params(kind: str, params: dict) -> dict:
+    """`params` as constructor keywords of engine `kind`, integer fields as
+    int and the others as float.
+
+    Unknown names, and values that are not finite numbers or not integral
+    for an integer field, raise ParameterError.
+    """
+    if kind not in _ENGINES:
+        raise ParameterError(f"unknown engine kind {kind!r}")
+    defaults = {f.name: f.default for f in fields(_ENGINES[kind])
+                if f.name != "potential"}
+    out = {}
+    for key, value in params.items():
+        if key not in defaults:
+            raise ParameterError(f"unknown {kind} engine parameter {key!r}; "
+                                 f"choose from {', '.join(defaults)}")
+        cast = int if isinstance(defaults[key], int) else float
+        try:
+            number = float(value)
+        except (TypeError, ValueError):
+            number = math.nan
+        if not math.isfinite(number) or cast(number) != number:
+            raise ParameterError(f"engine parameter {key!r} must be a finite "
+                                 f"{cast.__name__}, got {value!r}")
+        out[key] = cast(number)
+    return out
 
 
 def make_engine(kind: str, potential: Potential, **params) -> Engine:
-    if kind == "mehler":
-        return MehlerEngine(potential, **params)
-    if kind == "grid":
-        return GridEngine(potential, **params)
-    if kind == "monte-carlo":
-        return MonteCarloEngine(potential, **params)
-    raise ParameterError(f"unknown engine kind {kind!r}")
+    params = check_engine_params(kind, params)
+    return _ENGINES[kind](potential, **params)

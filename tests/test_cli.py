@@ -331,3 +331,136 @@ def test_run_summary_round_trips_config_hash(tmp_path):
     summary = run(cfg, out_dir=None)
     assert summary.config_hash == cfg.config_hash
     assert summary.all_pass and summary.succeeded
+
+
+# ---------------------------------------------------------------------------
+# one executor for run and the check subcommands
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("argv,config", [
+    (["verify", "--mfunction", "poincare", "--function", "sine"],
+     "checks = local\nmfunctions = poincare\nfunctions = sine\n"),
+    (["verify-reverse", "--mfunction", "reverse-poincare", "--function",
+      "linear"],
+     "checks = reverse\nmfunctions = reverse-poincare\nfunctions = linear\n"),
+    (["monotone", "--mfunction", "reverse-log-sobolev", "--function",
+      "shifted-sine", "--s-count", "5", "--t", "0.4"],
+     "checks = monotone\nmfunctions = reverse-log-sobolev\n"
+     "functions = shifted-sine\ns_count = 5\nt = 0.4\n"),
+    (["integrated", "--check", "limit", "--mfunction", "log-sobolev",
+      "--function", "shifted-sine"],
+     "checks = integrated-limit\nmfunctions = log-sobolev\n"
+     "functions = shifted-sine\n"),
+    (["integrated", "--check", "condition", "--variant", "enhanced",
+      "--mfunction", "y", "--function", "sine"],
+     "checks = integrated-condition\nmfunctions = y\nfunctions = sine\n"
+     "variant = enhanced\n"),
+])
+def test_subcommand_report_equals_run_report(tmp_path, argv, config):
+    sub = tmp_path / "sub"
+    assert main([*argv, "--format", "csv", "--out", str(sub)]) == 0
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(config)
+    out = tmp_path / "run"
+    assert main(["run", str(cfg), "--out", str(out)]) == 0
+    (report,) = sub.glob("*.csv")
+    (margins,) = out.glob("margins-*.csv")
+    assert report.read_bytes() == margins.read_bytes()
+
+
+def test_subcommand_reports_keep_argument_order(capsys):
+    assert main(["verify", "--mfunction", "y", "--mfunction", "poincare",
+                 "--function", "linear", "--format", "csv"]) == 0
+    labels = [line for line in capsys.readouterr().out.splitlines()
+              if line.startswith("# ")]
+    assert [label.split("[")[1].split("|")[0] for label in labels] == \
+        ["y", "poincare"]
+
+
+def test_monotone_direction_follows_the_mfunction(capsys):
+    assert main(["monotone", "--mfunction", "reverse-poincare", "--function",
+                 "sine", "--s-count", "3"]) == 0
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["label"].startswith("monotone-reverse[reverse-poincare|")
+
+
+def test_verify_rejects_a_reverse_mfunction(capsys):
+    assert main(["verify", "--mfunction", "reverse-poincare", "--function",
+                 "linear"]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def test_run_rejects_an_mfunction_no_check_takes(tmp_path, capsys):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("checks = local\nmfunctions = poincare, reverse-poincare\n"
+                   "functions = linear\n")
+    assert main(["run", str(cfg)]) == 2
+    assert "reverse-poincare" in capsys.readouterr().err
+
+
+def test_integrated_only_config_builds_no_engine(tmp_path):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("potential = double-well\nchecks = integrated-limit\n"
+                   "mfunctions = poincare\nfunctions = linear\n")
+    out = tmp_path / "out"
+    assert main(["run", str(cfg), "--out", str(out)]) in (0, 1)
+    d = json.loads((out / "summary.json").read_text())
+    assert d["engine"] is None
+    assert [c["id"] for c in d["checks"]] == \
+        ["integrated-limit:poincare:linear"]
+
+
+@pytest.mark.parametrize("flag,seed", [((), 11), (("--seed", "0"), 0),
+                                       (("--seed", "5"), 5)])
+def test_run_seed_flag_overrides_the_config(tmp_path, flag, seed):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("checks = local\nmfunctions = poincare\nfunctions = sine\n"
+                   "engine = monte-carlo\nengine.n_paths = 200\nts = 0.3\n"
+                   "alphas = 0.5\nxs = 0\nseed = 11\n")
+    out = tmp_path / "out"
+    main(["run", str(cfg), *flag, "--out", str(out)])
+    d = json.loads((out / "summary.json").read_text())
+    assert d["engine"]["seed"] == seed
+
+
+# ---------------------------------------------------------------------------
+# malformed configs fail before any computation
+# ---------------------------------------------------------------------------
+
+def _expect_config_error(tmp_path, capsys, text):
+    with pytest.raises(ParameterError):
+        parse_config(text)
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(text)
+    assert main(["run", str(cfg)]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def test_unknown_engine_parameter_is_config_error(tmp_path, capsys):
+    _expect_config_error(tmp_path, capsys,
+                         "engine = grid\nengine.foo = 1\nchecks = local\n"
+                         "mfunctions = poincare\nfunctions = linear\n")
+
+
+def test_non_integral_engine_parameter_is_config_error(tmp_path, capsys):
+    _expect_config_error(tmp_path, capsys,
+                         "engine = grid\nengine.m = 2001.5\nchecks = local\n"
+                         "mfunctions = poincare\nfunctions = linear\n")
+
+
+def test_unknown_json_key_is_config_error(tmp_path, capsys):
+    _expect_config_error(tmp_path, capsys,
+                         json.dumps({"checks": ["local"], "bogus": 1}))
+
+
+def test_supermartingale_needs_one_start_point(capsys):
+    assert main(["feynman-kac", "--check", "supermartingale", "--x0", "0,1",
+                 "--paths", "200"]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def test_non_numeric_values_and_bad_json_are_config_errors():
+    for text in ("rho = abc\n", "seed = 1.5\n", "xs = 0, one\n",
+                 '{"checks": ["local"],'):
+        with pytest.raises(ParameterError):
+            parse_config(text)

@@ -4,6 +4,7 @@ import os
 import numpy as np
 import pytest
 
+from curvlab import semigroup
 from curvlab.errors import CertificationError, ParameterError
 from curvlab.feynman_kac import (commutation_check, gradient_bound,
                                  supermartingale_check)
@@ -207,3 +208,36 @@ def test_stderr_uses_sample_deviation():
         * np.exp(-batch.integrals["rho"])
     assert rep.records[0].stderr == pytest.approx(
         np.std(w, ddof=1) / math.sqrt(300), rel=1e-12)
+
+
+def test_supermartingale_starts_from_one_point():
+    with pytest.raises(ParameterError):
+        supermartingale_check(GAUSS, constant_certificate(), x0=[0.0, 1.0],
+                              ts=(0.25,), n_paths=200, dt=1e-2)
+    gauss2 = make_example_potential("gaussian", n=2)
+    rep = supermartingale_check(gauss2, constant_certificate(n=2),
+                                x0=[0.0, 1.0], ts=(0.25,), n_paths=200,
+                                dt=1e-2)
+    assert rep.records[0].x == (0.0, 1.0)
+
+
+def test_grid_left_side_marches_once_per_t(monkeypatch):
+    # the left side evaluates every point from one march per t
+    calls = []
+    real = semigroup.grid_apply
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(semigroup, "grid_apply", counted)
+    sph = make_example_potential("spherical", alpha=1.5)
+    grid = GridEngine(sph, lo=-8.0, hi=8.0, m=1601, dt=1e-2)
+    gradient_bound(sph, get("gauss-bump"), xs=[0.0, 1.0], ts=(0.25, 1.0),
+                   lhs_engine=grid, n_paths=200, dt=1e-2)
+    assert len(calls) == 2
+    commutation_check(sph, make_lyapunov("spherical", alpha=1.5, p=2.0),
+                      get("gauss-bump"),
+                      xs=[0.0, 1.0], ts=(0.25, 1.0), lhs_engine=grid,
+                      n_paths=200, dt=1e-2)
+    assert len(calls) == 4

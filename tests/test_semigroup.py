@@ -404,6 +404,16 @@ def test_make_engine_factory():
         assert d["kind"] == kind and "potential" in d
 
 
+def test_make_engine_checks_its_parameters():
+    assert make_engine("grid", GAUSS, m=801.0, lo=-6).describe()["m"] == 801
+    assert isinstance(make_engine("grid", GAUSS, lo=-6).lo, float)
+    for kind, params in (("grid", {"foo": 1}), ("grid", {"m": 2001.5}),
+                         ("mehler", {"m": 801}),
+                         ("monte-carlo", {"n_paths": "many"})):
+        with pytest.raises(ParameterError):
+            make_engine(kind, GAUSS, **params)
+
+
 # ---------------------------------------------------------------------------
 # the engine contract
 # ---------------------------------------------------------------------------
