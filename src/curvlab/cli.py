@@ -130,13 +130,51 @@ _INT_KEYS = {"s_count", "seed"}
 _BOOL_KEYS = {"expected_fail"}
 _STR_KEYS = {"potential", "engine", "variant"}
 _CONFIG_FIELDS = frozenset(f.name for f in fields(ExperimentConfig))
+_NULLABLE_KEYS = frozenset(f.name for f in fields(ExperimentConfig)
+                           if f.default is None)
 
 
-def _number(key: str, raw: str, cast=float):
+def _number(key: str, raw, cast=float):
+    # a JSON number goes through its text as well, so 2.5 is no int in
+    # either format
     try:
-        return cast(raw)
+        return cast(str(raw))
     except ValueError:
         raise ParameterError(f"{key} must be numeric, got {raw!r}") from None
+
+
+def _field(key: str, value):
+    """Config field `key` converted and checked, for flat files and JSON
+    alike; a flat file hands over strings, and lists already split."""
+    if value is None and key in _NULLABLE_KEYS:
+        return None
+    if key in _LIST_KEYS | _FLOAT_LIST_KEYS:
+        if not isinstance(value, list):
+            raise ParameterError(f"{key} must be a list, got {value!r}")
+        if key in _FLOAT_LIST_KEYS:
+            return tuple(_number(key, v) for v in value)
+        if not all(isinstance(v, str) for v in value):
+            raise ParameterError(f"{key} must list names, got {value!r}")
+        return tuple(value)
+    if key in _FLOAT_KEYS:
+        return _number(key, value)
+    if key in _INT_KEYS:
+        return _number(key, value, int)
+    if key in _BOOL_KEYS:
+        if isinstance(value, bool):
+            return value
+        if isinstance(value, str) and value.lower() in ("true", "false"):
+            return value.lower() == "true"
+        raise ParameterError(f"{key} must be true or false, got {value!r}")
+    if key in _STR_KEYS:
+        if not isinstance(value, str):
+            raise ParameterError(f"{key} must be a string, got {value!r}")
+        return value
+    # engine_params: ExperimentConfig checks and converts the entries
+    if not isinstance(value, dict):
+        raise ParameterError(f"{key} must map names to numbers, got "
+                             f"{value!r}")
+    return value
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -150,10 +188,7 @@ def parse_config(text: str) -> ExperimentConfig:
         unknown = sorted(set(data) - _CONFIG_FIELDS)
         if unknown:
             raise ParameterError(f"unknown config keys {unknown}")
-        for k in _LIST_KEYS | _FLOAT_LIST_KEYS:
-            if k in data and data[k] is not None:
-                data[k] = tuple(data[k])
-        return ExperimentConfig(**data)
+        return ExperimentConfig(**{k: _field(k, v) for k, v in data.items()})
     kv: dict = {}
     engine_params: dict = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -167,22 +202,10 @@ def parse_config(text: str) -> ExperimentConfig:
         if key.startswith("engine."):
             # ExperimentConfig checks and converts engine parameters
             engine_params[key[len("engine."):]] = raw
-        elif key in _LIST_KEYS:
-            kv[key] = tuple(s.strip() for s in raw.split(",") if s.strip())
-        elif key in _FLOAT_LIST_KEYS:
-            kv[key] = tuple(_number(key, s) for s in raw.split(",")
-                            if s.strip())
-        elif key in _FLOAT_KEYS:
-            kv[key] = _number(key, raw)
-        elif key in _INT_KEYS:
-            kv[key] = _number(key, raw, int)
-        elif key in _BOOL_KEYS:
-            if raw.lower() not in ("true", "false"):
-                raise ParameterError(f"{key} must be true or false, got "
-                                     f"{raw!r}")
-            kv[key] = raw.lower() == "true"
-        elif key in _STR_KEYS:
-            kv[key] = raw
+        elif key in _CONFIG_FIELDS - {"engine_params"}:
+            if key in _LIST_KEYS | _FLOAT_LIST_KEYS:
+                raw = [s.strip() for s in raw.split(",") if s.strip()]
+            kv[key] = _field(key, raw)
         else:
             raise ParameterError(f"unknown config key {key!r} "
                                  f"(line {lineno})")

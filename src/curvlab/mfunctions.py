@@ -8,23 +8,24 @@ worst trace/determinant.
 
 Special functions: `isoperimetric_I` is the gaussian isoperimetric profile
 phi o Phi^{-1}, and `exp_integrability_F` integrates e^{k o (k')^{-1}} with
-k(u) = u^2/2 + log integral_{-inf}^u e^{-s^2/2} ds.  k' is inverted by
-bracketed bisection on [-40, 40]; below that bracket a Mills-ratio series
-takes over (k'(u) ~ -1/u - 2/u^3 - ...), and above it the inversion refuses
-to extrapolate.
+k(u) = u^2/2 + log integral_{-inf}^u e^{-s^2/2} ds.  Both work on whole
+arrays.  k' is inverted by Newton steps on k'' in closed form, kept inside
+the bracket [-40, 40]; below that bracket a Mills-ratio series takes over
+(k'(u) ~ -1/u - 2/u^3 - ...), and above it the inversion refuses to
+extrapolate.  F is a fixed-order Gauss-Legendre sum of F' from the anchor
+below each point; the anchor values themselves come from adaptive
+quadrature of the same F', once per process.  Where F, F' or F'' overflows
+a float the call raises NumericalError.
 """
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Callable
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.optimize import brentq
 from scipy.special import log_ndtr, ndtri
 
 from .errors import DomainError, NumericalError, ParameterError
@@ -78,36 +79,29 @@ def _iso_pair(x):
 
 def _mills(u):
     # phi(u)/Phi(u), computed in logs so it survives u << 0
-    u = np.asarray(u, dtype=float)
     return np.exp(-0.5 * u * u - _LOG_SQRT2PI - log_ndtr(u))
 
 
-def _k_prime_direct(u: float) -> float:
-    return u + float(_mills(u))
-
-
-def _kp_series(z: float) -> float:
+def _kp_series(z):
     # k'(-z) for z >= 40, from the Mills-ratio asymptotics
     w = 1.0 / (z * z)
     return (1.0 / z) * (1.0 + w * (-2.0 + w * (10.0 + w * (-74.0 + w * 706.0))))
 
 
-def _kp_series_dz(z: float) -> float:
+def _kp_series_dz(z):
     w = 1.0 / (z * z)
     return -w * (1.0 + w * (-6.0 + w * (50.0 + w * -518.0)))
 
 
-def _kpp_at(u: float) -> float:
-    # k''(u) = 1 - u r - r^2 with r the inverse Mills ratio
-    if u <= -40.0:
-        return -_kp_series_dz(-u)
-    r = float(_mills(u))
-    return 1.0 - r * (u + r)
-
-
 _U_LO, _U_HI = -40.0, 40.0
-_S_LO = _k_prime_direct(_U_LO)
-_S_HI = _k_prime_direct(_U_HI)
+_S_LO = float(_U_LO + _mills(_U_LO))
+_S_HI = float(_U_HI + _mills(_U_HI))
+_NEWTON_MAXITER = 100
+_U_XTOL = 1e-14
+_EPS = np.finfo(float).eps
+# below this slope F' = s and F'' = 1 to rounding: the first neglected terms
+# are O(s^2) relative, and the series inversion would overflow 1/s^2
+_S_SMALL = 1e-8
 
 
 def _check_kprime_monotone():
@@ -120,91 +114,171 @@ def _check_kprime_monotone():
 _check_kprime_monotone()
 
 
-def _invert_kprime(s: float) -> float:
-    if s > _S_HI:
+def _kpp(u):
+    # k''(u) = 1 - u r - r^2 with r the inverse Mills ratio; the series
+    # below the bracket
+    out = np.empty_like(u)
+    tail = u <= _U_LO
+    out[tail] = -_kp_series_dz(-u[tail])
+    v = u[~tail]
+    r = _mills(v)
+    out[~tail] = 1.0 - r * (v + r)
+    return out
+
+
+def _invert_kprime(s):
+    """u = (k')^{-1}(s) for a 1-D array of s > 0.
+
+    Below k'(-40) five Newton steps invert the Mills-ratio series in
+    z = -u.  Inside [k'(-40), k'(40)] each element takes Newton steps with
+    the closed-form slope k'' = 1 - u r - r^2, inside a bracket that every
+    residual shrinks; a step that leaves the bracket becomes a bisection.
+    The bracket is what converges the nodes in the lower half, where
+    rounding in r makes the residual noisy and plain Newton wanders.  An
+    element stops at its own convergence, so its result does not depend on
+    the rest of the batch.  Above k'(40) the inversion refuses to
+    extrapolate.
+    """
+    above = s > _S_HI
+    if np.any(above):
         raise NumericalError(
-            f"inversion bracket [-40, 40] covers slopes up to {_S_HI:.6g}, got {s}")
-    if s >= _S_LO:
-        return brentq(lambda u: _k_prime_direct(u) - s, _U_LO, _U_HI,
-                      xtol=1e-14, rtol=4 * np.finfo(float).eps)
-    z = 1.0 / s
+            f"inversion bracket [-40, 40] covers slopes up to {_S_HI:.6g}, "
+            f"got {s[above][0]}")
+    u = np.empty_like(s)
+    tail = s < _S_LO
+    st = s[tail]
+    z = 1.0 / st
     for _ in range(5):
-        z -= (_kp_series(z) - s) / _kp_series_dz(z)
-    return -z
+        z = z - (_kp_series(z) - st) / _kp_series_dz(z)
+    u[tail] = -z
+    idx = np.flatnonzero(~tail)
+    t = s[idx]
+    # k'(u) ~ u for u >> 0 and ~ -1/u for u << 0; for s inside the bracket
+    # this start lies inside (-40, 40)
+    x = t - 1.0 / t
+    lo = np.full_like(t, _U_LO)
+    hi = np.full_like(t, _U_HI)
+    for _ in range(_NEWTON_MAXITER):
+        if idx.size == 0:
+            return u
+        r = _mills(x)
+        g = x + r - t
+        lo = np.where(g < 0.0, x, lo)
+        hi = np.where(g > 0.0, x, hi)
+        new = x - g / (1.0 - r * (x + r))
+        out = ~((new > lo) & (new < hi))
+        new[out] = 0.5 * (lo[out] + hi[out])
+        done = np.abs(new - x) <= _U_XTOL + 4.0 * _EPS * np.abs(new)
+        u[idx[done]] = new[done]
+        keep = ~done
+        idx, t, x, lo, hi = idx[keep], t[keep], new[keep], lo[keep], hi[keep]
+    if idx.size:
+        raise NumericalError(f"k' inversion did not converge in "
+                             f"{_NEWTON_MAXITER} steps at s = {t[0]}")
+    return u
 
 
-def _f_derivs_scalar(s: float):
-    if s == 0.0:
-        return 0.0, 1.0  # limits: F'(s) ~ s, F'' -> 1
-    u = _invert_kprime(s)
-    if u <= -40.0:
-        fp = 1.0 / (s - u)  # = 1/(s + z), no cancellation for z = -u large
-    else:
-        # e^{k(u)} = Phi(u)/phi(u); in logs, since phi/Phi underflows s - u
-        # to zero once u is a few dozen
-        fp = math.exp(log_ndtr(u) + 0.5 * u * u + _LOG_SQRT2PI)
-    return fp, fp * s / _kpp_at(u)
+def _fprime(s):
+    """(F', u) on a 1-D array s >= 0, with u = (k')^{-1}(s).
+
+    Below _S_SMALL, F' = s and u = -inf.  Raises NumericalError where F'
+    overflows a float.
+    """
+    fp = s.copy()
+    u = np.full_like(s, -np.inf)
+    pos = s >= _S_SMALL
+    u[pos] = _invert_kprime(s[pos])
+    tail = pos & (u <= _U_LO)
+    fp[tail] = 1.0 / (s[tail] - u[tail])  # = 1/(s + z), no cancellation
+    body = u > _U_LO
+    v = u[body]
+    # e^{k(u)} = Phi(u)/phi(u); in logs, since phi/Phi underflows s - u to
+    # zero once u is a few dozen
+    with np.errstate(over="ignore"):
+        fp[body] = np.exp(log_ndtr(v) + 0.5 * v * v + _LOG_SQRT2PI)
+    _check_finite(fp, s, "F'")
+    return fp, u
+
+
+def _check_finite(vals, s, name):
+    bad = ~np.isfinite(vals)
+    if np.any(bad):
+        raise NumericalError(f"{name}({s[bad][0]}) overflows a float")
+
+
+def _nonneg(s, name):
+    arr = np.asarray(s, dtype=float)
+    ok = np.isfinite(arr) & (arr >= 0.0)
+    if not np.all(ok):
+        raise DomainError(f"{name} needs s >= 0, got {arr[~ok].flat[0]}")
+    return arr
 
 
 def exp_integrability_F_derivs(s):
-    """(F', F'') elementwise; F' = e^{k o (k')^{-1}}, F'' = F' s / k''."""
-    arr = np.asarray(s, dtype=float)
-    if not np.all(np.isfinite(arr)) or np.any(arr < 0.0):
-        bad = arr[~(np.isfinite(arr) & (arr >= 0.0))].flat[0]
-        raise DomainError(f"F' needs s >= 0, got {bad}")
-    fp = np.empty_like(arr)
-    fpp = np.empty_like(arr)
-    it = np.nditer(arr, flags=["multi_index"])
-    for v in it:
-        fp[it.multi_index], fpp[it.multi_index] = _f_derivs_scalar(float(v))
+    """(F', F'') elementwise; F' = e^{k o (k')^{-1}}, F'' = F' s / k''.
+
+    Raises NumericalError above the inversion bracket and wherever F' or F''
+    overflows a float.
+    """
+    arr = _nonneg(s, "F'")
+    flat = arr.ravel()
+    fp, u = _fprime(flat)
+    fpp = np.ones_like(flat)
+    pos = flat >= _S_SMALL
+    with np.errstate(over="ignore"):
+        fpp[pos] = fp[pos] * flat[pos] / _kpp(u[pos])
+    _check_finite(fpp, flat, "F''")
     if arr.ndim == 0:
-        return float(fp), float(fpp)
-    return fp, fpp
+        return float(fp[0]), float(fpp[0])
+    return fp.reshape(arr.shape), fpp.reshape(arr.shape)
 
 
-_F_ANCHORS = (0.0, 0.0125, 0.025, 0.1, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 24.0,
-              32.0, 37.0)
+# F' grows like e^{s^2/2}, so above 8 the anchors sit at 8 sqrt(m): every
+# segment there spans the same rise of s^2/2, by 32, and the fixed-order
+# rule meets 1e-10 relative on each up to s ~ 37.65, where F' overflows
+_F_ANCHORS = np.concatenate([(0.0, 0.0125, 0.025, 0.1, 0.5, 1.0, 2.0, 4.0),
+                             8.0 * np.sqrt(np.arange(1.0, 23.0))])
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(20)
+_anchor_values = [0.0]  # F at the leading anchors, grown on demand
 
 
-def _fp_scalar(t: float) -> float:
-    return _f_derivs_scalar(t)[0]
-
-
-@lru_cache(maxsize=None)
-def _anchor_value(i: int) -> float:
-    if i == 0:
-        return 0.0
-    lo, hi = _F_ANCHORS[i - 1], _F_ANCHORS[i]
-    seg, _ = quad(_fp_scalar, lo, hi, epsabs=1e-12, epsrel=1e-10, limit=200)
-    return _anchor_value(i - 1) + seg
-
-
-@lru_cache(maxsize=4096)
-def _F_scalar(s: float) -> float:
-    if s == 0.0:
-        return 0.0
-    i = bisect.bisect_right(_F_ANCHORS, s) - 1
-    base = _anchor_value(i)
-    if s == _F_ANCHORS[i]:
-        return base
-    seg, _ = quad(_fp_scalar, _F_ANCHORS[i], s, epsabs=1e-12, epsrel=1e-10,
-                  limit=200)
-    return base + seg
+def _F_at_anchors(n: int) -> np.ndarray:
+    # adaptive quadrature of F' over each segment, once per process: an
+    # independent route to the values the fixed-order rule builds on
+    while len(_anchor_values) < n:
+        k = len(_anchor_values)
+        seg, _ = quad(lambda t: float(_fprime(np.array([t]))[0][0]),
+                      _F_ANCHORS[k - 1], _F_ANCHORS[k],
+                      epsabs=1e-12, epsrel=1e-10, limit=200)
+        _anchor_values.append(_anchor_values[-1] + seg)
+    return np.array(_anchor_values[:n])
 
 
 def exp_integrability_F(s):
-    """F(s) = integral_0^s e^{k o (k')^{-1}}; F(0) = 0, strictly increasing."""
-    arr = np.asarray(s, dtype=float)
-    if not np.all(np.isfinite(arr)) or np.any(arr < 0.0):
-        bad = arr[~(np.isfinite(arr) & (arr >= 0.0))].flat[0]
-        raise DomainError(f"F needs s >= 0, got {bad}")
+    """F(s) = integral_0^s e^{k o (k')^{-1}}; F(0) = 0, strictly increasing.
+
+    Raises NumericalError where F or the F' it integrates overflows a float,
+    from s ~ 37.65 on.
+    """
+    arr = _nonneg(s, "F")
+    flat = arr.ravel()
+    i = np.searchsorted(_F_ANCHORS, flat, side="right") - 1
+    half = 0.5 * (flat - _F_ANCHORS[i])
+    nodes = (_F_ANCHORS[i] + half)[:, None] + half[:, None] * _GL_NODES
+    try:
+        fp = _fprime(nodes.ravel())[0].reshape(nodes.shape)
+    except NumericalError as exc:
+        raise NumericalError(f"F up to s = {flat.max()}: {exc}") from None
+    seg = np.zeros_like(flat)
+    for j, w in enumerate(_GL_WEIGHTS):
+        # node by node, so that each sum runs in the same order in any batch
+        seg += w * fp[:, j]
+    with np.errstate(over="ignore"):
+        out = _F_at_anchors(int(np.max(i, initial=0)) + 1)[i] + half * seg
+    _check_finite(out, flat, "F")
     if arr.ndim == 0:
-        return _F_scalar(float(arr))
-    out = np.empty_like(arr)
-    it = np.nditer(arr, flags=["multi_index"])
-    for v in it:
-        out[it.multi_index] = _F_scalar(float(v))
-    return out
+        return float(out[0])
+    return out.reshape(arr.shape)
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
-from .errors import ParameterError, QuadratureError
+from .errors import DomainError, ParameterError, QuadratureError
 from .mfunctions import MFunction
 from .potentials import Potential
 from .semigroup import TestFunction, as_points, gamma2, gamma_gamma
@@ -356,7 +356,10 @@ def verify_integrated_limit(mf: MFunction, potential: Potential,
     gam = _scalar_fn(lambda z: np.sum(np.square(f.gradient(z)), axis=-1))
 
     def m_at(x: float) -> float:
-        return float(mf.value(fx(x), max(gam(x) / rho, 0.0)))
+        v = fx(x)
+        if not mf.x_domain.contains(v):
+            raise DomainError(f"{mf.label} needs x in {mf.x_domain}, got {v}")
+        return float(mf.value(v, max(gam(x) / rho, 0.0)))
 
     W = spec.window(potential)
     pts = _critical_points(f, -W, W) if mf.y_open else None

@@ -464,3 +464,28 @@ def test_non_numeric_values_and_bad_json_are_config_errors():
                  '{"checks": ["local"],'):
         with pytest.raises(ParameterError):
             parse_config(text)
+
+
+@pytest.mark.parametrize("config", [
+    {"engine_params": 3},
+    {"rho": "abc", "checks": ["local"]},
+    {"s_count": "x", "checks": ["monotone"]},
+])
+def test_json_field_types_are_config_errors(tmp_path, capsys, config):
+    _expect_config_error(tmp_path, capsys, json.dumps(config))
+
+
+def test_json_numbers_follow_the_flat_rules():
+    flat = parse_config("rho = 1\nseed = 3\nts = 0.1, 1\n")
+    as_json = parse_config(json.dumps({"rho": 1, "seed": "3",
+                                       "ts": [0.1, 1], "tol": None}))
+    assert flat.config_hash == as_json.config_hash
+    with pytest.raises(ParameterError):
+        parse_config(json.dumps({"s_count": 2.5}))
+
+
+def test_integrated_limit_outside_the_mfunction_domain_exits_2(capsys):
+    # sine vanishes at 0, where log-sobolev needs x > 0
+    assert main(["integrated", "--check", "limit", "--mfunction",
+                 "log-sobolev", "--function", "sine"]) == 2
+    assert "log-sobolev needs x in (0, inf)" in capsys.readouterr().err

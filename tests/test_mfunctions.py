@@ -2,7 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.integrate import quad
+from scipy.optimize import brentq
+from scipy.special import log_ndtr
 
+from curvlab import mfunctions
 from curvlab.errors import DomainError, NumericalError, ParameterError
 from curvlab.mfunctions import (
     Interval,
@@ -18,6 +23,10 @@ from curvlab.mfunctions import (
     isoperimetric_I,
     perturbed,
 )
+from curvlab.potentials import make_example_potential
+from curvlab.semigroup import MehlerEngine
+from curvlab.suite import get
+from curvlab.verify import default_schedule, verify_local
 
 # interior sample points per x-domain shape
 ALL_X = (-1.5, 0.7, 2.0)
@@ -376,8 +385,86 @@ def test_F_errors():
         exp_integrability_F_derivs(50.0)  # beyond the inversion bracket
 
 
+@pytest.mark.parametrize("s", [38.0, 40.5])
+def test_F_overflow_is_numerical_error(s):
+    # F' overflows a float near s = 37.65; k' is inverted only up to 40
+    with pytest.raises(NumericalError):
+        exp_integrability_F(s)
+    with pytest.raises(NumericalError):
+        exp_integrability_F_derivs(s)
+    with pytest.raises(NumericalError):
+        exp_integrability_F(np.array([1.0, s]))
+
+
 def test_F_cache_value_identical():
     a = exp_integrability_F(1.7)
     b = exp_integrability_F(np.array([1.7, 0.3]))
     assert a == b[0]
     assert exp_integrability_F(0.3) == b[1]
+
+
+def _brentq_u(s: float) -> float:
+    # the root of k'(u) = s on the inversion bracket
+    return brentq(lambda v: v + math.exp(-0.5 * v * v
+                                         - 0.5 * math.log(2 * math.pi)
+                                         - log_ndtr(v)) - s,
+                  -40.0, 40.0, xtol=1e-14, rtol=4 * np.finfo(float).eps)
+
+
+@given(s=st.floats(0.0, 37.0))
+@settings(max_examples=30, deadline=None)
+def test_F_matches_adaptive_quadrature_of_F_prime(s):
+    ref, _ = quad(lambda t: exp_integrability_F_derivs(t)[0], 0.0, s,
+                  epsabs=0.0, epsrel=1e-12, limit=500)
+    assert exp_integrability_F(s) == pytest.approx(ref, rel=1e-10, abs=1e-300)
+
+
+@given(s=st.floats(0.025, 37.0))
+@settings(max_examples=50, deadline=None)
+def test_F_prime_matches_brentq_inversion(s):
+    u = _brentq_u(s)
+    ref = math.exp(log_ndtr(u) + 0.5 * u * u + 0.5 * math.log(2 * math.pi))
+    # for u << 0 the log-space Mills ratio rounds at eps u^2 relative, which
+    # moves either root by about eps |u|^5 and F' by about eps u^4
+    rel = 1e-12 + 4.0 * np.finfo(float).eps * min(u, 0.0) ** 4
+    fp, _ = exp_integrability_F_derivs(s)
+    assert fp == pytest.approx(ref, rel=rel)
+
+
+def test_F_elements_do_not_depend_on_their_batch():
+    rng = np.random.default_rng(7)
+    for n in (1, 5, 64):
+        a = np.concatenate([rng.uniform(0.0, 37.0, n),
+                            rng.uniform(0.0, 0.05, n), [0.0, 8.0, 1e-9]])
+        rng.shuffle(a)
+        F = exp_integrability_F(a)
+        fp, fpp = exp_integrability_F_derivs(a)
+        for i, v in enumerate(a):
+            assert exp_integrability_F(v) == F[i]
+            assert exp_integrability_F_derivs(v) == (fp[i], fpp[i])
+        assert np.array_equal(exp_integrability_F(a.reshape(-1, 1)).ravel(), F)
+
+
+def test_mehler_verify_local_makes_no_quad_call_beyond_the_anchors(
+        monkeypatch):
+    calls = []
+
+    def counting_quad(*args, **kwargs):
+        calls.append(args[1:3])
+        return quad(*args, **kwargs)
+
+    monkeypatch.setattr(mfunctions, "quad", counting_quad)
+    monkeypatch.setattr(mfunctions, "_anchor_values", [0.0])
+    engine = MehlerEngine(make_example_potential("gaussian"))
+
+    def check():
+        verify_local(catalog("exp-integrability"), engine, get("gauss-bump"),
+                     default_schedule(), rho=1.0)
+
+    check()
+    # one quadrature per anchor segment below the largest s the check meets
+    assert 0 < len(calls) <= 12
+    assert len(set(calls)) == len(calls)
+    n = len(calls)
+    check()
+    assert len(calls) == n  # the anchors are computed once per process
