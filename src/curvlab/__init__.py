@@ -35,7 +35,7 @@ from .verify import (InequalityReport, QuadSpec, Record, Schedule,
                      default_schedule, exp_integrability_bound_check,
                      g_alpha, h_alpha, verify_H_monotone,
                      verify_integrated_condition, verify_integrated_limit,
-                     verify_local, verify_reverse_local)
+                     verify_local)
 
 __version__ = "0.1.0"
 
@@ -55,7 +55,7 @@ __all__ = [
     "certify_psd", "PsdReport",
     "Schedule", "Record", "InequalityReport", "QuadSpec",
     "default_schedule", "g_alpha", "h_alpha",
-    "verify_local", "verify_reverse_local", "verify_H_monotone",
+    "verify_local", "verify_H_monotone",
     "verify_integrated_limit", "verify_integrated_condition",
     "exp_integrability_bound_check",
     "supermartingale_check", "gradient_bound", "commutation_check",

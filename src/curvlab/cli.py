@@ -31,8 +31,7 @@ from .feynman_kac import (commutation_check, gradient_bound,
                           supermartingale_check)
 from .mfunctions import MFUNCTION_NAMES, catalog, certify_psd
 from .potentials import (POTENTIAL_KINDS, constant_certificate,
-                         local_eigenvalue_margin, make_lyapunov,
-                         parse_potential_id, scan_points)
+                         make_lyapunov, parse_potential_id, scan_certificate)
 from .semigroup import ENGINE_KINDS, check_engine_params, make_engine
 from .spectral import houdre_kagan
 from .suite import get
@@ -40,7 +39,7 @@ from .suite import catalog as function_catalog
 from .verify import (InequalityReport, QuadSpec, Schedule,
                      exp_integrability_bound_check, verify_H_monotone,
                      verify_integrated_condition, verify_integrated_limit,
-                     verify_local, verify_reverse_local)
+                     verify_local)
 
 __all__ = ["ExperimentConfig", "RunSummary", "parse_config", "run",
            "list_catalogs", "emit_plot_data", "PRESETS", "main"]
@@ -261,25 +260,25 @@ def _mfunction_from_id(text: str):
     return catalog(parts[0], **params)
 
 
-def _is_reverse(name: str) -> bool:
-    return name.split(":")[0].startswith("reverse-")
-
-
 def _check_plan(config: ExperimentConfig) -> list:
-    """(check_id, check, mf_id, fn) tuples in argument order.
+    """(check_id, check, mf, f) tuples in argument order.
 
-    Reverse checks take the reverse-* M-functions, monotone takes both
-    kinds, and the other checks take the forward ones.  An M-function that
-    no configured check takes is an error.
+    Every id is resolved here, before any computation.  Reverse checks
+    take the reverse M-functions, monotone takes both kinds, and the other
+    checks take the forward ones.  An M-function that no configured check
+    takes is an error.
     """
+    mfs = {mf_id: _mfunction_from_id(mf_id) for mf_id in config.mfunctions}
+    fns = {name: get(name) for name in config.functions}
     plan = []
     used = set()
     for check in config.checks:
         for mf_id in config.mfunctions:
-            if check != "monotone" and _is_reverse(mf_id) != (check == "reverse"):
+            mf = mfs[mf_id]
+            if check != "monotone" and mf.reverse != (check == "reverse"):
                 continue
             used.add(mf_id)
-            plan += [(f"{check}:{mf_id}:{fn}", check, mf_id, fn)
+            plan += [(f"{check}:{mf_id}:{fn}", check, mf, fns[fn])
                      for fn in config.functions]
     unused = [m for m in config.mfunctions if m not in used]
     if unused:
@@ -299,21 +298,16 @@ def _make_engine(kind: str, potential, params: dict, seed: int):
     return make_engine(kind, potential, **params)
 
 
-def _execute_one(check: str, mf_id: str, fn_name: str, config, potential,
-                 engine, spec: QuadSpec) -> InequalityReport:
-    mf = _mfunction_from_id(mf_id)
-    f = get(fn_name)
+def _execute_one(check: str, mf, f, config, potential, engine,
+                 spec: QuadSpec) -> InequalityReport:
     sched = config.schedule()
-    if check == "local":
+    if check in ("local", "reverse"):
+        # the plan gave a reverse check only reverse M-functions
         rep = verify_local(mf, engine, f, sched, rho=config.rho)
-    elif check == "reverse":
-        rep = verify_reverse_local(mf, engine, f, sched, rho=config.rho)
     elif check == "monotone":
-        direction = "reverse" if _is_reverse(mf_id) else "forward"
         rep = verify_H_monotone(mf, engine, f, t=config.t,
                                 alpha=config.alpha, rho=config.rho,
-                                s_count=config.s_count,
-                                xs=sched.xs, direction=direction)
+                                s_count=config.s_count, xs=sched.xs)
     elif check == "integrated-limit":
         rep = verify_integrated_limit(mf, potential, f, spec=spec,
                                       rho=config.rho)
@@ -335,9 +329,9 @@ def _execute(config: ExperimentConfig, plan: list,
     if any(check in ENGINE_CHECKS for _, check, _, _ in plan):
         engine = _make_engine(config.engine, potential, config.engine_params,
                               config.seed)
-    return engine, [(check_id, _execute_one(check, mf_id, fn, config,
-                                            potential, engine, spec))
-                    for check_id, check, mf_id, fn in plan]
+    return engine, [(check_id, _execute_one(check, mf, f, config, potential,
+                                            engine, spec))
+                    for check_id, check, mf, f in plan]
 
 
 @dataclass(frozen=True)
@@ -379,7 +373,9 @@ def run(config: ExperimentConfig, out_dir: str | None = None) -> RunSummary:
     all_pass, inverted when expected_fail is set.
     """
     t0 = time.monotonic()
-    engine, reports = _execute(config, sorted(_check_plan(config)))
+    # sorted on the check id alone: the plan's M-functions do not compare
+    engine, reports = _execute(config, sorted(_check_plan(config),
+                                              key=lambda item: item[0]))
     rows = [(check_id, rep.label, rep.passed, rep.min_margin,
              rep.worst.to_dict()) for check_id, rep in reports]
     all_pass = all(r[2] for r in rows)
@@ -580,7 +576,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = subs.add_parser("psd-check")
     sub.add_argument("--mfunction", required=True, action="append")
-    sub.add_argument("--kind", default="A")
+    sub.add_argument("--kind", default=None,
+                     help="condition matrix (default: B-reverse for a "
+                          "reverse M-function, A-forward otherwise)")
     sub.add_argument("--rho", type=float, default=None)
 
     sub = subs.add_parser("feynman-kac")
@@ -650,7 +648,9 @@ def _cmd_psd(args) -> int:
     out = []
     ok = True
     for m in args.mfunction:
-        rep = certify_psd(_mfunction_from_id(m), args.kind, rho=args.rho)
+        mf = _mfunction_from_id(m)
+        kind = args.kind or ("B-reverse" if mf.reverse else "A-forward")
+        rep = certify_psd(mf, kind, rho=args.rho)
         out.append(rep.to_dict())
         ok = ok and rep.passed
     text = json.dumps(out if len(out) > 1 else out[0], indent=2)
@@ -709,17 +709,14 @@ def _cmd_houdre_kagan(args) -> int:
 def _cmd_lyapunov_scan(args) -> int:
     cert = make_lyapunov(args.kind, alpha=args.alpha, p=args.p, n=args.n)
     potential_id = f"{args.kind}:alpha={args.alpha:g}:n={args.n}"
-    potential = parse_potential_id(potential_id)
-    pts = scan_points(args.n)
-    margins = local_eigenvalue_margin(potential, cert, pts)
-    i = int(np.argmin(margins))
+    scan = scan_certificate(parse_potential_id(potential_id), cert)
     result = {
         "certificate": cert.label,
         "potential": potential_id,
-        "n_scan_points": len(pts),
-        "min_margin": float(margins[i]),
-        "argmin": [float(v) for v in np.atleast_1d(pts[i])],
-        "pass": bool(margins[i] >= 0.0),
+        "n_scan_points": scan.n_points,
+        "min_margin": scan.min_margin,
+        "argmin": [float(v) for v in scan.argmin],
+        "pass": scan.passed,
         "constants": {"c": cert.c, "beta": cert.beta, "theta": cert.theta},
     }
     _write_or_print(args, "lyapunov-scan.json",

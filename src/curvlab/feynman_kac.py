@@ -26,8 +26,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import CertificationError, ParameterError
-from .potentials import (LyapunovCertificate, Potential,
-                         local_eigenvalue_margin, scan_points)
+from .potentials import LyapunovCertificate, Potential, scan_certificate
 from .sde import simulate
 from .semigroup import TestFunction, as_points
 from .verify import InequalityReport, Record
@@ -126,14 +125,12 @@ def commutation_check(potential: Potential, cert: LyapunovCertificate,
     error, not a report.
     """
     _check_lhs_engine(lhs_engine)
-    margins = local_eigenvalue_margin(potential, cert,
-                                      scan_points(potential.n))
-    worst = float(np.min(margins))
-    if worst < 0.0:
+    scan = scan_certificate(potential, cert)
+    if not scan.passed:
         raise CertificationError(
             f"certificate {cert.label!r} fails its own inequality on the "
-            f"scan grid (worst margin {worst:.6g}); the commutation bound "
-            f"is unsupported")
+            f"scan grid (worst margin {scan.min_margin:.6g}); the commutation "
+            f"bound is unsupported")
     p = cert.p
     q = p / (p - 1.0)
     pts = as_points(xs, potential.n)
@@ -142,9 +139,9 @@ def commutation_check(potential: Potential, cert: LyapunovCertificate,
         grad_at = np.linalg.norm(lhs_engine.value_grad(f, float(t), pts)[2],
                                  axis=-1)
         for x, grad in zip(pts, grad_at.tolist()):
+            # the bound needs only the endpoints: no path integral
             batch = simulate(potential, x, float(t), dt=dt, n_paths=n_paths,
-                             seed=seed,
-                             functionals={"rho": potential.curvature_at})
+                             seed=seed, functionals={})
             wq = np.linalg.norm(f.gradient(batch.positions), axis=-1) ** q
             m, se_m = _mean_se(wq)
             gx = float(np.asarray(cert.g_value(x[None, :]))[0])

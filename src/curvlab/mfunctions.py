@@ -26,7 +26,7 @@ from typing import Callable
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.special import log_ndtr, ndtri
+from scipy.special import erfcx, ndtri
 
 from .errors import DomainError, NumericalError, ParameterError
 
@@ -78,8 +78,9 @@ def _iso_pair(x):
 
 
 def _mills(u):
-    # phi(u)/Phi(u), computed in logs so it survives u << 0
-    return np.exp(-0.5 * u * u - _LOG_SQRT2PI - log_ndtr(u))
+    # phi(u)/Phi(u) through the scaled complementary error function, which
+    # keeps full relative precision for u << 0
+    return math.sqrt(2.0 / math.pi) / erfcx(-u / math.sqrt(2.0))
 
 
 def _kp_series(z):
@@ -192,10 +193,10 @@ def _fprime(s):
     fp[tail] = 1.0 / (s[tail] - u[tail])  # = 1/(s + z), no cancellation
     body = u > _U_LO
     v = u[body]
-    # e^{k(u)} = Phi(u)/phi(u); in logs, since phi/Phi underflows s - u to
-    # zero once u is a few dozen
+    # e^{k(u)} = Phi(u)/phi(u) = sqrt(pi/2) erfcx(-u/sqrt 2); phi/Phi would
+    # underflow s - u to zero once u is a few dozen
     with np.errstate(over="ignore"):
-        fp[body] = np.exp(log_ndtr(v) + 0.5 * v * v + _LOG_SQRT2PI)
+        fp[body] = math.sqrt(0.5 * math.pi) * erfcx(-v / math.sqrt(2.0))
     _check_finite(fp, s, "F'")
     return fp, u
 
@@ -322,6 +323,11 @@ class MFunction:
     y_open: bool = False  # partials need y strictly positive
     my_nonneg: bool = True  # declared sign of M_y; checked, not assumed
     params: dict = field(default_factory=dict)
+
+    @property
+    def reverse(self) -> bool:
+        """Whether M generates a reverse inequality: the `reverse-*` ones."""
+        return self.label.startswith("reverse-")
 
     def check_domain(self, x, y, for_partials: bool = False):
         # y_open only restricts the partials; M itself extends to y = 0

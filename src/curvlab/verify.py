@@ -1,10 +1,13 @@
-"""Inequality verification: local, reverse, monotonicity, and integrated.
+"""Inequality verification: local, monotonicity, and integrated.
 
 Every verifier returns an InequalityReport whose records carry
 margin = rhs - lhs, so nonnegative margins mean the inequality holds.  A
 report passes when every margin >= -(tolerance + 4 stderr); stderr is zero
 for the deterministic engines, and the 4-sigma guard keeps the Monte Carlo
 false-failure rate per record below 1e-4.
+
+The local and monotonicity checks take their direction from the M-function:
+a reverse one (`MFunction.reverse`) gets the reverse inequality.
 
 rho is always an input, never estimated: these are checks of a claimed
 curvature bound, and feeding a bound the potential does not satisfy is the
@@ -37,7 +40,6 @@ __all__ = [
     "h_alpha",
     "default_schedule",
     "verify_local",
-    "verify_reverse_local",
     "verify_H_monotone",
     "verify_integrated_limit",
     "verify_integrated_condition",
@@ -164,7 +166,13 @@ def _composite(mf: MFunction, f: TestFunction, factor: float):
     return func
 
 
-def _local_records(mf, engine, f, schedule, rho, reverse: bool):
+def verify_local(mf: MFunction, engine, f: TestFunction, schedule: Schedule,
+                 rho: float) -> InequalityReport:
+    """The local inequality of M, in M's direction.
+
+    forward: M(P_t f, alpha Gamma(P_t f)) <= P_t M(f, g_alpha(t) Gamma(f))
+    reverse: M(P_t f, h_alpha(0) Gamma(P_t f)) <= P_t M(f, alpha Gamma(f))
+    """
     xs = as_points(schedule.xs, engine.potential.n)
     records = []
     for t in schedule.ts:
@@ -172,7 +180,7 @@ def _local_records(mf, engine, f, schedule, rho, reverse: bool):
         gam_pt = np.sum(np.square(grad), axis=-1)
         noisy = se_u > 0.0
         for alpha in schedule.alphas:
-            if reverse:
+            if mf.reverse:
                 lhs_factor = h_alpha(0.0, t, alpha, rho)
                 rhs_factor = alpha
             else:
@@ -192,38 +200,21 @@ def _local_records(mf, engine, f, schedule, rho, reverse: bool):
                     x=tuple(float(v) for v in xs[i]), t=t, alpha=alpha,
                     lhs=float(lhs[i]), rhs=float(rhs[i]),
                     margin=float(rhs[i] - lhs[i]), stderr=float(se[i])))
-    return records
-
-
-def verify_local(mf: MFunction, engine, f: TestFunction, schedule: Schedule,
-                 rho: float) -> InequalityReport:
-    """M(P_t f, alpha Gamma(P_t f)) <= P_t M(f, g_alpha(t) Gamma(f))."""
-    records = _local_records(mf, engine, f, schedule, rho, reverse=False)
+    kind = "reverse" if mf.reverse else "local"
     return InequalityReport(
-        label=f"local[{mf.label}|{f.label}|{engine.kind}|rho={rho:g}]",
-        records=tuple(records), tolerance=engine.tolerance)
-
-
-def verify_reverse_local(mf: MFunction, engine, f: TestFunction,
-                         schedule: Schedule, rho: float) -> InequalityReport:
-    """M(P_t f, h_alpha(0) Gamma(P_t f)) <= P_t M(f, alpha Gamma(f))."""
-    records = _local_records(mf, engine, f, schedule, rho, reverse=True)
-    return InequalityReport(
-        label=f"reverse[{mf.label}|{f.label}|{engine.kind}|rho={rho:g}]",
+        label=f"{kind}[{mf.label}|{f.label}|{engine.kind}|rho={rho:g}]",
         records=tuple(records), tolerance=engine.tolerance)
 
 
 def verify_H_monotone(mf: MFunction, engine, f: TestFunction, t: float,
                       alpha: float, rho: float, s_count: int = 21,
-                      xs=None, direction: str = "forward") -> InequalityReport:
+                      xs=None) -> InequalityReport:
     """H(s) = P_s M(P_{t-s}f, c(s) Gamma(P_{t-s}f)) must be non-decreasing.
 
-    c(s) is g_alpha(s) forward and h_alpha(s) in reverse.  Consecutive
-    differences H(s_{i+1}) - H(s_i) are the margins.  Nested semigroup
-    evaluations rule out the Monte Carlo engine here.
+    c(s) is g_alpha(s) for a forward M and h_alpha(s) for a reverse one.
+    Consecutive differences H(s_{i+1}) - H(s_i) are the margins.  Nested
+    semigroup evaluations rule out the Monte Carlo engine here.
     """
-    if direction not in ("forward", "reverse"):
-        raise ParameterError(f"direction must be forward or reverse, got {direction!r}")
     if s_count < 2:
         raise ParameterError("need at least the endpoints, s_count >= 2")
     if t < 0.0:
@@ -235,8 +226,8 @@ def verify_H_monotone(mf: MFunction, engine, f: TestFunction, t: float,
     s_grid = np.linspace(0.0, t, s_count)
     H = np.empty((s_count, len(xs)))
     for j, s in enumerate(s_grid):
-        factor = g_alpha(s, alpha, rho) if direction == "forward" \
-            else h_alpha(s, t, alpha, rho)
+        factor = h_alpha(s, t, alpha, rho) if mf.reverse \
+            else g_alpha(s, alpha, rho)
         rem = t - s
 
         def inner(z, factor=factor, rem=rem):
@@ -255,8 +246,9 @@ def verify_H_monotone(mf: MFunction, engine, f: TestFunction, t: float,
                 s=float(s_grid[j]),
                 lhs=float(H[j, i]), rhs=float(H[j + 1, i]),
                 margin=float(H[j + 1, i] - H[j, i])))
+    kind = "reverse" if mf.reverse else "forward"
     return InequalityReport(
-        label=f"monotone-{direction}[{mf.label}|{f.label}|{engine.kind}"
+        label=f"monotone-{kind}[{mf.label}|{f.label}|{engine.kind}"
               f"|t={t:g}|alpha={alpha:g}]",
         records=tuple(records), tolerance=engine.tolerance)
 

@@ -29,7 +29,6 @@ from curvlab.suite import (bounded_gradient_suite, get, main_suite,
 from curvlab.verify import (default_schedule, verify_H_monotone,
                             verify_integrated_condition,
                             verify_integrated_limit, verify_local,
-                            verify_reverse_local,
                             exp_integrability_bound_check)
 
 GAUSS = parse_potential_id("gaussian")
@@ -112,8 +111,8 @@ def test_criterion_03_reverse_local():
     for name, params, fname in REVERSE_PAIRS:
         mf = catalog(name, **params)
         assert certify_psd(mf, "B").passed, f"PSD(B) failed for {mf.label}"
-        rep = verify_reverse_local(mf, MEHLER, get(fname),
-                                   default_schedule(), rho=1.0)
+        rep = verify_local(mf, MEHLER, get(fname),
+                           default_schedule(), rho=1.0)
         worst = min(worst, rep.min_margin)
         t0 = [abs(r.margin) for r in rep.records if r.t == 0.0]
         t0_worst = max(t0_worst, max(t0))
@@ -146,7 +145,7 @@ def test_criterion_04_h_monotonicity():
         for name, params, fname in pairs:
             rep = verify_H_monotone(catalog(name, **params), MEHLER,
                                     get(fname), t=0.6, alpha=0.2, rho=1.0,
-                                    s_count=21, direction=direction)
+                                    s_count=21)
             assert len({r.s for r in rep.records}) == 20
             worst = min(worst, rep.min_margin)
     ok = worst >= -1e-6

@@ -4,6 +4,7 @@ import os
 import numpy as np
 import pytest
 
+from curvlab import cli
 from curvlab.cli import (PRESETS, ExperimentConfig, list_catalogs, main,
                          parse_config, run)
 from curvlab.errors import ParameterError
@@ -252,6 +253,17 @@ def test_psd_check_subcommand(capsys):
     assert rep["pass"] is True
 
 
+@pytest.mark.parametrize("mfunction,kind", [("reverse-poincare", "B-reverse"),
+                                            ("bobkov", "A-forward")])
+def test_psd_check_default_kind_follows_the_mfunction(capsys, mfunction,
+                                                      kind):
+    assert main(["psd-check", "--mfunction", mfunction]) == 0
+    assert json.loads(capsys.readouterr().out)["kind"] == kind
+    # an explicit --kind still wins
+    assert main(["psd-check", "--mfunction", mfunction, "--kind", "A"]) == 0
+    assert json.loads(capsys.readouterr().out)["kind"] == "A-forward"
+
+
 def test_feynman_kac_subcommand(capsys):
     code = main(["feynman-kac", "--check", "supermartingale", "--cert",
                  "unit", "--paths", "500", "--ts", "0.25"])
@@ -396,6 +408,27 @@ def test_run_rejects_an_mfunction_no_check_takes(tmp_path, capsys):
                    "functions = linear\n")
     assert main(["run", str(cfg)]) == 2
     assert "reverse-poincare" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("lists", [
+    "mfunctions = poincare, zzz\nfunctions = linear\n",
+    "mfunctions = poincare\nfunctions = linear, zzz\n",
+])
+def test_unknown_ids_are_rejected_before_any_check(tmp_path, capsys,
+                                                   monkeypatch, lists):
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(1)
+        return verify_local(*args, **kwargs)
+
+    verify_local = cli.verify_local
+    monkeypatch.setattr(cli, "verify_local", spy)
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("checks = local\n" + lists)
+    assert main(["run", str(cfg)]) == 2
+    assert "zzz" in capsys.readouterr().err
+    assert calls == []
 
 
 def test_integrated_only_config_builds_no_engine(tmp_path):

@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from curvlab import semigroup
+from curvlab import feynman_kac, semigroup
 from curvlab.errors import CertificationError, ParameterError
 from curvlab.feynman_kac import (commutation_check, gradient_bound,
                                  supermartingale_check)
@@ -241,3 +241,19 @@ def test_grid_left_side_marches_once_per_t(monkeypatch):
                       xs=[0.0, 1.0], ts=(0.25, 1.0), lhs_engine=grid,
                       n_paths=200, dt=1e-2)
     assert len(calls) == 4
+
+
+def test_only_the_gradient_bound_integrates_the_curvature(monkeypatch):
+    seen = []
+
+    def spy(*args, **kwargs):
+        seen.append(sorted(kwargs["functionals"]))
+        return simulate(*args, **kwargs)
+
+    monkeypatch.setattr(feynman_kac, "simulate", spy)
+    commutation_check(GAUSS, constant_certificate(), get("linear"), xs=[0.3],
+                      ts=(0.4,), lhs_engine=ENGINE, n_paths=200, dt=1e-2)
+    assert seen == [[]]
+    gradient_bound(GAUSS, get("sine"), xs=[0.3], ts=(0.4,),
+                   lhs_engine=ENGINE, n_paths=200, dt=1e-2)
+    assert seen == [[], ["rho"]]

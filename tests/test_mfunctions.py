@@ -265,6 +265,14 @@ def test_perturbation_invariance():
         perturbed(catalog("poincare"), -2.0, 1.0, 1.0)
 
 
+def test_direction_is_a_property_of_the_mfunction():
+    for name in MFUNCTION_NAMES:
+        params = {"p": 1.5} if name.endswith("beckner") else {}
+        assert catalog(name, **params).reverse == name.startswith("reverse-")
+    assert perturbed(catalog("reverse-log-sobolev"), 2.0, 3.0, 1.0).reverse
+    assert not perturbed(catalog("log-sobolev"), 2.0, 3.0, 1.0).reverse
+
+
 def test_sample_spec_validation():
     with pytest.raises(ParameterError):
         SampleSpec(1.0, 0.5)
@@ -468,3 +476,18 @@ def test_mehler_verify_local_makes_no_quad_call_beyond_the_anchors(
     n = len(calls)
     check()
     assert len(calls) == n  # the anchors are computed once per process
+
+
+def _kprime_continued_fraction(z: float, depth: int = 400) -> float:
+    # k'(-z) = 1/(z + 2/(z + 3/(z + ...))), evaluated backward
+    t = z
+    for k in range(depth, 1, -1):
+        t = z + k / t
+    return 1.0 / t
+
+
+def test_kprime_matches_its_continued_fraction_far_left():
+    zs = np.linspace(3.0, 40.0, 371)
+    ref = np.array([_kprime_continued_fraction(z) for z in zs])
+    got = -zs + mfunctions._mills(-zs)
+    np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0.0)

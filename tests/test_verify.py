@@ -15,8 +15,7 @@ from curvlab.verify import (InequalityReport, QuadSpec, Record, Schedule,
                             default_schedule, exp_integrability_bound_check,
                             g_alpha, h_alpha, verify_H_monotone,
                             verify_integrated_condition,
-                            verify_integrated_limit, verify_local,
-                            verify_reverse_local)
+                            verify_integrated_limit, verify_local)
 
 GAUSS = make_example_potential("gaussian")
 ENGINE = MehlerEngine(GAUSS)
@@ -169,9 +168,8 @@ def test_local_spherical_potential():
 # ---------------------------------------------------------------------------
 
 def test_reverse_poincare_linear_is_equality():
-    rep = verify_reverse_local(catalog("reverse-poincare"), ENGINE,
-                               get("linear"), Schedule(alphas=(0.0,)),
-                               rho=1.0)
+    rep = verify_local(catalog("reverse-poincare"), ENGINE,
+                       get("linear"), Schedule(alphas=(0.0,)), rho=1.0)
     assert rep.passed
     assert max(abs(r.margin) for r in rep.records) < 1e-12
     # both sides equal P_t f^2 = e^{-2t} x^2 + 1 - e^{-2t}
@@ -183,8 +181,8 @@ def test_reverse_poincare_linear_is_equality():
 def test_reverse_log_sobolev_shifted_sine():
     sched = Schedule(ts=(0.2, 0.8), alphas=(0.0, 0.5),
                      xs=np.array([-2.0, 0.0, 2.0]))
-    rep = verify_reverse_local(catalog("reverse-log-sobolev"), ENGINE,
-                               get("shifted-sine"), sched, rho=1.0)
+    rep = verify_local(catalog("reverse-log-sobolev"), ENGINE,
+                       get("shifted-sine"), sched, rho=1.0)
     assert rep.passed
     assert rep.min_margin > -1e-6
 
@@ -192,8 +190,8 @@ def test_reverse_log_sobolev_shifted_sine():
 def test_reverse_beckner_passes():
     sched = Schedule(ts=(0.3, 1.0), alphas=(0.0, 1.0),
                      xs=np.linspace(-1.5, 1.5, 5))
-    rep = verify_reverse_local(catalog("reverse-beckner", p=1.5), ENGINE,
-                               get("exp03"), sched, rho=1.0)
+    rep = verify_local(catalog("reverse-beckner", p=1.5), ENGINE,
+                       get("exp03"), sched, rho=1.0)
     assert rep.passed
 
 
@@ -230,18 +228,30 @@ def test_H_bobkov_nondecreasing():
 def test_H_reverse_nondecreasing():
     rep = verify_H_monotone(catalog("reverse-log-sobolev"), ENGINE,
                             get("shifted-sine"), t=0.8, alpha=0.5, rho=1.0,
-                            s_count=9, direction="reverse")
+                            s_count=9)
     assert rep.passed
     rep = verify_H_monotone(catalog("reverse-poincare"), ENGINE, get("sine"),
-                            t=0.7, alpha=0.3, rho=1.0, s_count=7,
-                            direction="reverse")
+                            t=0.7, alpha=0.3, rho=1.0, s_count=7)
     assert rep.passed
+
+
+def test_direction_follows_the_mfunction():
+    sched = Schedule(ts=(0.3,), alphas=(0.5,), xs=np.array([0.0, 1.0]))
+    rev = verify_local(catalog("reverse-poincare"), ENGINE, get("sine"),
+                       sched, rho=1.0)
+    assert rev.label.startswith("reverse[reverse-poincare|")
+    fwd = verify_local(catalog("poincare"), ENGINE, get("sine"), sched,
+                       rho=1.0)
+    assert fwd.label.startswith("local[poincare|")
+    mono = verify_H_monotone(catalog("reverse-poincare"), ENGINE, get("sine"),
+                             t=0.7, alpha=0.3, rho=1.0, s_count=3)
+    assert mono.label.startswith("monotone-reverse[reverse-poincare|")
+    mono = verify_H_monotone(catalog("poincare"), ENGINE, get("sine"),
+                             t=0.7, alpha=0.3, rho=1.0, s_count=3)
+    assert mono.label.startswith("monotone-forward[poincare|")
 
 
 def test_H_validation():
-    with pytest.raises(ParameterError):
-        verify_H_monotone(catalog("poincare"), ENGINE, get("sine"), t=0.5,
-                          alpha=0.0, rho=1.0, direction="up")
     with pytest.raises(ParameterError):
         verify_H_monotone(catalog("poincare"), ENGINE, get("sine"), t=0.5,
                           alpha=0.0, rho=1.0, s_count=1)
