@@ -82,6 +82,10 @@ class ExperimentConfig:
         if not self.checks or not self.mfunctions or not self.functions:
             raise ParameterError("checks, mfunctions, and functions must "
                                  "not be empty")
+        for key in ("checks", "mfunctions", "functions"):
+            names = getattr(self, key)
+            if len(set(names)) < len(names):
+                raise ParameterError(f"{key} repeats a name: {names}")
         if self.engine not in ENGINE_KINDS:
             raise ParameterError(f"unknown engine {self.engine!r}")
         object.__setattr__(self, "engine_params", check_engine_params(
@@ -256,7 +260,7 @@ def _mfunction_from_id(text: str):
             raise ParameterError(f"malformed M-function id segment "
                                  f"{part!r} in {text!r}")
         k, v = part.split("=", 1)
-        params[k] = float(v)
+        params[k] = _number(f"{k} in {text!r}", v)
     return catalog(parts[0], **params)
 
 

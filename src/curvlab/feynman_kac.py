@@ -39,9 +39,14 @@ __all__ = [
 
 
 def _mean_se(values: np.ndarray) -> tuple:
-    m = float(np.mean(values))
-    se = float(np.std(values, ddof=1) / math.sqrt(len(values)))
-    return m, se
+    # along the path axis, the last one: floats for one start, else lists
+    se = np.std(values, axis=-1, ddof=1) / math.sqrt(values.shape[-1])
+    return np.mean(values, axis=-1).tolist(), se.tolist()
+
+
+def _check_paths(n_paths: int) -> None:
+    if n_paths < 100:
+        raise ParameterError(f"need at least 100 paths, got {n_paths}")
 
 
 def _check_lhs_engine(lhs_engine) -> None:
@@ -69,6 +74,7 @@ def supermartingale_check(potential: Potential, g, x0,
         if lg_over_g is None:
             raise ParameterError("a plain callable g needs lg_over_g")
         g_value, rate, g_label = g, lg_over_g, getattr(g, "__name__", "g")
+    _check_paths(n_paths)
     pts = as_points(x0, potential.n)
     if len(pts) != 1:
         raise ParameterError(f"the supermartingale check starts from one "
@@ -93,18 +99,19 @@ def gradient_bound(potential: Potential, f: TestFunction, xs, ts: Sequence,
                    lhs_engine, n_paths: int = 50_000, dt: float = 1e-3,
                    seed: int = 0) -> InequalityReport:
     """|grad P_t f(x)| <= E[|grad f(X_t)| e^{-int rho(X_s) ds}]."""
+    _check_paths(n_paths)
     _check_lhs_engine(lhs_engine)
     pts = as_points(xs, potential.n)
     records = []
     for t in ts:
         lhs_at = np.linalg.norm(lhs_engine.value_grad(f, float(t), pts)[2],
                                 axis=-1)
-        for x, lhs in zip(pts, lhs_at.tolist()):
-            batch = simulate(potential, x, float(t), dt=dt, n_paths=n_paths,
-                             seed=seed, functionals={"rho": potential.curvature_at})
-            w = np.linalg.norm(f.gradient(batch.positions), axis=-1) \
-                * np.exp(-batch.integrals["rho"])
-            rhs, se = _mean_se(w)
+        batch = simulate(potential, pts, float(t), dt=dt, n_paths=n_paths,
+                         seed=seed, functionals={"rho": potential.curvature_at})
+        w = np.linalg.norm(f.gradient(batch.positions), axis=-1) \
+            * np.exp(-batch.integrals["rho"])
+        rhs_at, se_at = _mean_se(w)
+        for x, lhs, rhs, se in zip(pts, lhs_at.tolist(), rhs_at, se_at):
             records.append(Record(x=tuple(float(v) for v in x), t=float(t),
                                   alpha=None, lhs=lhs, rhs=rhs,
                                   margin=rhs - lhs, stderr=se))
@@ -124,6 +131,7 @@ def commutation_check(potential: Potential, cert: LyapunovCertificate,
     standard scan grid first; a negative margin there is a certification
     error, not a report.
     """
+    _check_paths(n_paths)
     _check_lhs_engine(lhs_engine)
     scan = scan_certificate(potential, cert)
     if not scan.passed:
@@ -138,13 +146,14 @@ def commutation_check(potential: Potential, cert: LyapunovCertificate,
     for t in ts:
         grad_at = np.linalg.norm(lhs_engine.value_grad(f, float(t), pts)[2],
                                  axis=-1)
-        for x, grad in zip(pts, grad_at.tolist()):
-            # the bound needs only the endpoints: no path integral
-            batch = simulate(potential, x, float(t), dt=dt, n_paths=n_paths,
-                             seed=seed, functionals={})
-            wq = np.linalg.norm(f.gradient(batch.positions), axis=-1) ** q
-            m, se_m = _mean_se(wq)
-            gx = float(np.asarray(cert.g_value(x[None, :]))[0])
+        # the bound needs only the endpoints: no path integral
+        batch = simulate(potential, pts, float(t), dt=dt, n_paths=n_paths,
+                         seed=seed, functionals={})
+        wq = np.linalg.norm(f.gradient(batch.positions), axis=-1) ** q
+        m_at, se_at = _mean_se(wq)
+        g_at = np.asarray(cert.g_value(pts)).tolist()
+        for x, grad, m, se_m, gx in zip(pts, grad_at.tolist(), m_at, se_at,
+                                        g_at):
             scale = math.exp(-cert.beta * float(t)) * gx
             rhs = scale * m ** (p - 1.0)
             se = scale * (p - 1.0) * m ** (p - 2.0) * se_m if m > 0.0 else 0.0

@@ -445,13 +445,22 @@ def parse_potential_id(text: str) -> Potential:
             raise ParameterError(f"malformed potential id segment {part!r} in {text!r}")
         k, v = part.split("=", 1)
         kv[k] = v
-    n = int(kv.get("n", 1))
+    keys = {"gaussian": {"n"}, "double-well": set(),
+            "spherical": {"alpha", "n"}, "product-power": {"alpha", "n"}}
+    if kind not in keys:
+        raise ParameterError(f"unknown potential id {text!r}")
+    if not set(kv) <= keys[kind]:
+        raise ParameterError(f"unknown parameter in {text!r}; {kind} takes "
+                             f"{', '.join(sorted(keys[kind])) or 'none'}")
+    try:
+        n = int(kv.get("n", 1))
+        alpha = float(kv["alpha"]) if "alpha" in kv else None
+    except ValueError:
+        raise ParameterError(f"non-numeric parameter in {text!r}") from None
     if kind == "gaussian":
         return make_example_potential("gaussian", n=n)
     if kind == "double-well":
         return make_double_well()
-    if kind in ("spherical", "product-power"):
-        if "alpha" not in kv:
-            raise ParameterError(f"{kind} id needs alpha=..., got {text!r}")
-        return make_example_potential(kind, float(kv["alpha"]), n)
-    raise ParameterError(f"unknown potential id {text!r}")
+    if alpha is None:
+        raise ParameterError(f"{kind} id needs alpha=..., got {text!r}")
+    return make_example_potential(kind, alpha, n)

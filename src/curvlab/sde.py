@@ -27,10 +27,10 @@ EXPLOSION_TOLERANCE = 1e-4
 
 @dataclass
 class PathBatch:
-    """Terminal positions plus accumulated path integrals."""
+    """Terminal positions and path integrals; k starts add a leading axis."""
 
-    positions: np.ndarray          # (n_paths, n)
-    integrals: dict                # name -> (n_paths,) of int_0^t phi(X_s) ds
+    positions: np.ndarray          # ([k,] n_paths, n)
+    integrals: dict                # name -> ([k,] n_paths) of int_0^t phi(X_s) ds
     t: float
     dt: float
     n_steps: int
@@ -39,11 +39,13 @@ class PathBatch:
 
     @property
     def n_paths(self) -> int:
-        return self.positions.shape[0]
+        """Paths over all start points."""
+        return self.positions.size // self.positions.shape[-1]
 
     @property
     def exploded_fraction(self) -> float:
-        return float(np.mean(self.exploded))
+        """The exploded fraction of the worst start point."""
+        return float(np.max(np.mean(self.exploded, axis=-1)))
 
 
 def _step_plan(t: float, dt: float):
@@ -58,20 +60,21 @@ def _step_plan(t: float, dt: float):
 def _run_block(potential: Potential, x0_block: np.ndarray, t: float, dt: float,
                rng: np.random.Generator,
                functionals: Mapping[str, Callable[[np.ndarray], np.ndarray]]):
+    # x0_block is (k, block, n): one (block, n) draw per step drives every start
     x = x0_block.copy()
     n_full, rem = _step_plan(t, dt)
-    acc = {name: np.zeros(len(x)) for name in functionals}
-    alive = np.ones(len(x), dtype=bool)
+    acc = {name: np.zeros(x.shape[:-1]) for name in functionals}
+    alive = np.ones(x.shape[:-1], dtype=bool)
 
     def advance(h):
         nonlocal x
         for name, phi in functionals.items():
             v = phi(x)
             acc[name][alive] += h * v[alive]
-        noise = rng.standard_normal(x.shape)
+        noise = rng.standard_normal(x.shape[1:])
         x_new = x + np.sqrt(2.0 * h) * noise - potential.gradient(x) * h
         # frozen paths keep their last finite position
-        x = np.where(alive[:, None], x_new, x)
+        x = np.where(alive[..., None], x_new, x)
         r = np.linalg.norm(x, axis=-1)
         blow = alive & ((r > EXPLOSION_RADIUS) | ~np.isfinite(r))
         if np.any(blow):
@@ -88,22 +91,24 @@ def _run_block(potential: Potential, x0_block: np.ndarray, t: float, dt: float,
 def simulate(potential: Potential, x0, t: float, dt: float = 1e-3,
              n_paths: int = 8192, seed: int = 0,
              functionals: Optional[Mapping[str, Callable]] = None) -> PathBatch:
-    """Run n_paths Euler-Maruyama paths started at x0 (a point or an array).
+    """Run n_paths Euler-Maruyama paths from x0, one point (n,) or k start
+    points (k, n) that all see the same noise: each start's slice is bitwise
+    equal to a run from that point alone.
 
     By default the curvature integral int_0^t rho(X_s) ds is accumulated
-    under the name "rho".  Raises SimulationError if more than a 1e-4
-    fraction of paths leaves |x| = 1e8 or turns non-finite.
+    under the name "rho".  Raises SimulationError if, from any start, more
+    than a 1e-4 fraction of paths leaves |x| = 1e8 or turns non-finite.
     """
     if dt <= 0.0 or t < 0.0:
         raise ParameterError(f"need t >= 0 and dt > 0, got t={t}, dt={dt}")
     if n_paths < 1:
         raise ParameterError(f"n_paths must be positive, got {n_paths}")
+    n = potential.n
     x0 = np.asarray(x0, dtype=float)
-    if x0.ndim == 1:
-        x0 = np.broadcast_to(x0, (n_paths, potential.n)).copy()
-    if x0.shape != (n_paths, potential.n):
-        raise ParameterError(f"x0 shape {x0.shape} incompatible with "
-                             f"({n_paths}, {potential.n})")
+    if x0.shape != (n,) and (x0.ndim != 2 or x0.shape[1] != n or len(x0) == 0):
+        raise ParameterError(f"x0 shape {x0.shape}: need ({n},) or (k, {n})")
+    shape = x0.shape[:-1] + (n_paths,)  # no start axis for a single point
+    x0 = np.broadcast_to(x0.reshape(-1, 1, n), (x0.size // n, n_paths, n))
     if functionals is None:
         functionals = {"rho": potential.curvature_at}
 
@@ -112,25 +117,27 @@ def simulate(potential: Potential, x0, t: float, dt: float = 1e-3,
     slices = [slice(i * BLOCK_SIZE, min((i + 1) * BLOCK_SIZE, n_paths))
               for i in range(n_blocks)]
 
+    positions = np.empty(shape + (n,))
+    exploded = np.empty(shape, dtype=bool)
+    integrals = {name: np.empty(shape) for name in functionals}
+
     def work(i):
-        rng = np.random.default_rng(children[i])
-        return _run_block(potential, x0[slices[i]], t, dt, rng, functionals)
+        # each block fills its own slice, so no second copy of the paths lives
+        sl, rng = slices[i], np.random.default_rng(children[i])
+        xb, accb, deadb = _run_block(potential, x0[:, sl], t, dt, rng,
+                                     functionals)
+        positions[..., sl, :] = xb
+        exploded[..., sl] = deadb
+        for name in functionals:
+            integrals[name][..., sl] = accb[name]
 
     n_threads = int(os.environ.get("CURVLAB_THREADS", "1"))
     if n_threads > 1 and n_blocks > 1:
         with ThreadPoolExecutor(max_workers=n_threads) as pool:
-            results = list(pool.map(work, range(n_blocks)))
+            list(pool.map(work, range(n_blocks)))
     else:
-        results = [work(i) for i in range(n_blocks)]
-
-    positions = np.empty((n_paths, potential.n))
-    exploded = np.empty(n_paths, dtype=bool)
-    integrals = {name: np.empty(n_paths) for name in functionals}
-    for sl, (xb, accb, deadb) in zip(slices, results):
-        positions[sl] = xb
-        exploded[sl] = deadb
-        for name in functionals:
-            integrals[name][sl] = accb[name]
+        for i in range(n_blocks):
+            work(i)
 
     n_full, rem = _step_plan(t, dt)
     batch = PathBatch(positions, integrals, t, dt, n_full + (rem > 0.0), seed, exploded)

@@ -6,7 +6,7 @@ Crank-Nicolson time stepping of u_t = Lu on a 1-D grid with reflecting ends,
 and Euler-Maruyama Monte Carlo.
 
 - `apply(func, t, xs) -> (values, stderr)` evaluates P_t of a plain
-  vectorized function of position.
+  function of position, vectorized over leading axes: (..., n) -> (...).
 - `value_grad(f, t, xs) -> (values, stderr, grads)` evaluates P_t f and
   grad P_t f of a `TestFunction` from one evolution of f.
 
@@ -398,30 +398,21 @@ class MonteCarloEngine:
         xs = as_points(x, self.potential.n)
         if t == 0.0:
             return func(xs), np.zeros(len(xs))
-        means = np.empty(len(xs))
-        errs = np.empty(len(xs))
-        for i, x0 in enumerate(xs):
-            batch = simulate(self.potential, x0, t, self.dt, self.n_paths,
-                             self.seed, functionals={})
-            v = func(batch.positions)
-            means[i] = v.mean()
-            errs[i] = v.std(ddof=1) / math.sqrt(len(v))
-        return means, errs
+        v = func(simulate(self.potential, xs, t, self.dt, self.n_paths,
+                          self.seed, functionals={}).positions)
+        return v.mean(axis=-1), v.std(axis=-1, ddof=1) / math.sqrt(self.n_paths)
 
     def value_grad(self, f: TestFunction, t: float, x):
         xs = as_points(x, self.potential.n)
-        vals, errs = self.apply(f, t, xs)
-        # common-random-number central differences: both shifted starts reuse
-        # the same seed, so the noise largely cancels
-        grads = np.empty_like(xs)
-        for i in range(self.potential.n):
-            h = 1e-3 * (1.0 + np.abs(xs[:, i]))
-            e = np.zeros_like(xs)
-            e[:, i] = h
-            up, _ = self.apply(f, t, xs + e)
-            dn, _ = self.apply(f, t, xs - e)
-            grads[:, i] = (up - dn) / (2.0 * h)
-        return vals, errs, grads
+        k, n = xs.shape
+        # common-random-number central differences: the shifted starts share
+        # the centre's path set, so the noise largely cancels
+        h = 1e-3 * (1.0 + np.abs(xs))
+        e = np.eye(n)[:, None, :] * h  # (n, k, n): shift of dimension i
+        starts = np.concatenate([xs[None], xs + e, xs - e]).reshape(-1, n)
+        vals, errs = self.apply(f, t, starts)
+        up, dn = vals[k:].reshape(2, n, k)
+        return vals[:k], errs[:k], ((up - dn) / (2.0 * h.T)).T
 
     def describe(self) -> dict:
         return {"kind": self.kind, "potential": self.potential.label,

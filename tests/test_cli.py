@@ -492,6 +492,41 @@ def test_supermartingale_needs_one_start_point(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "--mfunction", "beckner:p=abc", "--function", "linear"],
+    ["psd-check", "--mfunction", "beckner:p=abc"],
+    ["verify", "--potential", "gaussian:n=abc", "--mfunction", "poincare",
+     "--function", "linear"],
+    ["verify", "--potential", "spherical:alpha=x", "--engine", "grid",
+     "--mfunction", "poincare", "--function", "linear"],
+])
+def test_non_numeric_id_parameters_exit_2(capsys, argv):
+    assert main(argv) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("lists", [
+    "checks = local, local\nmfunctions = poincare\nfunctions = linear\n",
+    "checks = local\nmfunctions = poincare, poincare\nfunctions = linear\n",
+    "checks = local\nmfunctions = poincare\nfunctions = sine, sine\n",
+])
+def test_repeated_names_are_config_errors(tmp_path, capsys, lists):
+    _expect_config_error(tmp_path, capsys, lists)
+
+
+def test_repeated_subcommand_flag_exits_2(capsys):
+    assert main(["verify", "--mfunction", "poincare", "--mfunction",
+                 "poincare", "--function", "linear"]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("check", ["supermartingale", "gradient",
+                                   "commutation"])
+def test_feynman_kac_path_count_floor(capsys, check):
+    assert main(["feynman-kac", "--check", check, "--paths", "1"]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
 def test_non_numeric_values_and_bad_json_are_config_errors():
     for text in ("rho = abc\n", "seed = 1.5\n", "xs = 0, one\n",
                  '{"checks": ["local"],'):

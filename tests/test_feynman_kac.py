@@ -257,3 +257,47 @@ def test_only_the_gradient_bound_integrates_the_curvature(monkeypatch):
     gradient_bound(GAUSS, get("sine"), xs=[0.3], ts=(0.4,),
                    lhs_engine=ENGINE, n_paths=200, dt=1e-2)
     assert seen == [[], ["rho"]]
+
+
+def test_one_path_set_per_time(monkeypatch):
+    # every point of one t starts from one path set, and its record is the
+    # one a run from that point alone gives
+    seen = []
+
+    def spy(*args, **kwargs):
+        seen.append(1)
+        return simulate(*args, **kwargs)
+
+    monkeypatch.setattr(feynman_kac, "simulate", spy)
+    kw = dict(ts=(0.25, 1.0), lhs_engine=ENGINE, n_paths=200, dt=1e-2)
+    both = gradient_bound(GAUSS, get("sine"), xs=[0.0, 1.0], **kw)
+    assert len(seen) == 2
+    comm = commutation_check(GAUSS, constant_certificate(), get("linear"),
+                             xs=[0.0, 1.0], **kw)
+    assert len(seen) == 4
+    for check, rep in ((lambda x: gradient_bound(GAUSS, get("sine"), xs=[x],
+                                                 **kw), both),
+                       (lambda x: commutation_check(
+                           GAUSS, constant_certificate(), get("linear"),
+                           xs=[x], **kw), comm)):
+        alone = [r for x in (0.0, 1.0) for r in check(x).records]
+        alone.sort(key=lambda r: (r.t, r.x))
+        assert [(r.rhs, r.stderr) for r in rep.records] == \
+            [(r.rhs, r.stderr) for r in alone]
+
+
+@pytest.mark.parametrize("check", [
+    lambda n: supermartingale_check(GAUSS, constant_certificate(), x0=[0.0],
+                                    ts=(0.25,), n_paths=n, dt=1e-2),
+    lambda n: gradient_bound(GAUSS, get("sine"), xs=[0.5], ts=(0.5,),
+                             lhs_engine=ENGINE, n_paths=n, dt=1e-2),
+    lambda n: commutation_check(GAUSS, constant_certificate(), get("sine"),
+                                xs=[0.5], ts=(0.5,), lhs_engine=ENGINE,
+                                n_paths=n, dt=1e-2),
+])
+def test_path_count_floor(check):
+    # the Monte Carlo engine's floor; one path has no stderr at all
+    for n in (1, 99):
+        with pytest.raises(ParameterError):
+            check(n)
+    assert check(100).records

@@ -153,6 +153,14 @@ def test_parse_potential_id_round_trip():
         parse_potential_id("unknown:n=1")
 
 
+@pytest.mark.parametrize("text", ["gaussian:n=abc", "gaussian:n=1.5",
+                                  "spherical:alpha=x", "double-well:n=2",
+                                  "gaussian:foo=1", "gaussian:alpha=1.5"])
+def test_parse_potential_id_rejects_bad_parameters(text):
+    with pytest.raises(ParameterError):
+        parse_potential_id(text)
+
+
 def test_scan_points_shapes():
     p1 = scan_points(1)
     assert p1.shape == (2001, 1)

@@ -1,6 +1,7 @@
 """Path sampler: reproducibility, thread independence, weak accuracy."""
 
 import os
+import sys
 
 import numpy as np
 import pytest
@@ -104,5 +105,64 @@ def test_parameter_errors():
         simulate(P, [0.0], t=1.0, dt=0.0)
     with pytest.raises(ParameterError):
         simulate(P, [0.0], t=1.0, dt=1e-3, n_paths=0)
-    with pytest.raises(ParameterError):
-        simulate(P, np.zeros((5, 1)), t=1.0, dt=1e-3, n_paths=7)
+    # x0 is one point (n,) or k start points (k, n)
+    for x0 in (np.zeros((2, 3, 1)), np.zeros(2), np.zeros((3, 2)),
+               np.zeros((0, 1)), 0.0):
+        with pytest.raises(ParameterError):
+            simulate(P, x0, t=1.0, dt=1e-3, n_paths=7)
+
+
+@pytest.mark.parametrize("threads", ["1", "4"])
+@pytest.mark.parametrize("kind,n", [("gaussian", 2), ("spherical", 3)])
+def test_start_points_match_single_runs(monkeypatch, threads, kind, n):
+    # several blocks and a partial final step (t = 0.25 at dt = 0.1)
+    P = make_example_potential(kind, None if kind == "gaussian" else 1.5, n)
+    monkeypatch.setenv("CURVLAB_THREADS", threads)
+    starts = np.random.default_rng(0).normal(size=(3, n))
+    n_paths = 2 * BLOCK_SIZE + 17
+    out = simulate(P, starts, t=0.25, dt=0.1, n_paths=n_paths, seed=4)
+    assert out.positions.shape == (3, n_paths, n)
+    assert out.n_paths == 3 * n_paths
+    for k, x0 in enumerate(starts):
+        one = simulate(P, x0, t=0.25, dt=0.1, n_paths=n_paths, seed=4)
+        np.testing.assert_array_equal(out.positions[k], one.positions)
+        np.testing.assert_array_equal(out.integrals["rho"][k],
+                                      one.integrals["rho"])
+        np.testing.assert_array_equal(out.exploded[k], one.exploded)
+
+
+def test_blocks_fill_their_slices_under_thread_contention(monkeypatch):
+    # more workers than cores, switching threads as often as possible: a
+    # block that lost its write would leave a slice unlike the serial run
+    P = make_example_potential("gaussian", n=1)
+    starts = np.array([[-1.0], [0.0], [2.0]])
+    n_paths = 8 * BLOCK_SIZE + 5
+    monkeypatch.setenv("CURVLAB_THREADS", "1")
+    serial = simulate(P, starts, t=0.05, dt=1e-2, n_paths=n_paths, seed=9)
+    monkeypatch.setenv("CURVLAB_THREADS", "8")
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threaded = simulate(P, starts, t=0.05, dt=1e-2, n_paths=n_paths,
+                            seed=9)
+    finally:
+        sys.setswitchinterval(interval)
+    np.testing.assert_array_equal(serial.positions, threaded.positions)
+    np.testing.assert_array_equal(serial.integrals["rho"],
+                                  threaded.integrals["rho"])
+    np.testing.assert_array_equal(serial.exploded, threaded.exploded)
+
+
+def test_explosion_guard_is_per_start():
+    # the drift expands only above x = 0.5: no path from -1000 explodes and
+    # every path from 1 does, so the worst start's fraction is reported, not
+    # the pooled 0.5
+    P = make_example_potential("gaussian", n=1)
+    bad = type(P)(n=1, value=P.value,
+                  gradient=lambda x: np.where(x > 0.5, -1e5 * x, x),
+                  hessian=P.hessian, label="expanding", family="custom")
+    safe = simulate(bad, [-1000.0], t=1.5, dt=0.5, n_paths=64, seed=0)
+    assert safe.exploded_fraction == 0.0
+    with pytest.raises(SimulationError) as exc:
+        simulate(bad, [[-1000.0], [1.0]], t=1.5, dt=0.5, n_paths=64, seed=0)
+    assert exc.value.exploded_fraction == 1.0

@@ -457,13 +457,14 @@ def _count_calls(monkeypatch, name):
 
 
 def test_mc_local_simulation_count(monkeypatch):
-    # 5 times t > 0, 7 points: one run for P_t f and its stderr, two for the
-    # central difference, and one per alpha for the right side
+    # 5 times t > 0: one run over the 7 points and their shifted starts for
+    # P_t f, its stderr and the central difference, and one per alpha for the
+    # right side
     calls = _count_calls(monkeypatch, "simulate")
     eng = MonteCarloEngine(GAUSS, n_paths=100, dt=1e-2, seed=0)
     verify_local(catalog("poincare"), eng, get("sine"), default_schedule(),
                  rho=1.0)
-    assert len(calls) == 5 * 7 * (1 + 2 + 3)
+    assert len(calls) == 5 * (1 + 3)
 
 
 def test_grid_local_march_count(monkeypatch):
