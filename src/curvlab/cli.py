@@ -474,18 +474,23 @@ _ENGINE_FLAGS = {"order": int, "m": int, "lo": float, "hi": float,
                  "dt": float, "n_paths": int}
 
 
-def _add_common(sub, schedule: bool = True):
+def _add_engine(sub, skip: tuple = ()):
     sub.add_argument("--potential", default="gaussian",
                      help="potential id, e.g. gaussian or spherical:alpha=1.5")
     sub.add_argument("--engine", default="mehler", choices=ENGINE_KINDS)
+    sub.add_argument("--xs", type=_floats, default=None)
+    for key, cast in _ENGINE_FLAGS.items():
+        if key not in skip:
+            sub.add_argument("--" + key.replace("_", "-"), type=cast,
+                             default=None)
+
+
+def _add_common(sub, schedule: bool = True):
+    _add_engine(sub)
     sub.add_argument("--rho", type=float, default=1.0)
     if schedule:
         sub.add_argument("--ts", type=_floats, default=None)
         sub.add_argument("--alphas", type=_floats, default=None)
-    sub.add_argument("--xs", type=_floats, default=None)
-    for key, cast in _ENGINE_FLAGS.items():
-        sub.add_argument("--" + key.replace("_", "-"), type=cast,
-                         default=None)
 
 
 # the check each check subcommand runs
@@ -595,7 +600,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--function", default="sine")
     sub.add_argument("--x0", type=_floats, default=(0.0,))
     sub.add_argument("--ts", type=_floats, default=(0.25, 0.5, 1.0))
-    _add_common(sub, schedule=False)
+    # no check here reads rho, and the engine that computes the left sides
+    # is deterministic, so it takes no path count
+    _add_engine(sub, skip=("n_paths",))
     sub.add_argument("--sim-dt", type=float, default=1e-3)
     sub.add_argument("--paths", type=int, default=50_000)
 

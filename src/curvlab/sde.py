@@ -8,6 +8,7 @@ left-endpoint rule, matching the order of the Euler step itself.
 
 from __future__ import annotations
 
+import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -99,8 +100,9 @@ def simulate(potential: Potential, x0, t: float, dt: float = 1e-3,
     under the name "rho".  Raises SimulationError if, from any start, more
     than a 1e-4 fraction of paths leaves |x| = 1e8 or turns non-finite.
     """
-    if dt <= 0.0 or t < 0.0:
-        raise ParameterError(f"need t >= 0 and dt > 0, got t={t}, dt={dt}")
+    if not (0.0 <= t < math.inf and 0.0 < dt < math.inf):
+        raise ParameterError(f"need finite t >= 0 and dt > 0, got t={t}, "
+                             f"dt={dt}")
     if n_paths < 1:
         raise ParameterError(f"n_paths must be positive, got {n_paths}")
     n = potential.n

@@ -6,13 +6,17 @@ Crank-Nicolson time stepping of u_t = Lu on a 1-D grid with reflecting ends,
 and Euler-Maruyama Monte Carlo.
 
 - `apply(func, t, xs) -> (values, stderr)` evaluates P_t of a plain
-  function of position, vectorized over leading axes: (..., n) -> (...).
+  function of position, vectorized over leading axes: (..., n) ->
+  (..., *cols).  Trailing columns pass through, so one evolution serves
+  them all, and each column is bitwise what a call with that column alone
+  returns.
 - `value_grad(f, t, xs) -> (values, stderr, grads)` evaluates P_t f and
   grad P_t f of a `TestFunction` from one evolution of f.
 
 Both read points through `as_points`, so xs is anything it accepts, and
-both always return arrays: values and stderr of shape (k,), grads of shape
-(k, n).  stderr is exactly 0 for the deterministic engines.
+both always return arrays: values and stderr of shape (k, *cols), which is
+(k,) for a function without columns, and grads of shape (k, n).  stderr is
+exactly 0 for the deterministic engines.
 
 Gamma(f, g) = grad f . grad g and
 Gamma2(f) = ||Hess f||_HS^2 + grad f . Hess V grad f.  The gradient of
@@ -159,6 +163,7 @@ def _gh_nodes(order: int, n: int):
 def mehler_apply(f, t: float, x, order: int = 64, n: int | None = None):
     """P_t f(x) for the gaussian potential by Gauss-Hermite quadrature.
 
+    f maps (..., n) to (..., *cols); the result has shape (k, *cols).
     Exact (up to rounding) for polynomials of per-coordinate degree
     < 2 order - 1.
     """
@@ -173,7 +178,13 @@ def mehler_apply(f, t: float, x, order: int = 64, n: int | None = None):
     decay = math.exp(-t)
     spread = math.sqrt(max(0.0, 1.0 - decay * decay))
     z = decay * xs[:, None, :] + spread * Y[None, :, :]
-    return f(z) @ W
+    v = np.asarray(f(z))
+    cols = v.reshape(len(xs), len(W), -1)
+    # each column contracts from its own contiguous (k, G) array, so its
+    # value does not depend on the other columns
+    out = np.stack([np.ascontiguousarray(c) @ W
+                    for c in np.moveaxis(cols, -1, 0)], axis=-1)
+    return out.reshape(v.shape[:1] + v.shape[2:])
 
 
 @dataclass(frozen=True)
@@ -195,16 +206,16 @@ class MehlerEngine:
 
     def apply(self, func, t: float, x):
         vals = mehler_apply(func, t, x, self.order, self.potential.n)
-        return vals, np.zeros(len(vals))
+        return vals, np.zeros(vals.shape)
 
     def value_grad(self, f: TestFunction, t: float, x):
-        n = self.potential.n
-        xs = as_points(x, n)
-        vals, err = self.apply(f, t, xs)
+        def columns(z):
+            return np.concatenate([f.value(z)[..., None], f.gradient(z)],
+                                  axis=-1)
+
+        out, err = self.apply(columns, t, x)
         # exact commutation: grad P_t f = e^-t P_t grad f
-        comps = [mehler_apply(lambda z, i=i: f.gradient(z)[..., i], t, xs,
-                              self.order, n) for i in range(n)]
-        return vals, err, math.exp(-t) * np.stack(comps, axis=-1)
+        return out[:, 0], err[:, 0], math.exp(-t) * out[:, 1:]
 
     def describe(self) -> dict:
         return {"kind": self.kind, "potential": self.potential.label,
@@ -261,17 +272,15 @@ class TridiagonalGenerator:
     upper: np.ndarray  # coefficient of u_{i+1} in row i (entry m-1 unused)
 
     def apply(self, values: np.ndarray) -> np.ndarray:
+        """L applied to node values (m,) or to columns of them (m, ...)."""
         v = np.asarray(values, dtype=float)
-        out = self.diag * v
-        out[1:] += self.lower[1:] * v[:-1]
-        out[:-1] += self.upper[:-1] * v[1:]
+        shape = (self.m,) + (1,) * (v.ndim - 1)
+        lower, diag, upper = (c.reshape(shape)
+                              for c in (self.lower, self.diag, self.upper))
+        out = diag * v
+        out[1:] += lower[1:] * v[:-1]
+        out[:-1] += upper[:-1] * v[1:]
         return out
-
-    def row_sums(self) -> np.ndarray:
-        s = self.diag.copy()
-        s[1:] += self.lower[1:]
-        s[:-1] += self.upper[:-1]
-        return s
 
 
 def grid_generator(potential: Potential, lo: float, hi: float, m: int) -> TridiagonalGenerator:
@@ -303,11 +312,13 @@ def _cn_banded(gen: TridiagonalGenerator, dt: float) -> np.ndarray:
 
 
 def grid_apply(gen: TridiagonalGenerator, f: GridFunction, t: float, dt: float) -> GridFunction:
-    """Crank-Nicolson evolution of u_t = Lu from f over [0, t]."""
+    """Crank-Nicolson evolution of u_t = Lu from f over [0, t]; columns of
+    f's values march together."""
     if f.m != gen.m or f.lo != gen.lo or f.hi != gen.hi:
         raise ParameterError("grid function does not match the generator's grid")
-    if t < 0.0:
-        raise ParameterError(f"time must be >= 0, got {t}")
+    if not (0.0 <= t < math.inf and math.isfinite(dt)):
+        raise ParameterError(f"need a finite time t >= 0 and a finite dt, "
+                             f"got t={t}, dt={dt}")
     if t == 0.0:
         return GridFunction(f.lo, f.hi, f.values.copy())
     if not 0.0 < dt <= t:
@@ -346,7 +357,7 @@ class GridEngine:
 
     def _evolved(self, func, t: float) -> GridFunction:
         start = GridFunction.sample(func, self.lo, self.hi, self.m)
-        return grid_apply(self.generator, start, t, min(self.dt, t) if t > 0 else self.dt)
+        return grid_apply(self.generator, start, t, min(self.dt, t))
 
     def _points(self, x) -> np.ndarray:
         # np.interp would clamp a point outside the window to the end value
@@ -359,9 +370,15 @@ class GridEngine:
     def apply(self, func, t: float, x):
         xs = self._points(x)
         if t == 0.0:
-            return func(xs), np.zeros(len(xs))
-        u = self._evolved(func, t)
-        return np.interp(xs[:, 0], u.nodes, u.values), np.zeros(len(xs))
+            vals = func(xs)
+        else:
+            u = self._evolved(func, t)
+            cols = u.values.reshape(u.m, -1)
+            # np.interp takes one column at a time
+            vals = np.stack([np.interp(xs[:, 0], u.nodes, c)
+                             for c in cols.T], axis=-1)
+            vals = vals.reshape(len(xs), *u.values.shape[1:])
+        return vals, np.zeros(np.shape(vals))
 
     def value_grad(self, f: TestFunction, t: float, x):
         xs = self._points(x)
@@ -397,9 +414,12 @@ class MonteCarloEngine:
     def apply(self, func, t: float, x):
         xs = as_points(x, self.potential.n)
         if t == 0.0:
-            return func(xs), np.zeros(len(xs))
+            vals = func(xs)
+            return vals, np.zeros(np.shape(vals))
         v = func(simulate(self.potential, xs, t, self.dt, self.n_paths,
                           self.seed, functionals={}).positions)
+        # (k, *cols, n_paths): each column reduces along a contiguous path axis
+        v = np.ascontiguousarray(np.moveaxis(v, 1, -1))
         return v.mean(axis=-1), v.std(axis=-1, ddof=1) / math.sqrt(self.n_paths)
 
     def value_grad(self, f: TestFunction, t: float, x):

@@ -80,8 +80,8 @@ class Schedule:
         object.__setattr__(self, "xs", np.atleast_1d(np.asarray(self.xs, dtype=float)))
         if not self.ts or not self.alphas or self.xs.size == 0:
             raise ParameterError("schedule must not be empty")
-        if any(t < 0.0 for t in self.ts) or any(a < 0.0 for a in self.alphas):
-            raise ParameterError("schedule needs t >= 0 and alpha >= 0")
+        if not all(0.0 <= v < math.inf for v in self.ts + self.alphas):
+            raise ParameterError("schedule needs finite t >= 0 and alpha >= 0")
         if self.s_count < 2:
             raise ParameterError("monotonicity grid needs at least 2 points")
 
@@ -155,13 +155,14 @@ class InequalityReport:
         return buf.getvalue()
 
 
-def _composite(mf: MFunction, f: TestFunction, factor: float):
-    # z -> M(f(z), factor * Gamma(f)(z)) as a plain position function
+def _composite(mf: MFunction, f: TestFunction, factors: np.ndarray):
+    # z -> M(f(z), factor * Gamma(f)(z)) with one trailing column per factor;
+    # f and Gamma(f) are evaluated once for all of them
     def func(z):
         z = np.asarray(z, dtype=float)
-        vals = f.value(z)
-        gam = np.sum(np.square(f.gradient(z)), axis=-1)
-        return mf.value(vals, np.maximum(factor * gam, 0.0))
+        vals = f.value(z)[..., None]
+        gam = np.sum(np.square(f.gradient(z)), axis=-1)[..., None]
+        return mf.value(vals, np.maximum(gam * factors, 0.0))
 
     return func
 
@@ -174,32 +175,36 @@ def verify_local(mf: MFunction, engine, f: TestFunction, schedule: Schedule,
     reverse: M(P_t f, h_alpha(0) Gamma(P_t f)) <= P_t M(f, alpha Gamma(f))
     """
     xs = as_points(schedule.xs, engine.potential.n)
+    alphas = np.array(schedule.alphas)
     records = []
     for t in schedule.ts:
         u, se_u, grad = engine.value_grad(f, t, xs)
-        gam_pt = np.sum(np.square(grad), axis=-1)
-        noisy = se_u > 0.0
-        for alpha in schedule.alphas:
-            if mf.reverse:
-                lhs_factor = h_alpha(0.0, t, alpha, rho)
-                rhs_factor = alpha
-            else:
-                lhs_factor = alpha
-                rhs_factor = g_alpha(t, alpha, rho)
-            y = np.maximum(lhs_factor * gam_pt, 0.0)
-            mf.check_domain(u, y)
-            lhs = mf.value(u, y)
-            rhs, se = engine.apply(_composite(mf, f, rhs_factor), t, xs)
-            if np.any(noisy):
-                # Monte Carlo left sides are noisy through P_t f; propagate
-                # that part where it is nonzero, so |m_x| * 0 never forms
-                se[noisy] += np.abs(mf.m_x(
-                    u[noisy], np.maximum(y[noisy], 1e-12))) * se_u[noisy]
+        # one column per alpha: (k, A) left sides, one apply for the right
+        u, se_u = u[:, None], se_u[:, None]
+        gam_pt = np.sum(np.square(grad), axis=-1)[:, None]
+        noisy = se_u[:, 0] > 0.0
+        if mf.reverse:
+            lhs_factors = np.array([h_alpha(0.0, t, a, rho) for a in alphas])
+            rhs_factors = alphas
+        else:
+            lhs_factors = alphas
+            rhs_factors = np.array([g_alpha(t, a, rho) for a in alphas])
+        y = np.maximum(gam_pt * lhs_factors, 0.0)
+        mf.check_domain(u, y)
+        lhs = mf.value(u, y)
+        rhs, se = engine.apply(_composite(mf, f, rhs_factors), t, xs)
+        if np.any(noisy):
+            # Monte Carlo left sides are noisy through P_t f; propagate
+            # that part where it is nonzero, so |m_x| * 0 never forms
+            se[noisy] += np.abs(mf.m_x(
+                u[noisy], np.maximum(y[noisy], 1e-12))) * se_u[noisy]
+        for j, alpha in enumerate(schedule.alphas):
             for i in range(len(xs)):
                 records.append(Record(
                     x=tuple(float(v) for v in xs[i]), t=t, alpha=alpha,
-                    lhs=float(lhs[i]), rhs=float(rhs[i]),
-                    margin=float(rhs[i] - lhs[i]), stderr=float(se[i])))
+                    lhs=float(lhs[i, j]), rhs=float(rhs[i, j]),
+                    margin=float(rhs[i, j] - lhs[i, j]),
+                    stderr=float(se[i, j])))
     kind = "reverse" if mf.reverse else "local"
     return InequalityReport(
         label=f"{kind}[{mf.label}|{f.label}|{engine.kind}|rho={rho:g}]",

@@ -557,3 +557,31 @@ def test_integrated_limit_outside_the_mfunction_domain_exits_2(capsys):
     assert main(["integrated", "--check", "limit", "--mfunction",
                  "log-sobolev", "--function", "sine"]) == 2
     assert "log-sobolev needs x in (0, inf)" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--engine", "monte-carlo", "--n-paths", "100", "--ts", "nan",
+     "--mfunction", "poincare", "--function", "sine"],
+    ["verify", "--ts", "inf", "--mfunction", "poincare", "--function",
+     "sine"],
+    ["verify", "--alphas", "0,inf", "--mfunction", "poincare", "--function",
+     "sine"],
+    ["feynman-kac", "--check", "supermartingale", "--paths", "100",
+     "--ts", "nan"],
+    ["feynman-kac", "--check", "supermartingale", "--paths", "100",
+     "--ts", "inf"],
+    ["feynman-kac", "--check", "gradient", "--paths", "100", "--engine",
+     "grid", "--m", "101", "--ts", "inf"],
+])
+def test_non_finite_times_exit_2(capsys, argv):
+    assert main(argv) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", [["--rho", "0.3"], ["--n-paths", "7"]])
+def test_feynman_kac_refuses_flags_it_never_reads(capsys, flag):
+    with pytest.raises(SystemExit) as exc:
+        main(["feynman-kac", "--check", "supermartingale", "--paths", "100",
+              *flag])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err

@@ -247,13 +247,28 @@ def test_mehler_engine_gradient_exact():
     assert eng.value_grad(f, t, x)[2][0] == pytest.approx(want, abs=1e-10)
 
 
+def test_mehler_value_grad_is_one_quadrature_of_the_old_formula():
+    # the columns [f, f'] of one quadrature are bitwise P_t f and
+    # e^-t P_t f' from a quadrature each
+    eng = MehlerEngine(GAUSS)
+    f = suite.get("sine")
+    x = np.linspace(-3.0, 3.0, 7)
+    for t in (0.0, 0.7):
+        v, err, g = eng.value_grad(f, t, x)
+        np.testing.assert_array_equal(v, mehler_apply(f, t, x, eng.order, 1))
+        comp = mehler_apply(lambda z: f.gradient(z)[..., 0], t, x,
+                            eng.order, 1)
+        np.testing.assert_array_equal(g[:, 0], math.exp(-t) * comp)
+        assert np.all(err == 0.0)
+
+
 # ---------------------------------------------------------------------------
 # grid engine
 # ---------------------------------------------------------------------------
 
 def test_grid_generator_rows():
     gen = grid_generator(GAUSS, -8.0, 8.0, 801)
-    np.testing.assert_allclose(gen.row_sums(), 0.0, atol=1e-9)
+    np.testing.assert_allclose(gen.apply(np.ones(801)), 0.0, atol=1e-9)
     nodes = np.linspace(-8, 8, 801)
     # L x = -x away from the ends, L x^2 = 2 - 2 x^2 to O(h^2)
     lx = gen.apply(nodes)
@@ -476,6 +491,25 @@ def test_value_grad_values_match_apply():
             np.testing.assert_array_equal(verr, err)
             if eng.kind != "monte-carlo" or t == 0.0:
                 assert np.all(verr == 0.0)
+
+
+def test_apply_passes_trailing_columns_through():
+    # a 3-column function evolves once, and each column is bitwise what a
+    # call with that column alone returns
+    parts = [suite.get(name) for name in ("sine", "quadratic", "cos-mix")]
+
+    def columns(z):
+        return np.stack([f.value(z) for f in parts], axis=-1)
+
+    x = np.linspace(-2.0, 2.0, 5)
+    for eng in _three_engines():
+        for t in (0.0, 0.4):
+            vals, err = eng.apply(columns, t, x)
+            assert vals.shape == err.shape == (5, 3)
+            for j, f in enumerate(parts):
+                v, e = eng.apply(f, t, x)
+                np.testing.assert_array_equal(vals[:, j], v)
+                np.testing.assert_array_equal(err[:, j], e)
 
 
 def test_grid_engine_rejects_points_outside_window():
