@@ -12,8 +12,9 @@ pass rule:
   Lg/g <= p rho - beta holds everywhere; that precondition is re-checked on
   the standard scan grid, never assumed.
 
-Path integrals use left-endpoint Riemann sums, matching the weak order of
-the Euler scheme that produces the paths.  The left sides of the gradient
+Each check runs one path set over all its points and times.  Path
+integrals use left-endpoint Riemann sums, matching the weak order of the
+Euler scheme that produces the paths.  The left sides of the gradient
 and commutation checks come from a deterministic engine's `value_grad`,
 never from paths that share the right side's random numbers.
 """
@@ -27,7 +28,7 @@ import numpy as np
 
 from .errors import CertificationError, ParameterError
 from .potentials import LyapunovCertificate, Potential, scan_certificate
-from .sde import simulate
+from .sde import _times, simulate
 from .semigroup import TestFunction, as_points
 from .verify import InequalityReport, Record
 
@@ -39,7 +40,7 @@ __all__ = [
 
 
 def _mean_se(values: np.ndarray) -> tuple:
-    # along the path axis, the last one: floats for one start, else lists
+    # along the path axis, the last one, as (nested) lists
     se = np.std(values, axis=-1, ddof=1) / math.sqrt(values.shape[-1])
     return np.mean(values, axis=-1).tolist(), se.tolist()
 
@@ -80,16 +81,15 @@ def supermartingale_check(potential: Potential, g, x0,
         raise ParameterError(f"the supermartingale check starts from one "
                              f"point, got {len(pts)}")
     x0 = pts[0]
-    records = []
-    for t in ts:
-        batch = simulate(potential, x0, float(t), dt=dt, n_paths=n_paths,
-                         seed=seed, functionals={"w": rate})
-        y = np.asarray(g_value(batch.positions)) * np.exp(-batch.integrals["w"])
-        lhs, se = _mean_se(y)
-        rhs = float(np.asarray(g_value(x0[None, :]))[0])
-        records.append(Record(x=tuple(float(v) for v in x0), t=float(t),
-                              alpha=None, lhs=lhs, rhs=rhs,
-                              margin=rhs - lhs, stderr=se))
+    ts = _times(ts)
+    batch = simulate(potential, x0, ts, dt=dt, n_paths=n_paths, seed=seed,
+                     functionals={"w": rate})
+    y = np.asarray(g_value(batch.positions)) * np.exp(-batch.integrals["w"])
+    lhs_at, se_at = _mean_se(y)
+    rhs = float(np.asarray(g_value(x0[None, :]))[0])
+    records = [Record(x=tuple(float(v) for v in x0), t=float(t), alpha=None,
+                      lhs=lhs, rhs=rhs, margin=rhs - lhs, stderr=se)
+               for t, lhs, se in zip(ts, lhs_at, se_at)]
     return InequalityReport(
         label=f"supermartingale[{g_label}|{potential.label}]",
         records=tuple(records), tolerance=0.0)
@@ -102,19 +102,20 @@ def gradient_bound(potential: Potential, f: TestFunction, xs, ts: Sequence,
     _check_paths(n_paths)
     _check_lhs_engine(lhs_engine)
     pts = as_points(xs, potential.n)
-    records = []
-    for t in ts:
-        lhs_at = np.linalg.norm(lhs_engine.value_grad(f, float(t), pts)[2],
-                                axis=-1)
-        batch = simulate(potential, pts, float(t), dt=dt, n_paths=n_paths,
-                         seed=seed, functionals={"rho": potential.curvature_at})
-        w = np.linalg.norm(f.gradient(batch.positions), axis=-1) \
-            * np.exp(-batch.integrals["rho"])
-        rhs_at, se_at = _mean_se(w)
-        for x, lhs, rhs, se in zip(pts, lhs_at.tolist(), rhs_at, se_at):
-            records.append(Record(x=tuple(float(v) for v in x), t=float(t),
-                                  alpha=None, lhs=lhs, rhs=rhs,
-                                  margin=rhs - lhs, stderr=se))
+    ts = _times(ts)
+    # (T, k) left sides from one evolution, (T, k, n_paths) weights from one
+    # path set
+    lhs_at = np.linalg.norm(lhs_engine.value_grad(f, ts, pts)[2], axis=-1)
+    batch = simulate(potential, pts, ts, dt=dt, n_paths=n_paths, seed=seed,
+                     functionals={"rho": potential.curvature_at})
+    w = np.linalg.norm(f.gradient(batch.positions), axis=-1) \
+        * np.exp(-batch.integrals["rho"])
+    rhs_at, se_at = _mean_se(w)
+    records = [Record(x=tuple(float(v) for v in x), t=float(t), alpha=None,
+                      lhs=lhs, rhs=rhs, margin=rhs - lhs, stderr=se)
+               for t, lhs_t, rhs_t, se_t in zip(ts, lhs_at.tolist(), rhs_at,
+                                                se_at)
+               for x, lhs, rhs, se in zip(pts, lhs_t, rhs_t, se_t)]
     return InequalityReport(
         label=f"gradient-bound[{f.label}|{potential.label}|{lhs_engine.kind}]",
         records=tuple(records),
@@ -142,18 +143,17 @@ def commutation_check(potential: Potential, cert: LyapunovCertificate,
     p = cert.p
     q = p / (p - 1.0)
     pts = as_points(xs, potential.n)
+    ts = _times(ts)
+    grad_at = np.linalg.norm(lhs_engine.value_grad(f, ts, pts)[2], axis=-1)
+    # the bound needs only the endpoints: no path integral
+    batch = simulate(potential, pts, ts, dt=dt, n_paths=n_paths, seed=seed,
+                     functionals={})
+    wq = np.linalg.norm(f.gradient(batch.positions), axis=-1) ** q
+    m_at, se_at = _mean_se(wq)
+    g_at = np.asarray(cert.g_value(pts)).tolist()
     records = []
-    for t in ts:
-        grad_at = np.linalg.norm(lhs_engine.value_grad(f, float(t), pts)[2],
-                                 axis=-1)
-        # the bound needs only the endpoints: no path integral
-        batch = simulate(potential, pts, float(t), dt=dt, n_paths=n_paths,
-                         seed=seed, functionals={})
-        wq = np.linalg.norm(f.gradient(batch.positions), axis=-1) ** q
-        m_at, se_at = _mean_se(wq)
-        g_at = np.asarray(cert.g_value(pts)).tolist()
-        for x, grad, m, se_m, gx in zip(pts, grad_at.tolist(), m_at, se_at,
-                                        g_at):
+    for t, grad_t, m_t, se_t in zip(ts, grad_at.tolist(), m_at, se_at):
+        for x, grad, m, se_m, gx in zip(pts, grad_t, m_t, se_t, g_at):
             scale = math.exp(-cert.beta * float(t)) * gx
             rhs = scale * m ** (p - 1.0)
             se = scale * (p - 1.0) * m ** (p - 2.0) * se_m if m > 0.0 else 0.0

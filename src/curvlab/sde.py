@@ -2,6 +2,7 @@
 
 Sampling is blocked and seeded per block, so results are bit-identical for a
 given seed no matter how many worker threads run (set CURVLAB_THREADS).
+One path set serves several start points and several checkpoint times.
 Functional accumulators integrate phi(X_s) ds along each path with the
 left-endpoint rule, matching the order of the Euler step itself.
 """
@@ -28,25 +29,37 @@ EXPLOSION_TOLERANCE = 1e-4
 
 @dataclass
 class PathBatch:
-    """Terminal positions and path integrals; k starts add a leading axis."""
+    """Positions and path integrals at time t.  A sequence of times adds a
+    leading time axis, and k starts a start axis after it."""
 
-    positions: np.ndarray          # ([k,] n_paths, n)
-    integrals: dict                # name -> ([k,] n_paths) of int_0^t phi(X_s) ds
-    t: float
+    positions: np.ndarray          # ([T,] [k,] n_paths, n)
+    integrals: dict                # name -> ([T,] [k,] n_paths) of int_0^t phi(X_s) ds
+    t: float                       # or the sequence of times, as given
     dt: float
-    n_steps: int
+    n_steps: int                   # steps to the latest time
     seed: int
     exploded: np.ndarray = field(default=None)  # bool mask, frozen paths
 
     @property
     def n_paths(self) -> int:
         """Paths over all start points."""
-        return self.positions.size // self.positions.shape[-1]
+        return math.prod(self.positions.shape[np.ndim(self.t):-1])
 
     @property
     def exploded_fraction(self) -> float:
-        """The exploded fraction of the worst start point."""
+        """The exploded fraction of the worst start point at any time."""
         return float(np.max(np.mean(self.exploded, axis=-1)))
+
+
+def _times(t) -> np.ndarray:
+    """t, one time or a sequence of times, as a 1-D float array; each time
+    must be finite and >= 0, and a sequence must not be empty."""
+    ts = np.asarray(t, dtype=float)
+    if ts.ndim > 1 or ts.size == 0 \
+            or not np.all((0.0 <= ts) & (ts < math.inf)):
+        raise ParameterError(f"need one finite time t >= 0 or a non-empty "
+                             f"sequence of them, got t={t}")
+    return ts.reshape(-1)
 
 
 def _step_plan(t: float, dt: float):
@@ -58,22 +71,26 @@ def _step_plan(t: float, dt: float):
     return n_full, rem
 
 
-def _run_block(potential: Potential, x0_block: np.ndarray, t: float, dt: float,
-               rng: np.random.Generator,
+def _run_block(potential: Potential, x0_block: np.ndarray, plans: list,
+               dt: float, rng: np.random.Generator,
                functionals: Mapping[str, Callable[[np.ndarray], np.ndarray]]):
+    """Yield (j, positions, integrals, exploded) of one block at each
+    checkpoint j, whose step plan is plans[j], in time order."""
     # x0_block is (k, block, n): one (block, n) draw per step drives every start
     x = x0_block.copy()
-    n_full, rem = _step_plan(t, dt)
     acc = {name: np.zeros(x.shape[:-1]) for name in functionals}
     alive = np.ones(x.shape[:-1], dtype=bool)
 
-    def advance(h):
-        nonlocal x
-        for name, phi in functionals.items():
-            v = phi(x)
+    def draw():
+        # what a step from x needs; a partial step shares it with the next
+        # full step, as a run straight to the partial step's time draws it
+        return ({name: phi(x) for name, phi in functionals.items()},
+                rng.standard_normal(x.shape[1:]), potential.gradient(x))
+
+    def advance(x, acc, alive, h, values, noise, drift):
+        for name, v in values.items():
             acc[name][alive] += h * v[alive]
-        noise = rng.standard_normal(x.shape[1:])
-        x_new = x + np.sqrt(2.0 * h) * noise - potential.gradient(x) * h
+        x_new = x + np.sqrt(2.0 * h) * noise - drift * h
         # frozen paths keep their last finite position
         x = np.where(alive[..., None], x_new, x)
         r = np.linalg.norm(x, axis=-1)
@@ -81,57 +98,78 @@ def _run_block(potential: Potential, x0_block: np.ndarray, t: float, dt: float,
         if np.any(blow):
             x[blow] = x0_block[blow]
             alive[blow] = False
+        return x
 
-    for _ in range(n_full):
-        advance(dt)
-    if rem > 0.0:
-        advance(rem)
-    return x, acc, ~alive
+    done, pending = 0, None
+    for j in sorted(range(len(plans)), key=plans.__getitem__):
+        n_full, rem = plans[j]
+        for _ in range(done, n_full):
+            x = advance(x, acc, alive, dt, *(pending or draw()))
+            pending = None
+        done = n_full
+        if rem > 0.0:
+            # the partial step runs on a copy; the march goes on from x
+            pending = pending or draw()
+            part_acc = {name: a.copy() for name, a in acc.items()}
+            part_alive = alive.copy()
+            yield j, advance(x, part_acc, part_alive, rem, *pending), \
+                part_acc, ~part_alive
+        else:
+            yield j, x, acc, ~alive
 
 
-def simulate(potential: Potential, x0, t: float, dt: float = 1e-3,
+def simulate(potential: Potential, x0, t, dt: float = 1e-3,
              n_paths: int = 8192, seed: int = 0,
              functionals: Optional[Mapping[str, Callable]] = None) -> PathBatch:
-    """Run n_paths Euler-Maruyama paths from x0, one point (n,) or k start
-    points (k, n) that all see the same noise: each start's slice is bitwise
-    equal to a run from that point alone.
+    """Run n_paths Euler-Maruyama paths from x0 to each time of t.
+
+    x0 is one point (n,) or k start points (k, n) that all see the same
+    noise.  t is one time or a sequence of times in any order, repeats
+    allowed; a sequence adds a leading time axis, in the given order.  One
+    path set serves every time: each time keeps the step plan of a run
+    straight to it, so each (time, start) slice is bitwise equal to a run
+    from that start alone to that time alone.
 
     By default the curvature integral int_0^t rho(X_s) ds is accumulated
     under the name "rho".  Raises SimulationError if, from any start, more
     than a 1e-4 fraction of paths leaves |x| = 1e8 or turns non-finite.
     """
-    if not (0.0 <= t < math.inf and 0.0 < dt < math.inf):
-        raise ParameterError(f"need finite t >= 0 and dt > 0, got t={t}, "
-                             f"dt={dt}")
+    ts = _times(t)
+    if not 0.0 < dt < math.inf:
+        raise ParameterError(f"need a finite dt > 0, got dt={dt}")
     if n_paths < 1:
         raise ParameterError(f"n_paths must be positive, got {n_paths}")
     n = potential.n
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (n,) and (x0.ndim != 2 or x0.shape[1] != n or len(x0) == 0):
         raise ParameterError(f"x0 shape {x0.shape}: need ({n},) or (k, {n})")
-    shape = x0.shape[:-1] + (n_paths,)  # no start axis for a single point
-    x0 = np.broadcast_to(x0.reshape(-1, 1, n), (x0.size // n, n_paths, n))
+    # no time axis for one time, no start axis for a single point
+    shape = np.shape(t) + x0.shape[:-1] + (n_paths,)
+    k = x0.size // n
+    x0 = np.broadcast_to(x0.reshape(-1, 1, n), (k, n_paths, n))
     if functionals is None:
         functionals = {"rho": potential.curvature_at}
+    plans = [_step_plan(float(s), dt) for s in ts]
 
     n_blocks = (n_paths + BLOCK_SIZE - 1) // BLOCK_SIZE
     children = np.random.SeedSequence(seed).spawn(n_blocks)
     slices = [slice(i * BLOCK_SIZE, min((i + 1) * BLOCK_SIZE, n_paths))
               for i in range(n_blocks)]
 
-    positions = np.empty(shape + (n,))
-    exploded = np.empty(shape, dtype=bool)
-    integrals = {name: np.empty(shape) for name in functionals}
+    full = (len(ts), k, n_paths)
+    positions = np.empty(full + (n,))
+    exploded = np.empty(full, dtype=bool)
+    integrals = {name: np.empty(full) for name in functionals}
 
     def work(i):
-        # each block fills its own slice, so no second copy of the paths lives
+        # each block fills its own slices, so no second copy of the paths lives
         sl, rng = slices[i], np.random.default_rng(children[i])
-        xb, accb, deadb = _run_block(potential, x0[:, sl], t, dt, rng,
-                                     functionals)
-        positions[..., sl, :] = xb
-        exploded[..., sl] = deadb
-        for name in functionals:
-            integrals[name][..., sl] = accb[name]
+        for j, xb, accb, deadb in _run_block(potential, x0[:, sl], plans, dt,
+                                             rng, functionals):
+            positions[j, :, sl] = xb
+            exploded[j, :, sl] = deadb
+            for name in functionals:
+                integrals[name][j, :, sl] = accb[name]
 
     n_threads = int(os.environ.get("CURVLAB_THREADS", "1"))
     if n_threads > 1 and n_blocks > 1:
@@ -141,8 +179,10 @@ def simulate(potential: Potential, x0, t: float, dt: float = 1e-3,
         for i in range(n_blocks):
             work(i)
 
-    n_full, rem = _step_plan(t, dt)
-    batch = PathBatch(positions, integrals, t, dt, n_full + (rem > 0.0), seed, exploded)
+    batch = PathBatch(positions.reshape(shape + (n,)),
+                      {name: v.reshape(shape) for name, v in integrals.items()},
+                      t, dt, max(m + (rem > 0.0) for m, rem in plans), seed,
+                      exploded.reshape(shape))
     if batch.exploded_fraction > EXPLOSION_TOLERANCE:
         raise SimulationError(
             f"{batch.exploded_fraction:.2e} of paths exploded "

@@ -18,6 +18,11 @@ both always return arrays: values and stderr of shape (k, *cols), which is
 (k,) for a function without columns, and grads of shape (k, n).  stderr is
 exactly 0 for the deterministic engines.
 
+t is one time or a sequence of times in any order, repeats allowed.  A
+sequence adds a leading time axis, in the given order, and every time comes
+from one evolution; each time's slice is bitwise what a call with that time
+alone returns.
+
 Gamma(f, g) = grad f . grad g and
 Gamma2(f) = ||Hess f||_HS^2 + grad f . Hess V grad f.  The gradient of
 Gamma(f) is 2 Hess f grad f, so Gamma(Gamma(f)) needs no third derivatives.
@@ -35,7 +40,7 @@ from scipy.linalg import solve_banded
 
 from .errors import DomainError, NumericalError, ParameterError
 from .potentials import Potential
-from .sde import _step_plan, simulate
+from .sde import _step_plan, _times, simulate
 
 __all__ = [
     "TestFunction",
@@ -108,6 +113,13 @@ def as_points(x, n: int) -> np.ndarray:
     return pts
 
 
+def _check_dimension(f: TestFunction, potential: Potential) -> None:
+    if f.n != potential.n:
+        raise ParameterError(f"{f.label} is a function on R^{f.n}, the "
+                             f"potential {potential.label} lives on "
+                             f"R^{potential.n}")
+
+
 def gamma(f: TestFunction, g: TestFunction, x) -> np.ndarray:
     """Gamma(f, g)(x) = grad f . grad g."""
     x = np.asarray(x, dtype=float)
@@ -160,31 +172,36 @@ def _gh_nodes(order: int, n: int):
     return Y, W
 
 
-def mehler_apply(f, t: float, x, order: int = 64, n: int | None = None):
+def _decay(t) -> np.ndarray:
+    """e^{-t} of each time of t, shaped like t."""
+    return np.reshape([math.exp(-s) for s in _times(t)], np.shape(t))
+
+
+def mehler_apply(f, t, x, order: int = 64, n: int | None = None):
     """P_t f(x) for the gaussian potential by Gauss-Hermite quadrature.
 
-    f maps (..., n) to (..., *cols); the result has shape (k, *cols).
-    Exact (up to rounding) for polynomials of per-coordinate degree
-    < 2 order - 1.
+    f maps (..., n) to (..., *cols); the result has shape ([T,] k, *cols),
+    with a time axis when t is a sequence of T times.  Exact (up to
+    rounding) for polynomials of per-coordinate degree < 2 order - 1.
     """
     if order < 2:
         raise ParameterError(f"quadrature order must be >= 2, got {order}")
-    if t < 0.0:
-        raise ParameterError(f"time must be >= 0, got {t}")
+    decay = _decay(t).reshape(-1, 1, 1, 1)
     if n is None:
         n = f.n if isinstance(f, TestFunction) else np.atleast_1d(np.asarray(x)).shape[-1]
     xs = as_points(x, n)
     Y, W = _gh_nodes(order, n)
-    decay = math.exp(-t)
-    spread = math.sqrt(max(0.0, 1.0 - decay * decay))
-    z = decay * xs[:, None, :] + spread * Y[None, :, :]
+    spread = np.sqrt(np.maximum(0.0, 1.0 - decay * decay))
+    z = decay * xs[:, None, :] + spread * Y  # (T, k, G, n)
     v = np.asarray(f(z))
-    cols = v.reshape(len(xs), len(W), -1)
-    # each column contracts from its own contiguous (k, G) array, so its
-    # value does not depend on the other columns
-    out = np.stack([np.ascontiguousarray(c) @ W
-                    for c in np.moveaxis(cols, -1, 0)], axis=-1)
-    return out.reshape(v.shape[:1] + v.shape[2:])
+    # each (time, column) contracts from its own contiguous (k, G) array,
+    # so its value depends on nothing else: BLAS may round a row of a
+    # taller matrix differently
+    cols = np.moveaxis(v.reshape(v.shape[:3] + (-1,)), -1, 1)  # (T, C, k, G)
+    out = np.array([[np.ascontiguousarray(c) @ W for c in at_t]
+                    for at_t in cols])
+    return np.moveaxis(out, 1, -1).reshape(np.shape(t) + v.shape[1:2]
+                                           + v.shape[3:])
 
 
 @dataclass(frozen=True)
@@ -204,18 +221,21 @@ class MehlerEngine:
         if self.order < 2:
             raise ParameterError("quadrature order must be >= 2")
 
-    def apply(self, func, t: float, x):
+    def apply(self, func, t, x):
         vals = mehler_apply(func, t, x, self.order, self.potential.n)
         return vals, np.zeros(vals.shape)
 
-    def value_grad(self, f: TestFunction, t: float, x):
+    def value_grad(self, f: TestFunction, t, x):
+        _check_dimension(f, self.potential)
+
         def columns(z):
             return np.concatenate([f.value(z)[..., None], f.gradient(z)],
                                   axis=-1)
 
         out, err = self.apply(columns, t, x)
         # exact commutation: grad P_t f = e^-t P_t grad f
-        return out[:, 0], err[:, 0], math.exp(-t) * out[:, 1:]
+        decay = _decay(t)[..., None, None]
+        return out[..., 0], err[..., 0], decay * out[..., 1:]
 
     def describe(self) -> dict:
         return {"kind": self.kind, "potential": self.potential.label,
@@ -311,30 +331,58 @@ def _cn_banded(gen: TridiagonalGenerator, dt: float) -> np.ndarray:
     return ab
 
 
-def grid_apply(gen: TridiagonalGenerator, f: GridFunction, t: float, dt: float) -> GridFunction:
-    """Crank-Nicolson evolution of u_t = Lu from f over [0, t]; columns of
-    f's values march together."""
+def grid_apply(gen: TridiagonalGenerator, f: GridFunction, t, dt: float):
+    """Crank-Nicolson evolution of u_t = Lu from f to each time of t, in
+    one march; columns of f's values march together.
+
+    Returns a GridFunction for one time and a tuple of them, in t's order,
+    for a sequence.  Each time keeps the step plan of a march straight to
+    it, taking its partial step on a copy, so its result is bitwise that of
+    a march to it alone.
+    """
     if f.m != gen.m or f.lo != gen.lo or f.hi != gen.hi:
         raise ParameterError("grid function does not match the generator's grid")
-    if not (0.0 <= t < math.inf and math.isfinite(dt)):
-        raise ParameterError(f"need a finite time t >= 0 and a finite dt, "
-                             f"got t={t}, dt={dt}")
-    if t == 0.0:
-        return GridFunction(f.lo, f.hi, f.values.copy())
-    if not 0.0 < dt <= t:
-        raise ParameterError(f"need 0 < dt <= t, got dt={dt}, t={t}")
-    n_full, rem = _step_plan(t, dt)
+    ts = _times(t)
+    if not 0.0 < dt < math.inf:
+        raise ParameterError(f"need a finite dt > 0, got dt={dt}")
+    plans = [_step_plan(float(s), dt) for s in ts]
     u = f.values.copy()
     ab = _cn_banded(gen, dt)
-    for _ in range(n_full):
-        rhs = u + 0.5 * dt * gen.apply(u)
-        u = solve_banded((1, 1), ab, rhs)
-    if rem > 0.0:
-        rhs = u + 0.5 * rem * gen.apply(u)
-        u = solve_banded((1, 1), _cn_banded(gen, rem), rhs)
-    if not np.all(np.isfinite(u)):
-        raise NumericalError("time stepping produced non-finite values")
-    return GridFunction(f.lo, f.hi, u)
+    out = [None] * len(ts)
+    done = 0
+    for j in sorted(range(len(ts)), key=plans.__getitem__):
+        n_full, rem = plans[j]
+        for _ in range(done, n_full):
+            rhs = u + 0.5 * dt * gen.apply(u)
+            u = solve_banded((1, 1), ab, rhs)
+        done = n_full
+        v = u
+        if rem > 0.0:
+            rhs = u + 0.5 * rem * gen.apply(u)
+            v = solve_banded((1, 1), _cn_banded(gen, rem), rhs)
+        if not np.all(np.isfinite(v)):
+            raise NumericalError("time stepping produced non-finite values")
+        out[j] = GridFunction(f.lo, f.hi, v)
+    return tuple(out) if np.ndim(t) else out[0]
+
+
+def _over_times(t, still, evolve):
+    """An engine's results at each time of t, in t's order, with a leading
+    time axis for a sequence: still() gives the results at t = 0, and
+    evolve(times) one row of results per positive time, from one
+    evolution."""
+    ts = _times(t)
+    moving = ts > 0.0
+    ran = iter(evolve(ts[moving]) if moving.any() else ())
+    rows = [next(ran) if m else still() for m in moving]
+    return tuple(np.stack(col).reshape(np.shape(t) + np.shape(col[0]))
+                 for col in zip(*rows))
+
+
+def _at_points(func, xs):
+    # the t = 0 rule of the grid and Monte Carlo engines' apply
+    vals = func(xs)
+    return vals, np.zeros(np.shape(vals))
 
 
 @dataclass(frozen=True)
@@ -355,9 +403,9 @@ class GridEngine:
     def generator(self) -> TridiagonalGenerator:
         return grid_generator(self.potential, self.lo, self.hi, self.m)
 
-    def _evolved(self, func, t: float) -> GridFunction:
+    def _evolved(self, func, ts) -> tuple:
         start = GridFunction.sample(func, self.lo, self.hi, self.m)
-        return grid_apply(self.generator, start, t, min(self.dt, t))
+        return grid_apply(self.generator, start, ts, self.dt)
 
     def _points(self, x) -> np.ndarray:
         # np.interp would clamp a point outside the window to the end value
@@ -367,27 +415,33 @@ class GridEngine:
                               f"[{self.lo:g}, {self.hi:g}]")
         return xs
 
-    def apply(self, func, t: float, x):
+    def apply(self, func, t, x):
         xs = self._points(x)
-        if t == 0.0:
-            vals = func(xs)
-        else:
-            u = self._evolved(func, t)
-            cols = u.values.reshape(u.m, -1)
-            # np.interp takes one column at a time
-            vals = np.stack([np.interp(xs[:, 0], u.nodes, c)
-                             for c in cols.T], axis=-1)
-            vals = vals.reshape(len(xs), *u.values.shape[1:])
-        return vals, np.zeros(np.shape(vals))
 
-    def value_grad(self, f: TestFunction, t: float, x):
+        def evolve(ts):
+            for u in self._evolved(func, ts):
+                cols = u.values.reshape(u.m, -1)
+                # np.interp takes one column at a time
+                vals = np.stack([np.interp(xs[:, 0], u.nodes, c)
+                                 for c in cols.T], axis=-1)
+                vals = vals.reshape(len(xs), *u.values.shape[1:])
+                yield vals, np.zeros(vals.shape)
+
+        return _over_times(t, lambda: _at_points(func, xs), evolve)
+
+    def value_grad(self, f: TestFunction, t, x):
+        _check_dimension(f, self.potential)
         xs = self._points(x)
-        if t == 0.0:
-            return f(xs), np.zeros(len(xs)), f.gradient(xs)
-        u = self._evolved(f, t)
-        du = np.gradient(u.values, u.h)
-        return (np.interp(xs[:, 0], u.nodes, u.values), np.zeros(len(xs)),
-                np.interp(xs[:, 0], u.nodes, du)[:, None])
+
+        def evolve(ts):
+            for u in self._evolved(f, ts):
+                du = np.gradient(u.values, u.h)
+                yield (np.interp(xs[:, 0], u.nodes, u.values),
+                       np.zeros(len(xs)),
+                       np.interp(xs[:, 0], u.nodes, du)[:, None])
+
+        return _over_times(
+            t, lambda: (f(xs), np.zeros(len(xs)), f.gradient(xs)), evolve)
 
     def describe(self) -> dict:
         return {"kind": self.kind, "potential": self.potential.label,
@@ -411,18 +465,22 @@ class MonteCarloEngine:
         if self.n_paths < 100:
             raise ParameterError(f"need at least 100 paths, got {self.n_paths}")
 
-    def apply(self, func, t: float, x):
+    def apply(self, func, t, x):
         xs = as_points(x, self.potential.n)
-        if t == 0.0:
-            vals = func(xs)
-            return vals, np.zeros(np.shape(vals))
-        v = func(simulate(self.potential, xs, t, self.dt, self.n_paths,
-                          self.seed, functionals={}).positions)
-        # (k, *cols, n_paths): each column reduces along a contiguous path axis
-        v = np.ascontiguousarray(np.moveaxis(v, 1, -1))
-        return v.mean(axis=-1), v.std(axis=-1, ddof=1) / math.sqrt(self.n_paths)
 
-    def value_grad(self, f: TestFunction, t: float, x):
+        def evolve(ts):
+            v = func(simulate(self.potential, xs, ts, self.dt, self.n_paths,
+                              self.seed, functionals={}).positions)
+            # (T, k, *cols, n_paths): each column reduces along a contiguous
+            # path axis
+            v = np.ascontiguousarray(np.moveaxis(v, 2, -1))
+            return zip(v.mean(axis=-1),
+                       v.std(axis=-1, ddof=1) / math.sqrt(self.n_paths))
+
+        return _over_times(t, lambda: _at_points(func, xs), evolve)
+
+    def value_grad(self, f: TestFunction, t, x):
+        _check_dimension(f, self.potential)
         xs = as_points(x, self.potential.n)
         k, n = xs.shape
         # common-random-number central differences: the shifted starts share
@@ -431,8 +489,10 @@ class MonteCarloEngine:
         e = np.eye(n)[:, None, :] * h  # (n, k, n): shift of dimension i
         starts = np.concatenate([xs[None], xs + e, xs - e]).reshape(-1, n)
         vals, errs = self.apply(f, t, starts)
-        up, dn = vals[k:].reshape(2, n, k)
-        return vals[:k], errs[:k], ((up - dn) / (2.0 * h.T)).T
+        up, dn = np.moveaxis(vals[..., k:].reshape(np.shape(t) + (2, n, k)),
+                             -3, 0)
+        return vals[..., :k], errs[..., :k], \
+            np.swapaxes((up - dn) / (2.0 * h.T), -1, -2)
 
     def describe(self) -> dict:
         return {"kind": self.kind, "potential": self.potential.label,

@@ -54,8 +54,9 @@ def _coef(p) -> np.ndarray:
     if isinstance(p, PolySeries):
         return p.coef
     c = np.atleast_1d(np.asarray(p, dtype=float))
-    if c.ndim != 1 or not np.all(np.isfinite(c)):
-        raise ParameterError("polynomial coefficients must be a finite 1-D array")
+    if c.ndim != 1 or c.size == 0 or not np.all(np.isfinite(c)):
+        raise ParameterError("polynomial coefficients must be a finite, "
+                             "non-empty 1-D array")
     return c
 
 

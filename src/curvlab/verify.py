@@ -177,8 +177,10 @@ def verify_local(mf: MFunction, engine, f: TestFunction, schedule: Schedule,
     xs = as_points(schedule.xs, engine.potential.n)
     alphas = np.array(schedule.alphas)
     records = []
-    for t in schedule.ts:
-        u, se_u, grad = engine.value_grad(f, t, xs)
+    # one evolution of f for every t; the right sides' composite changes
+    # with t, so each t applies its own
+    for t, u, se_u, grad in zip(schedule.ts,
+                                *engine.value_grad(f, schedule.ts, xs)):
         # one column per alpha: (k, A) left sides, one apply for the right
         u, se_u = u[:, None], se_u[:, None]
         gam_pt = np.sum(np.square(grad), axis=-1)[:, None]

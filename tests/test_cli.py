@@ -585,3 +585,28 @@ def test_feynman_kac_refuses_flags_it_never_reads(capsys, flag):
               *flag])
     assert exc.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--potential", "gaussian:n=2", "--xs", "0,1", "--mfunction",
+     "poincare", "--function", "sine"],
+    ["verify", "--potential", "gaussian:n=2", "--xs", "0,1", "--engine",
+     "monte-carlo", "--n-paths", "100", "--mfunction", "poincare",
+     "--function", "sine"],
+    ["feynman-kac", "--check", "gradient", "--potential", "gaussian:n=2",
+     "--xs", "0,1", "--paths", "200", "--ts", "0.1"],
+])
+def test_function_of_another_dimension_exits_2(capsys, argv):
+    # sine is a function on R, the potential lives on R^2
+    assert main(argv) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["feynman-kac", "--check", "supermartingale", "--ts", ","],
+    ["feynman-kac", "--check", "gradient", "--ts", ","],
+    ["houdre-kagan", "--coeffs", ","],
+])
+def test_empty_lists_exit_2(capsys, argv):
+    assert main(argv) == 2
+    assert "error:" in capsys.readouterr().err

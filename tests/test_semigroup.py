@@ -22,6 +22,7 @@ from curvlab.semigroup import (
     mehler_apply,
 )
 from curvlab import suite
+from curvlab.sde import BLOCK_SIZE, simulate
 
 GAUSS = make_example_potential("gaussian")
 SPH15 = make_example_potential("spherical", alpha=1.5)
@@ -316,8 +317,9 @@ def test_grid_apply_time_zero_and_errors():
     u0 = grid_apply(gen, f0, 0.0, 1e-3)
     np.testing.assert_array_equal(u0.values, f0.values)
     assert u0.values is not f0.values
-    with pytest.raises(ParameterError):
-        grid_apply(gen, f0, 0.5, 0.7)  # dt > t
+    # dt > t: the step plan's one partial step is a full step of size t
+    np.testing.assert_array_equal(grid_apply(gen, f0, 0.5, 0.7).values,
+                                  grid_apply(gen, f0, 0.5, 0.5).values)
     with pytest.raises(ParameterError):
         grid_apply(gen, f0, 0.5, 0.0)
     other = GridFunction.sample(suite.get("sine"), -8.0, 8.0, 401)
@@ -510,6 +512,74 @@ def test_apply_passes_trailing_columns_through():
                 v, e = eng.apply(f, t, x)
                 np.testing.assert_array_equal(vals[:, j], v)
                 np.testing.assert_array_equal(err[:, j], e)
+
+
+@pytest.mark.parametrize("threads", ["1", "4"])
+def test_time_sequences_match_single_times(monkeypatch, threads):
+    # 0, a time below dt and an off-grid time, unsorted and repeated: each
+    # time's slice is bitwise what a call with that time alone returns
+    monkeypatch.setenv("CURVLAB_THREADS", threads)
+    ts = (0.255, 0.0, 0.003, 1.0, 0.255, 0.1)
+    f = suite.get("sine")
+
+    def columns(z):
+        return np.stack([f.value(z), z[..., 0] ** 2], axis=-1)
+
+    x = np.linspace(-2.0, 2.0, 5)
+    for eng in _three_engines():
+        got = eng.apply(columns, ts, x) + eng.value_grad(f, ts, x)
+        assert [a.shape for a in got] == [(6, 5, 2), (6, 5, 2), (6, 5),
+                                          (6, 5), (6, 5, 1)]
+        for j, t in enumerate(ts):
+            one = eng.apply(columns, t, x) + eng.value_grad(f, t, x)
+            for a, b in zip(got, one):
+                np.testing.assert_array_equal(a[j], b)
+    gen = grid_generator(SPH15, -8.0, 8.0, 801)
+    f0 = GridFunction.sample(f, -8.0, 8.0, 801)
+    for u, t in zip(grid_apply(gen, f0, ts, 1e-2), ts):
+        np.testing.assert_array_equal(u.values,
+                                      grid_apply(gen, f0, t, 1e-2).values)
+    # several blocks of paths from two starts
+    starts = np.array([[-1.0], [0.5]])
+    n_paths = 2 * BLOCK_SIZE + 17
+    batch = simulate(SPH15, starts, ts, dt=1e-2, n_paths=n_paths, seed=3)
+    assert batch.positions.shape == (6, 2, n_paths, 1)
+    assert batch.n_paths == 2 * n_paths
+    assert batch.n_steps == 100
+    for j, t in enumerate(ts):
+        one = simulate(SPH15, starts, t, dt=1e-2, n_paths=n_paths, seed=3)
+        np.testing.assert_array_equal(batch.positions[j], one.positions)
+        np.testing.assert_array_equal(batch.integrals["rho"][j],
+                                      one.integrals["rho"])
+        np.testing.assert_array_equal(batch.exploded[j], one.exploded)
+
+
+def test_empty_time_sequence_is_rejected():
+    f = suite.get("sine")
+    x = np.array([0.0, 1.0])
+    gen = grid_generator(GAUSS, -8.0, 8.0, 801)
+    calls = [lambda: simulate(GAUSS, [0.0], (), dt=1e-2, n_paths=100),
+             lambda: grid_apply(gen, GridFunction.sample(f, -8.0, 8.0, 801),
+                                (), 1e-2)]
+    for eng in _three_engines():
+        calls += [lambda eng=eng: eng.apply(f, (), x),
+                  lambda eng=eng: eng.value_grad(f, [], x)]
+    for call in calls:
+        with pytest.raises(ParameterError):
+            call()
+
+
+def test_value_grad_rejects_a_function_of_another_dimension():
+    # sine is a function on R, x1 one on R^2
+    gauss2 = make_example_potential("gaussian", n=2)
+    x1 = TestFunction(2, lambda z: z[..., 0], np.ones_like,
+                      lambda z: np.zeros(z.shape + (2,)), "x1")
+    for eng, f, x in ((MehlerEngine(gauss2), suite.get("sine"), [0.0, 1.0]),
+                      (MonteCarloEngine(gauss2, n_paths=100),
+                       suite.get("sine"), [0.0, 1.0]),
+                      (GridEngine(GAUSS, m=101), x1, 0.0)):
+        with pytest.raises(ParameterError):
+            eng.value_grad(f, 0.5, x)
 
 
 def test_grid_engine_rejects_points_outside_window():

@@ -457,33 +457,35 @@ def _count_calls(monkeypatch, name):
 
 
 def test_mc_local_simulation_count(monkeypatch):
-    # 5 times t > 0: one run over the 7 points and their shifted starts for
-    # P_t f, its stderr and the central difference, and one run for the
-    # right sides of all alphas, which are columns of one function
+    # one checkpointed run over the 7 points and their shifted starts gives
+    # P_t f, its stderr and the central difference at every t; then at each
+    # of the 5 times t > 0 one run for the right sides of all alphas, which
+    # are columns of one function
     calls = _count_calls(monkeypatch, "simulate")
     eng = MonteCarloEngine(GAUSS, n_paths=100, dt=1e-2, seed=0)
     verify_local(catalog("poincare"), eng, get("sine"), default_schedule(),
                  rho=1.0)
-    assert len(calls) == 5 * (1 + 1)
+    assert len(calls) == 1 + 5
 
 
 def test_grid_local_march_count(monkeypatch):
-    # at each t > 0, one march for value and gradient and one march of the
-    # right sides of all alphas as columns
+    # one checkpointed march of f for value and gradient at every t, then at
+    # each of the 5 times t > 0 one march of the right sides of all alphas
+    # as columns
     calls = _count_calls(monkeypatch, "grid_apply")
     eng = GridEngine(make_double_well(), lo=-6.0, hi=6.0, m=2001, dt=1e-2)
     verify_local(catalog("y"), eng, get("linear"), default_schedule(),
                  rho=0.5)
-    assert len(calls) == 5 * (1 + 1)
+    assert len(calls) == 1 + 5
 
 
 def test_mehler_local_quadrature_count(monkeypatch):
-    # at each of the 6 times, t = 0 included: one quadrature over the
-    # columns [f, grad f] and one over the right sides of all alphas
+    # one quadrature over the columns [f, grad f] at all 6 times, then at
+    # each of them, t = 0 included, one over the right sides of all alphas
     calls = _count_calls(monkeypatch, "mehler_apply")
     verify_local(catalog("poincare"), MehlerEngine(GAUSS), get("sine"),
                  default_schedule(), rho=1.0)
-    assert len(calls) == 6 * (1 + 1)
+    assert len(calls) == 1 + 6
 
 
 def test_grid_monotone_march_count(monkeypatch):
