@@ -36,7 +36,7 @@ from functools import cached_property, lru_cache
 from typing import Callable, Union
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgttrf, dgttrs
 
 from .errors import DomainError, NumericalError, ParameterError
 from .potentials import Potential
@@ -322,13 +322,13 @@ def grid_generator(potential: Potential, lo: float, hi: float, m: int) -> Tridia
     return TridiagonalGenerator(lo, hi, m, h, lower, diag, upper)
 
 
-def _cn_banded(gen: TridiagonalGenerator, dt: float) -> np.ndarray:
-    # banded form of I - (dt/2) L for solve_banded
-    ab = np.zeros((3, gen.m))
-    ab[0, 1:] = -0.5 * dt * gen.upper[:-1]
-    ab[1, :] = 1.0 - 0.5 * dt * gen.diag
-    ab[2, :-1] = -0.5 * dt * gen.lower[1:]
-    return ab
+def _cn_factors(gen: TridiagonalGenerator, dt: float) -> list:
+    # LAPACK's LU factors of I - (dt/2) L, the left side of a CN step
+    *lu, info = dgttrf(-0.5 * dt * gen.lower[1:], 1.0 - 0.5 * dt * gen.diag,
+                       -0.5 * dt * gen.upper[:-1])
+    if info != 0:
+        raise NumericalError(f"I - (dt/2) L is singular at dt={dt}")
+    return lu
 
 
 def grid_apply(gen: TridiagonalGenerator, f: GridFunction, t, dt: float):
@@ -338,7 +338,7 @@ def grid_apply(gen: TridiagonalGenerator, f: GridFunction, t, dt: float):
     Returns a GridFunction for one time and a tuple of them, in t's order,
     for a sequence.  Each time keeps the step plan of a march straight to
     it, taking its partial step on a copy, so its result is bitwise that of
-    a march to it alone.
+    a march to it alone.  I - (dt/2) L is factored once per step size.
     """
     if f.m != gen.m or f.lo != gen.lo or f.hi != gen.hi:
         raise ParameterError("grid function does not match the generator's grid")
@@ -346,20 +346,22 @@ def grid_apply(gen: TridiagonalGenerator, f: GridFunction, t, dt: float):
     if not 0.0 < dt < math.inf:
         raise ParameterError(f"need a finite dt > 0, got dt={dt}")
     plans = [_step_plan(float(s), dt) for s in ts]
+    factors = {}
+
+    def step(u, h):
+        if h not in factors:
+            factors[h] = _cn_factors(gen, h)
+        return dgttrs(*factors[h], u + 0.5 * h * gen.apply(u))[0]
+
     u = f.values.copy()
-    ab = _cn_banded(gen, dt)
     out = [None] * len(ts)
     done = 0
     for j in sorted(range(len(ts)), key=plans.__getitem__):
         n_full, rem = plans[j]
         for _ in range(done, n_full):
-            rhs = u + 0.5 * dt * gen.apply(u)
-            u = solve_banded((1, 1), ab, rhs)
+            u = step(u, dt)
         done = n_full
-        v = u
-        if rem > 0.0:
-            rhs = u + 0.5 * rem * gen.apply(u)
-            v = solve_banded((1, 1), _cn_banded(gen, rem), rhs)
+        v = step(u, rem) if rem > 0.0 else u
         if not np.all(np.isfinite(v)):
             raise NumericalError("time stepping produced non-finite values")
         out[j] = GridFunction(f.lo, f.hi, v)
@@ -469,13 +471,13 @@ class MonteCarloEngine:
         xs = as_points(x, self.potential.n)
 
         def evolve(ts):
-            v = func(simulate(self.potential, xs, ts, self.dt, self.n_paths,
-                              self.seed, functionals={}).positions)
-            # (T, k, *cols, n_paths): each column reduces along a contiguous
-            # path axis
-            v = np.ascontiguousarray(np.moveaxis(v, 2, -1))
-            return zip(v.mean(axis=-1),
-                       v.std(axis=-1, ddof=1) / math.sqrt(self.n_paths))
+            for x in simulate(self.potential, xs, ts, self.dt, self.n_paths,
+                              self.seed, functionals={}).positions:
+                # one time at a time, as (k, *cols, n_paths): each column
+                # reduces along a contiguous path axis
+                v = np.ascontiguousarray(np.moveaxis(func(x), 1, -1))
+                yield v.mean(axis=-1), \
+                    v.std(axis=-1, ddof=1) / math.sqrt(self.n_paths)
 
         return _over_times(t, lambda: _at_points(func, xs), evolve)
 

@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.linalg import solve_banded
 
-from curvlab.errors import DomainError, ParameterError
-from curvlab.potentials import make_example_potential
+from curvlab.errors import DomainError, NumericalError, ParameterError
+from curvlab.potentials import make_double_well, make_example_potential
 from curvlab.semigroup import (
     GridEngine,
     GridFunction,
@@ -21,8 +23,8 @@ from curvlab.semigroup import (
     make_engine,
     mehler_apply,
 )
-from curvlab import suite
-from curvlab.sde import BLOCK_SIZE, simulate
+from curvlab import semigroup, suite
+from curvlab.sde import BLOCK_SIZE, _step_plan, _times, simulate
 
 GAUSS = make_example_potential("gaussian")
 SPH15 = make_example_potential("spherical", alpha=1.5)
@@ -327,6 +329,72 @@ def test_grid_apply_time_zero_and_errors():
         grid_apply(gen, other, 0.5, 1e-3)
 
 
+def _banded_march(gen, f, t, dt):
+    # the march before LAPACK's factored solves: solve_banded refactors the
+    # banded I - (dt/2) L at every step
+    def banded(h):
+        ab = np.zeros((3, gen.m))
+        ab[0, 1:] = -0.5 * h * gen.upper[:-1]
+        ab[1, :] = 1.0 - 0.5 * h * gen.diag
+        ab[2, :-1] = -0.5 * h * gen.lower[1:]
+        return ab
+
+    ts = _times(t)
+    plans = [_step_plan(float(s), dt) for s in ts]
+    u = f.values.copy()
+    ab = banded(dt)
+    out = [None] * len(ts)
+    done = 0
+    for j in sorted(range(len(ts)), key=plans.__getitem__):
+        n_full, rem = plans[j]
+        for _ in range(done, n_full):
+            u = solve_banded((1, 1), ab, u + 0.5 * dt * gen.apply(u))
+        done = n_full
+        v = u
+        if rem > 0.0:
+            v = solve_banded((1, 1), banded(rem),
+                             u + 0.5 * rem * gen.apply(u))
+        out[j] = v
+    return out
+
+
+@pytest.mark.parametrize("potential, lo, hi, m", [
+    (make_double_well(), -6.0, 6.0, 2001),
+    (SPH15, -12.0, 12.0, 4001)])
+@pytest.mark.parametrize("names", [("sine",), ("sine", "quadratic", "cos-mix")])
+def test_grid_apply_is_bitwise_the_banded_march(monkeypatch, potential, lo,
+                                                hi, m, names):
+    # off-grid and partial-step times, unsorted
+    ts, dt = (0.3, 0.0004, 0.57, 0.1), 1e-3
+    gen = grid_generator(potential, lo, hi, m)
+    z = np.linspace(lo, hi, m)[:, None]
+    values = np.stack([suite.get(name).value(z) for name in names], axis=-1)
+    # one column marches as an (m,) vector, as GridEngine hands it over
+    f0 = GridFunction(lo, hi, values[:, 0] if len(names) == 1 else values)
+    factored = []
+    real = semigroup.dgttrf
+    monkeypatch.setattr(semigroup, "dgttrf",
+                        lambda *a: factored.append(1) or real(*a))
+    got = grid_apply(gen, f0, ts, dt)
+    # one factorization for dt and one for each distinct partial step
+    rems = {_step_plan(t, dt)[1] for t in ts} - {0.0}
+    assert len(factored) == 1 + len(rems)
+    for u, want in zip(got, _banded_march(gen, f0, ts, dt)):
+        assert u.values.shape == f0.values.shape
+        np.testing.assert_array_equal(u.values, want)
+
+
+def test_grid_apply_singular_factor_raises():
+    # L = (2/dt) I makes I - (dt/2) L the zero matrix, which dgttrf flags
+    m, dt = 101, 1e-3
+    zero = np.zeros(m)
+    gen = semigroup.TridiagonalGenerator(-1.0, 1.0, m, 0.02, zero,
+                                         np.full(m, 2.0 / dt), zero)
+    f0 = GridFunction.sample(suite.get("sine"), -1.0, 1.0, m)
+    with pytest.raises(NumericalError):
+        grid_apply(gen, f0, 0.5, dt)
+
+
 def test_grid_function_validation():
     with pytest.raises(ParameterError):
         GridFunction(-1.0, 1.0, np.array([0.0, 1.0]))
@@ -374,6 +442,31 @@ def test_engines_agree_on_hermite_functions():
         np.testing.assert_allclose(got_m, exact, atol=1e-12)
         got_g, _ = grid.apply(hk, t, x)
         np.testing.assert_allclose(got_g, exact, atol=1e-3)
+
+
+POLYTRIG = suite.polytrig_suite()
+GRID_801 = GridEngine(GAUSS, lo=-8.0, hi=8.0, m=801)
+
+
+@given(ts=st.lists(st.floats(0.05, 2.0), min_size=1, max_size=3),
+       xs=st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=5))
+@settings(max_examples=5, deadline=None)
+def test_grid_engine_agrees_with_mehler_on_polytrig(ts, xs):
+    # The grid error is C (h^2 + dt^2), h = 0.02, dt = 1e-3.  hermite4,
+    # u = e^{-4t} (x^4 - 6x^2 + 3), sets C on |x| <= 3: linear interpolation
+    # between nodes errs by h^2/8 |u''| <= 12 h^2, and the central
+    # differences' truncation h^2 (|u''''|/12 + |x u'''|/6) decays with
+    # e^{-4t}; a dense scan of t in [0.05, 2] and x in [-3, 3] peaks at
+    # 8.3 h^2.  CN's time error dt^2/12 |d^3u/dt^3| <= 160 dt^2 = 1.6e-4
+    # fits in the margin that C = 15 leaves.
+    tol = 15.0 * (GRID_801.generator.h ** 2 + GRID_801.dt ** 2)
+
+    def columns(z):
+        return np.stack([f.value(z) for f in POLYTRIG], axis=-1)
+
+    want, _ = MehlerEngine(GAUSS).apply(columns, ts, xs)
+    got, _ = GRID_801.apply(columns, ts, xs)
+    np.testing.assert_allclose(got, want, rtol=0.0, atol=tol)
 
 
 # ---------------------------------------------------------------------------
