@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.stats import qmc
 
 from .errors import CertificationError, EvaluationError, ParameterError
 
@@ -303,6 +302,10 @@ def scan_points(n: int, radius: float = 50.0, n_1d: int = 2001, n_nd: int = 1000
     """Deterministic scan set: a regular grid for n=1, Sobol ball points otherwise."""
     if n == 1:
         return np.linspace(-radius, radius, n_1d)[:, None]
+    # scipy.stats takes about a second to import, so only a scan in n >= 2
+    # pays for it
+    from scipy.stats import qmc
+
     # unscrambled Sobol is deterministic; oversample the cube, keep the ball
     ball_fraction = {2: math.pi / 4.0, 3: math.pi / 6.0}.get(n, 0.5 ** n)
     m = 2 ** max(12, int(math.ceil(math.log2(n_nd / ball_fraction * 1.5))))

@@ -12,7 +12,8 @@ from curvlab.semigroup import (GridEngine, MehlerEngine, MonteCarloEngine,
                                TestFunction, as_points)
 from curvlab.suite import get
 from curvlab.verify import (InequalityReport, QuadSpec, Record, Schedule,
-                            default_schedule, exp_integrability_bound_check,
+                            _critical_points, default_schedule,
+                            exp_integrability_bound_check,
                             g_alpha, h_alpha, verify_H_monotone,
                             verify_integrated_condition,
                             verify_integrated_limit, verify_local)
@@ -374,6 +375,52 @@ def test_exp_integrability_bound():
     assert rep.passed
     assert r.lhs >= 0.0  # Jensen
     assert r.rhs > r.lhs
+
+
+def test_exp_bound_on_a_kinked_integrand_is_accurate():
+    # Gamma(sin) = cos^2, so the right side's integrand has a kink at every
+    # zero of cos.  The reference is mpmath.quad at 30 digits on the same
+    # window [-10, 10], split at the zeros of cos and divided by the mass.
+    rep = exp_integrability_bound_check(GAUSS, get("sine"), rho=1.0)
+    assert abs(rep.records[0].rhs / 7.98914962692275 - 1.0) < 1e-11
+
+
+def test_quadrature_beyond_its_subinterval_limit_raises():
+    with pytest.raises(QuadratureError):
+        exp_integrability_bound_check(GAUSS, get("sine"),
+                                      spec=QuadSpec(limit=4), rho=1.0)
+
+
+def test_quadrature_refines_into_wells_its_first_nodes_miss():
+    # on the double well's window [-31.6, 31.6] the first rule sees
+    # x^2 e^{-V} only at x = 0, where it vanishes, and at |x| >= 4.7, where
+    # e^{-V} < 1e-47; that saturated first estimate must not end the
+    # quadrature.  The reference is a fine uniform sum, whose trapezoid end
+    # corrections vanish with e^{-V(6)}.
+    dw = make_double_well()
+    rep = verify_integrated_limit(catalog("y"), dw, get("quadratic"),
+                                  rho=1.0)
+    x = np.linspace(-6.0, 6.0, 120001)
+    w = np.exp(-dw.value(x[:, None]))
+    want = np.sum(4.0 * x * x * w) / np.sum(w)
+    assert abs(rep.records[0].rhs / want - 1.0) < 1e-9
+
+
+def test_integrand_that_is_not_finite_raises():
+    # exp-integrability's M_y is 0/0 where Gamma(f) = 0, and the plain
+    # condition does not split at critical points: gauss-bump has f'(0) = 0
+    # at the centre node of the window
+    with pytest.raises(QuadratureError), np.errstate(invalid="ignore"):
+        verify_integrated_condition(catalog("exp-integrability"), GAUSS,
+                                    get("gauss-bump"), rho=1.0)
+
+
+def test_critical_points_of_sine():
+    pts = _critical_points(get("sine"), -10.0, 10.0)
+    want = [math.pi / 2.0 + k * math.pi for k in range(-3, 3)]
+    assert len(pts) == len(want)
+    # brentq's default xtol is 2e-12
+    assert max(abs(p - w) for p, w in zip(pts, want)) < 1e-10
 
 
 # ---------------------------------------------------------------------------
