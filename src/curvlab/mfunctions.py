@@ -13,9 +13,10 @@ arrays.  k' is inverted by Newton steps on k'' in closed form, kept inside
 the bracket [-40, 40]; below that bracket a Mills-ratio series takes over
 (k'(u) ~ -1/u - 2/u^3 - ...), and above it the inversion refuses to
 extrapolate.  F is a fixed-order Gauss-Legendre sum of F' from the anchor
-below each point; the anchor values themselves come from adaptive
-quadrature of the same F', once per process.  Where F, F' or F'' overflows
-a float the call raises NumericalError.
+below each point; the anchor values themselves come from the package's
+adaptive G10K21 rule (`quadrature.adaptive`) on the same F', once per
+process.  Where F, F' or F'' overflows a float the call raises
+NumericalError.
 """
 
 from __future__ import annotations
@@ -25,10 +26,10 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.special import erfcx, ndtri
 
 from .errors import DomainError, NumericalError, ParameterError
+from .quadrature import adaptive
 
 __all__ = [
     "Interval",
@@ -248,9 +249,8 @@ def _F_at_anchors(n: int) -> np.ndarray:
     # independent route to the values the fixed-order rule builds on
     while len(_anchor_values) < n:
         k = len(_anchor_values)
-        seg, _ = quad(lambda t: float(_fprime(np.array([t]))[0][0]),
-                      _F_ANCHORS[k - 1], _F_ANCHORS[k],
-                      epsabs=1e-12, epsrel=1e-10, limit=200)
+        seg = adaptive(lambda x: _fprime(x[:, 0])[0], _F_ANCHORS[k - 1:k + 1],
+                       epsabs=1e-12, epsrel=1e-10, limit=200)
         _anchor_values.append(_anchor_values[-1] + seg)
     return np.array(_anchor_values[:n])
 

@@ -23,11 +23,11 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import ParameterError, QuadratureError
 from .mfunctions import MFunction
 from .potentials import Potential
+from .quadrature import adaptive
 from .semigroup import TestFunction, as_points, gamma, gamma2, gamma_gamma
 
 __all__ = [
@@ -285,149 +285,56 @@ def _check_1d(potential: Potential):
         raise ParameterError("integrated checks are one-dimensional")
 
 
-# G10K21, the rule of QUADPACK's qk21 (Piessens et al. 1983): the positive
-# Kronrod nodes on [-1, 1] in decreasing order, the centre last; every
-# second one (0.9739..., 0.8650..., ...) is also a 10-point Gauss node
-_XGK = np.array([
-    0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
-    0.930157491355708226001207180059508, 0.865063366688984510732096688423493,
-    0.780817726586416897063717578345042, 0.679409568299024406234327365114874,
-    0.562757134668604683339000099272694, 0.433395394129247190799265943165784,
-    0.294392862701460198131126603103866, 0.148874338981631210884826001129720,
-    0.0])
-_WGK = np.array([
-    0.011694638867371874278064396062192, 0.032558162307964727478818972459390,
-    0.054755896574351996031381300244580, 0.075039674810919952767043140916190,
-    0.093125454583697605535065465083366, 0.109387158802297641899210590325805,
-    0.123491976262065851077958109831074, 0.134709217311473325928054001771707,
-    0.142775938577060080797094273138717, 0.147739104901338491374841515972068,
-    0.149445554002916905664936468389821])
-_WG = np.array([
-    0.066671344308688137593568809893332, 0.149451349150580593145776339657697,
-    0.219086362515982043995534934228163, 0.269266719309996355091226921569469,
-    0.295524224714752870173892994651338])
-# all 21 nodes, and both weight vectors on them (Gauss weights 0 off its nodes)
-_NODES = np.concatenate([-_XGK[:-1], _XGK[::-1]])
-_K21 = np.concatenate([_WGK[:-1], _WGK[::-1]])
-_G10 = np.zeros(21)
-_G10[1::2] = np.concatenate([_WG, _WG[::-1]])
-
-
-def _gk21(g, a: np.ndarray, b: np.ndarray) -> tuple:
-    """G10K21 on each [a_i, b_i]: integrals, qk21 error estimates, and
-    where an estimate saturates at resasc (the rule cannot tell K from G).
-
-    g takes points of shape (N, 1) and sees the nodes of every interval in
-    one call; a value that is not finite raises QuadratureError.
-    """
-    c, h = 0.5 * (a + b), 0.5 * (b - a)
-    x = (c[:, None] + h[:, None] * _NODES).reshape(-1, 1)
-    fx = np.asarray(g(x), dtype=float).reshape(len(a), len(_NODES))
-    finite = np.isfinite(fx)
-    if not np.all(finite):
-        bad = x.reshape(fx.shape)[~finite].flat[0]
-        raise QuadratureError(f"integrand is not finite at x = {bad:.17g}")
-    resk = fx @ _K21
-    err = np.abs((resk - fx @ _G10) * h)
-    resabs = np.abs(fx) @ _K21 * h
-    resasc = np.abs(fx - 0.5 * resk[:, None]) @ _K21 * h
-    scale = (resasc != 0.0) & (err != 0.0)
-    ratio = 200.0 * err[scale] / resasc[scale]
-    err[scale] = resasc[scale] * np.minimum(1.0, ratio ** 1.5)
-    err = np.maximum(err, 50.0 * np.finfo(float).eps * resabs)
-    return resk * h, err, (err == resasc) & (resasc > 0.0)
-
-
-def _halves(g, a, b, val, err, split) -> tuple:
-    """Bisect the pieces `split`; every other piece keeps its values."""
-    keep = np.ones(len(a), dtype=bool)
-    keep[split] = False
-    mid = 0.5 * (a[split] + b[split])
-    lo = np.concatenate([a[split], mid])
-    hi = np.concatenate([mid, b[split]])
-    v, e, _ = _gk21(g, lo, hi)
-    return (np.concatenate([a[keep], lo]), np.concatenate([b[keep], hi]),
-            np.concatenate([val[keep], v]), np.concatenate([err[keep], e]))
-
-
-def _adaptive(g, edges, spec: QuadSpec) -> float:
-    """Adaptive G10K21 quadrature of g over [edges[0], edges[-1]].
-
-    The inner edges are initial breakpoints.  Each round bisects the
-    subintervals with the largest error estimates, as many as it takes to
-    bring the rest within half the tolerance, and evaluates all their
-    halves in one call of g.  It stops, as QUADPACK's qags does, when the
-    summed estimate is at most max(epsabs, epsrel |integral|), and raises
-    QuadratureError when that needs more than spec.limit subintervals.
-    """
-    edges = np.asarray(edges, dtype=float)
-    a, b = edges[:-1], edges[1:]
-    val, err, blind = _gk21(g, a, b)
-    if np.any(blind):
-        # as in qags: a saturated first estimate may come from nodes that
-        # all missed where g lives (a narrow well far from the centre), so
-        # such a piece is bisected before its estimate can end the loop
-        a, b, val, err = _halves(g, a, b, val, err, np.flatnonzero(blind))
-    while True:
-        total, est = float(np.sum(val)), float(np.sum(err))
-        tol = max(spec.epsabs, spec.epsrel * abs(total))
-        if est <= tol:
-            return total
-        room = spec.limit - len(a)
-        if room <= 0:
-            raise QuadratureError(
-                f"quadrature on [{edges[0]:g}, {edges[-1]:g}] needs more "
-                f"than {spec.limit} subintervals: error estimate {est:.3g} "
-                f"against the tolerance {tol:.3g}")
-        order = np.argsort(-err, kind="stable")
-        rest = est - np.cumsum(err[order])
-        n = min(np.count_nonzero(rest > 0.5 * tol) + 1, room)
-        a, b, val, err = _halves(g, a, b, val, err, order[:n])
-
-
 def _critical_points(f: TestFunction, lo: float, hi: float) -> list:
-    # roots of f' split the quadrature so Gamma(Gamma)/(4 Gamma) never
-    # lands exactly on a 0/0 point; f' is sampled on one grid, and brentq
-    # refines the cells where it changes sign
-    def d1(x: float) -> float:
-        return float(f.gradient(np.array([[x]]))[0, 0])
-
+    # roots of f' split the quadrature so Gamma(Gamma)/(4 Gamma) and a
+    # y_open M_y never land on a 0/0 point; f' is sampled on one grid, and
+    # its sign-change cells are bisected together down to 2e-12 wide
     grid = np.linspace(lo, hi, 2001)
     vals = f.gradient(grid[:, None])[:, 0]
-    roots = [float(x) for x in grid[vals == 0.0]]
-    for i in np.flatnonzero(vals[:-1] * vals[1:] < 0.0):
-        roots.append(float(brentq(d1, grid[i], grid[i + 1])))
-    return sorted(set(roots))
+    cells = np.flatnonzero(vals[:-1] * vals[1:] < 0.0)
+    a, b, sign = grid[cells], grid[cells + 1], np.sign(vals[cells])
+    halvings = math.ceil(math.log2((grid[1] - grid[0]) / 2e-12)) \
+        if cells.size else 0
+    for _ in range(halvings):
+        mid = 0.5 * (a + b)
+        # f' has a's sign at mid: the root lies right of mid; 0: it is mid
+        side = np.sign(f.gradient(mid[:, None])[:, 0]) * sign
+        a = np.where(side >= 0.0, mid, a)
+        b = np.where(side <= 0.0, mid, b)
+    roots = np.concatenate([grid[vals == 0.0], 0.5 * (a + b)])
+    return sorted(set(roots.tolist()))
 
 
 def _mu_integrals(potential: Potential, spec: QuadSpec, integrands: dict,
-                  points=()) -> dict:
+                  split: TestFunction | None = None) -> dict:
     """Unnormalized integrals against e^{-V} plus the normalizing mass Z.
 
     Integrands take points of shape (N, 1), and each is integrated on its
-    own subintervals, so no integral depends on another's refinement.  The
-    mass is re-measured on a 1.5x window; disagreement beyond tail_tol
+    own subintervals, so no integral depends on another's refinement; the
+    critical points of `split`, when given, are their initial breakpoints.
+    The mass is re-measured on a 1.5x window; disagreement beyond tail_tol
     means the window clips the measure and the result would be garbage.
     """
     W = spec.window(potential)
 
-    def against(g):
+    def integral(g, edges):
         def weighted(z):
             w = np.exp(-potential.value(z))
             return w if g is None else g(z) * w
 
-        return weighted
+        return adaptive(weighted, edges, spec.epsabs, spec.epsrel, spec.limit)
 
-    z = _adaptive(against(None), [-W, W], spec)
-    z_wide = _adaptive(against(None), [-1.5 * W, 1.5 * W], spec)
+    z = integral(None, [-W, W])
+    z_wide = integral(None, [-1.5 * W, 1.5 * W])
     if not z > 0.0 or abs(z_wide - z) > spec.tail_tol * abs(z_wide):
         raise QuadratureError(
             f"measure mass {z:.6g} on [-{W:g}, {W:g}] vs {z_wide:.6g} on the "
             f"1.5x window; widen the quadrature window")
+    points = () if split is None else _critical_points(split, -W, W)
     edges = [-W, *(p for p in points if -W < p < W), W]
     out = {"_z": z}
     for name, g in integrands.items():
-        out[name] = _adaptive(against(g), edges, spec)
+        out[name] = integral(g, edges)
     return out
 
 
@@ -446,10 +353,8 @@ def verify_integrated_limit(mf: MFunction, potential: Potential,
         mf.check_domain(v, y)
         return mf.value(v, y)
 
-    W = spec.window(potential)
-    pts = _critical_points(f, -W, W) if mf.y_open else ()
     got = _mu_integrals(potential, spec, {"f": f.value, "m": m_of_f},
-                        points=pts)
+                        split=f if mf.y_open else None)
     mean = got["f"] / got["_z"]
     mf.check_domain(mean, 0.0)
     lhs = float(mf.value(mean, 0.0))
@@ -476,19 +381,19 @@ def verify_integrated_condition(mf: MFunction, potential: Potential,
     spec = spec or QuadSpec()
 
     def weight(z):
-        return mf.m_y(f.value(z), np.maximum(gamma(f, f, z), 0.0))
+        v, y = f.value(z), np.maximum(gamma(f, f, z), 0.0)
+        mf.check_domain(v, y)
+        return mf.m_y(v, y)
 
     integrands = {
         "wg2": lambda z: weight(z) * gamma2(f, potential, z),
         "wg": lambda z: weight(z) * gamma(f, f, z),
     }
-    W = spec.window(potential)
-    pts = ()
     if variant == "enhanced":
         integrands["wenh"] = lambda z: (weight(z) * gamma_gamma(f, z)
                                         / (4.0 * gamma(f, f, z)))
-        pts = _critical_points(f, -W, W)
-    got = _mu_integrals(potential, spec, integrands, points=pts)
+    split = f if variant == "enhanced" or mf.y_open else None
+    got = _mu_integrals(potential, spec, integrands, split=split)
     z = got["_z"]
     rhs = got["wg2"] / z
     lhs = rho * got["wg"] / z

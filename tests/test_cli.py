@@ -1,5 +1,9 @@
 import json
+import math
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -557,6 +561,44 @@ def test_integrated_limit_outside_the_mfunction_domain_exits_2(capsys):
     assert main(["integrated", "--check", "limit", "--mfunction",
                  "log-sobolev", "--function", "sine"]) == 2
     assert "log-sobolev needs x in (0, inf)" in capsys.readouterr().err
+
+
+def test_integrated_condition_outside_the_mfunction_domain_exits_2(capsys):
+    # affine = 1 + x/2 crosses 0 at x = -2, where log-sobolev needs x > 0
+    assert main(["integrated", "--check", "condition", "--mfunction",
+                 "log-sobolev", "--function", "affine"]) == 2
+    assert "log-sobolev needs x in (0, inf)" in capsys.readouterr().err
+
+
+def test_plain_integrated_condition_of_a_y_open_mfunction_runs(capsys):
+    # exp-integrability's M_y is 0/0 where Gamma(f) = 0: at gauss-bump's
+    # critical point 0, the centre node of the window, which must split it
+    assert main(["integrated", "--check", "condition", "--mfunction",
+                 "exp-integrability", "--function", "gauss-bump"]) == 0
+    assert math.isfinite(json.loads(capsys.readouterr().out)["min_margin"])
+
+
+def test_checks_import_neither_scipy_integrate_nor_scipy_optimize(tmp_path):
+    # a fresh interpreter, because this test process has already imported
+    # scipy.integrate (tests/test_mfunctions.py); only the lazy scipy.stats
+    # import of potentials.scan_points, for n >= 2, loads both
+    script = f"""
+import sys
+from curvlab.cli import main
+codes = [main(argv + ["--out", {str(tmp_path)!r}]) for argv in (
+    ["integrated", "--check", "condition", "--variant", "enhanced",
+     "--mfunction", "y", "--function", "sine"],
+    ["verify", "--mfunction", "exp-integrability", "--function", "gauss-bump"],
+    ["run", "ou-local-suite"])]
+print(codes, [m for m in ("scipy.integrate", "scipy.optimize")
+              if m in sys.modules])
+"""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", script], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip().splitlines()[-1] == "[0, 0, 0] []"
 
 
 @pytest.mark.parametrize("argv", [

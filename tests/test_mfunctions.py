@@ -24,6 +24,7 @@ from curvlab.mfunctions import (
     perturbed,
 )
 from curvlab.potentials import make_example_potential
+from curvlab.quadrature import adaptive
 from curvlab.semigroup import MehlerEngine
 from curvlab.suite import get
 from curvlab.verify import default_schedule, verify_local
@@ -457,11 +458,11 @@ def test_mehler_verify_local_makes_no_quad_call_beyond_the_anchors(
         monkeypatch):
     calls = []
 
-    def counting_quad(*args, **kwargs):
-        calls.append(args[1:3])
-        return quad(*args, **kwargs)
+    def counting_adaptive(g, edges, *args, **kwargs):
+        calls.append(tuple(edges))
+        return adaptive(g, edges, *args, **kwargs)
 
-    monkeypatch.setattr(mfunctions, "quad", counting_quad)
+    monkeypatch.setattr(mfunctions, "adaptive", counting_adaptive)
     monkeypatch.setattr(mfunctions, "_anchor_values", [0.0])
     engine = MehlerEngine(make_example_potential("gaussian"))
 
@@ -476,6 +477,20 @@ def test_mehler_verify_local_makes_no_quad_call_beyond_the_anchors(
     n = len(calls)
     check()
     assert len(calls) == n  # the anchors are computed once per process
+
+
+def test_F_anchors_match_scipy_quad():
+    # the anchors' own adaptive rule against QUADPACK's qags, segment by
+    # segment at the anchors' tolerances
+    anchors = mfunctions._F_ANCHORS
+    got = mfunctions._F_at_anchors(len(anchors))
+    want = 0.0
+    for k in range(1, len(anchors)):
+        seg, _ = quad(lambda t: exp_integrability_F_derivs(t)[0],
+                      anchors[k - 1], anchors[k],
+                      epsabs=1e-12, epsrel=1e-10, limit=200)
+        want += seg
+        assert got[k] == pytest.approx(want, rel=1e-13)
 
 
 def _kprime_continued_fraction(z: float, depth: int = 400) -> float:

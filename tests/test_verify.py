@@ -3,11 +3,13 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
-from curvlab import semigroup
+from curvlab import semigroup, suite
 from curvlab.errors import ParameterError, QuadratureError
 from curvlab.mfunctions import catalog
 from curvlab.potentials import make_double_well, make_example_potential
+from curvlab.quadrature import adaptive
 from curvlab.semigroup import (GridEngine, MehlerEngine, MonteCarloEngine,
                                TestFunction, as_points)
 from curvlab.suite import get
@@ -407,20 +409,41 @@ def test_quadrature_refines_into_wells_its_first_nodes_miss():
 
 
 def test_integrand_that_is_not_finite_raises():
-    # exp-integrability's M_y is 0/0 where Gamma(f) = 0, and the plain
-    # condition does not split at critical points: gauss-bump has f'(0) = 0
-    # at the centre node of the window
-    with pytest.raises(QuadratureError), np.errstate(invalid="ignore"):
-        verify_integrated_condition(catalog("exp-integrability"), GAUSS,
-                                    get("gauss-bump"), rho=1.0)
+    # 1/x is infinite at 0, the centre node of the first rule on [-1, 1]
+    with pytest.raises(QuadratureError, match="not finite at x = 0"), \
+            np.errstate(divide="ignore"):
+        adaptive(lambda x: 1.0 / x[:, 0], [-1.0, 1.0], 1e-11, 1e-11, 200)
+
+
+def _brentq_critical_points(f, lo, hi):
+    # the grid's exact zeros, and brentq (default xtol 2e-12) on the cells
+    # where f' changes sign
+    def d1(x):
+        return float(f.gradient(np.array([[x]]))[0, 0])
+
+    grid = np.linspace(lo, hi, 2001)
+    vals = f.gradient(grid[:, None])[:, 0]
+    roots = [float(x) for x in grid[vals == 0.0]]
+    for i in np.flatnonzero(vals[:-1] * vals[1:] < 0.0):
+        roots.append(brentq(d1, grid[i], grid[i + 1]))
+    return sorted(set(roots))
 
 
 def test_critical_points_of_sine():
     pts = _critical_points(get("sine"), -10.0, 10.0)
     want = [math.pi / 2.0 + k * math.pi for k in range(-3, 3)]
     assert len(pts) == len(want)
-    # brentq's default xtol is 2e-12
-    assert max(abs(p - w) for p, w in zip(pts, want)) < 1e-10
+    # bisection stops once every bracket is at most 2e-12 wide (brentq's
+    # default xtol), and returns its midpoint
+    assert max(abs(p - w) for p, w in zip(pts, want)) < 2e-12
+    # every 1-D suite function, on the gaussian's default window and the
+    # double well's (10 / sqrt(0.1)); brentq stops within 2e-12 + 4 eps |x|
+    for f in suite.catalog().values():
+        for w in (10.0, 10.0 / math.sqrt(0.1)):
+            got = _critical_points(f, -w, w)
+            ref = _brentq_critical_points(f, -w, w)
+            assert len(got) == len(ref), f.label
+            assert all(abs(p - r) < 4e-12 for p, r in zip(got, ref)), f.label
 
 
 # ---------------------------------------------------------------------------
