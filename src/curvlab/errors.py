@@ -39,7 +39,7 @@ class CertificationError(CurvlabError, RuntimeError):
 
 
 class SimulationError(CurvlabError, RuntimeError):
-    """Path simulation exceeded its explosion budget."""
+    """A simulated path left |x| = 1e8 or turned non-finite."""
 
     def __init__(self, message, exploded_fraction=None):
         super().__init__(message)

@@ -24,7 +24,6 @@ __all__ = ["PathBatch", "simulate", "BLOCK_SIZE", "EXPLOSION_RADIUS"]
 
 BLOCK_SIZE = 8192
 EXPLOSION_RADIUS = 1e8
-EXPLOSION_TOLERANCE = 1e-4
 
 
 @dataclass
@@ -38,7 +37,7 @@ class PathBatch:
     dt: float
     n_steps: int                   # steps to the latest time
     seed: int
-    exploded: np.ndarray = field(default=None)  # bool mask, frozen paths
+    exploded: np.ndarray = field(default=None)  # bool mask, all False once returned
 
     @property
     def n_paths(self) -> int:
@@ -74,12 +73,11 @@ def _step_plan(t: float, dt: float):
 def _run_block(potential: Potential, x0_block: np.ndarray, plans: list,
                dt: float, rng: np.random.Generator,
                functionals: Mapping[str, Callable[[np.ndarray], np.ndarray]]):
-    """Yield (j, positions, integrals, exploded) of one block at each
-    checkpoint j, whose step plan is plans[j], in time order."""
+    """Yield (j, positions, integrals) of one block at each checkpoint j,
+    whose step plan is plans[j], in time order."""
     # x0_block is (k, block, n): one (block, n) draw per step drives every start
     x = x0_block.copy()
     acc = {name: np.zeros(x.shape[:-1]) for name in functionals}
-    alive = np.ones(x.shape[:-1], dtype=bool)
 
     def draw():
         # what a step from x needs; a partial step shares it with the next
@@ -87,35 +85,25 @@ def _run_block(potential: Potential, x0_block: np.ndarray, plans: list,
         return ({name: phi(x) for name, phi in functionals.items()},
                 rng.standard_normal(x.shape[1:]), potential.gradient(x))
 
-    def advance(x, acc, alive, h, values, noise, drift):
+    def advance(x, acc, h, values, noise, drift):
         for name, v in values.items():
-            acc[name][alive] += h * v[alive]
-        x_new = x + np.sqrt(2.0 * h) * noise - drift * h
-        # frozen paths keep their last finite position
-        x = np.where(alive[..., None], x_new, x)
-        r = np.linalg.norm(x, axis=-1)
-        blow = alive & ((r > EXPLOSION_RADIUS) | ~np.isfinite(r))
-        if np.any(blow):
-            x[blow] = x0_block[blow]
-            alive[blow] = False
-        return x
+            acc[name] += h * v
+        return x + np.sqrt(2.0 * h) * noise - drift * h
 
     done, pending = 0, None
     for j in sorted(range(len(plans)), key=plans.__getitem__):
         n_full, rem = plans[j]
         for _ in range(done, n_full):
-            x = advance(x, acc, alive, dt, *(pending or draw()))
+            x = advance(x, acc, dt, *(pending or draw()))
             pending = None
         done = n_full
         if rem > 0.0:
             # the partial step runs on a copy; the march goes on from x
             pending = pending or draw()
             part_acc = {name: a.copy() for name, a in acc.items()}
-            part_alive = alive.copy()
-            yield j, advance(x, part_acc, part_alive, rem, *pending), \
-                part_acc, ~part_alive
+            yield j, advance(x, part_acc, rem, *pending), part_acc
         else:
-            yield j, x, acc, ~alive
+            yield j, x, acc
 
 
 def simulate(potential: Potential, x0, t, dt: float = 1e-3,
@@ -131,8 +119,9 @@ def simulate(potential: Potential, x0, t, dt: float = 1e-3,
     from that start alone to that time alone.
 
     By default the curvature integral int_0^t rho(X_s) ds is accumulated
-    under the name "rho".  Raises SimulationError if, from any start, more
-    than a 1e-4 fraction of paths leaves |x| = 1e8 or turns non-finite.
+    under the name "rho".  Any path that, at a checkpoint, lies beyond
+    |x| = 1e8 or has a non-finite position or path integral raises
+    SimulationError; its exploded_fraction is that of the worst start.
     """
     ts = _times(t)
     if not 0.0 < dt < math.inf:
@@ -164,12 +153,16 @@ def simulate(potential: Potential, x0, t, dt: float = 1e-3,
     def work(i):
         # each block fills its own slices, so no second copy of the paths lives
         sl, rng = slices[i], np.random.default_rng(children[i])
-        for j, xb, accb, deadb in _run_block(potential, x0[:, sl], plans, dt,
-                                             rng, functionals):
-            positions[j, :, sl] = xb
-            exploded[j, :, sl] = deadb
-            for name in functionals:
-                integrals[name][j, :, sl] = accb[name]
+        # overflow stays quiet; the checkpoints catch it (NaN fails r <= R)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for j, xb, accb in _run_block(potential, x0[:, sl], plans, dt,
+                                          rng, functionals):
+                positions[j, :, sl] = xb
+                lost = ~(np.linalg.norm(xb, axis=-1) <= EXPLOSION_RADIUS)
+                for name in functionals:
+                    integrals[name][j, :, sl] = accb[name]
+                    lost |= ~np.isfinite(accb[name])
+                exploded[j, :, sl] = lost
 
     n_threads = int(os.environ.get("CURVLAB_THREADS", "1"))
     if n_threads > 1 and n_blocks > 1:
@@ -183,9 +176,8 @@ def simulate(potential: Potential, x0, t, dt: float = 1e-3,
                       {name: v.reshape(shape) for name, v in integrals.items()},
                       t, dt, max(m + (rem > 0.0) for m, rem in plans), seed,
                       exploded.reshape(shape))
-    if batch.exploded_fraction > EXPLOSION_TOLERANCE:
+    if np.any(exploded):
         raise SimulationError(
-            f"{batch.exploded_fraction:.2e} of paths exploded "
-            f"(limit {EXPLOSION_TOLERANCE:.0e})",
+            f"{batch.exploded_fraction:.2e} of paths exploded",
             exploded_fraction=batch.exploded_fraction)
     return batch

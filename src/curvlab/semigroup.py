@@ -313,6 +313,13 @@ def grid_generator(potential: Potential, lo: float, hi: float, m: int) -> Tridia
     nodes = np.linspace(lo, hi, m)
     h = (hi - lo) / (m - 1)
     vp = potential.gradient(nodes[:, None])[:, 0]
+    # at a cell Peclet number |V'| h of 2 an off-diagonal of L reaches 0, and
+    # Crank-Nicolson loses its maximum principle
+    peclet = float(np.max(np.abs(vp[1:-1]))) * h
+    if peclet >= 2.0:
+        raise ParameterError(f"cell Peclet number max |V'| h = {peclet:.3g} "
+                             f"reaches 2 on [{lo}, {hi}] with m={m}; "
+                             f"take more nodes or a narrower window")
     lower = 1.0 / h**2 + vp / (2.0 * h)
     upper = 1.0 / h**2 - vp / (2.0 * h)
     diag = np.full(m, -2.0 / h**2)

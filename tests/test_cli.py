@@ -154,7 +154,7 @@ def test_run_unknown_config_name_is_error(capsys):
 def test_failing_run_without_expected_fail_exits_one(tmp_path):
     cfg = tmp_path / "exp.cfg"
     cfg.write_text("potential = double-well\nengine = grid\n"
-                   "engine.lo = -6\nengine.hi = 6\nengine.m = 1201\n"
+                   "engine.lo = -6\nengine.hi = 6\nengine.m = 2001\n"
                    "checks = local\nmfunctions = y\nfunctions = linear\n"
                    "rho = 0.5\n")
     assert main(["run", str(cfg)]) == 1
@@ -404,6 +404,13 @@ def test_verify_rejects_a_reverse_mfunction(capsys):
     assert main(["verify", "--mfunction", "reverse-poincare", "--function",
                  "linear"]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_grid_with_a_cell_peclet_number_of_2_exits_2(capsys):
+    # the default gaussian window [-12, 12] at m = 101: max |V'| h = 2.82
+    assert main(["verify", "--engine", "grid", "--m", "101", "--mfunction",
+                 "poincare", "--function", "sine"]) == 2
+    assert "Peclet number max |V'| h = 2.82" in capsys.readouterr().err
 
 
 def test_run_rejects_an_mfunction_no_check_takes(tmp_path, capsys):

@@ -2,6 +2,7 @@
 
 import os
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -166,3 +167,30 @@ def test_explosion_guard_is_per_start():
     with pytest.raises(SimulationError) as exc:
         simulate(bad, [[-1000.0], [1.0]], t=1.5, dt=0.5, n_paths=64, seed=0)
     assert exc.value.exploded_fraction == 1.0
+
+
+def test_one_exploded_path_in_twenty_thousand_raises():
+    # from 0 the first step is the draw itself; the drift expands only above
+    # a threshold between the two largest draws, so exactly one path explodes
+    P = make_example_potential("gaussian", n=1)
+    first = simulate(P, [0.0], t=0.5, dt=0.5, n_paths=20000, seed=0,
+                     functionals={}).positions[:, 0]
+    c = np.mean(np.sort(first)[-2:])
+    bad = type(P)(n=1, value=P.value,
+                  gradient=lambda x: np.where(x > c, -1e9 * x, x),
+                  hessian=P.hessian, label="expanding", family="custom")
+    with pytest.raises(SimulationError) as exc:
+        simulate(bad, [0.0], t=1.0, dt=0.5, n_paths=20000, seed=0)
+    assert exc.value.exploded_fraction == 1 / 20000
+
+
+def test_overflowing_paths_raise_without_warnings():
+    # from x0 = 50 at dt = 1 the double well's cubic drift overflows to inf
+    # and then to NaN; the run fails before any RuntimeWarning escapes
+    W = make_double_well()
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        with pytest.raises(SimulationError) as exc:
+            simulate(W, [50.0], t=20.0, dt=1.0, n_paths=200, seed=0)
+    assert exc.value.exploded_fraction == 1.0
+    assert not [w for w in seen if issubclass(w.category, RuntimeWarning)]

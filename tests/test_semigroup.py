@@ -289,6 +289,15 @@ def test_grid_generator_errors():
         grid_generator(SPH15_2, -8.0, 8.0, 801)
 
 
+def test_grid_generator_guards_the_cell_peclet_number():
+    # on [-8, 8] the largest interior |V'| h is (8 - h) h: 1.94 at m = 65,
+    # where every off-diagonal of L is still positive, and 2.06 at m = 61
+    gen = grid_generator(GAUSS, -8.0, 8.0, 65)
+    assert np.all(gen.lower[1:] > 0.0) and np.all(gen.upper[:-1] > 0.0)
+    with pytest.raises(ParameterError, match="Peclet number"):
+        grid_generator(GAUSS, -8.0, 8.0, 61)
+
+
 def test_grid_apply_linear_decay():
     gen = grid_generator(GAUSS, -8.0, 8.0, 801)
     f0 = GridFunction.sample(suite.get("linear"), -8.0, 8.0, 801)
