@@ -90,6 +90,9 @@ class ExperimentConfig:
             raise ParameterError(f"unknown engine {self.engine!r}")
         object.__setattr__(self, "engine_params", check_engine_params(
             self.engine, self.engine_params))
+        for seed in (self.seed, self.engine_params.get("seed", 0)):
+            if seed < 0:
+                raise ParameterError(f"seed must be >= 0, got {seed}")
         if self.tol is not None and not self.tol > 0.0:
             raise ParameterError("tolerances must be positive")
         if self.ts is not None and not self.ts:

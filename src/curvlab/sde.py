@@ -74,34 +74,45 @@ def _run_block(potential: Potential, x0_block: np.ndarray, plans: list,
                dt: float, rng: np.random.Generator,
                functionals: Mapping[str, Callable[[np.ndarray], np.ndarray]]):
     """Yield (j, positions, integrals) of one block at each checkpoint j,
-    whose step plan is plans[j], in time order."""
+    whose step plan is plans[j], in time order.  The yielded arrays are
+    overwritten by later steps: copy them before resuming."""
     # x0_block is (k, block, n): one (block, n) draw per step drives every start
     x = x0_block.copy()
     acc = {name: np.zeros(x.shape[:-1]) for name in functionals}
+    # each step writes its arithmetic into these; a fresh temporary of this
+    # size would be mapped and unmapped by the allocator at every step
+    noise, scaled = np.empty(x.shape[1:]), np.empty(x.shape[1:])
+    shift, part = np.empty(x.shape), np.empty(x.shape)
+    hv = np.empty(x.shape[:-1])
 
     def draw():
         # what a step from x needs; a partial step shares it with the next
-        # full step, as a run straight to the partial step's time draws it
+        # full step, as a run straight to the partial step's time draws it,
+        # and no draw refills `noise` before that full step
         return ({name: phi(x) for name, phi in functionals.items()},
-                rng.standard_normal(x.shape[1:]), potential.gradient(x))
+                rng.standard_normal(out=noise), potential.gradient(x))
 
-    def advance(x, acc, h, values, noise, drift):
+    def advance(out, acc, h, values, noise, drift):
+        # out = x + sqrt(2h) noise - drift h, each operation in that order;
+        # drift h comes first, as drift may share memory with x
         for name, v in values.items():
-            acc[name] += h * v
-        return x + np.sqrt(2.0 * h) * noise - drift * h
+            acc[name] += np.multiply(h, v, out=hv)
+        np.multiply(drift, h, out=shift)
+        np.add(x, np.multiply(np.sqrt(2.0 * h), noise, out=scaled), out=out)
+        return np.subtract(out, shift, out=out)
 
     done, pending = 0, None
     for j in sorted(range(len(plans)), key=plans.__getitem__):
         n_full, rem = plans[j]
         for _ in range(done, n_full):
-            x = advance(x, acc, dt, *(pending or draw()))
+            advance(x, acc, dt, *(pending or draw()))
             pending = None
         done = n_full
         if rem > 0.0:
-            # the partial step runs on a copy; the march goes on from x
+            # the partial step runs into `part`; the march goes on from x
             pending = pending or draw()
             part_acc = {name: a.copy() for name, a in acc.items()}
-            yield j, advance(x, part_acc, rem, *pending), part_acc
+            yield j, advance(part, part_acc, rem, *pending), part_acc
         else:
             yield j, x, acc
 
@@ -128,6 +139,8 @@ def simulate(potential: Potential, x0, t, dt: float = 1e-3,
         raise ParameterError(f"need a finite dt > 0, got dt={dt}")
     if n_paths < 1:
         raise ParameterError(f"n_paths must be positive, got {n_paths}")
+    if seed < 0:
+        raise ParameterError(f"seed must be >= 0, got {seed}")
     n = potential.n
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (n,) and (x0.ndim != 2 or x0.shape[1] != n or len(x0) == 0):

@@ -10,8 +10,14 @@ and Euler-Maruyama Monte Carlo.
   (..., *cols).  Trailing columns pass through, so one evolution serves
   them all, and each column is bitwise what a call with that column alone
   returns.
-- `value_grad(f, t, xs) -> (values, stderr, grads)` evaluates P_t f and
-  grad P_t f of a `TestFunction` from one evolution of f.
+- `value_grad(f, t, xs, rhs=None) -> (values, stderr, grads)` evaluates
+  P_t f and grad P_t f of a `TestFunction` from one evolution of f.  With
+  `rhs`, one function per time of t, each mapping (..., n) to (..., c), it
+  also returns P_t rhs(xs) at each time and its stderr, of shape (k, c),
+  each bitwise what `apply(rhs_j, t_j, xs)` returns: the two sides of a
+  local check in one call.  The Monte Carlo engine reads them off the path
+  set of f, the Mehler engine off its quadrature of f, and the grid engine
+  marches each function.
 
 Both read points through `as_points`, so xs is anything it accepts, and
 both always return arrays: values and stderr of shape (k, *cols), which is
@@ -181,7 +187,8 @@ def mehler_apply(f, t, x, order: int = 64, n: int | None = None):
     """P_t f(x) for the gaussian potential by Gauss-Hermite quadrature.
 
     f maps (..., n) to (..., *cols); the result has shape ([T,] k, *cols),
-    with a time axis when t is a sequence of T times.  Exact (up to
+    with a time axis when t is a sequence of T times.  f sees the nodes of
+    all times as one (T, k, G, n) array, T = 1 for one time.  Exact (up to
     rounding) for polynomials of per-coordinate degree < 2 order - 1.
     """
     if order < 2:
@@ -225,17 +232,26 @@ class MehlerEngine:
         vals = mehler_apply(func, t, x, self.order, self.potential.n)
         return vals, np.zeros(vals.shape)
 
-    def value_grad(self, f: TestFunction, t, x):
+    def value_grad(self, f: TestFunction, t, x, rhs=None):
         _check_dimension(f, self.potential)
+        _check_rhs(rhs, t)
+        n = f.n
 
         def columns(z):
-            return np.concatenate([f.value(z)[..., None], f.gradient(z)],
-                                  axis=-1)
+            cols = [f.value(z)[..., None], f.gradient(z)]
+            if rhs is not None:
+                # z holds time j's nodes at z[j], the ones rhs[j] integrates
+                cols.append(np.concatenate([g(z[j:j + 1])
+                                            for j, g in enumerate(rhs)]))
+            return np.concatenate(cols, axis=-1)
 
         out, err = self.apply(columns, t, x)
         # exact commutation: grad P_t f = e^-t P_t grad f
         decay = _decay(t)[..., None, None]
-        return out[..., 0], err[..., 0], decay * out[..., 1:]
+        sides = out[..., 0], err[..., 0], decay * out[..., 1:n + 1]
+        if rhs is None:
+            return sides
+        return sides + (out[..., n + 1:], err[..., n + 1:])
 
     def describe(self) -> dict:
         return {"kind": self.kind, "potential": self.potential.label,
@@ -375,17 +391,29 @@ def grid_apply(gen: TridiagonalGenerator, f: GridFunction, t, dt: float):
     return tuple(out) if np.ndim(t) else out[0]
 
 
+def _check_rhs(rhs, t) -> None:
+    if rhs is not None and len(rhs) != len(_times(t)):
+        raise ParameterError(f"need one right side per time, got {len(rhs)} "
+                             f"for t={t}")
+
+
+def _stacked(t, rows) -> tuple:
+    """rows, one tuple of arrays per time of t, as arrays with a leading
+    time axis for a sequence."""
+    return tuple(np.stack(col).reshape(np.shape(t) + np.shape(col[0]))
+                 for col in zip(*rows))
+
+
 def _over_times(t, still, evolve):
     """An engine's results at each time of t, in t's order, with a leading
-    time axis for a sequence: still() gives the results at t = 0, and
-    evolve(times) one row of results per positive time, from one
-    evolution."""
+    time axis for a sequence: still(j) gives the results at time j of t
+    when it is 0, and evolve(times) one row of results per positive time,
+    from one evolution."""
     ts = _times(t)
     moving = ts > 0.0
     ran = iter(evolve(ts[moving]) if moving.any() else ())
-    rows = [next(ran) if m else still() for m in moving]
-    return tuple(np.stack(col).reshape(np.shape(t) + np.shape(col[0]))
-                 for col in zip(*rows))
+    return _stacked(t, [next(ran) if m else still(j)
+                        for j, m in enumerate(moving)])
 
 
 def _at_points(func, xs):
@@ -436,10 +464,11 @@ class GridEngine:
                 vals = vals.reshape(len(xs), *u.values.shape[1:])
                 yield vals, np.zeros(vals.shape)
 
-        return _over_times(t, lambda: _at_points(func, xs), evolve)
+        return _over_times(t, lambda j: _at_points(func, xs), evolve)
 
-    def value_grad(self, f: TestFunction, t, x):
+    def value_grad(self, f: TestFunction, t, x, rhs=None):
         _check_dimension(f, self.potential)
+        _check_rhs(rhs, t)
         xs = self._points(x)
 
         def evolve(ts):
@@ -449,8 +478,13 @@ class GridEngine:
                        np.zeros(len(xs)),
                        np.interp(xs[:, 0], u.nodes, du)[:, None])
 
-        return _over_times(
-            t, lambda: (f(xs), np.zeros(len(xs)), f.gradient(xs)), evolve)
+        sides = _over_times(
+            t, lambda j: (f(xs), np.zeros(len(xs)), f.gradient(xs)), evolve)
+        if rhs is None:
+            return sides
+        # each right side marches on its own, as its apply would
+        return sides + _stacked(t, [self.apply(g, s, xs)
+                                    for g, s in zip(rhs, _times(t))])
 
     def describe(self) -> dict:
         return {"kind": self.kind, "potential": self.potential.label,
@@ -474,22 +508,29 @@ class MonteCarloEngine:
         if self.n_paths < 100:
             raise ParameterError(f"need at least 100 paths, got {self.n_paths}")
 
+    def _paths(self, starts, ts) -> np.ndarray:
+        return simulate(self.potential, starts, ts, self.dt, self.n_paths,
+                        self.seed, functionals={}).positions
+
+    def _mean(self, func, x):
+        # as (k, *cols, n_paths): each column reduces along a contiguous
+        # path axis
+        v = np.ascontiguousarray(np.moveaxis(func(x), 1, -1))
+        return v.mean(axis=-1), v.std(axis=-1, ddof=1) / math.sqrt(self.n_paths)
+
     def apply(self, func, t, x):
         xs = as_points(x, self.potential.n)
 
         def evolve(ts):
-            for x in simulate(self.potential, xs, ts, self.dt, self.n_paths,
-                              self.seed, functionals={}).positions:
-                # one time at a time, as (k, *cols, n_paths): each column
-                # reduces along a contiguous path axis
-                v = np.ascontiguousarray(np.moveaxis(func(x), 1, -1))
-                yield v.mean(axis=-1), \
-                    v.std(axis=-1, ddof=1) / math.sqrt(self.n_paths)
+            # one time at a time
+            for x in self._paths(xs, ts):
+                yield self._mean(func, x)
 
-        return _over_times(t, lambda: _at_points(func, xs), evolve)
+        return _over_times(t, lambda j: _at_points(func, xs), evolve)
 
-    def value_grad(self, f: TestFunction, t, x):
+    def value_grad(self, f: TestFunction, t, x, rhs=None):
         _check_dimension(f, self.potential)
+        _check_rhs(rhs, t)
         xs = as_points(x, self.potential.n)
         k, n = xs.shape
         # common-random-number central differences: the shifted starts share
@@ -497,11 +538,26 @@ class MonteCarloEngine:
         h = 1e-3 * (1.0 + np.abs(xs))
         e = np.eye(n)[:, None, :] * h  # (n, k, n): shift of dimension i
         starts = np.concatenate([xs[None], xs + e, xs - e]).reshape(-1, n)
-        vals, errs = self.apply(f, t, starts)
+        # the first k starts are the points, so a right side reads its
+        # paths off f's: bitwise those of a run from the points alone
+        later = [] if rhs is None else \
+            [g for g, s in zip(rhs, _times(t)) if s > 0.0]
+
+        def still(j):
+            row = _at_points(f, starts)
+            return row if rhs is None else row + _at_points(rhs[j], xs)
+
+        def evolve(ts):
+            for j, x in enumerate(self._paths(starts, ts)):
+                row = self._mean(f, x)
+                yield row if rhs is None else row + self._mean(later[j],
+                                                               x[:k])
+
+        vals, errs, *sides = _over_times(t, still, evolve)
         up, dn = np.moveaxis(vals[..., k:].reshape(np.shape(t) + (2, n, k)),
                              -3, 0)
-        return vals[..., :k], errs[..., :k], \
-            np.swapaxes((up - dn) / (2.0 * h.T), -1, -2)
+        return (vals[..., :k], errs[..., :k],
+                np.swapaxes((up - dn) / (2.0 * h.T), -1, -2), *sides)
 
     def describe(self) -> dict:
         return {"kind": self.kind, "potential": self.potential.label,

@@ -28,7 +28,8 @@ from .errors import ParameterError, QuadratureError
 from .mfunctions import MFunction
 from .potentials import Potential
 from .quadrature import adaptive
-from .semigroup import TestFunction, as_points, gamma, gamma2, gamma_gamma
+from .semigroup import (TestFunction, _check_dimension, as_points, gamma,
+                        gamma2, gamma_gamma)
 
 __all__ = [
     "Schedule",
@@ -174,26 +175,32 @@ def verify_local(mf: MFunction, engine, f: TestFunction, schedule: Schedule,
     reverse: M(P_t f, h_alpha(0) Gamma(P_t f)) <= P_t M(f, alpha Gamma(f))
     """
     xs = as_points(schedule.xs, engine.potential.n)
+    # the right sides integrate M(f, .) around the points, and the engine
+    # evaluates them before any left side: an f outside M's domain at a
+    # point is named here, not by a non-finite value inside the engine
+    _check_dimension(f, engine.potential)
+    mf.check_domain(f(xs), 0.0)
     alphas = np.array(schedule.alphas)
+    # per t, the factors of Gamma on the left and on the right side
+    if mf.reverse:
+        factors = [(np.array([h_alpha(0.0, t, a, rho) for a in alphas]),
+                    alphas) for t in schedule.ts]
+    else:
+        factors = [(alphas, np.array([g_alpha(t, a, rho) for a in alphas]))
+                   for t in schedule.ts]
+    # one engine call for both sides at every t, with one column per alpha
+    # on each: the right sides' composite changes with t
+    sides = engine.value_grad(f, schedule.ts, xs,
+                              rhs=[_composite(mf, f, r) for _, r in factors])
     records = []
-    # one evolution of f for every t; the right sides' composite changes
-    # with t, so each t applies its own
-    for t, u, se_u, grad in zip(schedule.ts,
-                                *engine.value_grad(f, schedule.ts, xs)):
-        # one column per alpha: (k, A) left sides, one apply for the right
+    for t, (lhs_factors, _), u, se_u, grad, rhs, se in zip(
+            schedule.ts, factors, *sides):
         u, se_u = u[:, None], se_u[:, None]
         gam_pt = np.sum(np.square(grad), axis=-1)[:, None]
         noisy = se_u[:, 0] > 0.0
-        if mf.reverse:
-            lhs_factors = np.array([h_alpha(0.0, t, a, rho) for a in alphas])
-            rhs_factors = alphas
-        else:
-            lhs_factors = alphas
-            rhs_factors = np.array([g_alpha(t, a, rho) for a in alphas])
         y = np.maximum(gam_pt * lhs_factors, 0.0)
         mf.check_domain(u, y)
         lhs = mf.value(u, y)
-        rhs, se = engine.apply(_composite(mf, f, rhs_factors), t, xs)
         if np.any(noisy):
             # Monte Carlo left sides are noisy through P_t f; propagate
             # that part where it is nonzero, so |m_x| * 0 never forms

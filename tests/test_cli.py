@@ -659,3 +659,22 @@ def test_function_of_another_dimension_exits_2(capsys, argv):
 def test_empty_lists_exit_2(capsys, argv):
     assert main(argv) == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--engine", "monte-carlo", "--n-paths", "100", "--seed", "-1",
+     "--ts", "0.1", "--mfunction", "poincare", "--function", "sine"],
+    ["feynman-kac", "--check", "commutation", "--paths", "100", "--seed",
+     "-3", "--ts", "0.1"],
+    ["feynman-kac", "--check", "supermartingale", "--paths", "100",
+     "--seed", "-1", "--ts", "0.1"],
+])
+def test_negative_seed_exits_2(capsys, argv):
+    assert main(argv) == 2
+    assert "seed must be >= 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", ["seed = -1\n", "engine = monte-carlo\n"
+                                  "engine.seed = -2\n"])
+def test_negative_config_seed_is_config_error(tmp_path, capsys, text):
+    _expect_config_error(tmp_path, capsys, text)

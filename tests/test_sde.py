@@ -113,6 +113,13 @@ def test_parameter_errors():
             simulate(P, x0, t=1.0, dt=1e-3, n_paths=7)
 
 
+def test_negative_seed_is_a_parameter_error():
+    # numpy's SeedSequence would raise a bare ValueError
+    P = make_example_potential("gaussian", n=1)
+    with pytest.raises(ParameterError, match="seed"):
+        simulate(P, [0.0], t=0.1, dt=1e-2, n_paths=7, seed=-1)
+
+
 @pytest.mark.parametrize("threads", ["1", "4"])
 @pytest.mark.parametrize("kind,n", [("gaussian", 2), ("spherical", 3)])
 def test_start_points_match_single_runs(monkeypatch, threads, kind, n):

@@ -1,20 +1,22 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
 from scipy.optimize import brentq
 
 from curvlab import semigroup, suite
-from curvlab.errors import ParameterError, QuadratureError
+from curvlab.errors import DomainError, ParameterError, QuadratureError
 from curvlab.mfunctions import catalog
 from curvlab.potentials import make_double_well, make_example_potential
 from curvlab.quadrature import adaptive
+from curvlab.sde import BLOCK_SIZE
 from curvlab.semigroup import (GridEngine, MehlerEngine, MonteCarloEngine,
                                TestFunction, as_points)
 from curvlab.suite import get
 from curvlab.verify import (InequalityReport, QuadSpec, Record, Schedule,
-                            _critical_points, default_schedule,
+                            _composite, _critical_points, default_schedule,
                             exp_integrability_bound_check,
                             g_alpha, h_alpha, verify_H_monotone,
                             verify_integrated_condition,
@@ -528,20 +530,98 @@ def _count_calls(monkeypatch, name):
 
 def test_mc_local_simulation_count(monkeypatch):
     # one checkpointed run over the 7 points and their shifted starts gives
-    # P_t f, its stderr and the central difference at every t; then at each
-    # of the 5 times t > 0 one run for the right sides of all alphas, which
-    # are columns of one function
+    # P_t f, its stderr and the central difference at every t, and the right
+    # sides of all alphas at every t are read off its first 7 starts
     calls = _count_calls(monkeypatch, "simulate")
     eng = MonteCarloEngine(GAUSS, n_paths=100, dt=1e-2, seed=0)
     verify_local(catalog("poincare"), eng, get("sine"), default_schedule(),
                  rho=1.0)
-    assert len(calls) == 1 + 5
+    assert len(calls) == 1
+
+
+def _separate_sides(mf, engine, f, sched, rho):
+    """(lhs, rhs, stderr) of each record of verify_local, from value_grad of
+    f alone and one apply of the right sides per t."""
+    xs = as_points(sched.xs, engine.potential.n)
+    alphas = np.array(sched.alphas)
+    out = []
+    for t, u, se_u, grad in zip(sched.ts,
+                                *engine.value_grad(f, sched.ts, xs)):
+        if mf.reverse:
+            lf = np.array([h_alpha(0.0, t, a, rho) for a in alphas])
+            rf = alphas
+        else:
+            lf = alphas
+            rf = np.array([g_alpha(t, a, rho) for a in alphas])
+        u, se_u = u[:, None], se_u[:, None]
+        y = np.maximum(np.sum(np.square(grad), axis=-1)[:, None] * lf, 0.0)
+        lhs = mf.value(u, y)
+        rhs, se = engine.apply(_composite(mf, f, rf), t, xs)
+        noisy = se_u[:, 0] > 0.0
+        if np.any(noisy):
+            se[noisy] += np.abs(mf.m_x(
+                u[noisy], np.maximum(y[noisy], 1e-12))) * se_u[noisy]
+        out += [(lhs[i, j], rhs[i, j], se[i, j])
+                for j in range(len(alphas)) for i in range(len(xs))]
+    return out
+
+
+# unsorted, repeated, with t = 0 and a time off the dt grid
+ODD_TS = Schedule(ts=(0.25, 0.0, 0.1, 0.255, 0.25))
+SIDE_PAIRS = (("poincare", "sine"), ("reverse-log-sobolev", "shifted-sine"))
+
+
+@pytest.mark.parametrize("threads", ["1", "4"])
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("mf_id,fn", SIDE_PAIRS)
+def test_mc_local_sides_match_separate_calls(monkeypatch, threads, seed,
+                                              mf_id, fn):
+    # both sides come from one path set in two blocks; each record is
+    # bitwise what value_grad and one apply per t give on their own
+    monkeypatch.setenv("CURVLAB_THREADS", threads)
+    eng = MonteCarloEngine(GAUSS, n_paths=BLOCK_SIZE + 100, dt=1e-2,
+                           seed=seed)
+    mf, f = catalog(mf_id), get(fn)
+    rep = verify_local(mf, eng, f, ODD_TS, rho=1.0)
+    assert [(r.lhs, r.rhs, r.stderr) for r in rep.records] \
+        == _separate_sides(mf, eng, f, ODD_TS, 1.0)
+    assert all(r.stderr > 0.0 for r in rep.records if r.t > 0.0)
+
+
+@pytest.mark.parametrize("mf_id,fn", SIDE_PAIRS)
+@pytest.mark.parametrize("engine", [
+    ENGINE, GridEngine(GAUSS, lo=-8.0, hi=8.0, m=801, dt=1e-2)],
+    ids=["mehler", "grid"])
+def test_deterministic_local_sides_match_separate_calls(engine, mf_id, fn):
+    mf, f = catalog(mf_id), get(fn)
+    rep = verify_local(mf, engine, f, ODD_TS, rho=1.0)
+    assert [(r.lhs, r.rhs, r.stderr) for r in rep.records] \
+        == _separate_sides(mf, engine, f, ODD_TS, 1.0)
+
+
+@pytest.mark.parametrize("engine", [
+    ENGINE, GridEngine(GAUSS, lo=-8.0, hi=8.0, m=801, dt=1e-2),
+    MonteCarloEngine(GAUSS, n_paths=100, dt=1e-2)],
+    ids=["mehler", "grid", "monte-carlo"])
+def test_local_check_names_the_domain_f_leaves(engine):
+    # sine is negative at x = -3; the engines evaluate the right sides
+    # before any left side, so the check must name the domain first
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="log-sobolev needs x"):
+            verify_local(catalog("log-sobolev"), engine, get("sine"),
+                         default_schedule(), rho=1.0)
+
+
+def test_value_grad_needs_one_right_side_per_time():
+    with pytest.raises(ParameterError):
+        ENGINE.value_grad(get("sine"), (0.1, 0.2), 0.0, rhs=[np.cos])
 
 
 def test_grid_local_march_count(monkeypatch):
-    # one checkpointed march of f for value and gradient at every t, then at
-    # each of the 5 times t > 0 one march of the right sides of all alphas
-    # as columns
+    # one checkpointed march of f for value and gradient at every t, then,
+    # inside the same value_grad call, at each of the 5 times t > 0 one
+    # march of the right sides of all alphas as columns
     calls = _count_calls(monkeypatch, "grid_apply")
     eng = GridEngine(make_double_well(), lo=-6.0, hi=6.0, m=2001, dt=1e-2)
     verify_local(catalog("y"), eng, get("linear"), default_schedule(),
@@ -550,12 +630,12 @@ def test_grid_local_march_count(monkeypatch):
 
 
 def test_mehler_local_quadrature_count(monkeypatch):
-    # one quadrature over the columns [f, grad f] at all 6 times, then at
-    # each of them, t = 0 included, one over the right sides of all alphas
+    # one quadrature at all 6 times, t = 0 included, over the columns
+    # [f, grad f] and, at each time, the right sides of all alphas
     calls = _count_calls(monkeypatch, "mehler_apply")
     verify_local(catalog("poincare"), MehlerEngine(GAUSS), get("sine"),
                  default_schedule(), rho=1.0)
-    assert len(calls) == 1 + 6
+    assert len(calls) == 1
 
 
 def test_grid_monotone_march_count(monkeypatch):

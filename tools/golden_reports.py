@@ -1,0 +1,117 @@
+"""Write every benchmark report to a directory, for byte-for-byte diffs.
+
+    PYTHONPATH=src python tools/golden_reports.py OUT --seeds 0 1
+
+runs, through `curvlab.cli.main` and in csv and json, every check of the
+benchmark's workloads (`perfbench/workloads.py`, which covers the local
+checks of acceptance criteria 2 and 3), both presets, the configuration of
+acceptance criterion 12, and Monte Carlo local checks on an unsorted
+schedule with a repeated time, t = 0 and a time off the dt grid.  Each run
+gets its own directory under OUT/seed-S/ holding its output files, its
+stdout and stderr, and its exit status in `exit`.  `timestamp` and
+`wall_time_s` are dropped from every JSON document, so two trees with the
+same reports compare equal with `diff -r before after`.  Set
+CURVLAB_THREADS to compare thread counts.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import io
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
+
+from curvlab.cli import PRESETS, main as cli_main  # noqa: E402
+from perfbench.workloads import WORKLOADS  # noqa: E402
+
+VOLATILE = ("timestamp", "wall_time_s")
+
+CRITERION_12 = ("checks = local\nmfunctions = poincare\nfunctions = sine\n"
+                "engine = monte-carlo\nengine.n_paths = 2000\nts = 0.3\n"
+                "alphas = 0.5\nseed = 7\n")
+
+MC_TS = ("--engine", "monte-carlo", "--dt", "0.01",
+         "--ts", "0.25,0,0.1,0.255,0.25")
+
+
+def cases(config_file: str, seed: int) -> list:
+    """(name, argv) of every run at `seed`, without --format and --out;
+    criterion 12 keeps its config's seed."""
+    out = [(f"{w.name}-{i}", check) for w in WORKLOADS.values()
+           for i, check in enumerate(w.checks)]
+    out += [(f"preset-{name}", ("run", name)) for name in sorted(PRESETS)]
+    for n_paths in ("200", "8292"):  # one block, and two
+        out += [(f"mc-ts-{n_paths}-local", ("verify", *MC_TS, "--n-paths",
+                 n_paths, "--mfunction", "poincare", "--function", "sine")),
+                (f"mc-ts-{n_paths}-reverse", ("verify-reverse", *MC_TS,
+                 "--n-paths", n_paths, "--mfunction", "reverse-log-sobolev",
+                 "--function", "shifted-sine"))]
+    out = [(name, (*argv, "--seed", str(seed))) for name, argv in out]
+    return out + [("criterion-12", ("run", config_file))]
+
+
+def _strip(doc):
+    if isinstance(doc, dict):
+        return {k: _strip(v) for k, v in doc.items() if k not in VOLATILE}
+    if isinstance(doc, list):
+        return [_strip(v) for v in doc]
+    return doc
+
+
+def _stable(text: str) -> str:
+    """text without its volatile fields, if it is one JSON document."""
+    try:
+        doc = json.loads(text)
+    except ValueError:
+        return text
+    return json.dumps(_strip(doc), indent=2) + "\n"
+
+
+def record(argv: tuple, out: Path) -> int:
+    out.mkdir(parents=True)
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        try:
+            code = cli_main([*argv, "--out", str(out / "files")])
+        except SystemExit as exc:  # argparse rejections
+            code = exc.code
+    for path in sorted((out / "files").glob("*.json")):
+        path.write_text(_stable(path.read_text()))
+    (out / "stdout").write_text(_stable(stdout.getvalue()))
+    (out / "stderr").write_text(stderr.getvalue())
+    (out / "exit").write_text(f"{code}\n")
+    return code
+
+
+def parse_args(argv=None):
+    p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    p.add_argument("out", help="directory to create; must not exist")
+    p.add_argument("--seeds", type=int, nargs="+", default=[0, 1])
+    return p.parse_args(argv)
+
+
+def main(argv=None) -> int:
+    args = parse_args(argv)
+    root = Path(args.out)
+    root.mkdir(parents=True)
+    with tempfile.TemporaryDirectory() as tmp:
+        config_file = str(Path(tmp) / "criterion-12.conf")
+        Path(config_file).write_text(CRITERION_12)
+        for seed in args.seeds:
+            for name, argv in cases(config_file, seed):
+                for fmt in ("csv", "json"):
+                    code = record((*argv, "--format", fmt),
+                                  root / f"seed-{seed}" / f"{name}-{fmt}")
+                    print(f"seed {seed} {name} {fmt}: exit {code}",
+                          flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
