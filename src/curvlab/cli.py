@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 import time
 from dataclasses import asdict, dataclass, field, fields, replace
@@ -53,6 +54,14 @@ ENGINE_CHECKS = ("local", "reverse", "monotone")
 # ---------------------------------------------------------------------------
 # configuration
 # ---------------------------------------------------------------------------
+
+def _finite(key: str, value, at_least: float = -math.inf) -> None:
+    # None passes: psd-check's rho is optional
+    if value is not None and not at_least <= value < math.inf:
+        bound = "" if at_least == -math.inf else f" >= {at_least:g}"
+        raise ParameterError(f"{key} must be a finite number{bound}, "
+                             f"got {value}")
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -90,6 +99,9 @@ class ExperimentConfig:
             raise ParameterError(f"unknown engine {self.engine!r}")
         object.__setattr__(self, "engine_params", check_engine_params(
             self.engine, self.engine_params))
+        _finite("rho", self.rho)
+        _finite("t", self.t, 0.0)
+        _finite("alpha", self.alpha, 0.0)
         for seed in (self.seed, self.engine_params.get("seed", 0)):
             if seed < 0:
                 raise ParameterError(f"seed must be >= 0, got {seed}")
@@ -651,6 +663,7 @@ def _cmd_integrated(args) -> int:
             raise ParameterError(f"--mfunction is required for "
                                  f"--check {args.check}")
         return _cmd_checks(args, f"integrated-{args.check}")
+    _finite("rho", args.rho)
     potential = parse_potential_id(args.potential)
     spec = QuadSpec(half_width=args.half_width)
     return _emit_reports([exp_integrability_bound_check(
@@ -659,6 +672,7 @@ def _cmd_integrated(args) -> int:
 
 
 def _cmd_psd(args) -> int:
+    _finite("rho", args.rho)
     out = []
     ok = True
     for m in args.mfunction:

@@ -3,7 +3,8 @@
 Three interchangeable engines share one two-method contract: exact
 Gauss-Hermite quadrature of the Mehler integral (gaussian potential only),
 Crank-Nicolson time stepping of u_t = Lu on a 1-D grid with reflecting ends,
-and Euler-Maruyama Monte Carlo.
+and Euler-Maruyama Monte Carlo.  The two deterministic engines add a third
+method, for semigroups nested inside a sampled function.
 
 - `apply(func, t, xs) -> (values, stderr)` evaluates P_t of a plain
   function of position, vectorized over leading axes: (..., n) ->
@@ -18,11 +19,17 @@ and Euler-Maruyama Monte Carlo.
   local check in one call.  The Monte Carlo engine reads them off the path
   set of f, the Mehler engine off its quadrature of f, and the grid engine
   marches each function.
+- `evolved(f, t) -> tuple of callables` (Mehler and grid engines only)
+  gives one callable per time s of t, in t's order, mapping points z to
+  (P_s f(z), grad P_s f(z)), each bitwise the values and grads of
+  `value_grad(f, s, z)`.  The grid engine takes every time from one march
+  of f; the Mehler engine defers each call to `value_grad`, because its
+  nodes depend on z.
 
-Both read points through `as_points`, so xs is anything it accepts, and
-both always return arrays: values and stderr of shape (k, *cols), which is
-(k,) for a function without columns, and grads of shape (k, n).  stderr is
-exactly 0 for the deterministic engines.
+The first two read points through `as_points`, so xs is anything it
+accepts, and both always return arrays: values and stderr of shape
+(k, *cols), which is (k,) for a function without columns, and grads of
+shape (k, n).  stderr is exactly 0 for the deterministic engines.
 
 t is one time or a sequence of times in any order, repeats allowed.  A
 sequence adds a leading time axis, in the given order, and every time comes
@@ -231,6 +238,17 @@ class MehlerEngine:
     def apply(self, func, t, x):
         vals = mehler_apply(func, t, x, self.order, self.potential.n)
         return vals, np.zeros(vals.shape)
+
+    def evolved(self, f: TestFunction, t) -> tuple:
+        _check_dimension(f, self.potential)
+
+        def at(s):
+            def read(x):
+                u, _, grad = self.value_grad(f, s, x)
+                return u, grad
+            return read
+
+        return tuple(at(s) for s in _times(t))
 
     def value_grad(self, f: TestFunction, t, x, rhs=None):
         _check_dimension(f, self.potential)
@@ -466,20 +484,33 @@ class GridEngine:
 
         return _over_times(t, lambda j: _at_points(func, xs), evolve)
 
+    def evolved(self, f: TestFunction, t) -> tuple:
+        _check_dimension(f, self.potential)
+        ts = _times(t)
+        moving = ts > 0.0
+        marched = iter(self._evolved(f, ts[moving]) if moving.any() else ())
+
+        def still(x):
+            xs = self._points(x)
+            return f(xs), f.gradient(xs)
+
+        def read(u):
+            du = np.gradient(u.values, u.h)
+
+            def at(x):
+                xs = self._points(x)[:, 0]
+                return (np.interp(xs, u.nodes, u.values),
+                        np.interp(xs, u.nodes, du)[:, None])
+            return at
+
+        return tuple(read(next(marched)) if m else still for m in moving)
+
     def value_grad(self, f: TestFunction, t, x, rhs=None):
         _check_dimension(f, self.potential)
         _check_rhs(rhs, t)
         xs = self._points(x)
-
-        def evolve(ts):
-            for u in self._evolved(f, ts):
-                du = np.gradient(u.values, u.h)
-                yield (np.interp(xs[:, 0], u.nodes, u.values),
-                       np.zeros(len(xs)),
-                       np.interp(xs[:, 0], u.nodes, du)[:, None])
-
-        sides = _over_times(
-            t, lambda j: (f(xs), np.zeros(len(xs)), f.gradient(xs)), evolve)
+        sides = _stacked(t, [(u, np.zeros(len(xs)), grad) for u, grad in
+                             (at(xs) for at in self.evolved(f, t))])
         if rhs is None:
             return sides
         # each right side marches on its own, as its apply would

@@ -230,22 +230,25 @@ def verify_H_monotone(mf: MFunction, engine, f: TestFunction, t: float,
     """
     if s_count < 2:
         raise ParameterError("need at least the endpoints, s_count >= 2")
-    if t < 0.0:
-        raise ParameterError(f"time must be >= 0, got {t}")
+    if not (0.0 <= t < math.inf and 0.0 <= alpha < math.inf):
+        raise ParameterError(f"need finite t >= 0 and alpha >= 0, got t={t}, "
+                             f"alpha={alpha}")
     if engine.kind == "monte-carlo":
         raise ParameterError("monotonicity checks need a deterministic engine")
     n = engine.potential.n
     xs = as_points(default_schedule().xs if xs is None else xs, n)
     s_grid = np.linspace(0.0, t, s_count)
     H = np.empty((s_count, len(xs)))
-    for j, s in enumerate(s_grid):
+    # P_{t-s} f and its gradient for every s from one engine call: the grid
+    # engine marches f once for all of them
+    for j, (s, pt_f) in enumerate(zip(s_grid,
+                                      engine.evolved(f, t - s_grid))):
         factor = h_alpha(s, t, alpha, rho) if mf.reverse \
             else g_alpha(s, alpha, rho)
-        rem = t - s
 
-        def inner(z, factor=factor, rem=rem):
+        def inner(z, factor=factor, pt_f=pt_f):
             z = np.asarray(z, dtype=float)
-            u, _, grad = engine.value_grad(f, rem, z.reshape(-1, n))
+            u, grad = pt_f(z.reshape(-1, n))
             v = np.sum(np.square(grad), axis=-1)
             out = mf.value(u, np.maximum(factor * v, 0.0))
             return np.asarray(out).reshape(z.shape[:-1])

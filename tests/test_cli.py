@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -591,6 +592,7 @@ def test_checks_import_neither_scipy_integrate_nor_scipy_optimize(tmp_path):
     # import of potentials.scan_points, for n >= 2, loads both
     script = f"""
 import sys
+import warnings
 from curvlab.cli import main
 codes = [main(argv + ["--out", {str(tmp_path)!r}]) for argv in (
     ["integrated", "--check", "condition", "--variant", "enhanced",
@@ -677,4 +679,34 @@ def test_negative_seed_exits_2(capsys, argv):
 @pytest.mark.parametrize("text", ["seed = -1\n", "engine = monte-carlo\n"
                                   "engine.seed = -2\n"])
 def test_negative_config_seed_is_config_error(tmp_path, capsys, text):
+    _expect_config_error(tmp_path, capsys, text)
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["verify", "--mfunction", "poincare", "--function", "sine", "--rho",
+      "nan"], "rho must be a finite number"),
+    (["verify", "--mfunction", "poincare", "--function", "sine", "--rho",
+      "inf"], "rho must be a finite number"),
+    (["psd-check", "--mfunction", "poincare", "--rho", "nan"],
+     "rho must be a finite number"),
+    (["integrated", "--check", "exp-bound", "--function", "linear", "--rho",
+      "inf"], "rho must be a finite number"),
+    (["monotone", "--mfunction", "poincare", "--function", "sine", "--t",
+      "inf"], "t must be a finite number >= 0"),
+    (["monotone", "--mfunction", "poincare", "--function", "sine",
+      "--alpha", "-1"], "alpha must be a finite number >= 0"),
+])
+def test_non_finite_rho_t_or_negative_alpha_exits_2(capsys, argv, message):
+    # each of these once wrote a report (NaN margins, or a pass) instead
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert message in out.err
+
+
+@pytest.mark.parametrize("text", ["rho = nan\n", "t = inf\n", "t = -1\n",
+                                  "alpha = -inf\n"])
+def test_non_finite_config_number_is_config_error(tmp_path, capsys, text):
     _expect_config_error(tmp_path, capsys, text)

@@ -639,9 +639,86 @@ def test_mehler_local_quadrature_count(monkeypatch):
 
 
 def test_grid_monotone_march_count(monkeypatch):
-    # s > 0 marches the outer function; s < t marches the inner one
-    calls = _count_calls(monkeypatch, "grid_apply")
-    eng = GridEngine(make_double_well(), lo=-6.0, hi=6.0, m=2001, dt=1e-2)
+    # the benchmark's grid monotone check: one march of f to every t - s > 0
+    # gives all 20 inner functions, then each s > 0 marches the outer one;
+    # the inner march takes 600 steps to t = 0.6 and 6 partial steps off the
+    # dt grid, the outer ones 30 + 60 + ... + 600 = 6300
+    marches = _count_calls(monkeypatch, "grid_apply")
+    solves = _count_calls(monkeypatch, "dgttrs")
+    eng = GridEngine(make_double_well(), lo=-6.0, hi=6.0, m=2001, dt=1e-3)
     verify_H_monotone(catalog("poincare"), eng, get("sine"), t=0.6,
                       alpha=0.2, rho=-1.0, s_count=21)
-    assert len(calls) == 20 + 20
+    assert len(marches) == 1 + 20
+    assert len(solves) == 606 + 6300
+
+
+def test_mehler_monotone_quadrature_count(monkeypatch):
+    # one quadrature per s for the outer function, and one per s for the
+    # inner function at its nodes, which depend on s
+    calls = _count_calls(monkeypatch, "mehler_apply")
+    verify_H_monotone(catalog("reverse-poincare"), ENGINE, get("sine"),
+                      t=0.6, alpha=0.2, rho=1.0, s_count=21)
+    assert len(calls) == 21 + 21
+
+
+def _per_s_monotone(mf, engine, f, t, alpha, rho, s_count):
+    """(lhs, rhs, margin) of each record of verify_H_monotone, from one
+    apply per s whose sampled function calls value_grad(f, t - s, z)."""
+    xs = as_points(default_schedule().xs, 1)
+    H = []
+    for s in np.linspace(0.0, t, s_count):
+        factor = h_alpha(s, t, alpha, rho) if mf.reverse \
+            else g_alpha(s, alpha, rho)
+
+        def inner(z, factor=factor, rem=t - s):
+            z = np.asarray(z, dtype=float)
+            u, _, grad = engine.value_grad(f, rem, z.reshape(-1, 1))
+            y = np.maximum(factor * np.sum(np.square(grad), axis=-1), 0.0)
+            return np.asarray(mf.value(u, y)).reshape(z.shape[:-1])
+
+        H.append(engine.apply(inner, s, xs)[0])
+    return [(H[j][i], H[j + 1][i], H[j + 1][i] - H[j][i])
+            for j in range(s_count - 1) for i in range(len(xs))]
+
+
+@pytest.mark.parametrize("mf_id,fn", SIDE_PAIRS)
+@pytest.mark.parametrize("s_count", [21, 4])
+# t = 0, below dt, off the dt grid and on it
+@pytest.mark.parametrize("t", [0.0, 1e-9, 0.2555, 0.6])
+@pytest.mark.parametrize("engine", [
+    ENGINE, GridEngine(GAUSS, lo=-8.0, hi=8.0, m=801, dt=1e-2)],
+    ids=["mehler", "grid"])
+def test_monotone_matches_a_value_grad_per_s(engine, t, s_count, mf_id, fn):
+    mf, f = catalog(mf_id), get(fn)
+    rep = verify_H_monotone(mf, engine, f, t=t, alpha=0.2, rho=1.0,
+                            s_count=s_count)
+    assert [(r.lhs, r.rhs, r.margin) for r in rep.records] \
+        == _per_s_monotone(mf, engine, f, t, 0.2, 1.0, s_count)
+
+
+@pytest.mark.parametrize("t,alpha", [(math.inf, 0.2), (math.nan, 0.2),
+                                     (0.6, -1.0), (0.6, math.inf),
+                                     (0.6, math.nan)])
+def test_monotone_needs_finite_t_and_alpha_at_least_0(t, alpha):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ParameterError, match="need finite t >= 0"):
+            verify_H_monotone(catalog("poincare"), ENGINE, get("sine"), t=t,
+                              alpha=alpha, rho=1.0)
+
+
+def test_evolved_reads_one_march_per_call(monkeypatch):
+    # every positive time from one march, bitwise value_grad at each time;
+    # t = 0 evaluates f, and points outside the window are refused
+    eng = GridEngine(GAUSS, lo=-8.0, hi=8.0, m=801, dt=1e-2)
+    f, xs, ts = get("sine"), as_points([-1.0, 0.3, 2.0], 1), ODD_TS.ts
+    calls = _count_calls(monkeypatch, "grid_apply")
+    readers = eng.evolved(f, ts)
+    assert len(calls) == 1 and len(readers) == len(ts)
+    for s, read in zip(ts, readers):
+        u, _, grad = eng.value_grad(f, s, xs)
+        got = read(xs)
+        assert got[0].tobytes() == u.tobytes()
+        assert got[1].tobytes() == grad.tobytes()
+    with pytest.raises(DomainError):
+        readers[0](9.0)

@@ -5,8 +5,10 @@
 runs, through `curvlab.cli.main` and in csv and json, every check of the
 benchmark's workloads (`perfbench/workloads.py`, which covers the local
 checks of acceptance criteria 2 and 3), both presets, the configuration of
-acceptance criterion 12, and Monte Carlo local checks on an unsorted
-schedule with a repeated time, t = 0 and a time off the dt grid.  Each run
+acceptance criterion 12, Monte Carlo local checks on an unsorted schedule
+with a repeated time, t = 0 and a time off the dt grid, and monotone checks
+beyond the benchmark's: on the grid at a t off the dt grid and at t = 0,
+and a reverse one on the Mehler engine.  Each run
 gets its own directory under OUT/seed-S/ holding its output files, its
 stdout and stderr, and its exit status in `exit`.  `timestamp` and
 `wall_time_s` are dropped from every JSON document, so two trees with the
@@ -39,6 +41,11 @@ CRITERION_12 = ("checks = local\nmfunctions = poincare\nfunctions = sine\n"
 MC_TS = ("--engine", "monte-carlo", "--dt", "0.01",
          "--ts", "0.25,0,0.1,0.255,0.25")
 
+GRID_MONOTONE = ("monotone", "--engine", "grid", "--potential", "double-well",
+                 "--lo", "-6", "--hi", "6", "--m", "2001", "--dt", "0.001",
+                 "--rho", "-1", "--mfunction", "poincare", "--function",
+                 "sine")
+
 
 def cases(config_file: str, seed: int) -> list:
     """(name, argv) of every run at `seed`, without --format and --out;
@@ -52,6 +59,12 @@ def cases(config_file: str, seed: int) -> list:
                 (f"mc-ts-{n_paths}-reverse", ("verify-reverse", *MC_TS,
                  "--n-paths", n_paths, "--mfunction", "reverse-log-sobolev",
                  "--function", "shifted-sine"))]
+    out += [("monotone-grid-off-dt", (*GRID_MONOTONE, "--t", "0.2555",
+                                      "--s-count", "6")),
+            ("monotone-grid-t0", (*GRID_MONOTONE, "--t", "0")),
+            ("monotone-mehler-reverse", ("monotone", "--mfunction",
+                                         "reverse-poincare", "--function",
+                                         "sine"))]
     out = [(name, (*argv, "--seed", str(seed))) for name, argv in out]
     return out + [("criterion-12", ("run", config_file))]
 
