@@ -118,8 +118,7 @@ def gradient_bound(potential: Potential, f: TestFunction, xs, ts: Sequence,
                for x, lhs, rhs, se in zip(pts, lhs_t, rhs_t, se_t)]
     return InequalityReport(
         label=f"gradient-bound[{f.label}|{potential.label}|{lhs_engine.kind}]",
-        records=tuple(records),
-        tolerance=getattr(lhs_engine, "tolerance", 0.0))
+        records=tuple(records), tolerance=lhs_engine.tolerance)
 
 
 def commutation_check(potential: Potential, cert: LyapunovCertificate,
@@ -164,6 +163,5 @@ def commutation_check(potential: Potential, cert: LyapunovCertificate,
     return InequalityReport(
         label=f"commutation[p={p:g}|{cert.label}|{f.label}"
               f"|{potential.label}|{lhs_engine.kind}]",
-        records=tuple(records),
-        tolerance=getattr(lhs_engine, "tolerance", 0.0))
+        records=tuple(records), tolerance=lhs_engine.tolerance)
 

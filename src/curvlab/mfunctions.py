@@ -692,12 +692,8 @@ def certify_psd(mf: MFunction, kind: str, spec: SampleSpec | None = None,
     min_my = float(np.min(my))
     my_ok = (min_my >= -1e-12) if mf.my_nonneg else True
     passed = bool(np.all(tr >= -tol) and np.all(det >= -tol) and my_ok)
-    try:
-        kind = _KIND_ALIASES[kind]
-    except KeyError:
-        pass
     return PsdReport(
-        mfunction=mf.label, kind=kind, rho=rho,
+        mfunction=mf.label, kind=_KIND_ALIASES[kind], rho=rho,
         x_range=(float(xs[0]), float(xs[-1])),
         y_range=(float(ys[0]), float(ys[-1])),
         n_samples=int(worst.size),

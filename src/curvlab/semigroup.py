@@ -34,7 +34,8 @@ shape (k, n).  stderr is exactly 0 for the deterministic engines.
 t is one time or a sequence of times in any order, repeats allowed.  A
 sequence adds a leading time axis, in the given order, and every time comes
 from one evolution; each time's slice is bitwise what a call with that time
-alone returns.
+alone returns.  P_0 is the identity: at t = 0 every engine evaluates at
+the points, with zero stderr, and it evolves only the positive times.
 
 Gamma(f, g) = grad f . grad g and
 Gamma2(f) = ||Hess f||_HS^2 + grad f . Hess V grad f.  The gradient of
@@ -169,6 +170,77 @@ def enhanced_gap(f: TestFunction, potential: Potential, x) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# what the engines share: P_0 is the identity
+# ---------------------------------------------------------------------------
+
+def _stacked(t, rows) -> tuple:
+    """rows, one tuple of arrays per time of t, as arrays with a leading
+    time axis for a sequence."""
+    return tuple(np.stack(col).reshape(np.shape(t) + np.shape(col[0]))
+                 for col in zip(*rows))
+
+
+def _over_times(t, still, evolve) -> list:
+    """One row of results per time of t, in t's order: still(j) at time j
+    of t when it is 0, and evolve(times) one row per positive time, from one
+    evolution."""
+    ts = _times(t)
+    moving = ts > 0.0
+    ran = iter(evolve(ts[moving]) if moving.any() else ())
+    return [next(ran) if m else still(j) for j, m in enumerate(moving)]
+
+
+def _at_points(func, xs):
+    vals = func(xs)
+    return vals, np.zeros(np.shape(vals))
+
+
+class _Engine:
+    """The t = 0 rule of every engine, and its describe()."""
+
+    def _points(self, x) -> np.ndarray:
+        return as_points(x, self.potential.n)
+
+    def _apply(self, func, t, x, evolve):
+        # evolve(xs, ts) yields (values, stderr) per time of ts
+        xs = self._points(x)
+        return _stacked(t, _over_times(t, lambda j: _at_points(func, xs),
+                                       lambda ts: evolve(xs, ts)))
+
+    def _value_grad(self, f: TestFunction, t, x, rhs, evolve):
+        # evolve(xs, ts, later) yields value_grad's row per time of ts,
+        # later holding the right sides of those times, empty without rhs
+        _check_dimension(f, self.potential)
+        ts = _times(t)
+        if rhs is not None and len(rhs) != len(ts):
+            raise ParameterError(f"need one right side per time, got "
+                                 f"{len(rhs)} for t={t}")
+        xs = self._points(x)
+        later = [g for g, s in zip(rhs or (), ts) if s > 0.0]
+
+        def still(j):
+            row = f(xs), np.zeros(len(xs)), f.gradient(xs)
+            return row if rhs is None else row + _at_points(rhs[j], xs)
+
+        return _stacked(t, _over_times(t, still,
+                                       lambda ts: evolve(xs, ts, later)))
+
+    def _readers(self, f: TestFunction, t, evolve) -> tuple:
+        # evolve(ts) yields a reader per time of ts
+        _check_dimension(f, self.potential)
+
+        def still(x):
+            xs = self._points(x)
+            return f(xs), f.gradient(xs)
+
+        return tuple(_over_times(t, lambda j: still, evolve))
+
+    def describe(self) -> dict:
+        return {"kind": self.kind, "potential": self.potential.label,
+                **{f.name: getattr(self, f.name) for f in fields(self)[1:]}}
+
+
+# ---------------------------------------------------------------------------
 # Mehler engine (gaussian potential)
 # ---------------------------------------------------------------------------
 
@@ -219,7 +291,7 @@ def mehler_apply(f, t, x, order: int = 64, n: int | None = None):
 
 
 @dataclass(frozen=True)
-class MehlerEngine:
+class MehlerEngine(_Engine):
     """Exact OU semigroup via the Mehler integral; n <= 3."""
 
     potential: Potential
@@ -236,44 +308,41 @@ class MehlerEngine:
             raise ParameterError("quadrature order must be >= 2")
 
     def apply(self, func, t, x):
-        vals = mehler_apply(func, t, x, self.order, self.potential.n)
-        return vals, np.zeros(vals.shape)
+        def evolve(xs, ts):
+            for v in mehler_apply(func, ts, xs, self.order, self.potential.n):
+                yield v, np.zeros(v.shape)
+
+        return self._apply(func, t, x, evolve)
 
     def evolved(self, f: TestFunction, t) -> tuple:
-        _check_dimension(f, self.potential)
-
         def at(s):
             def read(x):
                 u, _, grad = self.value_grad(f, s, x)
                 return u, grad
             return read
 
-        return tuple(at(s) for s in _times(t))
+        return self._readers(f, t, lambda ts: map(at, ts))
 
     def value_grad(self, f: TestFunction, t, x, rhs=None):
-        _check_dimension(f, self.potential)
-        _check_rhs(rhs, t)
-        n = f.n
+        def evolve(xs, ts, later):
+            def columns(z):
+                cols = [f.value(z)[..., None], f.gradient(z)]
+                if later:
+                    # z[j] holds the nodes that later[j] integrates
+                    cols.append(np.concatenate([g(z[j:j + 1])
+                                                for j, g in enumerate(later)]))
+                return np.concatenate(cols, axis=-1)
 
-        def columns(z):
-            cols = [f.value(z)[..., None], f.gradient(z)]
-            if rhs is not None:
-                # z holds time j's nodes at z[j], the ones rhs[j] integrates
-                cols.append(np.concatenate([g(z[j:j + 1])
-                                            for j, g in enumerate(rhs)]))
-            return np.concatenate(cols, axis=-1)
+            n = f.n
+            out = mehler_apply(columns, ts, xs, self.order, n)
+            # exact commutation: grad P_t f = e^-t P_t grad f
+            grads = _decay(ts)[:, None, None] * out[..., 1:n + 1]
+            for v, grad in zip(out, grads):
+                row = v[:, 0], np.zeros(len(xs)), grad
+                yield row + (v[:, n + 1:], np.zeros(v[:, n + 1:].shape)) \
+                    if later else row
 
-        out, err = self.apply(columns, t, x)
-        # exact commutation: grad P_t f = e^-t P_t grad f
-        decay = _decay(t)[..., None, None]
-        sides = out[..., 0], err[..., 0], decay * out[..., 1:n + 1]
-        if rhs is None:
-            return sides
-        return sides + (out[..., n + 1:], err[..., n + 1:])
-
-    def describe(self) -> dict:
-        return {"kind": self.kind, "potential": self.potential.label,
-                "order": self.order}
+        return self._value_grad(f, t, x, rhs, evolve)
 
 
 # ---------------------------------------------------------------------------
@@ -409,39 +478,8 @@ def grid_apply(gen: TridiagonalGenerator, f: GridFunction, t, dt: float):
     return tuple(out) if np.ndim(t) else out[0]
 
 
-def _check_rhs(rhs, t) -> None:
-    if rhs is not None and len(rhs) != len(_times(t)):
-        raise ParameterError(f"need one right side per time, got {len(rhs)} "
-                             f"for t={t}")
-
-
-def _stacked(t, rows) -> tuple:
-    """rows, one tuple of arrays per time of t, as arrays with a leading
-    time axis for a sequence."""
-    return tuple(np.stack(col).reshape(np.shape(t) + np.shape(col[0]))
-                 for col in zip(*rows))
-
-
-def _over_times(t, still, evolve):
-    """An engine's results at each time of t, in t's order, with a leading
-    time axis for a sequence: still(j) gives the results at time j of t
-    when it is 0, and evolve(times) one row of results per positive time,
-    from one evolution."""
-    ts = _times(t)
-    moving = ts > 0.0
-    ran = iter(evolve(ts[moving]) if moving.any() else ())
-    return _stacked(t, [next(ran) if m else still(j)
-                        for j, m in enumerate(moving)])
-
-
-def _at_points(func, xs):
-    # the t = 0 rule of the grid and Monte Carlo engines' apply
-    vals = func(xs)
-    return vals, np.zeros(np.shape(vals))
-
-
 @dataclass(frozen=True)
-class GridEngine:
+class GridEngine(_Engine):
     potential: Potential
     lo: float = -12.0
     hi: float = 12.0
@@ -471,9 +509,7 @@ class GridEngine:
         return xs
 
     def apply(self, func, t, x):
-        xs = self._points(x)
-
-        def evolve(ts):
+        def evolve(xs, ts):
             for u in self._evolved(func, ts):
                 cols = u.values.reshape(u.m, -1)
                 # np.interp takes one column at a time
@@ -482,18 +518,9 @@ class GridEngine:
                 vals = vals.reshape(len(xs), *u.values.shape[1:])
                 yield vals, np.zeros(vals.shape)
 
-        return _over_times(t, lambda j: _at_points(func, xs), evolve)
+        return self._apply(func, t, x, evolve)
 
     def evolved(self, f: TestFunction, t) -> tuple:
-        _check_dimension(f, self.potential)
-        ts = _times(t)
-        moving = ts > 0.0
-        marched = iter(self._evolved(f, ts[moving]) if moving.any() else ())
-
-        def still(x):
-            xs = self._points(x)
-            return f(xs), f.gradient(xs)
-
         def read(u):
             du = np.gradient(u.values, u.h)
 
@@ -503,23 +530,18 @@ class GridEngine:
                         np.interp(xs, u.nodes, du)[:, None])
             return at
 
-        return tuple(read(next(marched)) if m else still for m in moving)
+        return self._readers(f, t, lambda ts: map(read, self._evolved(f, ts)))
 
     def value_grad(self, f: TestFunction, t, x, rhs=None):
-        _check_dimension(f, self.potential)
-        _check_rhs(rhs, t)
-        xs = self._points(x)
-        sides = _stacked(t, [(u, np.zeros(len(xs)), grad) for u, grad in
-                             (at(xs) for at in self.evolved(f, t))])
-        if rhs is None:
-            return sides
-        # each right side marches on its own, as its apply would
-        return sides + _stacked(t, [self.apply(g, s, xs)
-                                    for g, s in zip(rhs, _times(t))])
+        def evolve(xs, ts, later):
+            zeros = np.zeros(len(xs))
+            for j, at in enumerate(self.evolved(f, ts)):
+                u, grad = at(xs)
+                # each right side marches on its own, as its apply would
+                yield (u, zeros, grad, *self.apply(later[j], ts[j], xs)) \
+                    if later else (u, zeros, grad)
 
-    def describe(self) -> dict:
-        return {"kind": self.kind, "potential": self.potential.label,
-                "lo": self.lo, "hi": self.hi, "m": self.m, "dt": self.dt}
+        return self._value_grad(f, t, x, rhs, evolve)
 
 
 # ---------------------------------------------------------------------------
@@ -527,7 +549,7 @@ class GridEngine:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class MonteCarloEngine:
+class MonteCarloEngine(_Engine):
     potential: Potential
     n_paths: int = 100_000
     dt: float = 1e-3
@@ -550,49 +572,30 @@ class MonteCarloEngine:
         return v.mean(axis=-1), v.std(axis=-1, ddof=1) / math.sqrt(self.n_paths)
 
     def apply(self, func, t, x):
-        xs = as_points(x, self.potential.n)
-
-        def evolve(ts):
+        def evolve(xs, ts):
             # one time at a time
             for x in self._paths(xs, ts):
                 yield self._mean(func, x)
 
-        return _over_times(t, lambda j: _at_points(func, xs), evolve)
+        return self._apply(func, t, x, evolve)
 
     def value_grad(self, f: TestFunction, t, x, rhs=None):
-        _check_dimension(f, self.potential)
-        _check_rhs(rhs, t)
-        xs = as_points(x, self.potential.n)
-        k, n = xs.shape
-        # common-random-number central differences: the shifted starts share
-        # the centre's path set, so the noise largely cancels
-        h = 1e-3 * (1.0 + np.abs(xs))
-        e = np.eye(n)[:, None, :] * h  # (n, k, n): shift of dimension i
-        starts = np.concatenate([xs[None], xs + e, xs - e]).reshape(-1, n)
-        # the first k starts are the points, so a right side reads its
-        # paths off f's: bitwise those of a run from the points alone
-        later = [] if rhs is None else \
-            [g for g, s in zip(rhs, _times(t)) if s > 0.0]
-
-        def still(j):
-            row = _at_points(f, starts)
-            return row if rhs is None else row + _at_points(rhs[j], xs)
-
-        def evolve(ts):
+        def evolve(xs, ts, later):
+            k, n = xs.shape
+            # common-random-number central differences: the shifted starts
+            # share the centre's path set, so the noise largely cancels
+            h = 1e-3 * (1.0 + np.abs(xs))
+            e = np.eye(n)[:, None, :] * h  # (n, k, n): shift of dimension i
+            starts = np.concatenate([xs[None], xs + e, xs - e]).reshape(-1, n)
             for j, x in enumerate(self._paths(starts, ts)):
-                row = self._mean(f, x)
-                yield row if rhs is None else row + self._mean(later[j],
-                                                               x[:k])
+                vals, errs = self._mean(f, x)
+                up, dn = vals[k:].reshape(2, n, k)
+                row = vals[:k], errs[:k], ((up - dn) / (2.0 * h.T)).T
+                # the first k starts are the points, so a right side reads
+                # its paths off f's: bitwise those of a run from the points
+                yield row + self._mean(later[j], x[:k]) if later else row
 
-        vals, errs, *sides = _over_times(t, still, evolve)
-        up, dn = np.moveaxis(vals[..., k:].reshape(np.shape(t) + (2, n, k)),
-                             -3, 0)
-        return (vals[..., :k], errs[..., :k],
-                np.swapaxes((up - dn) / (2.0 * h.T), -1, -2), *sides)
-
-    def describe(self) -> dict:
-        return {"kind": self.kind, "potential": self.potential.label,
-                "n_paths": self.n_paths, "dt": self.dt, "seed": self.seed}
+        return self._value_grad(f, t, x, rhs, evolve)
 
 
 Engine = Union[MehlerEngine, GridEngine, MonteCarloEngine]

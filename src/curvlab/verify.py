@@ -174,11 +174,11 @@ def verify_local(mf: MFunction, engine, f: TestFunction, schedule: Schedule,
     forward: M(P_t f, alpha Gamma(P_t f)) <= P_t M(f, g_alpha(t) Gamma(f))
     reverse: M(P_t f, h_alpha(0) Gamma(P_t f)) <= P_t M(f, alpha Gamma(f))
     """
+    _check_dimension(f, engine.potential)
     xs = as_points(schedule.xs, engine.potential.n)
     # the right sides integrate M(f, .) around the points, and the engine
     # evaluates them before any left side: an f outside M's domain at a
     # point is named here, not by a non-finite value inside the engine
-    _check_dimension(f, engine.potential)
     mf.check_domain(f(xs), 0.0)
     alphas = np.array(schedule.alphas)
     # per t, the factors of Gamma on the left and on the right side
@@ -235,6 +235,7 @@ def verify_H_monotone(mf: MFunction, engine, f: TestFunction, t: float,
                              f"alpha={alpha}")
     if engine.kind == "monte-carlo":
         raise ParameterError("monotonicity checks need a deterministic engine")
+    _check_dimension(f, engine.potential)
     n = engine.potential.n
     xs = as_points(default_schedule().xs if xs is None else xs, n)
     s_grid = np.linspace(0.0, t, s_count)

@@ -653,6 +653,29 @@ def test_function_of_another_dimension_exits_2(capsys, argv):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["verify", "monotone"])
+def test_dimension_is_checked_before_the_points(capsys, command):
+    # the default schedule's 7 points on a line are not named: f is
+    assert main([command, "--potential", "gaussian:n=2", "--mfunction",
+                 "poincare", "--function", "sine"]) == 2
+    assert "sine is a function on R^1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("function", ["linear", "quadratic", "hermite3",
+                                      "cos-mix"])
+def test_mc_verify_passes_at_time_zero(tmp_path, function):
+    # at t = 0 both sides are M(f, alpha Gamma(f)) at the points: the
+    # margins are exactly 0, not a finite-difference error
+    out = tmp_path / "out"
+    assert main(["verify", "--engine", "monte-carlo", "--n-paths", "200",
+                 "--mfunction", "poincare", "--function", function,
+                 "--format", "json", "--out", str(out)]) == 0
+    (report,) = [p for p in out.glob("*.json") if p.name != "summary.json"]
+    at_0 = [r for r in json.loads(report.read_text())["records"]
+            if r["t"] == 0.0]
+    assert at_0 and all(r["margin"] == 0.0 for r in at_0)
+
+
 @pytest.mark.parametrize("argv", [
     ["feynman-kac", "--check", "supermartingale", "--ts", ","],
     ["feynman-kac", "--check", "gradient", "--ts", ","],

@@ -252,17 +252,21 @@ def test_mehler_engine_gradient_exact():
 
 def test_mehler_value_grad_is_one_quadrature_of_the_old_formula():
     # the columns [f, f'] of one quadrature are bitwise P_t f and
-    # e^-t P_t f' from a quadrature each
+    # e^-t P_t f' from a quadrature each; t = 0 takes no quadrature and
+    # gives f and f' at the points
     eng = MehlerEngine(GAUSS)
     f = suite.get("sine")
     x = np.linspace(-3.0, 3.0, 7)
-    for t in (0.0, 0.7):
-        v, err, g = eng.value_grad(f, t, x)
-        np.testing.assert_array_equal(v, mehler_apply(f, t, x, eng.order, 1))
-        comp = mehler_apply(lambda z: f.gradient(z)[..., 0], t, x,
-                            eng.order, 1)
-        np.testing.assert_array_equal(g[:, 0], math.exp(-t) * comp)
-        assert np.all(err == 0.0)
+    t = 0.7
+    v, err, g = eng.value_grad(f, t, x)
+    np.testing.assert_array_equal(v, mehler_apply(f, t, x, eng.order, 1))
+    comp = mehler_apply(lambda z: f.gradient(z)[..., 0], t, x, eng.order, 1)
+    np.testing.assert_array_equal(g[:, 0], math.exp(-t) * comp)
+    assert np.all(err == 0.0)
+    v, err, g = eng.value_grad(f, 0.0, x)
+    np.testing.assert_array_equal(v, f(x[:, None]))
+    np.testing.assert_array_equal(g, f.gradient(x[:, None]))
+    assert np.all(err == 0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -653,12 +653,68 @@ def test_grid_monotone_march_count(monkeypatch):
 
 
 def test_mehler_monotone_quadrature_count(monkeypatch):
-    # one quadrature per s for the outer function, and one per s for the
-    # inner function at its nodes, which depend on s
+    # one quadrature per s > 0 for the outer function, and one per s < t
+    # for the inner function at its nodes, which depend on s: P_0 takes none
     calls = _count_calls(monkeypatch, "mehler_apply")
     verify_H_monotone(catalog("reverse-poincare"), ENGINE, get("sine"),
                       t=0.6, alpha=0.2, rho=1.0, s_count=21)
-    assert len(calls) == 21 + 21
+    assert len(calls) == 20 + 20
+
+
+def _evolution_times(monkeypatch) -> list:
+    """Every time handed to mehler_apply, grid_apply or simulate."""
+    times = []
+    for name, at in (("mehler_apply", 1), ("grid_apply", 2), ("simulate", 2)):
+        def traced(*args, real=getattr(semigroup, name), at=at, **kwargs):
+            times.extend(np.atleast_1d(args[at]).tolist())
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(semigroup, name, traced)
+    return times
+
+
+@pytest.mark.parametrize("engine", [
+    ENGINE, GridEngine(GAUSS, lo=-8.0, hi=8.0, m=801, dt=1e-2),
+    MonteCarloEngine(GAUSS, n_paths=200, dt=1e-2, seed=1)],
+    ids=["mehler", "grid", "monte-carlo"])
+def test_time_zero_is_the_identity(monkeypatch, engine):
+    # P_0 = id on every engine: bitwise the functions at the points, zero
+    # stderr, and no t = 0 handed to an evolution
+    times = _evolution_times(monkeypatch)
+    f = get("cos-mix")
+    x = np.linspace(-3.0, 3.0, 7)
+    pts = x[:, None]
+
+    def columns(z):
+        return np.stack([np.exp(0.1 * z[..., 0]), z[..., 0] ** 2], axis=-1)
+
+    rhs = [columns, lambda z: np.concatenate([np.sin(z), z], axis=-1),
+           lambda z: 1.0 + columns(z)]
+    vals, err = engine.apply(columns, 0.0, x)
+    np.testing.assert_array_equal(vals, columns(pts))
+    assert np.all(err == 0.0)
+    got = engine.value_grad(f, (0.0, 0.3, 0.0), x, rhs=rhs)
+    for j in (0, 2):
+        u, se_u, grad, side, se = (a[j] for a in got)
+        np.testing.assert_array_equal(u, f(pts))
+        np.testing.assert_array_equal(grad, f.gradient(pts))
+        np.testing.assert_array_equal(side, rhs[j](pts))
+        assert np.all(se_u == 0.0) and np.all(se == 0.0)
+    if engine.kind != "monte-carlo":
+        read = engine.evolved(f, (0.3, 0.0))[1]
+        u, grad = read(pts)
+        np.testing.assert_array_equal(u, f(pts))
+        np.testing.assert_array_equal(grad, f.gradient(pts))
+        verify_H_monotone(catalog("poincare"), engine, f, t=0.3, alpha=0.2,
+                          rho=1.0, s_count=4)
+    for mf_id in ("poincare", "reverse-log-sobolev"):
+        fn = "cos-mix" if mf_id == "poincare" else "shifted-sine"
+        rep = verify_local(catalog(mf_id), engine, get(fn),
+                           Schedule(ts=(0.0, 0.3, 0.0)), 1.0)
+        assert all(r.margin == 0.0 and r.stderr == 0.0
+                   for r in rep.records if r.t == 0.0)
+        assert rep.passed
+    assert times and min(times) > 0.0
 
 
 def _per_s_monotone(mf, engine, f, t, alpha, rho, s_count):

@@ -6,9 +6,11 @@ runs, through `curvlab.cli.main` and in csv and json, every check of the
 benchmark's workloads (`perfbench/workloads.py`, which covers the local
 checks of acceptance criteria 2 and 3), both presets, the configuration of
 acceptance criterion 12, Monte Carlo local checks on an unsorted schedule
-with a repeated time, t = 0 and a time off the dt grid, and monotone checks
-beyond the benchmark's: on the grid at a t off the dt grid and at t = 0,
-and a reverse one on the Mehler engine.  Each run
+with a repeated time, t = 0 and a time off the dt grid, a Monte Carlo local
+check of `quadratic` on the default schedule, local checks at t = 0 alone
+on the grid and Mehler engines, and monotone checks beyond the benchmark's:
+on the grid at a t off the dt grid and at t = 0, and a reverse one on the
+Mehler engine.  Each run
 gets its own directory under OUT/seed-S/ holding its output files, its
 stdout and stderr, and its exit status in `exit`.  `timestamp` and
 `wall_time_s` are dropped from every JSON document, so two trees with the
@@ -59,6 +61,12 @@ def cases(config_file: str, seed: int) -> list:
                 (f"mc-ts-{n_paths}-reverse", ("verify-reverse", *MC_TS,
                  "--n-paths", n_paths, "--mfunction", "reverse-log-sobolev",
                  "--function", "shifted-sine"))]
+    out += [("mc-quadratic-local", ("verify", "--engine", "monte-carlo",
+                                     "--n-paths", "200", "--mfunction",
+                                     "poincare", "--function", "quadratic"))]
+    out += [(f"{engine}-t0-local", ("verify", "--engine", engine, "--ts", "0",
+                                    "--mfunction", "poincare", "--function",
+                                    "sine")) for engine in ("grid", "mehler")]
     out += [("monotone-grid-off-dt", (*GRID_MONOTONE, "--t", "0.2555",
                                       "--s-count", "6")),
             ("monotone-grid-t0", (*GRID_MONOTONE, "--t", "0")),
