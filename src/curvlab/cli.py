@@ -10,12 +10,14 @@ the timestamp and wall time.
 `run` and the check subcommands (verify, verify-reverse, monotone and the
 limit and condition halves of integrated) share one executor: a subcommand
 turns its arguments into an ExperimentConfig, and `_check_plan` plus
-`_execute_one` turn that into verifier calls.
+`_execute` turn that into verifier calls, one per function and verifier
+for the engine checks, whose M-functions share one evolution.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -317,40 +319,49 @@ def _make_engine(kind: str, potential, params: dict, seed: int):
     return make_engine(kind, potential, **params)
 
 
-def _execute_one(check: str, mf, f, config, potential, engine,
+def _execute_one(check: str, mf, f, config, potential,
                  spec: QuadSpec) -> InequalityReport:
-    sched = config.schedule()
-    if check in ("local", "reverse"):
-        # the plan gave a reverse check only reverse M-functions
-        rep = verify_local(mf, engine, f, sched, rho=config.rho)
-    elif check == "monotone":
-        rep = verify_H_monotone(mf, engine, f, t=config.t,
-                                alpha=config.alpha, rho=config.rho,
-                                s_count=config.s_count, xs=sched.xs)
-    elif check == "integrated-limit":
-        rep = verify_integrated_limit(mf, potential, f, spec=spec,
-                                      rho=config.rho)
-    else:  # integrated-condition; the config admits no other check
-        rep = verify_integrated_condition(mf, potential, f, spec=spec,
-                                          rho=config.rho,
-                                          variant=config.variant)
-    if config.tol is not None:
-        rep = replace(rep, tolerance=config.tol)
-    return rep
+    """An integrated check."""
+    if check == "integrated-limit":
+        return verify_integrated_limit(mf, potential, f, spec=spec,
+                                       rho=config.rho)
+    # integrated-condition; the config admits no other check
+    return verify_integrated_condition(mf, potential, f, spec=spec,
+                                       rho=config.rho, variant=config.variant)
 
 
 def _execute(config: ExperimentConfig, plan: list,
              spec: QuadSpec = QuadSpec()) -> tuple:
     """The engine (None when no check of the plan needs one) and the
-    (check_id, report) pairs of the plan, in its order."""
+    (check_id, report) pairs of the plan, in its order; the local and
+    reverse checks of one function make one verify_local call, and its
+    monotone checks one verify_H_monotone call."""
     potential = parse_potential_id(config.potential)
-    engine = None
-    if any(check in ENGINE_CHECKS for _, check, _, _ in plan):
-        engine = _make_engine(config.engine, potential, config.engine_params,
-                              config.seed)
-    return engine, [(check_id, _execute_one(check, mf, f, config, potential,
-                                            engine, spec))
-                    for check_id, check, mf, f in plan]
+    groups = {}  # (monotone?, f) -> [(check_id, mf)], in plan order
+    for check_id, check, mf, f in plan:
+        if check in ENGINE_CHECKS:
+            groups.setdefault((check == "monotone", f), []).append(
+                (check_id, mf))
+    engine = _make_engine(config.engine, potential, config.engine_params,
+                          config.seed) if groups else None
+    sched = config.schedule()
+    reports = {}
+    for check_id, check, mf, f in plan:
+        if check not in ENGINE_CHECKS:
+            reports[check_id] = _execute_one(check, mf, f, config, potential,
+                                             spec)
+        elif check_id not in reports:
+            ids, mfs = zip(*groups[check == "monotone", f])
+            reps = verify_H_monotone(
+                mfs, engine, f, t=config.t, alpha=config.alpha,
+                rho=config.rho, s_count=config.s_count, xs=sched.xs) \
+                if check == "monotone" \
+                else verify_local(mfs, engine, f, sched, rho=config.rho)
+            reports.update(zip(ids, reps))
+    if config.tol is not None:
+        reports = {k: replace(rep, tolerance=config.tol)
+                   for k, rep in reports.items()}
+    return engine, [(check_id, reports[check_id]) for check_id, *_ in plan]
 
 
 @dataclass(frozen=True)
@@ -565,6 +576,7 @@ def _global_flags(p, suppress: bool):
                    default=argparse.SUPPRESS if suppress else "json")
 
 
+@functools.cache  # parsing leaves the parser as it was
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="curvlab",

@@ -1,10 +1,11 @@
 """Inequality verification: local, monotonicity, and integrated.
 
-Every verifier returns an InequalityReport whose records carry
-margin = rhs - lhs, so nonnegative margins mean the inequality holds.  A
-report passes when every margin >= -(tolerance + 4 stderr); stderr is zero
-for the deterministic engines, and the 4-sigma guard keeps the Monte Carlo
-false-failure rate per record below 1e-4.
+Every verifier returns InequalityReports (the local and monotonicity ones
+one per M-function) whose records carry margin = rhs - lhs, so nonnegative
+margins mean the inequality holds.  A report passes when every margin >=
+-(tolerance + 4 stderr); stderr is zero for the deterministic engines, and
+the 4-sigma guard keeps the Monte Carlo false-failure rate per record below
+1e-4.
 
 The local and monotonicity checks take their direction from the M-function:
 a reverse one (`MFunction.reverse`) gets the reverse inequality.
@@ -155,79 +156,89 @@ class InequalityReport:
         return buf.getvalue()
 
 
-def _composite(mf: MFunction, f: TestFunction, factors: np.ndarray):
-    # z -> M(f(z), factor * Gamma(f)(z)) with one trailing column per factor;
-    # f and Gamma(f) are evaluated once for all of them
+def _composite(mfs, f: TestFunction, factors):
+    # z -> M(f(z), c Gamma(f)(z)), one trailing column per factor c of each
+    # M in turn; f and Gamma(f) are evaluated once for all of them
     def func(z):
         z = np.asarray(z, dtype=float)
         vals = f.value(z)[..., None]
         gam = np.sum(np.square(f.gradient(z)), axis=-1)[..., None]
-        return mf.value(vals, np.maximum(gam * factors, 0.0))
+        return np.concatenate([mf.value(vals, np.maximum(gam * r, 0.0))
+                               for mf, r in zip(mfs, factors)], axis=-1)
 
     return func
 
 
-def verify_local(mf: MFunction, engine, f: TestFunction, schedule: Schedule,
-                 rho: float) -> InequalityReport:
-    """The local inequality of M, in M's direction.
+def verify_local(mfs, engine, f: TestFunction, schedule: Schedule,
+                 rho: float) -> tuple:
+    """The local inequality of each M of mfs in M's direction, one report
+    per M in mfs' order, each bitwise what a call with [M] returns.
 
     forward: M(P_t f, alpha Gamma(P_t f)) <= P_t M(f, g_alpha(t) Gamma(f))
     reverse: M(P_t f, h_alpha(0) Gamma(P_t f)) <= P_t M(f, alpha Gamma(f))
     """
+    if not mfs:
+        raise ParameterError("need at least one M-function")
     _check_dimension(f, engine.potential)
     xs = as_points(schedule.xs, engine.potential.n)
     # the right sides integrate M(f, .) around the points, and the engine
     # evaluates them before any left side: an f outside M's domain at a
     # point is named here, not by a non-finite value inside the engine
-    mf.check_domain(f(xs), 0.0)
+    for mf in mfs:
+        mf.check_domain(f(xs), 0.0)
     alphas = np.array(schedule.alphas)
-    # per t, the factors of Gamma on the left and on the right side
-    if mf.reverse:
-        factors = [(np.array([h_alpha(0.0, t, a, rho) for a in alphas]),
-                    alphas) for t in schedule.ts]
-    else:
-        factors = [(alphas, np.array([g_alpha(t, a, rho) for a in alphas]))
-                   for t in schedule.ts]
-    # one engine call for both sides at every t, with one column per alpha
-    # on each: the right sides' composite changes with t
-    sides = engine.value_grad(f, schedule.ts, xs,
-                              rhs=[_composite(mf, f, r) for _, r in factors])
-    records = []
-    for t, (lhs_factors, _), u, se_u, grad, rhs, se in zip(
-            schedule.ts, factors, *sides):
+    # per t and M, the factors of Gamma on the left and on the right side
+    factors = [[(np.array([h_alpha(0.0, t, a, rho) for a in alphas]), alphas)
+                if mf.reverse else
+                (alphas, np.array([g_alpha(t, a, rho) for a in alphas]))
+                for mf in mfs] for t in schedule.ts]
+    # one engine call for both sides at every t, with one column per M and
+    # alpha on the right: the right sides' composite changes with t
+    sides = engine.value_grad(f, schedule.ts, xs, rhs=[
+        _composite(mfs, f, [r for _, r in at_t]) for at_t in factors])
+    records = [[] for _ in mfs]
+    for t, at_t, u, se_u, grad, rhs_all, se_all in zip(schedule.ts, factors,
+                                                       *sides):
         u, se_u = u[:, None], se_u[:, None]
         gam_pt = np.sum(np.square(grad), axis=-1)[:, None]
         noisy = se_u[:, 0] > 0.0
-        y = np.maximum(gam_pt * lhs_factors, 0.0)
-        mf.check_domain(u, y)
-        lhs = mf.value(u, y)
-        if np.any(noisy):
-            # Monte Carlo left sides are noisy through P_t f; propagate
-            # that part where it is nonzero, so |m_x| * 0 never forms
-            se[noisy] += np.abs(mf.m_x(
-                u[noisy], np.maximum(y[noisy], 1e-12))) * se_u[noisy]
-        for j, alpha in enumerate(schedule.alphas):
-            for i in range(len(xs)):
-                records.append(Record(
-                    x=tuple(float(v) for v in xs[i]), t=t, alpha=alpha,
-                    lhs=float(lhs[i, j]), rhs=float(rhs[i, j]),
-                    margin=float(rhs[i, j] - lhs[i, j]),
-                    stderr=float(se[i, j])))
-    kind = "reverse" if mf.reverse else "local"
-    return InequalityReport(
-        label=f"{kind}[{mf.label}|{f.label}|{engine.kind}|rho={rho:g}]",
-        records=tuple(records), tolerance=engine.tolerance)
+        for m, (mf, (lhs_factors, _)) in enumerate(zip(mfs, at_t)):
+            cols = slice(m * len(alphas), (m + 1) * len(alphas))
+            rhs, se = rhs_all[:, cols], se_all[:, cols]
+            y = np.maximum(gam_pt * lhs_factors, 0.0)
+            mf.check_domain(u, y)
+            lhs = mf.value(u, y)
+            if np.any(noisy):
+                # Monte Carlo left sides are noisy through P_t f; propagate
+                # that part where it is nonzero, so |m_x| * 0 never forms
+                se[noisy] += np.abs(mf.m_x(
+                    u[noisy], np.maximum(y[noisy], 1e-12))) * se_u[noisy]
+            for j, alpha in enumerate(schedule.alphas):
+                for i in range(len(xs)):
+                    records[m].append(Record(
+                        x=tuple(float(v) for v in xs[i]), t=t, alpha=alpha,
+                        lhs=float(lhs[i, j]), rhs=float(rhs[i, j]),
+                        margin=float(rhs[i, j] - lhs[i, j]),
+                        stderr=float(se[i, j])))
+    return tuple(InequalityReport(
+        label=f"{'reverse' if mf.reverse else 'local'}[{mf.label}|{f.label}"
+              f"|{engine.kind}|rho={rho:g}]",
+        records=tuple(recs), tolerance=engine.tolerance)
+        for mf, recs in zip(mfs, records))
 
 
-def verify_H_monotone(mf: MFunction, engine, f: TestFunction, t: float,
-                      alpha: float, rho: float, s_count: int = 21,
-                      xs=None) -> InequalityReport:
-    """H(s) = P_s M(P_{t-s}f, c(s) Gamma(P_{t-s}f)) must be non-decreasing.
+def verify_H_monotone(mfs, engine, f: TestFunction, t: float, alpha: float,
+                      rho: float, s_count: int = 21, xs=None) -> tuple:
+    """H(s) = P_s M(P_{t-s}f, c(s) Gamma(P_{t-s}f)) must be non-decreasing,
+    for each M of mfs: one report per M in mfs' order, each bitwise what a
+    call with [M] returns.
 
     c(s) is g_alpha(s) for a forward M and h_alpha(s) for a reverse one.
     Consecutive differences H(s_{i+1}) - H(s_i) are the margins.  Nested
     semigroup evaluations rule out the Monte Carlo engine here.
     """
+    if not mfs:
+        raise ParameterError("need at least one M-function")
     if s_count < 2:
         raise ParameterError("need at least the endpoints, s_count >= 2")
     if not (0.0 <= t < math.inf and 0.0 <= alpha < math.inf):
@@ -239,35 +250,37 @@ def verify_H_monotone(mf: MFunction, engine, f: TestFunction, t: float,
     n = engine.potential.n
     xs = as_points(default_schedule().xs if xs is None else xs, n)
     s_grid = np.linspace(0.0, t, s_count)
-    H = np.empty((s_count, len(xs)))
+    H = np.empty((s_count, len(xs), len(mfs)))
     # P_{t-s} f and its gradient for every s from one engine call: the grid
     # engine marches f once for all of them
     for j, (s, pt_f) in enumerate(zip(s_grid,
                                       engine.evolved(f, t - s_grid))):
-        factor = h_alpha(s, t, alpha, rho) if mf.reverse \
-            else g_alpha(s, alpha, rho)
+        factors = [h_alpha(s, t, alpha, rho) if mf.reverse
+                   else g_alpha(s, alpha, rho) for mf in mfs]
 
-        def inner(z, factor=factor, pt_f=pt_f):
+        def inner(z, factors=factors, pt_f=pt_f):
+            # one column per M
             z = np.asarray(z, dtype=float)
             u, grad = pt_f(z.reshape(-1, n))
             v = np.sum(np.square(grad), axis=-1)
-            out = mf.value(u, np.maximum(factor * v, 0.0))
-            return np.asarray(out).reshape(z.shape[:-1])
+            out = np.stack([mf.value(u, np.maximum(c * v, 0.0))
+                            for mf, c in zip(mfs, factors)], axis=-1)
+            return out.reshape(z.shape[:-1] + (len(mfs),))
 
         H[j], _ = engine.apply(inner, s, xs)
-    records = []
-    for j in range(s_count - 1):
-        for i in range(len(xs)):
-            records.append(Record(
-                x=tuple(float(v) for v in xs[i]), t=t, alpha=alpha,
-                s=float(s_grid[j]),
-                lhs=float(H[j, i]), rhs=float(H[j + 1, i]),
-                margin=float(H[j + 1, i] - H[j, i])))
-    kind = "reverse" if mf.reverse else "forward"
-    return InequalityReport(
-        label=f"monotone-{kind}[{mf.label}|{f.label}|{engine.kind}"
-              f"|t={t:g}|alpha={alpha:g}]",
-        records=tuple(records), tolerance=engine.tolerance)
+    reports = []
+    for mf, Hm in zip(mfs, np.moveaxis(H, -1, 0)):
+        records = [Record(x=tuple(float(v) for v in xs[i]), t=t, alpha=alpha,
+                          s=float(s_grid[j]), lhs=float(Hm[j, i]),
+                          rhs=float(Hm[j + 1, i]),
+                          margin=float(Hm[j + 1, i] - Hm[j, i]))
+                   for j in range(s_count - 1) for i in range(len(xs))]
+        kind = "reverse" if mf.reverse else "forward"
+        reports.append(InequalityReport(
+            label=f"monotone-{kind}[{mf.label}|{f.label}|{engine.kind}"
+                  f"|t={t:g}|alpha={alpha:g}]",
+            records=tuple(records), tolerance=engine.tolerance))
+    return tuple(reports)
 
 
 # ---------------------------------------------------------------------------

@@ -86,8 +86,8 @@ def test_criterion_02_forward_local():
     for name, params, fname in FORWARD_PAIRS:
         mf = catalog(name, **params)
         assert certify_psd(mf, "A").passed, f"PSD(A) failed for {mf.label}"
-        rep = verify_local(mf, MEHLER, get(fname), default_schedule(),
-                           rho=1.0)
+        [rep] = verify_local([mf], MEHLER, get(fname), default_schedule(),
+                             rho=1.0)
         worst = min(worst, rep.min_margin)
         t0 = [abs(r.margin) for r in rep.records if r.t == 0.0]
         t0_worst = max(t0_worst, max(t0))
@@ -111,8 +111,8 @@ def test_criterion_03_reverse_local():
     for name, params, fname in REVERSE_PAIRS:
         mf = catalog(name, **params)
         assert certify_psd(mf, "B").passed, f"PSD(B) failed for {mf.label}"
-        rep = verify_local(mf, MEHLER, get(fname),
-                           default_schedule(), rho=1.0)
+        [rep] = verify_local([mf], MEHLER, get(fname), default_schedule(),
+                             rho=1.0)
         worst = min(worst, rep.min_margin)
         t0 = [abs(r.margin) for r in rep.records if r.t == 0.0]
         t0_worst = max(t0_worst, max(t0))
@@ -143,9 +143,9 @@ def test_criterion_04_h_monotonicity():
     worst = np.inf
     for direction, pairs in (("forward", H_FORWARD), ("reverse", H_REVERSE)):
         for name, params, fname in pairs:
-            rep = verify_H_monotone(catalog(name, **params), MEHLER,
-                                    get(fname), t=0.6, alpha=0.2, rho=1.0,
-                                    s_count=21)
+            [rep] = verify_H_monotone([catalog(name, **params)], MEHLER,
+                                      get(fname), t=0.6, alpha=0.2, rho=1.0,
+                                      s_count=21)
             assert len({r.s for r in rep.records}) == 20
             worst = min(worst, rep.min_margin)
     ok = worst >= -1e-6

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from curvlab import cli
+from curvlab import cli, semigroup
 from curvlab.cli import (PRESETS, ExperimentConfig, list_catalogs, main,
                          parse_config, run)
 from curvlab.errors import ParameterError
@@ -733,3 +733,66 @@ def test_non_finite_rho_t_or_negative_alpha_exits_2(capsys, argv, message):
                                   "alpha = -inf\n"])
 def test_non_finite_config_number_is_config_error(tmp_path, capsys, text):
     _expect_config_error(tmp_path, capsys, text)
+
+
+def test_parser_is_built_once_and_survives_a_rejection(capsys):
+    argv = ["verify", "--mfunction", "poincare", "--function", "sine",
+            "--format", "csv"]
+    assert main(argv) == 0
+    first = capsys.readouterr().out
+    with pytest.raises(SystemExit) as exc:
+        main(["verify"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    assert main(argv) == 0
+    assert capsys.readouterr().out == first
+    assert cli.build_parser() is cli.build_parser()
+
+
+@pytest.mark.parametrize("command,mfunctions", [
+    ("verify", ("poincare", "log-sobolev")),
+    ("verify-reverse", ("reverse-poincare", "reverse-log-sobolev"))])
+def test_mc_checks_of_one_function_share_one_simulation(
+        tmp_path, monkeypatch, command, mfunctions):
+    # two M-functions make one simulate call and write the files of two
+    # single-M runs, byte for byte: the runs always shared the seed
+    calls = []
+    simulate = semigroup.simulate
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return simulate(*args, **kwargs)
+
+    monkeypatch.setattr(semigroup, "simulate", counted)
+    base = [command, "--engine", "monte-carlo", "--n-paths", "200",
+            "--function", "shifted-sine", "--format", "csv", "--seed", "2"]
+    flags = [x for m in mfunctions for x in ("--mfunction", m)]
+    assert main([*base, *flags, "--out", str(tmp_path / "grouped")]) == 0
+    assert len(calls) == 1
+    for m in mfunctions:
+        assert main([*base, "--mfunction", m, "--out",
+                     str(tmp_path / "single")]) == 0
+    grouped = sorted((tmp_path / "grouped").iterdir())
+    assert [p.name for p in grouped] == \
+        sorted(p.name for p in (tmp_path / "single").iterdir())
+    for p in grouped:
+        assert p.read_bytes() == (tmp_path / "single" / p.name).read_bytes()
+
+
+def test_run_groups_the_engine_checks_of_each_function(monkeypatch):
+    # ou-local-suite: the local and reverse checks of shifted-sine make one
+    # verify_local call, its 4 monotone checks one verify_H_monotone call
+    calls = []
+    for name in ("verify_local", "verify_H_monotone"):
+        def spy(mfs, *args, real=getattr(cli, name), name=name, **kwargs):
+            calls.append((name, [mf.label for mf in mfs]))
+            return real(mfs, *args, **kwargs)
+
+        monkeypatch.setattr(cli, name, spy)
+    summary = run(parse_config(PRESETS["ou-local-suite"]))
+    assert sorted(calls) == [
+        ("verify_H_monotone", ["log-sobolev", "poincare",
+                               "reverse-log-sobolev", "reverse-poincare"]),
+        ("verify_local", ["log-sobolev", "poincare", "reverse-log-sobolev",
+                          "reverse-poincare"])]
+    assert summary.all_pass

@@ -467,7 +467,7 @@ def test_mehler_verify_local_makes_no_quad_call_beyond_the_anchors(
     engine = MehlerEngine(make_example_potential("gaussian"))
 
     def check():
-        verify_local(catalog("exp-integrability"), engine, get("gauss-bump"),
+        verify_local([catalog("exp-integrability")], engine, get("gauss-bump"),
                      default_schedule(), rho=1.0)
 
     check()

@@ -234,8 +234,8 @@ def test_generalized_reduces_to_local_poincare():
     gen = generalized_local_check(poincare_multi(), [0.0, 1.0, 0.2], t=t,
                                   alpha=alpha, xs=xs)
     eng = MehlerEngine(GAUSS)
-    loc = verify_local(catalog("poincare"), eng, get("quad-mix"),
-                       Schedule(ts=(t,), alphas=(alpha,), xs=xs), rho=1.0)
+    [loc] = verify_local([catalog("poincare")], eng, get("quad-mix"),
+                         Schedule(ts=(t,), alphas=(alpha,), xs=xs), rho=1.0)
     assert gen.passed
     for a, b in zip(gen.records, loc.records):
         assert abs(a.margin - b.margin) < 1e-9

@@ -95,8 +95,8 @@ def test_schedule_validation():
 # ---------------------------------------------------------------------------
 
 def test_local_poincare_linear_is_equality():
-    rep = verify_local(catalog("poincare"), ENGINE, get("linear"),
-                       Schedule(), rho=1.0)
+    [rep] = verify_local([catalog("poincare")], ENGINE, get("linear"),
+                         Schedule(), rho=1.0)
     assert rep.passed
     assert max(abs(r.margin) for r in rep.records) < 1e-12
 
@@ -105,15 +105,16 @@ def test_local_t_zero_equality():
     sched = Schedule(ts=(0.0,))
     for name, fname in [("poincare", "quadratic"), ("log-sobolev", "exp03"),
                         ("bobkov", "unit-sine"), ("y", "sine")]:
-        rep = verify_local(catalog(name), ENGINE, get(fname), sched, rho=1.0)
+        [rep] = verify_local([catalog(name)], ENGINE, get(fname), sched,
+                             rho=1.0)
         assert max(abs(r.margin) for r in rep.records) < 1e-9, name
 
 
 def test_local_log_sobolev_shifted_sine():
     sched = Schedule(ts=(0.1, 0.5, 1.0), alphas=(0.0, 1.0),
                      xs=np.array([-2.0, 0.0, 2.0]))
-    rep = verify_local(catalog("log-sobolev"), ENGINE, get("shifted-sine"),
-                       sched, rho=1.0)
+    [rep] = verify_local([catalog("log-sobolev")], ENGINE, get("shifted-sine"),
+                         sched, rho=1.0)
     assert rep.passed
     assert rep.min_margin > -1e-6
 
@@ -131,8 +132,8 @@ def test_local_certified_catalog_passes(name, fname):
     params = {"p": 1.5} if name == "beckner" else {}
     sched = Schedule(ts=(0.1, 0.7), alphas=(0.0, 1.0),
                      xs=np.linspace(-2.0, 2.0, 5))
-    rep = verify_local(catalog(name, **params), ENGINE, get(fname), sched,
-                       rho=1.0)
+    [rep] = verify_local([catalog(name, **params)], ENGINE, get(fname), sched,
+                         rho=1.0)
     assert rep.passed, rep.worst
     assert rep.min_margin > -1e-6
 
@@ -141,8 +142,8 @@ def test_local_grid_engine_matches_tolerance():
     geng = GridEngine(GAUSS, lo=-10.0, hi=10.0, m=2001, dt=1e-3)
     sched = Schedule(ts=(0.2, 0.6), alphas=(0.0, 1.0),
                      xs=np.linspace(-2.0, 2.0, 5))
-    rep = verify_local(catalog("log-sobolev"), geng, get("shifted-sine"),
-                       sched, rho=1.0)
+    [rep] = verify_local([catalog("log-sobolev")], geng, get("shifted-sine"),
+                         sched, rho=1.0)
     assert rep.tolerance == geng.tolerance == 1e-3
     assert rep.passed
 
@@ -150,7 +151,8 @@ def test_local_grid_engine_matches_tolerance():
 def test_local_monte_carlo_within_four_sigma():
     meng = MonteCarloEngine(GAUSS, n_paths=2000, dt=1e-2, seed=11)
     sched = Schedule(ts=(0.25,), alphas=(0.5,), xs=np.array([-1.0, 0.0, 1.0]))
-    rep = verify_local(catalog("poincare"), meng, get("sine"), sched, rho=1.0)
+    [rep] = verify_local([catalog("poincare")], meng, get("sine"), sched,
+                         rho=1.0)
     assert rep.tolerance == 0.0
     assert rep.passed
     assert all(r.stderr > 0.0 for r in rep.records)
@@ -162,8 +164,8 @@ def test_local_spherical_potential():
     # the claimed bound must come from the actual potential; here we only
     # assert the gaussian engine rejects nothing and margins stay nonneg
     # for its true rho = 1
-    rep = verify_local(catalog("poincare"), eng, get("sine"),
-                       Schedule(ts=(0.3,), alphas=(0.5,)), rho=1.0)
+    [rep] = verify_local([catalog("poincare")], eng, get("sine"),
+                         Schedule(ts=(0.3,), alphas=(0.5,)), rho=1.0)
     assert rep.passed
     assert sph.n == 1
 
@@ -173,8 +175,8 @@ def test_local_spherical_potential():
 # ---------------------------------------------------------------------------
 
 def test_reverse_poincare_linear_is_equality():
-    rep = verify_local(catalog("reverse-poincare"), ENGINE,
-                       get("linear"), Schedule(alphas=(0.0,)), rho=1.0)
+    [rep] = verify_local([catalog("reverse-poincare")], ENGINE, get("linear"),
+                         Schedule(alphas=(0.0,)), rho=1.0)
     assert rep.passed
     assert max(abs(r.margin) for r in rep.records) < 1e-12
     # both sides equal P_t f^2 = e^{-2t} x^2 + 1 - e^{-2t}
@@ -186,8 +188,8 @@ def test_reverse_poincare_linear_is_equality():
 def test_reverse_log_sobolev_shifted_sine():
     sched = Schedule(ts=(0.2, 0.8), alphas=(0.0, 0.5),
                      xs=np.array([-2.0, 0.0, 2.0]))
-    rep = verify_local(catalog("reverse-log-sobolev"), ENGINE,
-                       get("shifted-sine"), sched, rho=1.0)
+    [rep] = verify_local([catalog("reverse-log-sobolev")], ENGINE,
+                         get("shifted-sine"), sched, rho=1.0)
     assert rep.passed
     assert rep.min_margin > -1e-6
 
@@ -195,8 +197,8 @@ def test_reverse_log_sobolev_shifted_sine():
 def test_reverse_beckner_passes():
     sched = Schedule(ts=(0.3, 1.0), alphas=(0.0, 1.0),
                      xs=np.linspace(-1.5, 1.5, 5))
-    rep = verify_local(catalog("reverse-beckner", p=1.5), ENGINE,
-                       get("exp03"), sched, rho=1.0)
+    [rep] = verify_local([catalog("reverse-beckner", p=1.5)], ENGINE,
+                         get("exp03"), sched, rho=1.0)
     assert rep.passed
 
 
@@ -205,67 +207,70 @@ def test_reverse_beckner_passes():
 # ---------------------------------------------------------------------------
 
 def test_H_constant_for_poincare_linear():
-    rep = verify_H_monotone(catalog("poincare"), ENGINE, get("linear"),
-                            t=1.0, alpha=0.5, rho=1.0, s_count=9)
+    [rep] = verify_H_monotone([catalog("poincare")], ENGINE, get("linear"),
+                              t=1.0, alpha=0.5, rho=1.0, s_count=9)
     assert max(abs(r.margin) for r in rep.records) < 1e-8
 
 
 def test_H_two_point_grid_reduces_to_local():
     t, alpha = 0.6, 0.4
     xs = np.array([-1.0, 0.5])
-    mono = verify_H_monotone(catalog("log-sobolev"), ENGINE,
-                             get("shifted-sine"), t=t, alpha=alpha, rho=1.0,
-                             s_count=2, xs=xs)
-    local = verify_local(catalog("log-sobolev"), ENGINE, get("shifted-sine"),
-                         Schedule(ts=(t,), alphas=(alpha,), xs=xs), rho=1.0)
+    [mono] = verify_H_monotone([catalog("log-sobolev")], ENGINE,
+                               get("shifted-sine"), t=t, alpha=alpha, rho=1.0,
+                               s_count=2, xs=xs)
+    [local] = verify_local([catalog("log-sobolev")], ENGINE,
+                           get("shifted-sine"),
+                           Schedule(ts=(t,), alphas=(alpha,), xs=xs), rho=1.0)
     assert len(mono.records) == 2
     for rm, rl in zip(mono.records, local.records):
         assert abs(rm.margin - rl.margin) < 1e-12
 
 
 def test_H_bobkov_nondecreasing():
-    rep = verify_H_monotone(catalog("bobkov"), ENGINE, get("unit-sine"),
-                            t=0.6, alpha=0.2, rho=1.0, s_count=9)
+    [rep] = verify_H_monotone([catalog("bobkov")], ENGINE, get("unit-sine"),
+                              t=0.6, alpha=0.2, rho=1.0, s_count=9)
     assert rep.passed
     assert rep.min_margin > -1e-6
 
 
 def test_H_reverse_nondecreasing():
-    rep = verify_H_monotone(catalog("reverse-log-sobolev"), ENGINE,
-                            get("shifted-sine"), t=0.8, alpha=0.5, rho=1.0,
-                            s_count=9)
+    [rep] = verify_H_monotone([catalog("reverse-log-sobolev")], ENGINE,
+                              get("shifted-sine"), t=0.8, alpha=0.5, rho=1.0,
+                              s_count=9)
     assert rep.passed
-    rep = verify_H_monotone(catalog("reverse-poincare"), ENGINE, get("sine"),
-                            t=0.7, alpha=0.3, rho=1.0, s_count=7)
+    [rep] = verify_H_monotone([catalog("reverse-poincare")], ENGINE,
+                              get("sine"), t=0.7, alpha=0.3, rho=1.0,
+                              s_count=7)
     assert rep.passed
 
 
 def test_direction_follows_the_mfunction():
     sched = Schedule(ts=(0.3,), alphas=(0.5,), xs=np.array([0.0, 1.0]))
-    rev = verify_local(catalog("reverse-poincare"), ENGINE, get("sine"),
-                       sched, rho=1.0)
+    [rev] = verify_local([catalog("reverse-poincare")], ENGINE, get("sine"),
+                         sched, rho=1.0)
     assert rev.label.startswith("reverse[reverse-poincare|")
-    fwd = verify_local(catalog("poincare"), ENGINE, get("sine"), sched,
-                       rho=1.0)
+    [fwd] = verify_local([catalog("poincare")], ENGINE, get("sine"), sched,
+                         rho=1.0)
     assert fwd.label.startswith("local[poincare|")
-    mono = verify_H_monotone(catalog("reverse-poincare"), ENGINE, get("sine"),
-                             t=0.7, alpha=0.3, rho=1.0, s_count=3)
+    [mono] = verify_H_monotone([catalog("reverse-poincare")], ENGINE,
+                               get("sine"), t=0.7, alpha=0.3, rho=1.0,
+                               s_count=3)
     assert mono.label.startswith("monotone-reverse[reverse-poincare|")
-    mono = verify_H_monotone(catalog("poincare"), ENGINE, get("sine"),
-                             t=0.7, alpha=0.3, rho=1.0, s_count=3)
+    [mono] = verify_H_monotone([catalog("poincare")], ENGINE, get("sine"),
+                               t=0.7, alpha=0.3, rho=1.0, s_count=3)
     assert mono.label.startswith("monotone-forward[poincare|")
 
 
 def test_H_validation():
     with pytest.raises(ParameterError):
-        verify_H_monotone(catalog("poincare"), ENGINE, get("sine"), t=0.5,
+        verify_H_monotone([catalog("poincare")], ENGINE, get("sine"), t=0.5,
                           alpha=0.0, rho=1.0, s_count=1)
     with pytest.raises(ParameterError):
-        verify_H_monotone(catalog("poincare"), ENGINE, get("sine"), t=-0.5,
+        verify_H_monotone([catalog("poincare")], ENGINE, get("sine"), t=-0.5,
                           alpha=0.0, rho=1.0)
     meng = MonteCarloEngine(GAUSS, n_paths=200, dt=1e-2, seed=0)
     with pytest.raises(ParameterError):
-        verify_H_monotone(catalog("poincare"), meng, get("sine"), t=0.5,
+        verify_H_monotone([catalog("poincare")], meng, get("sine"), t=0.5,
                           alpha=0.0, rho=1.0)
 
 
@@ -308,8 +313,8 @@ def test_quadrature_window_guard():
 def test_chained_long_time_matches_integrated():
     # verify_local margins at t = 8 collapse onto the ergodic-limit margin
     sched = Schedule(ts=(8.0,), alphas=(0.0,), xs=np.linspace(-2.0, 2.0, 5))
-    loc = verify_local(catalog("log-sobolev"), ENGINE, get("shifted-sine"),
-                       sched, rho=1.0)
+    [loc] = verify_local([catalog("log-sobolev")], ENGINE, get("shifted-sine"),
+                         sched, rho=1.0)
     lim = verify_integrated_limit(catalog("log-sobolev"), GAUSS,
                                   get("shifted-sine"), rho=1.0)
     target = lim.records[0].margin
@@ -319,12 +324,12 @@ def test_chained_long_time_matches_integrated():
 def test_beckner_interpolates_to_poincare():
     sched = Schedule(ts=(0.2, 0.8), alphas=(0.0, 1.0),
                      xs=np.array([-1.0, 0.0, 1.0]))
-    rp = verify_local(catalog("poincare"), ENGINE, get("exp03"), sched,
-                      rho=1.0)
+    [rp] = verify_local([catalog("poincare")], ENGINE, get("exp03"), sched,
+                        rho=1.0)
 
     def gap(p):
-        rb = verify_local(catalog("beckner", p=p), ENGINE, get("exp03"),
-                          sched, rho=1.0)
+        [rb] = verify_local([catalog("beckner", p=p)], ENGINE, get("exp03"),
+                            sched, rho=1.0)
         return max(abs(a.margin - b.margin)
                    for a, b in zip(rb.records, rp.records))
 
@@ -455,7 +460,8 @@ def test_critical_points_of_sine():
 def test_double_well_falsifies_claimed_curvature():
     dw = make_double_well()
     geng = GridEngine(dw, lo=-6.0, hi=6.0, m=2001, dt=1e-3)
-    rep = verify_local(catalog("y"), geng, get("linear"), Schedule(), rho=0.5)
+    [rep] = verify_local([catalog("y")], geng, get("linear"), Schedule(),
+                         rho=0.5)
     assert not rep.passed
     bad = [r for r in rep.records if r.margin <= -1e-3]
     assert bad
@@ -471,7 +477,7 @@ def test_double_well_true_negative_bound_passes():
     geng = GridEngine(dw, lo=-6.0, hi=6.0, m=2001, dt=1e-3)
     sched = Schedule(ts=(0.1, 0.5), alphas=(0.0, 1.0),
                      xs=np.linspace(-2.0, 2.0, 5))
-    rep = verify_local(catalog("y"), geng, get("linear"), sched, rho=-1.0)
+    [rep] = verify_local([catalog("y")], geng, get("linear"), sched, rho=-1.0)
     assert rep.passed
 
 
@@ -481,8 +487,8 @@ def test_double_well_true_negative_bound_passes():
 
 def test_report_serialization_roundtrip():
     sched = Schedule(ts=(0.1,), alphas=(0.5,), xs=np.array([0.0, 1.0]))
-    rep = verify_local(catalog("poincare"), ENGINE, get("sine"), sched,
-                       rho=1.0)
+    [rep] = verify_local([catalog("poincare")], ENGINE, get("sine"), sched,
+                         rho=1.0)
     blob = json.loads(rep.to_json())
     assert blob["label"] == rep.label
     assert blob["pass"] is True
@@ -507,8 +513,8 @@ def test_report_pass_rule_uses_stderr():
 def test_report_worst_record():
     sched = Schedule(ts=(0.1, 0.5), alphas=(0.0, 1.0),
                      xs=np.array([-1.0, 1.0]))
-    rep = verify_local(catalog("log-sobolev"), ENGINE, get("shifted-sine"),
-                       sched, rho=1.0)
+    [rep] = verify_local([catalog("log-sobolev")], ENGINE, get("shifted-sine"),
+                         sched, rho=1.0)
     assert rep.worst.margin == rep.min_margin
 
 
@@ -534,7 +540,7 @@ def test_mc_local_simulation_count(monkeypatch):
     # sides of all alphas at every t are read off its first 7 starts
     calls = _count_calls(monkeypatch, "simulate")
     eng = MonteCarloEngine(GAUSS, n_paths=100, dt=1e-2, seed=0)
-    verify_local(catalog("poincare"), eng, get("sine"), default_schedule(),
+    verify_local([catalog("poincare")], eng, get("sine"), default_schedule(),
                  rho=1.0)
     assert len(calls) == 1
 
@@ -556,7 +562,7 @@ def _separate_sides(mf, engine, f, sched, rho):
         u, se_u = u[:, None], se_u[:, None]
         y = np.maximum(np.sum(np.square(grad), axis=-1)[:, None] * lf, 0.0)
         lhs = mf.value(u, y)
-        rhs, se = engine.apply(_composite(mf, f, rf), t, xs)
+        rhs, se = engine.apply(_composite([mf], f, [rf]), t, xs)
         noisy = se_u[:, 0] > 0.0
         if np.any(noisy):
             se[noisy] += np.abs(mf.m_x(
@@ -582,7 +588,7 @@ def test_mc_local_sides_match_separate_calls(monkeypatch, threads, seed,
     eng = MonteCarloEngine(GAUSS, n_paths=BLOCK_SIZE + 100, dt=1e-2,
                            seed=seed)
     mf, f = catalog(mf_id), get(fn)
-    rep = verify_local(mf, eng, f, ODD_TS, rho=1.0)
+    [rep] = verify_local([mf], eng, f, ODD_TS, rho=1.0)
     assert [(r.lhs, r.rhs, r.stderr) for r in rep.records] \
         == _separate_sides(mf, eng, f, ODD_TS, 1.0)
     assert all(r.stderr > 0.0 for r in rep.records if r.t > 0.0)
@@ -594,7 +600,7 @@ def test_mc_local_sides_match_separate_calls(monkeypatch, threads, seed,
     ids=["mehler", "grid"])
 def test_deterministic_local_sides_match_separate_calls(engine, mf_id, fn):
     mf, f = catalog(mf_id), get(fn)
-    rep = verify_local(mf, engine, f, ODD_TS, rho=1.0)
+    [rep] = verify_local([mf], engine, f, ODD_TS, rho=1.0)
     assert [(r.lhs, r.rhs, r.stderr) for r in rep.records] \
         == _separate_sides(mf, engine, f, ODD_TS, 1.0)
 
@@ -609,7 +615,7 @@ def test_local_check_names_the_domain_f_leaves(engine):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(DomainError, match="log-sobolev needs x"):
-            verify_local(catalog("log-sobolev"), engine, get("sine"),
+            verify_local([catalog("log-sobolev")], engine, get("sine"),
                          default_schedule(), rho=1.0)
 
 
@@ -624,7 +630,7 @@ def test_grid_local_march_count(monkeypatch):
     # march of the right sides of all alphas as columns
     calls = _count_calls(monkeypatch, "grid_apply")
     eng = GridEngine(make_double_well(), lo=-6.0, hi=6.0, m=2001, dt=1e-2)
-    verify_local(catalog("y"), eng, get("linear"), default_schedule(),
+    verify_local([catalog("y")], eng, get("linear"), default_schedule(),
                  rho=0.5)
     assert len(calls) == 1 + 5
 
@@ -633,7 +639,7 @@ def test_mehler_local_quadrature_count(monkeypatch):
     # one quadrature at all 6 times, t = 0 included, over the columns
     # [f, grad f] and, at each time, the right sides of all alphas
     calls = _count_calls(monkeypatch, "mehler_apply")
-    verify_local(catalog("poincare"), MehlerEngine(GAUSS), get("sine"),
+    verify_local([catalog("poincare")], MehlerEngine(GAUSS), get("sine"),
                  default_schedule(), rho=1.0)
     assert len(calls) == 1
 
@@ -646,7 +652,7 @@ def test_grid_monotone_march_count(monkeypatch):
     marches = _count_calls(monkeypatch, "grid_apply")
     solves = _count_calls(monkeypatch, "dgttrs")
     eng = GridEngine(make_double_well(), lo=-6.0, hi=6.0, m=2001, dt=1e-3)
-    verify_H_monotone(catalog("poincare"), eng, get("sine"), t=0.6,
+    verify_H_monotone([catalog("poincare")], eng, get("sine"), t=0.6,
                       alpha=0.2, rho=-1.0, s_count=21)
     assert len(marches) == 1 + 20
     assert len(solves) == 606 + 6300
@@ -656,7 +662,7 @@ def test_mehler_monotone_quadrature_count(monkeypatch):
     # one quadrature per s > 0 for the outer function, and one per s < t
     # for the inner function at its nodes, which depend on s: P_0 takes none
     calls = _count_calls(monkeypatch, "mehler_apply")
-    verify_H_monotone(catalog("reverse-poincare"), ENGINE, get("sine"),
+    verify_H_monotone([catalog("reverse-poincare")], ENGINE, get("sine"),
                       t=0.6, alpha=0.2, rho=1.0, s_count=21)
     assert len(calls) == 20 + 20
 
@@ -705,12 +711,12 @@ def test_time_zero_is_the_identity(monkeypatch, engine):
         u, grad = read(pts)
         np.testing.assert_array_equal(u, f(pts))
         np.testing.assert_array_equal(grad, f.gradient(pts))
-        verify_H_monotone(catalog("poincare"), engine, f, t=0.3, alpha=0.2,
+        verify_H_monotone([catalog("poincare")], engine, f, t=0.3, alpha=0.2,
                           rho=1.0, s_count=4)
     for mf_id in ("poincare", "reverse-log-sobolev"):
         fn = "cos-mix" if mf_id == "poincare" else "shifted-sine"
-        rep = verify_local(catalog(mf_id), engine, get(fn),
-                           Schedule(ts=(0.0, 0.3, 0.0)), 1.0)
+        [rep] = verify_local([catalog(mf_id)], engine, get(fn),
+                             Schedule(ts=(0.0, 0.3, 0.0)), 1.0)
         assert all(r.margin == 0.0 and r.stderr == 0.0
                    for r in rep.records if r.t == 0.0)
         assert rep.passed
@@ -746,8 +752,8 @@ def _per_s_monotone(mf, engine, f, t, alpha, rho, s_count):
     ids=["mehler", "grid"])
 def test_monotone_matches_a_value_grad_per_s(engine, t, s_count, mf_id, fn):
     mf, f = catalog(mf_id), get(fn)
-    rep = verify_H_monotone(mf, engine, f, t=t, alpha=0.2, rho=1.0,
-                            s_count=s_count)
+    [rep] = verify_H_monotone([mf], engine, f, t=t, alpha=0.2, rho=1.0,
+                              s_count=s_count)
     assert [(r.lhs, r.rhs, r.margin) for r in rep.records] \
         == _per_s_monotone(mf, engine, f, t, 0.2, 1.0, s_count)
 
@@ -759,7 +765,7 @@ def test_monotone_needs_finite_t_and_alpha_at_least_0(t, alpha):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ParameterError, match="need finite t >= 0"):
-            verify_H_monotone(catalog("poincare"), ENGINE, get("sine"), t=t,
+            verify_H_monotone([catalog("poincare")], ENGINE, get("sine"), t=t,
                               alpha=alpha, rho=1.0)
 
 
@@ -778,3 +784,72 @@ def test_evolved_reads_one_march_per_call(monkeypatch):
         assert got[1].tobytes() == grad.tobytes()
     with pytest.raises(DomainError):
         readers[0](9.0)
+
+
+# ---------------------------------------------------------------------------
+# M-functions that share one evolution
+# ---------------------------------------------------------------------------
+
+LOCAL_GROUP = ("poincare", "reverse-log-sobolev", "log-sobolev",
+               "reverse-poincare")
+MONOTONE_GROUP = ("poincare", "reverse-poincare", "log-sobolev",
+                  "reverse-log-sobolev")
+
+
+def _same_reports(grouped, single):
+    assert len(grouped) == len(single)
+    for a, b in zip(grouped, single):
+        assert a.to_csv() == b.to_csv()
+        assert a.to_dict() == b.to_dict()
+
+
+def test_an_empty_mfunction_sequence_is_a_parameter_error():
+    with pytest.raises(ParameterError, match="at least one M-function"):
+        verify_local([], ENGINE, get("sine"), default_schedule(), rho=1.0)
+    with pytest.raises(ParameterError, match="at least one M-function"):
+        verify_H_monotone([], ENGINE, get("sine"), t=0.6, alpha=0.2, rho=1.0)
+
+
+@pytest.mark.parametrize("engine", [
+    ENGINE, GridEngine(GAUSS, lo=-8.0, hi=8.0, m=801, dt=1e-2),
+    MonteCarloEngine(GAUSS, n_paths=200, dt=1e-2, seed=3)],
+    ids=["mehler", "grid", "monte-carlo"])
+def test_grouped_local_reports_equal_single_ones(engine):
+    # forward and reverse M-functions mixed, on a schedule with t = 0
+    mfs, f = [catalog(m) for m in LOCAL_GROUP], get("shifted-sine")
+    grouped = verify_local(mfs, engine, f, ODD_TS, rho=1.0)
+    _same_reports(grouped, [verify_local([mf], engine, f, ODD_TS, rho=1.0)[0]
+                            for mf in mfs])
+    assert [r.label.split("[")[0] for r in grouped] \
+        == ["local", "reverse", "local", "reverse"]
+
+
+@pytest.mark.parametrize("t", [0.0, 0.2555, 0.6])
+@pytest.mark.parametrize("engine", [
+    ENGINE, GridEngine(GAUSS, lo=-8.0, hi=8.0, m=801, dt=1e-2)],
+    ids=["mehler", "grid"])
+def test_grouped_monotone_reports_equal_single_ones(engine, t):
+    mfs, f = [catalog(m) for m in MONOTONE_GROUP], get("shifted-sine")
+    kw = dict(t=t, alpha=0.2, rho=1.0, s_count=6)
+    grouped = verify_H_monotone(mfs, engine, f, **kw)
+    _same_reports(grouped, [verify_H_monotone([mf], engine, f, **kw)[0]
+                            for mf in mfs])
+
+
+def test_mehler_monotone_group_makes_the_quadratures_of_one(monkeypatch):
+    # 20 outer quadratures and 20 inner ones, for 4 M-functions as for 1
+    calls = _count_calls(monkeypatch, "mehler_apply")
+    verify_H_monotone([catalog(m) for m in MONOTONE_GROUP], ENGINE,
+                      get("shifted-sine"), t=0.6, alpha=0.2, rho=1.0,
+                      s_count=21)
+    assert len(calls) == 20 + 20
+
+
+def test_grid_local_group_marches_f_once(monkeypatch):
+    # the march of f, and one march per t > 0 of the right sides of every
+    # M-function and alpha as columns: the count of a single M-function
+    calls = _count_calls(monkeypatch, "grid_apply")
+    eng = GridEngine(make_double_well(), lo=-6.0, hi=6.0, m=2001, dt=1e-2)
+    verify_local([catalog(m) for m in ("y", "poincare", "reverse-poincare")],
+                 eng, get("linear"), default_schedule(), rho=0.5)
+    assert len(calls) == 1 + 5

@@ -10,7 +10,9 @@ with a repeated time, t = 0 and a time off the dt grid, a Monte Carlo local
 check of `quadratic` on the default schedule, local checks at t = 0 alone
 on the grid and Mehler engines, and monotone checks beyond the benchmark's:
 on the grid at a t off the dt grid and at t = 0, and a reverse one on the
-Mehler engine.  Each run
+Mehler engine; and checks that share one evolution across two M-functions:
+Monte Carlo `verify` and `verify-reverse`, and a grid monotone check of a
+forward and a reverse M-function.  Each run
 gets its own directory under OUT/seed-S/ holding its output files, its
 stdout and stderr, and its exit status in `exit`.  `timestamp` and
 `wall_time_s` are dropped from every JSON document, so two trees with the
@@ -73,6 +75,19 @@ def cases(config_file: str, seed: int) -> list:
             ("monotone-mehler-reverse", ("monotone", "--mfunction",
                                          "reverse-poincare", "--function",
                                          "sine"))]
+    out += [("grouped-mc-local", ("verify", "--engine", "monte-carlo",
+                                   "--n-paths", "200", "--mfunction",
+                                   "poincare", "--mfunction", "log-sobolev",
+                                   "--function", "shifted-sine")),
+            ("grouped-mc-reverse", ("verify-reverse", "--engine",
+                                     "monte-carlo", "--n-paths", "200",
+                                     "--mfunction", "reverse-poincare",
+                                     "--mfunction", "reverse-log-sobolev",
+                                     "--function", "shifted-sine")),
+            ("grouped-monotone-grid", (*GRID_MONOTONE[:-4], "--mfunction",
+                                        "poincare", "--mfunction",
+                                        "reverse-poincare", "--function",
+                                        "sine"))]
     out = [(name, (*argv, "--seed", str(seed))) for name, argv in out]
     return out + [("criterion-12", ("run", config_file))]
 
