@@ -322,6 +322,8 @@ class MFunction:
     x_domain: Interval = REALS
     y_open: bool = False  # partials need y strictly positive
     my_nonneg: bool = True  # declared sign of M_y; checked, not assumed
+    # M(x, y) = M(x, 0) + y M_y(x, 0): M_yy vanishes, as for a Phi-entropy
+    affine_in_y: bool = False
     params: dict = field(default_factory=dict)
 
     @property
@@ -365,6 +367,7 @@ def _make_poincare(sign: float, label: str) -> MFunction:
         m_xx=_const(2.0 * sign),
         m_xy=_const(0.0),
         m_yy=_const(0.0),
+        affine_in_y=True,
     )
 
 
@@ -379,6 +382,7 @@ def _make_log_sobolev(sign: float, label: str) -> MFunction:
         m_xy=lambda x, y: -0.5 / np.square(x) + np.zeros(np.shape(y)),
         m_yy=_const(0.0),
         x_domain=Interval(0.0, math.inf),
+        affine_in_y=True,
     )
 
 
@@ -420,6 +424,7 @@ def _make_beckner(p: float, sign: float, label: str) -> MFunction:
         m_xy=lambda x, y: c * (p - 2.0) * x ** (p - 3.0) + np.zeros(np.shape(y)),
         m_yy=_const(0.0),
         x_domain=Interval(0.0, math.inf),
+        affine_in_y=True,
         params={"p": p},
     )
 
@@ -481,6 +486,7 @@ def _make_y() -> MFunction:
         m_xx=_const(0.0),
         m_xy=_const(0.0),
         m_yy=_const(0.0),
+        affine_in_y=True,
     )
 
 
@@ -533,6 +539,7 @@ def perturbed(mf: MFunction, a: float, b: float, c: float) -> MFunction:
         x_domain=mf.x_domain,
         y_open=mf.y_open,
         my_nonneg=mf.my_nonneg,
+        affine_in_y=mf.affine_in_y,
         params=dict(mf.params),
     )
 

@@ -66,7 +66,9 @@ class Potential:
 
 
 def _r2(x):
-    return np.sum(np.square(x), axis=-1)
+    sq = np.square(x)
+    # a sum over one coordinate is that coordinate: no reduction to run
+    return sq[..., 0] if sq.shape[-1] == 1 else np.sum(sq, axis=-1)
 
 
 def make_example_potential(kind: str, alpha: float | None = None, n: int = 1) -> Potential:

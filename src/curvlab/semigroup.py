@@ -14,11 +14,17 @@ method, for semigroups nested inside a sampled function.
 - `value_grad(f, t, xs, rhs=None) -> (values, stderr, grads)` evaluates
   P_t f and grad P_t f of a `TestFunction` from one evolution of f.  With
   `rhs`, one function per time of t, each mapping (..., n) to (..., c), it
-  also returns P_t rhs(xs) at each time and its stderr, of shape (k, c),
-  each bitwise what `apply(rhs_j, t_j, xs)` returns: the two sides of a
-  local check in one call.  The Monte Carlo engine reads them off the path
-  set of f, the Mehler engine off its quadrature of f, and the grid engine
-  marches each function.
+  also returns P_t rhs_j(xs) at each time and its stderr, of shape (k, c):
+  the two sides of a local check in one call.  The Monte Carlo engine
+  reads them off the path set of f and the Mehler engine off its
+  quadrature of f, each bitwise what `apply(rhs_j, t_j, xs)` returns.  The
+  grid engine evolves a right side by its linear form (`RightSide`): it
+  marches each distinct basis once, to every positive time that uses it,
+  and combines the bases' values at the points, so each right side is
+  bitwise its combine of separate `apply(basis, t_j, xs)` calls.  A plain
+  function is its own basis, bitwise `apply(rhs_j, t_j, xs)`, and a
+  non-finite combination raises NumericalError.  At t = 0, and on the
+  other engines, a `RightSide` is only its function.
 - `evolved(f, t) -> tuple of callables` (Mehler and grid engines only)
   gives one callable per time s of t, in t's order, mapping points z to
   (P_s f(z), grad P_s f(z)), each bitwise the values and grads of
@@ -58,6 +64,7 @@ from .sde import _step_plan, _times, simulate
 
 __all__ = [
     "TestFunction",
+    "RightSide",
     "as_points",
     "GridFunction",
     "MehlerEngine",
@@ -167,6 +174,26 @@ def enhanced_gap(f: TestFunction, potential: Potential, x) -> np.ndarray:
         raise DomainError(f"Gamma(f) vanishes at a requested point of {f.label}")
     return gamma2(f, potential, x) - potential.curvature_at(x) * gam \
         - gamma_gamma(f, x) / (4.0 * gam)
+
+
+@dataclass(frozen=True)
+class RightSide:
+    """A right side of `value_grad` that carries its linear form.
+
+    Called, it is `func`.  `combine` maps the values of `bases`, functions
+    of position with trailing columns, at some points to those of func
+    there, linearly and with constant coefficients, up to rounding.  P_t is
+    linear, so P_t func = combine(P_t of each basis): a basis that several
+    right sides share, one that does not depend on their times, evolves
+    once for all of them.
+    """
+
+    func: Callable
+    bases: tuple
+    combine: Callable
+
+    def __call__(self, z):
+        return self.func(z)
 
 
 # ---------------------------------------------------------------------------
@@ -535,13 +562,37 @@ class GridEngine(_Engine):
     def value_grad(self, f: TestFunction, t, x, rhs=None):
         def evolve(xs, ts, later):
             zeros = np.zeros(len(xs))
+            sides = self._evolve_right_sides(later, ts, xs)
             for j, at in enumerate(self.evolved(f, ts)):
                 u, grad = at(xs)
-                # each right side marches on its own, as its apply would
-                yield (u, zeros, grad, *self.apply(later[j], ts[j], xs)) \
+                yield (u, zeros, grad, sides[j], np.zeros(sides[j].shape)) \
                     if later else (u, zeros, grad)
 
         return self._value_grad(f, t, x, rhs, evolve)
+
+    def _evolve_right_sides(self, rhs, ts, xs) -> list:
+        # P_t of each right side by its linear form, a plain function being
+        # its own basis: each distinct basis marches once, to every time
+        # that uses it, and each right side combines its bases' values
+        forms = [(g.bases, g.combine) if isinstance(g, RightSide)
+                 else ((g,), lambda vals: vals[0]) for g in rhs]
+        uses = {}
+        for j, (bases, _) in enumerate(forms):
+            for b in bases:
+                uses.setdefault(id(b), (b, []))[1].append(j)
+        at = {}
+        for b, js in uses.values():
+            vals, _ = self.apply(b, ts[js], xs)
+            at.update(((id(b), j), v) for j, v in zip(js, vals))
+        out = []
+        for j, (bases, combine) in enumerate(forms):
+            with np.errstate(over="ignore", invalid="ignore"):
+                vals = combine([at[id(b), j] for b in bases])
+            if not np.all(np.isfinite(vals)):
+                raise NumericalError(f"the right side at t={ts[j]:g} "
+                                     f"combines to non-finite values")
+            out.append(vals)
+        return out
 
 
 # ---------------------------------------------------------------------------

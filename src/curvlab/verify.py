@@ -25,12 +25,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ParameterError, QuadratureError
+from .errors import NumericalError, ParameterError, QuadratureError
 from .mfunctions import MFunction
 from .potentials import Potential
 from .quadrature import adaptive
-from .semigroup import (TestFunction, _check_dimension, as_points, gamma,
-                        gamma2, gamma_gamma)
+from .semigroup import (RightSide, TestFunction, _check_dimension, as_points,
+                        gamma, gamma2, gamma_gamma)
 
 __all__ = [
     "Schedule",
@@ -48,24 +48,42 @@ __all__ = [
 ]
 
 
+def _interpolation(name: str, a: float, alpha: float, r: float) -> float:
+    # (e^a - 1)/r + alpha e^a, or NumericalError where it overflows
+    try:
+        value = math.expm1(a) / r + alpha * math.exp(a)
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise NumericalError(f"{name} overflows a float: e^{a:g} is out of "
+                             f"range")
+    return value
+
+
 def g_alpha(t: float, alpha: float, rho: float) -> float:
-    """(1 - e^{-2 rho t})/rho + alpha e^{-2 rho t}; 2t + alpha at rho = 0."""
+    """(1 - e^{-2 rho t})/rho + alpha e^{-2 rho t}; 2t + alpha at rho = 0.
+
+    Raises NumericalError where it overflows a float.
+    """
     if t < 0.0:
         raise ParameterError(f"time must be >= 0, got {t}")
     if rho == 0.0:
         return 2.0 * t + alpha
-    decay = math.exp(-2.0 * rho * t)
-    return -math.expm1(-2.0 * rho * t) / rho + alpha * decay
+    return _interpolation(f"g_alpha(t={t:g}, rho={rho:g})", -2.0 * rho * t,
+                          alpha, -rho)
 
 
 def h_alpha(s: float, t: float, alpha: float, rho: float) -> float:
-    """(e^{2 rho (t-s)} - 1)/rho + alpha e^{2 rho (t-s)}; 2(t-s) + alpha at rho = 0."""
+    """(e^{2 rho (t-s)} - 1)/rho + alpha e^{2 rho (t-s)}; 2(t-s) + alpha at rho = 0.
+
+    Raises NumericalError where it overflows a float.
+    """
     if not 0.0 <= s <= t:
         raise ParameterError(f"need 0 <= s <= t, got s={s}, t={t}")
     if rho == 0.0:
         return 2.0 * (t - s) + alpha
-    grow = math.exp(2.0 * rho * (t - s))
-    return math.expm1(2.0 * rho * (t - s)) / rho + alpha * grow
+    return _interpolation(f"h_alpha(s={s:g}, t={t:g}, rho={rho:g})",
+                          2.0 * rho * (t - s), alpha, rho)
 
 
 @dataclass(frozen=True)
@@ -156,17 +174,61 @@ class InequalityReport:
         return buf.getvalue()
 
 
-def _composite(mfs, f: TestFunction, factors):
-    # z -> M(f(z), c Gamma(f)(z)), one trailing column per factor c of each
-    # M in turn; f and Gamma(f) are evaluated once for all of them
+def _of_f(f: TestFunction, columns):
+    # z -> columns(f(z), Gamma(f)(z)) side by side; f and Gamma(f) are
+    # evaluated once for all of them
     def func(z):
         z = np.asarray(z, dtype=float)
         vals = f.value(z)[..., None]
         gam = np.sum(np.square(f.gradient(z)), axis=-1)[..., None]
-        return np.concatenate([mf.value(vals, np.maximum(gam * r, 0.0))
-                               for mf, r in zip(mfs, factors)], axis=-1)
+        return np.concatenate(columns(vals, gam), axis=-1)
 
     return func
+
+
+def _composite(mfs, f: TestFunction, factors):
+    # z -> M(f(z), c Gamma(f)(z)), one column per factor c of each M in turn
+    return _of_f(f, lambda x, gam: [mf.value(x, np.maximum(gam * r, 0.0))
+                                    for mf, r in zip(mfs, factors)])
+
+
+def _linear_basis(mfs, f: TestFunction):
+    # z -> [M(f, 0), M_y(f, 0) Gamma(f)] of each M in turn: for an M affine
+    # in y, M(f, c Gamma(f)) = a + c b for every factor c
+    return _of_f(f, lambda x, gam: [col for mf in mfs for col in (
+        mf.value(x, 0.0), mf.m_y(x, 0.0) * gam)])
+
+
+def _right_sides(mfs, f, factors) -> list:
+    """The right sides of a local check, one per time: factors holds per
+    time one array of factors c per M, and the right side maps z to
+    M(f(z), c Gamma(f)(z)) for each M and c in turn.
+
+    Each carries its linear form.  The Ms affine in y share one basis for
+    every time, and their columns are a + c b; the other Ms' columns of a
+    time are a basis of their own.
+    """
+    affine = [m for m, mf in enumerate(mfs) if mf.affine_in_y]
+    rest = [m for m, mf in enumerate(mfs) if not mf.affine_in_y]
+    order = np.argsort(affine + rest)  # the blocks back in mfs' order
+    shared = (_linear_basis([mfs[m] for m in affine], f),) if affine else ()
+
+    def side(at_t):
+        c = np.array([at_t[m] for m in affine])
+        own = (_composite([mfs[m] for m in rest], f,
+                          [at_t[m] for m in rest]),) if rest else ()
+
+        def combine(vals):
+            k = len(vals[0])
+            blocks = [vals[0][:, 0::2, None] + c * vals[0][:, 1::2, None]] \
+                if affine else []
+            if rest:
+                blocks.append(vals[-1].reshape(k, len(rest), -1))
+            return np.concatenate(blocks, axis=1)[:, order].reshape(k, -1)
+
+        return RightSide(_composite(mfs, f, at_t), shared + own, combine)
+
+    return [side(at_t) for at_t in factors]
 
 
 def verify_local(mfs, engine, f: TestFunction, schedule: Schedule,
@@ -193,9 +255,9 @@ def verify_local(mfs, engine, f: TestFunction, schedule: Schedule,
                 (alphas, np.array([g_alpha(t, a, rho) for a in alphas]))
                 for mf in mfs] for t in schedule.ts]
     # one engine call for both sides at every t, with one column per M and
-    # alpha on the right: the right sides' composite changes with t
-    sides = engine.value_grad(f, schedule.ts, xs, rhs=[
-        _composite(mfs, f, [r for _, r in at_t]) for at_t in factors])
+    # alpha on the right
+    sides = engine.value_grad(f, schedule.ts, xs, rhs=_right_sides(
+        mfs, f, [[r for _, r in at_t] for at_t in factors]))
     records = [[] for _ in mfs]
     for t, at_t, u, se_u, grad, rhs_all, se_all in zip(schedule.ts, factors,
                                                        *sides):

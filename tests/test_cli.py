@@ -407,6 +407,17 @@ def test_verify_rejects_a_reverse_mfunction(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ("verify", "--rho", "-400", "--mfunction", "poincare"),
+    ("verify-reverse", "--rho", "400", "--mfunction", "reverse-poincare"),
+    ("monotone", "--rho", "-400", "--t", "1", "--mfunction", "poincare")],
+    ids=["verify", "verify-reverse", "monotone"])
+def test_an_interpolation_factor_beyond_a_float_exits_2(capsys, argv):
+    # e^{2 |rho| t} = e^800 at t = 1: a typed error, not a traceback
+    assert main([*argv, "--function", "sine"]) == 2
+    assert "overflows a float" in capsys.readouterr().err
+
+
 def test_grid_with_a_cell_peclet_number_of_2_exits_2(capsys):
     # the default gaussian window [-12, 12] at m = 101: max |V'| h = 2.82
     assert main(["verify", "--engine", "grid", "--m", "101", "--mfunction",

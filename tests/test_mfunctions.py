@@ -266,6 +266,26 @@ def test_perturbation_invariance():
         perturbed(catalog("poincare"), -2.0, 1.0, 1.0)
 
 
+AFFINE = ("poincare", "reverse-poincare", "log-sobolev", "reverse-log-sobolev",
+          "beckner", "reverse-beckner", "y")
+
+
+@pytest.mark.parametrize("name,mf", list(entries()), ids=lambda v: v if isinstance(v, str) else "")
+def test_affinity_in_y_is_declared_exactly_where_it_holds(name, mf):
+    # a declared M is M(x, 0) + y M_y(x, 0) with M_yy = 0; an undeclared one
+    # bends in y somewhere
+    assert mf.affine_in_y == (name in AFFINE)
+    xs, ys = np.array(sample_points(mf)).T
+    if mf.affine_in_y:
+        linear = mf.value(xs, 0.0) + ys * mf.m_y(xs, 0.0)
+        np.testing.assert_allclose(mf.value(xs, ys), linear, rtol=1e-13,
+                                   atol=0.0)
+        assert np.all(mf.m_yy(xs, ys) == 0.0)
+    else:
+        assert np.any(mf.m_yy(xs, ys) != 0.0)
+    assert perturbed(mf, 2.0, 3.0, 1.0).affine_in_y == mf.affine_in_y
+
+
 def test_direction_is_a_property_of_the_mfunction():
     for name in MFUNCTION_NAMES:
         params = {"p": 1.5} if name.endswith("beckner") else {}

@@ -12,6 +12,7 @@ from curvlab.semigroup import (
     GridFunction,
     MehlerEngine,
     MonteCarloEngine,
+    RightSide,
     TestFunction,
     as_points,
     enhanced_gap,
@@ -599,6 +600,51 @@ def test_value_grad_values_match_apply():
             np.testing.assert_array_equal(verr, err)
             if eng.kind != "monte-carlo" or t == 0.0:
                 assert np.all(verr == 0.0)
+
+
+def _basis(z):
+    return np.concatenate([np.cos(z), np.square(z)], axis=-1)
+
+
+def _linear_side(c):
+    # z -> cos z + c z^2, through the basis [cos z, z^2]
+    return RightSide(lambda z: np.cos(z) + c * np.square(z), (_basis,),
+                     lambda vals: vals[0][:, :1] + c * vals[0][:, 1:])
+
+
+def test_grid_right_sides_march_each_basis_once(monkeypatch):
+    # three right sides at t = 0.3, 0 and 0.1 share one basis: one march of
+    # it to both positive times, each side bitwise its combination of a
+    # separate apply of the basis; P_0 and the Mehler engine take the
+    # function itself
+    f, x, ts, cs = suite.get("sine"), np.linspace(-2.0, 2.0, 5), \
+        (0.3, 0.0, 0.1), (0.5, 2.0, 3.0)
+    rhs = [_linear_side(c) for c in cs]
+    grid = GridEngine(GAUSS, lo=-8.0, hi=8.0, m=801, dt=1e-2)
+    marches = []
+    real = semigroup.grid_apply
+    monkeypatch.setattr(semigroup, "grid_apply",
+                        lambda *a: marches.append(a[2]) or real(*a))
+    *_, vals, err = grid.value_grad(f, ts, x, rhs=rhs)
+    assert len(marches) == 2
+    for t, c, g, v in zip(ts, cs, rhs, vals):
+        if t > 0.0:
+            ab, _ = grid.apply(_basis, t, x)
+            want = ab[:, :1] + c * ab[:, 1:]
+        else:
+            want = g(as_points(x, 1))
+        assert v.tobytes() == want.tobytes()
+    assert np.all(err == 0.0)
+    *_, vals, _ = MehlerEngine(GAUSS).value_grad(f, ts, x, rhs=rhs)
+    for t, g, v in zip(ts, rhs, vals):
+        assert v.tobytes() == MehlerEngine(GAUSS).apply(g, t, x)[0].tobytes()
+
+
+def test_grid_right_side_that_combines_to_non_finite_values_raises():
+    side = RightSide(np.cos, (_basis,), lambda vals: 1e308 * vals[0] * 10.0)
+    grid = GridEngine(GAUSS, lo=-8.0, hi=8.0, m=801, dt=1e-2)
+    with pytest.raises(NumericalError, match="non-finite"):
+        grid.value_grad(suite.get("sine"), 0.2, 0.0, rhs=[side])
 
 
 def test_apply_passes_trailing_columns_through():

@@ -7,7 +7,8 @@ import pytest
 from scipy.optimize import brentq
 
 from curvlab import semigroup, suite
-from curvlab.errors import DomainError, ParameterError, QuadratureError
+from curvlab.errors import (DomainError, NumericalError, ParameterError,
+                            QuadratureError)
 from curvlab.mfunctions import catalog
 from curvlab.potentials import make_double_well, make_example_potential
 from curvlab.quadrature import adaptive
@@ -16,7 +17,8 @@ from curvlab.semigroup import (GridEngine, MehlerEngine, MonteCarloEngine,
                                TestFunction, as_points)
 from curvlab.suite import get
 from curvlab.verify import (InequalityReport, QuadSpec, Record, Schedule,
-                            _composite, _critical_points, default_schedule,
+                            _composite, _critical_points, _right_sides,
+                            default_schedule,
                             exp_integrability_bound_check,
                             g_alpha, h_alpha, verify_H_monotone,
                             verify_integrated_condition,
@@ -73,6 +75,17 @@ def test_coefficient_validation():
         h_alpha(1.5, 1.0, 0.0, 1.0)
     with pytest.raises(ParameterError):
         h_alpha(-0.1, 1.0, 0.0, 1.0)
+
+
+def test_coefficients_beyond_a_float_are_numerical_errors():
+    # e^800 raises OverflowError inside math.exp; e^709.5 / 0.5 is a finite
+    # exponential over a float's range after the division
+    for call in (lambda: g_alpha(1.0, 0.0, -400.0),
+                 lambda: g_alpha(709.5, 0.0, -0.5),
+                 lambda: h_alpha(0.0, 1.0, 0.5, 400.0),
+                 lambda: h_alpha(0.0, 709.5, 0.0, 0.5)):
+        with pytest.raises(NumericalError, match="overflows a float"):
+            call()
 
 
 def test_schedule_validation():
@@ -545,9 +558,22 @@ def test_mc_local_simulation_count(monkeypatch):
     assert len(calls) == 1
 
 
-def _separate_sides(mf, engine, f, sched, rho):
+def _linear_columns(mf, f):
+    # z -> [M(f, 0), M_y(f, 0) Gamma(f)]: M(f, c Gamma(f)) = a + c b for an
+    # M affine in y
+    def func(z):
+        vals = f.value(z)[..., None]
+        gam = np.sum(np.square(f.gradient(z)), axis=-1)[..., None]
+        return np.concatenate([mf.value(vals, 0.0),
+                               mf.m_y(vals, 0.0) * gam], axis=-1)
+
+    return func
+
+
+def _separate_sides(mf, engine, f, sched, rho, linear=False):
     """(lhs, rhs, stderr) of each record of verify_local, from value_grad of
-    f alone and one apply of the right sides per t."""
+    f alone and one apply of the right sides per t; with `linear`, at t > 0
+    one apply of M's linear form per t, combined as a + c b."""
     xs = as_points(sched.xs, engine.potential.n)
     alphas = np.array(sched.alphas)
     out = []
@@ -562,7 +588,12 @@ def _separate_sides(mf, engine, f, sched, rho):
         u, se_u = u[:, None], se_u[:, None]
         y = np.maximum(np.sum(np.square(grad), axis=-1)[:, None] * lf, 0.0)
         lhs = mf.value(u, y)
-        rhs, se = engine.apply(_composite([mf], f, [rf]), t, xs)
+        if linear and t > 0.0:
+            ab, _ = engine.apply(_linear_columns(mf, f), t, xs)
+            rhs = ab[:, :1] + rf * ab[:, 1:]
+            se = np.zeros(rhs.shape)
+        else:
+            rhs, se = engine.apply(_composite([mf], f, [rf]), t, xs)
         noisy = se_u[:, 0] > 0.0
         if np.any(noisy):
             se[noisy] += np.abs(mf.m_x(
@@ -599,10 +630,13 @@ def test_mc_local_sides_match_separate_calls(monkeypatch, threads, seed,
     ENGINE, GridEngine(GAUSS, lo=-8.0, hi=8.0, m=801, dt=1e-2)],
     ids=["mehler", "grid"])
 def test_deterministic_local_sides_match_separate_calls(engine, mf_id, fn):
+    # the grid evolves the right sides of an M affine in y by its linear
+    # form at t > 0: bitwise a + c b of one apply of [a, b] per t
     mf, f = catalog(mf_id), get(fn)
     [rep] = verify_local([mf], engine, f, ODD_TS, rho=1.0)
     assert [(r.lhs, r.rhs, r.stderr) for r in rep.records] \
-        == _separate_sides(mf, engine, f, ODD_TS, 1.0)
+        == _separate_sides(mf, engine, f, ODD_TS, 1.0,
+                           linear=engine.kind == "grid")
 
 
 @pytest.mark.parametrize("engine", [
@@ -626,13 +660,42 @@ def test_value_grad_needs_one_right_side_per_time():
 
 def test_grid_local_march_count(monkeypatch):
     # one checkpointed march of f for value and gradient at every t, then,
-    # inside the same value_grad call, at each of the 5 times t > 0 one
-    # march of the right sides of all alphas as columns
+    # inside the same value_grad call, one march of the linear form
+    # [M(f, 0), M_y(f, 0) Gamma(f)] to all 5 times t > 0, from which the
+    # right sides of every alpha are combined
     calls = _count_calls(monkeypatch, "grid_apply")
     eng = GridEngine(make_double_well(), lo=-6.0, hi=6.0, m=2001, dt=1e-2)
     verify_local([catalog("y")], eng, get("linear"), default_schedule(),
                  rho=0.5)
-    assert len(calls) == 1 + 5
+    assert len(calls) == 1 + 1
+
+
+AFFINE_SIDES = (("poincare", "sine"), ("reverse-poincare", "sine"),
+                ("y", "linear"), ("log-sobolev", "shifted-sine"),
+                ("reverse-log-sobolev", "shifted-sine"),
+                ("beckner", "shifted-sine"),
+                ("reverse-beckner", "shifted-sine"))
+
+
+@pytest.mark.parametrize("engine", [
+    GridEngine(make_double_well(), lo=-6.0, hi=6.0, m=2001, dt=1e-2),
+    GridEngine(make_example_potential("spherical", alpha=1.5), lo=-8.0,
+               hi=8.0, m=801, dt=1e-2)], ids=["double-well", "spherical"])
+@pytest.mark.parametrize("mf_id,fn", AFFINE_SIDES)
+def test_grid_linear_right_sides_match_the_composite_march(engine, mf_id, fn):
+    # P_t a + c P_t b against P_t of M(f, c Gamma(f)) marched per t: equal
+    # to rounding, scaled by max(1, |rhs|)
+    params = {"p": 1.5} if mf_id.endswith("beckner") else {}
+    mf, f = catalog(mf_id, **params), get(fn)
+    ts = default_schedule().ts[1:]
+    xs = as_points(default_schedule().xs, 1)
+    factors = [[np.array([0.0, 0.5, 1.0, 2.0 * t])] for t in ts]
+    *_, rhs, _ = engine.value_grad(f, ts, xs,
+                                   rhs=_right_sides([mf], f, factors))
+    for t, got, at_t in zip(ts, rhs, factors):
+        old, _ = engine.apply(_composite([mf], f, at_t), t, xs)
+        np.testing.assert_array_less(np.abs(got - old),
+                                     1e-12 * np.maximum(1.0, np.abs(old)))
 
 
 def test_mehler_local_quadrature_count(monkeypatch):
@@ -836,6 +899,17 @@ def test_grouped_monotone_reports_equal_single_ones(engine, t):
                             for mf in mfs])
 
 
+def test_grid_mixed_affinity_group_equals_single_ones(monkeypatch):
+    # y and poincare read a + c b off one march of their shared linear
+    # form; sqrt-y, not affine in y, marches its own columns to each t > 0
+    eng = GridEngine(GAUSS, lo=-8.0, hi=8.0, m=801, dt=1e-2)
+    mfs, f = [catalog(m) for m in ("sqrt-y", "y", "poincare")], get("sine")
+    single = [verify_local([mf], eng, f, ODD_TS, rho=1.0)[0] for mf in mfs]
+    calls = _count_calls(monkeypatch, "grid_apply")
+    _same_reports(verify_local(mfs, eng, f, ODD_TS, rho=1.0), single)
+    assert len(calls) == 1 + 1 + 4
+
+
 def test_mehler_monotone_group_makes_the_quadratures_of_one(monkeypatch):
     # 20 outer quadratures and 20 inner ones, for 4 M-functions as for 1
     calls = _count_calls(monkeypatch, "mehler_apply")
@@ -846,10 +920,10 @@ def test_mehler_monotone_group_makes_the_quadratures_of_one(monkeypatch):
 
 
 def test_grid_local_group_marches_f_once(monkeypatch):
-    # the march of f, and one march per t > 0 of the right sides of every
-    # M-function and alpha as columns: the count of a single M-function
+    # the march of f, and one march to every t > 0 of the linear forms of
+    # every M-function as columns: the count of a single M-function
     calls = _count_calls(monkeypatch, "grid_apply")
     eng = GridEngine(make_double_well(), lo=-6.0, hi=6.0, m=2001, dt=1e-2)
     verify_local([catalog(m) for m in ("y", "poincare", "reverse-poincare")],
                  eng, get("linear"), default_schedule(), rho=0.5)
-    assert len(calls) == 1 + 5
+    assert len(calls) == 1 + 1

@@ -10,9 +10,11 @@ with a repeated time, t = 0 and a time off the dt grid, a Monte Carlo local
 check of `quadratic` on the default schedule, local checks at t = 0 alone
 on the grid and Mehler engines, and monotone checks beyond the benchmark's:
 on the grid at a t off the dt grid and at t = 0, and a reverse one on the
-Mehler engine; and checks that share one evolution across two M-functions:
-Monte Carlo `verify` and `verify-reverse`, and a grid monotone check of a
-forward and a reverse M-function.  Each run
+Mehler engine; a grid `verify-reverse`; and checks that share one
+evolution across M-functions: Monte Carlo `verify` and `verify-reverse`, a
+grid monotone check of a forward and a reverse M-function, and a grid
+`verify` of `sqrt-y`, which is not affine in y, with `y` and `poincare`,
+which are.  Each run
 gets its own directory under OUT/seed-S/ holding its output files, its
 stdout and stderr, and its exit status in `exit`.  `timestamp` and
 `wall_time_s` are dropped from every JSON document, so two trees with the
@@ -87,7 +89,14 @@ def cases(config_file: str, seed: int) -> list:
             ("grouped-monotone-grid", (*GRID_MONOTONE[:-4], "--mfunction",
                                         "poincare", "--mfunction",
                                         "reverse-poincare", "--function",
-                                        "sine"))]
+                                        "sine")),
+            ("grid-reverse", ("verify-reverse", "--engine", "grid",
+                              "--mfunction", "reverse-log-sobolev",
+                              "--function", "shifted-sine")),
+            ("grouped-grid-mixed", ("verify", "--engine", "grid",
+                                    "--mfunction", "sqrt-y", "--mfunction",
+                                    "y", "--mfunction", "poincare",
+                                    "--function", "sine"))]
     out = [(name, (*argv, "--seed", str(seed))) for name, argv in out]
     return out + [("criterion-12", ("run", config_file))]
 
