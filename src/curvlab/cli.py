@@ -104,6 +104,8 @@ class ExperimentConfig:
         _finite("rho", self.rho)
         _finite("t", self.t, 0.0)
         _finite("alpha", self.alpha, 0.0)
+        if self.s_count < 2:
+            raise ParameterError("monotonicity grid needs at least 2 points")
         for seed in (self.seed, self.engine_params.get("seed", 0)):
             if seed < 0:
                 raise ParameterError(f"seed must be >= 0, got {seed}")
@@ -139,7 +141,6 @@ class ExperimentConfig:
             kw["alphas"] = self.alphas
         if self.xs is not None:
             kw["xs"] = np.asarray(self.xs, dtype=float)
-        kw["s_count"] = self.s_count
         return Schedule(**kw)
 
 

@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import CertificationError, ParameterError
 from .potentials import LyapunovCertificate, Potential, scan_certificate
-from .sde import _times, simulate
+from .sde import _path_mean, _times, simulate
 from .semigroup import TestFunction, as_points
 from .verify import InequalityReport, Record
 
@@ -41,8 +41,7 @@ __all__ = [
 
 def _mean_se(values: np.ndarray) -> tuple:
     # along the path axis, the last one, as (nested) lists
-    se = np.std(values, axis=-1, ddof=1) / math.sqrt(values.shape[-1])
-    return np.mean(values, axis=-1).tolist(), se.tolist()
+    return tuple(a.tolist() for a in _path_mean(values))
 
 
 def _check_paths(n_paths: int) -> None:

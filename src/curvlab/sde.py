@@ -17,7 +17,7 @@ from typing import Callable, Mapping, Optional
 
 import numpy as np
 
-from .errors import ParameterError, SimulationError
+from .errors import NumericalError, ParameterError, SimulationError
 from .potentials import Potential
 
 __all__ = ["PathBatch", "simulate", "BLOCK_SIZE", "EXPLOSION_RADIUS"]
@@ -68,6 +68,18 @@ def _step_plan(t: float, dt: float):
     if rem < 1e-12 * max(1.0, t):
         rem = 0.0
     return n_full, rem
+
+
+def _path_mean(values) -> tuple:
+    """Mean and stderr (ddof = 1) over paths, the last axis of values.
+    Overflow is quiet; a mean or stderr that is not finite raises."""
+    v = np.ascontiguousarray(values)
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = v.mean(axis=-1), v.std(axis=-1, ddof=1) / math.sqrt(v.shape[-1])
+    if not all(np.all(np.isfinite(a)) for a in out):
+        raise NumericalError(f"a mean over {v.shape[-1]} paths or its stderr "
+                             f"is not finite")
+    return out
 
 
 def _run_block(potential: Potential, x0_block: np.ndarray, plans: list,

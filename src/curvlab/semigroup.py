@@ -2,8 +2,9 @@
 
 Three interchangeable engines share one two-method contract: exact
 Gauss-Hermite quadrature of the Mehler integral (gaussian potential only),
-Crank-Nicolson time stepping of u_t = Lu on a 1-D grid with reflecting ends,
-and Euler-Maruyama Monte Carlo.  The two deterministic engines add a third
+Crank-Nicolson time stepping of u_t = Lu on a 1-D grid with reflecting ends
+(`grid_apply` marches arrays of node values; the engine builds and checks
+its grid once, when it is built), and Euler-Maruyama Monte Carlo.  The two deterministic engines add a third
 method, for semigroups nested inside a sampled function.
 
 - `apply(func, t, xs) -> (values, stderr)` evaluates P_t of a plain
@@ -22,9 +23,9 @@ method, for semigroups nested inside a sampled function.
   marches each distinct basis once, to every positive time that uses it,
   and combines the bases' values at the points, so each right side is
   bitwise its combine of separate `apply(basis, t_j, xs)` calls.  A plain
-  function is its own basis, bitwise `apply(rhs_j, t_j, xs)`, and a
-  non-finite combination raises NumericalError.  At t = 0, and on the
-  other engines, a `RightSide` is only its function.
+  function is its own basis, bitwise `apply(rhs_j, t_j, xs)`.  At t = 0,
+  and on the other engines, a `RightSide` is only its function.  On every
+  engine a right side or stderr that is not finite raises NumericalError.
 - `evolved(f, t) -> tuple of callables` (Mehler and grid engines only)
   gives one callable per time s of t, in t's order, mapping points z to
   (P_s f(z), grad P_s f(z)), each bitwise the values and grads of
@@ -52,21 +53,20 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from functools import cached_property, lru_cache
-from typing import Callable, Union
+from functools import lru_cache
+from typing import Callable
 
 import numpy as np
 from scipy.linalg.lapack import dgttrf, dgttrs
 
 from .errors import DomainError, NumericalError, ParameterError
 from .potentials import Potential
-from .sde import _step_plan, _times, simulate
+from .sde import _path_mean, _step_plan, _times, simulate
 
 __all__ = [
     "TestFunction",
     "RightSide",
     "as_points",
-    "GridFunction",
     "MehlerEngine",
     "GridEngine",
     "MonteCarloEngine",
@@ -249,8 +249,13 @@ class _Engine:
             row = f(xs), np.zeros(len(xs)), f.gradient(xs)
             return row if rhs is None else row + _at_points(rhs[j], xs)
 
-        return _stacked(t, _over_times(t, still,
-                                       lambda ts: evolve(xs, ts, later)))
+        rows = _over_times(t, still, lambda ts: evolve(xs, ts, later))
+        for s, row in zip(ts, rows):
+            # an overflowing right side would pass any check with margin inf
+            if not all(np.all(np.isfinite(a)) for a in row[3:]):
+                raise NumericalError(f"the right side at t={s:g} is "
+                                     f"non-finite")
+        return _stacked(t, rows)
 
     def _readers(self, f: TestFunction, t, evolve) -> tuple:
         # evolve(ts) yields a reader per time of ts
@@ -377,45 +382,11 @@ class MehlerEngine(_Engine):
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class GridFunction:
-    lo: float
-    hi: float
-    values: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
-        if self.m < 3:
-            raise ParameterError(f"grid needs at least 3 nodes, got {self.m}")
-        if not self.hi > self.lo:
-            raise ParameterError(f"need hi > lo, got [{self.lo}, {self.hi}]")
-        if not np.all(np.isfinite(self.values)):
-            raise ParameterError("grid values must be finite")
-
-    @property
-    def m(self) -> int:
-        return len(self.values)
-
-    @property
-    def h(self) -> float:
-        return (self.hi - self.lo) / (self.m - 1)
-
-    @property
-    def nodes(self) -> np.ndarray:
-        return np.linspace(self.lo, self.hi, self.m)
-
-    @staticmethod
-    def sample(func, lo: float, hi: float, m: int) -> "GridFunction":
-        nodes = np.linspace(lo, hi, m)
-        return GridFunction(lo, hi, func(nodes[:, None]))
-
-
-@dataclass(frozen=True)
 class TridiagonalGenerator:
-    """Second-order discretization of L = d^2/dx^2 - V' d/dx, zero-flux ends."""
+    """Second-order discretization of L = d^2/dx^2 - V' d/dx, zero-flux ends,
+    on the m equally spaced nodes of a window, h apart."""
 
-    lo: float
-    hi: float
-    m: int
+    nodes: np.ndarray
     h: float
     lower: np.ndarray  # coefficient of u_{i-1} in row i (entry 0 unused)
     diag: np.ndarray
@@ -424,7 +395,7 @@ class TridiagonalGenerator:
     def apply(self, values: np.ndarray) -> np.ndarray:
         """L applied to node values (m,) or to columns of them (m, ...)."""
         v = np.asarray(values, dtype=float)
-        shape = (self.m,) + (1,) * (v.ndim - 1)
+        shape = (-1,) + (1,) * (v.ndim - 1)
         lower, diag, upper = (c.reshape(shape)
                               for c in (self.lower, self.diag, self.upper))
         out = diag * v
@@ -456,29 +427,26 @@ def grid_generator(potential: Potential, lo: float, hi: float, m: int) -> Tridia
     # mirror ghost nodes: u_{-1} = u_1 kills the drift term at the ends
     upper[0] = 2.0 / h**2
     lower[-1] = 2.0 / h**2
-    return TridiagonalGenerator(lo, hi, m, h, lower, diag, upper)
+    return TridiagonalGenerator(nodes, h, lower, diag, upper)
 
 
-def _cn_factors(gen: TridiagonalGenerator, dt: float) -> list:
-    # LAPACK's LU factors of I - (dt/2) L, the left side of a CN step
-    *lu, info = dgttrf(-0.5 * dt * gen.lower[1:], 1.0 - 0.5 * dt * gen.diag,
-                       -0.5 * dt * gen.upper[:-1])
-    if info != 0:
-        raise NumericalError(f"I - (dt/2) L is singular at dt={dt}")
-    return lu
+def grid_apply(gen: TridiagonalGenerator, values, t, dt: float):
+    """Crank-Nicolson evolution of u_t = Lu from the node values, an (m, ...)
+    array on gen's nodes, to each time of t, in one march; trailing columns
+    march together.
 
-
-def grid_apply(gen: TridiagonalGenerator, f: GridFunction, t, dt: float):
-    """Crank-Nicolson evolution of u_t = Lu from f to each time of t, in
-    one march; columns of f's values march together.
-
-    Returns a GridFunction for one time and a tuple of them, in t's order,
-    for a sequence.  Each time keeps the step plan of a march straight to
-    it, taking its partial step on a copy, so its result is bitwise that of
-    a march to it alone.  I - (dt/2) L is factored once per step size.
+    Returns the node values as an array for one time and a tuple of them,
+    in t's order, for a sequence.  Each time keeps the step plan of a march
+    straight to it, taking its partial step on a copy, so its result is
+    bitwise that of a march to it alone.  I - (dt/2) L is factored once per
+    step size.
     """
-    if f.m != gen.m or f.lo != gen.lo or f.hi != gen.hi:
-        raise ParameterError("grid function does not match the generator's grid")
+    u = np.array(values, dtype=float)
+    if np.shape(u)[:1] != gen.nodes.shape:
+        raise ParameterError(f"node values of shape {np.shape(values)} on a "
+                             f"grid of {len(gen.nodes)} nodes")
+    if not np.all(np.isfinite(u)):
+        raise ParameterError("grid values must be finite")
     ts = _times(t)
     if not 0.0 < dt < math.inf:
         raise ParameterError(f"need a finite dt > 0, got dt={dt}")
@@ -487,10 +455,15 @@ def grid_apply(gen: TridiagonalGenerator, f: GridFunction, t, dt: float):
 
     def step(u, h):
         if h not in factors:
-            factors[h] = _cn_factors(gen, h)
+            # LAPACK's LU factors of I - (h/2) L, the left side of a CN step
+            *lu, info = dgttrf(-0.5 * h * gen.lower[1:],
+                               1.0 - 0.5 * h * gen.diag,
+                               -0.5 * h * gen.upper[:-1])
+            if info != 0:
+                raise NumericalError(f"I - (dt/2) L is singular at dt={h}")
+            factors[h] = lu
         return dgttrs(*factors[h], u + 0.5 * h * gen.apply(u))[0]
 
-    u = f.values.copy()
     out = [None] * len(ts)
     done = 0
     for j in sorted(range(len(ts)), key=plans.__getitem__):
@@ -501,7 +474,7 @@ def grid_apply(gen: TridiagonalGenerator, f: GridFunction, t, dt: float):
         v = step(u, rem) if rem > 0.0 else u
         if not np.all(np.isfinite(v)):
             raise NumericalError("time stepping produced non-finite values")
-        out[j] = GridFunction(f.lo, f.hi, v)
+        out[j] = v
     return tuple(out) if np.ndim(t) else out[0]
 
 
@@ -516,16 +489,13 @@ class GridEngine(_Engine):
     tolerance = 1e-3
 
     def __post_init__(self):
-        if self.potential.n != 1:
-            raise ParameterError("the grid engine is one-dimensional")
-
-    @cached_property
-    def generator(self) -> TridiagonalGenerator:
-        return grid_generator(self.potential, self.lo, self.hi, self.m)
+        # every check of the grid runs here, once
+        object.__setattr__(self, "generator", grid_generator(
+            self.potential, self.lo, self.hi, self.m))
 
     def _evolved(self, func, ts) -> tuple:
-        start = GridFunction.sample(func, self.lo, self.hi, self.m)
-        return grid_apply(self.generator, start, ts, self.dt)
+        gen = self.generator
+        return grid_apply(gen, func(gen.nodes[:, None]), ts, self.dt)
 
     def _points(self, x) -> np.ndarray:
         # np.interp would clamp a point outside the window to the end value
@@ -538,23 +508,24 @@ class GridEngine(_Engine):
     def apply(self, func, t, x):
         def evolve(xs, ts):
             for u in self._evolved(func, ts):
-                cols = u.values.reshape(u.m, -1)
                 # np.interp takes one column at a time
-                vals = np.stack([np.interp(xs[:, 0], u.nodes, c)
-                                 for c in cols.T], axis=-1)
-                vals = vals.reshape(len(xs), *u.values.shape[1:])
+                vals = np.stack([np.interp(xs[:, 0], self.generator.nodes, c)
+                                 for c in u.reshape(len(u), -1).T], axis=-1)
+                vals = vals.reshape(len(xs), *u.shape[1:])
                 yield vals, np.zeros(vals.shape)
 
         return self._apply(func, t, x, evolve)
 
     def evolved(self, f: TestFunction, t) -> tuple:
+        nodes = self.generator.nodes
+
         def read(u):
-            du = np.gradient(u.values, u.h)
+            du = np.gradient(u, self.generator.h)
 
             def at(x):
                 xs = self._points(x)[:, 0]
-                return (np.interp(xs, u.nodes, u.values),
-                        np.interp(xs, u.nodes, du)[:, None])
+                return (np.interp(xs, nodes, u),
+                        np.interp(xs, nodes, du)[:, None])
             return at
 
         return self._readers(f, t, lambda ts: map(read, self._evolved(f, ts)))
@@ -584,15 +555,10 @@ class GridEngine(_Engine):
         for b, js in uses.values():
             vals, _ = self.apply(b, ts[js], xs)
             at.update(((id(b), j), v) for j, v in zip(js, vals))
-        out = []
-        for j, (bases, combine) in enumerate(forms):
-            with np.errstate(over="ignore", invalid="ignore"):
-                vals = combine([at[id(b), j] for b in bases])
-            if not np.all(np.isfinite(vals)):
-                raise NumericalError(f"the right side at t={ts[j]:g} "
-                                     f"combines to non-finite values")
-            out.append(vals)
-        return out
+        # overflow stays quiet; value_grad refuses a non-finite right side
+        with np.errstate(over="ignore", invalid="ignore"):
+            return [combine([at[id(b), j] for b in bases])
+                    for j, (bases, combine) in enumerate(forms)]
 
 
 # ---------------------------------------------------------------------------
@@ -619,8 +585,7 @@ class MonteCarloEngine(_Engine):
     def _mean(self, func, x):
         # as (k, *cols, n_paths): each column reduces along a contiguous
         # path axis
-        v = np.ascontiguousarray(np.moveaxis(func(x), 1, -1))
-        return v.mean(axis=-1), v.std(axis=-1, ddof=1) / math.sqrt(self.n_paths)
+        return _path_mean(np.moveaxis(func(x), 1, -1))
 
     def apply(self, func, t, x):
         def evolve(xs, ts):
@@ -648,8 +613,6 @@ class MonteCarloEngine(_Engine):
 
         return self._value_grad(f, t, x, rhs, evolve)
 
-
-Engine = Union[MehlerEngine, GridEngine, MonteCarloEngine]
 
 _ENGINES = {"mehler": MehlerEngine, "grid": GridEngine,
             "monte-carlo": MonteCarloEngine}
@@ -684,6 +647,6 @@ def check_engine_params(kind: str, params: dict) -> dict:
     return out
 
 
-def make_engine(kind: str, potential: Potential, **params) -> Engine:
+def make_engine(kind: str, potential: Potential, **params) -> _Engine:
     params = check_engine_params(kind, params)
     return _ENGINES[kind](potential, **params)

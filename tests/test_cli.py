@@ -746,6 +746,37 @@ def test_non_finite_config_number_is_config_error(tmp_path, capsys, text):
     _expect_config_error(tmp_path, capsys, text)
 
 
+@pytest.mark.parametrize("text", ["s_count = 1\n",
+                                  "checks = monotone\ns_count = 0\n"])
+def test_s_count_below_2_is_config_error(tmp_path, capsys, text):
+    # the monotonicity grid needs both endpoints; the config refuses less
+    # before any check runs, whichever checks it holds
+    _expect_config_error(tmp_path, capsys, text)
+
+
+@pytest.mark.parametrize("engine,code", [
+    (["mehler"], 2), (["monte-carlo", "--n-paths", "200"], 2), (["grid"], 0)])
+def test_right_sides_that_are_not_finite_exit_2(capsys, engine, code):
+    # at rho = -352 the factor g_alpha(1) is about 1e303, and M(f, c Gamma(f))
+    # overflows at the Mehler engine's far nodes and in the Monte Carlo
+    # stderr: both once passed with margin inf.  The grid's right sides stay
+    # finite (about 1e306) and its check passes.  No overflow warning escapes
+    argv = ["verify", "--engine", *engine, "--ts", "1", "--rho", "-352",
+            "--mfunction", "poincare", "--function", "quadratic"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == code
+    out = capsys.readouterr()
+    if code:
+        assert out.out == ""
+        assert "error:" in out.err and "finite" in out.err
+    else:
+        rep = json.loads(out.out)
+        assert rep["pass"]
+        assert all(math.isfinite(r["rhs"]) and math.isfinite(r["margin"])
+                   for r in rep["records"])
+
+
 def test_parser_is_built_once_and_survives_a_rejection(capsys):
     argv = ["verify", "--mfunction", "poincare", "--function", "sine",
             "--format", "csv"]

@@ -9,7 +9,6 @@ from curvlab.errors import DomainError, NumericalError, ParameterError
 from curvlab.potentials import make_double_well, make_example_potential
 from curvlab.semigroup import (
     GridEngine,
-    GridFunction,
     MehlerEngine,
     MonteCarloEngine,
     RightSide,
@@ -305,40 +304,38 @@ def test_grid_generator_guards_the_cell_peclet_number():
 
 def test_grid_apply_linear_decay():
     gen = grid_generator(GAUSS, -8.0, 8.0, 801)
-    f0 = GridFunction.sample(suite.get("linear"), -8.0, 8.0, 801)
-    u = grid_apply(gen, f0, 0.5, 1e-3)
-    interior = np.abs(u.nodes) <= 6.0
-    err = np.abs(u.values - math.exp(-0.5) * u.nodes)
+    u = grid_apply(gen, suite.get("linear")(gen.nodes[:, None]), 0.5, 1e-3)
+    interior = np.abs(gen.nodes) <= 6.0
+    err = np.abs(u - math.exp(-0.5) * gen.nodes)
     assert np.max(err[interior]) < 1e-3
 
 
 def test_grid_apply_is_a_semigroup():
     gen = grid_generator(GAUSS, -8.0, 8.0, 801)
-    f0 = GridFunction.sample(suite.get("sine"), -8.0, 8.0, 801)
+    f0 = suite.get("sine")(gen.nodes[:, None])
     once = grid_apply(gen, f0, 0.5, 1e-3)
     split = grid_apply(gen, grid_apply(gen, f0, 0.25, 1e-3), 0.25, 1e-3)
-    np.testing.assert_allclose(split.values, once.values, atol=1e-10)
+    np.testing.assert_allclose(split, once, atol=1e-10)
 
 
 def test_grid_apply_preserves_constants():
     gen = grid_generator(GAUSS, -8.0, 8.0, 801)
-    ones = GridFunction(-8.0, 8.0, np.ones(801))
-    u = grid_apply(gen, ones, 1.0, 1e-3)
-    np.testing.assert_allclose(u.values, 1.0, atol=1e-12)
+    u = grid_apply(gen, np.ones(801), 1.0, 1e-3)
+    np.testing.assert_allclose(u, 1.0, atol=1e-12)
 
 
 def test_grid_apply_time_zero_and_errors():
     gen = grid_generator(GAUSS, -8.0, 8.0, 801)
-    f0 = GridFunction.sample(suite.get("sine"), -8.0, 8.0, 801)
+    f0 = suite.get("sine")(gen.nodes[:, None])
     u0 = grid_apply(gen, f0, 0.0, 1e-3)
-    np.testing.assert_array_equal(u0.values, f0.values)
-    assert u0.values is not f0.values
+    np.testing.assert_array_equal(u0, f0)
+    assert u0 is not f0
     # dt > t: the step plan's one partial step is a full step of size t
-    np.testing.assert_array_equal(grid_apply(gen, f0, 0.5, 0.7).values,
-                                  grid_apply(gen, f0, 0.5, 0.5).values)
+    np.testing.assert_array_equal(grid_apply(gen, f0, 0.5, 0.7),
+                                  grid_apply(gen, f0, 0.5, 0.5))
     with pytest.raises(ParameterError):
         grid_apply(gen, f0, 0.5, 0.0)
-    other = GridFunction.sample(suite.get("sine"), -8.0, 8.0, 401)
+    other = suite.get("sine")(np.linspace(-8.0, 8.0, 401)[:, None])
     with pytest.raises(ParameterError):
         grid_apply(gen, other, 0.5, 1e-3)
 
@@ -347,7 +344,7 @@ def _banded_march(gen, f, t, dt):
     # the march before LAPACK's factored solves: solve_banded refactors the
     # banded I - (dt/2) L at every step
     def banded(h):
-        ab = np.zeros((3, gen.m))
+        ab = np.zeros((3, len(gen.nodes)))
         ab[0, 1:] = -0.5 * h * gen.upper[:-1]
         ab[1, :] = 1.0 - 0.5 * h * gen.diag
         ab[2, :-1] = -0.5 * h * gen.lower[1:]
@@ -355,7 +352,7 @@ def _banded_march(gen, f, t, dt):
 
     ts = _times(t)
     plans = [_step_plan(float(s), dt) for s in ts]
-    u = f.values.copy()
+    u = np.array(f, dtype=float)
     ab = banded(dt)
     out = [None] * len(ts)
     done = 0
@@ -384,7 +381,7 @@ def test_grid_apply_is_bitwise_the_banded_march(monkeypatch, potential, lo,
     z = np.linspace(lo, hi, m)[:, None]
     values = np.stack([suite.get(name).value(z) for name in names], axis=-1)
     # one column marches as an (m,) vector, as GridEngine hands it over
-    f0 = GridFunction(lo, hi, values[:, 0] if len(names) == 1 else values)
+    f0 = values[:, 0] if len(names) == 1 else values
     factored = []
     real = semigroup.dgttrf
     monkeypatch.setattr(semigroup, "dgttrf",
@@ -394,28 +391,49 @@ def test_grid_apply_is_bitwise_the_banded_march(monkeypatch, potential, lo,
     rems = {_step_plan(t, dt)[1] for t in ts} - {0.0}
     assert len(factored) == 1 + len(rems)
     for u, want in zip(got, _banded_march(gen, f0, ts, dt)):
-        assert u.values.shape == f0.values.shape
-        np.testing.assert_array_equal(u.values, want)
+        assert u.shape == f0.shape
+        np.testing.assert_array_equal(u, want)
 
 
 def test_grid_apply_singular_factor_raises():
     # L = (2/dt) I makes I - (dt/2) L the zero matrix, which dgttrf flags
     m, dt = 101, 1e-3
     zero = np.zeros(m)
-    gen = semigroup.TridiagonalGenerator(-1.0, 1.0, m, 0.02, zero,
-                                         np.full(m, 2.0 / dt), zero)
-    f0 = GridFunction.sample(suite.get("sine"), -1.0, 1.0, m)
+    gen = semigroup.TridiagonalGenerator(np.linspace(-1.0, 1.0, m), 0.02,
+                                         zero, np.full(m, 2.0 / dt), zero)
     with pytest.raises(NumericalError):
-        grid_apply(gen, f0, 0.5, dt)
+        grid_apply(gen, suite.get("sine")(gen.nodes[:, None]), 0.5, dt)
 
 
-def test_grid_function_validation():
-    with pytest.raises(ParameterError):
-        GridFunction(-1.0, 1.0, np.array([0.0, 1.0]))
-    with pytest.raises(ParameterError):
-        GridFunction(1.0, -1.0, np.zeros(5))
-    with pytest.raises(ParameterError):
-        GridFunction(-1.0, 1.0, np.array([0.0, np.nan, 1.0]))
+def test_grid_apply_validates_node_values():
+    gen = grid_generator(GAUSS, -1.0, 1.0, 5)
+    for values in (np.zeros(4), np.zeros((6, 2)), 0.0):
+        with pytest.raises(ParameterError, match="nodes"):
+            grid_apply(gen, values, 0.5, 1e-3)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ParameterError, match="finite"):
+            grid_apply(gen, np.array([0.0, bad, 1.0, 0.0, 0.0]), 0.5, 1e-3)
+
+
+def test_grid_engine_checks_its_grid_at_construction(monkeypatch):
+    # m < 3, hi <= lo, a 2-D potential and a cell Peclet number of 2.06
+    # (see test_grid_generator_guards_the_cell_peclet_number) are refused
+    # when the engine is built, before anything marches; a valid engine
+    # builds its generator once for all its calls
+    built = []
+    real = semigroup.grid_generator
+    monkeypatch.setattr(semigroup, "grid_generator",
+                        lambda *a: built.append(a) or real(*a))
+    for potential, params in ((GAUSS, dict(m=2)), (GAUSS, dict(lo=1.0, hi=1.0)),
+                              (GAUSS, dict(lo=2.0, hi=-2.0)), (SPH15_2, {}),
+                              (GAUSS, dict(lo=-8.0, hi=8.0, m=61))):
+        with pytest.raises(ParameterError):
+            GridEngine(potential, **params)
+    assert len(built) == 5
+    eng = GridEngine(GAUSS, lo=-8.0, hi=8.0, m=801, dt=1e-2)
+    eng.apply(suite.get("sine"), (0.1, 0.2), [0.0])
+    eng.value_grad(suite.get("sine"), 0.3, [0.0])
+    assert len(built) == 6
 
 
 def test_grid_engine_values_and_gradient():
@@ -687,10 +705,9 @@ def test_time_sequences_match_single_times(monkeypatch, threads):
             for a, b in zip(got, one):
                 np.testing.assert_array_equal(a[j], b)
     gen = grid_generator(SPH15, -8.0, 8.0, 801)
-    f0 = GridFunction.sample(f, -8.0, 8.0, 801)
+    f0 = f(gen.nodes[:, None])
     for u, t in zip(grid_apply(gen, f0, ts, 1e-2), ts):
-        np.testing.assert_array_equal(u.values,
-                                      grid_apply(gen, f0, t, 1e-2).values)
+        np.testing.assert_array_equal(u, grid_apply(gen, f0, t, 1e-2))
     # several blocks of paths from two starts
     starts = np.array([[-1.0], [0.5]])
     n_paths = 2 * BLOCK_SIZE + 17
@@ -711,8 +728,7 @@ def test_empty_time_sequence_is_rejected():
     x = np.array([0.0, 1.0])
     gen = grid_generator(GAUSS, -8.0, 8.0, 801)
     calls = [lambda: simulate(GAUSS, [0.0], (), dt=1e-2, n_paths=100),
-             lambda: grid_apply(gen, GridFunction.sample(f, -8.0, 8.0, 801),
-                                (), 1e-2)]
+             lambda: grid_apply(gen, f(gen.nodes[:, None]), (), 1e-2)]
     for eng in _three_engines():
         calls += [lambda eng=eng: eng.apply(f, (), x),
                   lambda eng=eng: eng.value_grad(f, [], x)]
@@ -729,7 +745,7 @@ def test_value_grad_rejects_a_function_of_another_dimension():
     for eng, f, x in ((MehlerEngine(gauss2), suite.get("sine"), [0.0, 1.0]),
                       (MonteCarloEngine(gauss2, n_paths=100),
                        suite.get("sine"), [0.0, 1.0]),
-                      (GridEngine(GAUSS, m=101), x1, 0.0)):
+                      (GridEngine(GAUSS, lo=-8.0, hi=8.0, m=801), x1, 0.0)):
         with pytest.raises(ParameterError):
             eng.value_grad(f, 0.5, x)
 

@@ -96,8 +96,6 @@ def test_schedule_validation():
     with pytest.raises(ParameterError):
         Schedule(ts=(-1.0,))
     with pytest.raises(ParameterError):
-        Schedule(s_count=1)
-    with pytest.raises(ParameterError):
         as_points(Schedule(xs=np.zeros((3, 2))).xs, 1)
     sched = default_schedule()
     assert as_points(sched.xs, 1).shape == (7, 1)

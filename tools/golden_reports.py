@@ -14,7 +14,9 @@ Mehler engine; a grid `verify-reverse`; and checks that share one
 evolution across M-functions: Monte Carlo `verify` and `verify-reverse`, a
 grid monotone check of a forward and a reverse M-function, and a grid
 `verify` of `sqrt-y`, which is not affine in y, with `y` and `poincare`,
-which are.  Each run
+which are; and, on each engine, a local check at `--rho -352`, whose
+right sides are not finite on the Mehler and Monte Carlo engines (exit 2)
+and finite on the grid.  Each run
 gets its own directory under OUT/seed-S/ holding its output files, its
 stdout and stderr, and its exit status in `exit`.  `timestamp` and
 `wall_time_s` are dropped from every JSON document, so two trees with the
@@ -97,6 +99,13 @@ def cases(config_file: str, seed: int) -> list:
                                     "--mfunction", "sqrt-y", "--mfunction",
                                     "y", "--mfunction", "poincare",
                                     "--function", "sine"))]
+    out += [(f"overflow-{engine}-local", ("verify", "--engine", engine, *extra,
+                                          "--ts", "1", "--rho", "-352",
+                                          "--mfunction", "poincare",
+                                          "--function", "quadratic"))
+            for engine, extra in (("mehler", ()),
+                                  ("monte-carlo", ("--n-paths", "200")),
+                                  ("grid", ()))]
     out = [(name, (*argv, "--seed", str(seed))) for name, argv in out]
     return out + [("criterion-12", ("run", config_file))]
 
