@@ -64,16 +64,19 @@ def supermartingale_check(potential: Potential, g, x0,
     """E[g(X_t) e^{-int (Lg/g)}] <= g(x0) at each grid time.
 
     g may be a LyapunovCertificate (Lg/g derived from its closures) or a
-    positive callable, in which case lg_over_g must be supplied.
+    positive callable, in which case lg_over_g, a function of position, must
+    be supplied.
     """
     if isinstance(g, LyapunovCertificate):
-        g_value = g.g_value
-        rate = g.lg_over_g(potential)
-        g_label = g.label
+        # the path functional reads grad V off the Euler step's drift
+        g_value, rate, g_label = g.g_value, g.lg_over_g, g.label
     else:
         if lg_over_g is None:
             raise ParameterError("a plain callable g needs lg_over_g")
-        g_value, rate, g_label = g, lg_over_g, getattr(g, "__name__", "g")
+        g_value, g_label = g, getattr(g, "__name__", "g")
+
+        def rate(x, drift):
+            return lg_over_g(x)
     _check_paths(n_paths)
     pts = as_points(x0, potential.n)
     if len(pts) != 1:
@@ -106,7 +109,8 @@ def gradient_bound(potential: Potential, f: TestFunction, xs, ts: Sequence,
     # path set
     lhs_at = np.linalg.norm(lhs_engine.value_grad(f, ts, pts)[2], axis=-1)
     batch = simulate(potential, pts, ts, dt=dt, n_paths=n_paths, seed=seed,
-                     functionals={"rho": potential.curvature_at})
+                     functionals={"rho": lambda x, drift:
+                                  potential.curvature_at(x)})
     w = np.linalg.norm(f.gradient(batch.positions), axis=-1) \
         * np.exp(-batch.integrals["rho"])
     rhs_at, se_at = _mean_se(w)

@@ -65,10 +65,14 @@ class Potential:
         return np.linalg.eigvalsh(H)[..., 0]
 
 
-def _r2(x):
-    sq = np.square(x)
+def _dot(a, b):
+    prod = a * b
     # a sum over one coordinate is that coordinate: no reduction to run
-    return sq[..., 0] if sq.shape[-1] == 1 else np.sum(sq, axis=-1)
+    return prod[..., 0] if prod.shape[-1] == 1 else np.sum(prod, axis=-1)
+
+
+def _r2(x):
+    return _dot(x, x)
 
 
 def make_example_potential(kind: str, alpha: float | None = None, n: int = 1) -> Potential:
@@ -228,16 +232,12 @@ class LyapunovCertificate:
     def g_value(self, x) -> np.ndarray:
         return np.exp(self.log_value(np.asarray(x, dtype=float)))
 
-    def lg_over_g(self, potential: Potential) -> Callable[[np.ndarray], np.ndarray]:
-        """Vectorized closure for Lg/g under the given potential."""
-
-        def w(x):
-            x = np.asarray(x, dtype=float)
-            gf = self.log_grad(x)
-            return (self.log_laplacian(x) + np.sum(gf * gf, axis=-1)
-                    - np.sum(potential.gradient(x) * gf, axis=-1))
-
-        return w
+    def lg_over_g(self, x, drift) -> np.ndarray:
+        """Lg/g at the points x under the potential whose gradient at x is
+        `drift`: a path functional of `simulate`, vectorized."""
+        x = np.asarray(x, dtype=float)
+        gf = self.log_grad(x)
+        return self.log_laplacian(x) + _dot(gf, gf) - _dot(drift, gf)
 
 
 def _power_logform(c: float, q: float, theta: float):
@@ -282,7 +282,7 @@ def _radial_logform(c: float, q: float, n: int):
 def local_eigenvalue_margin(potential: Potential, cert: LyapunovCertificate, x) -> np.ndarray:
     """p rho(x) - beta - Lg/g(x); nonnegative where the certificate is valid."""
     x = np.asarray(x, dtype=float)
-    w = cert.lg_over_g(potential)(x)
+    w = cert.lg_over_g(x, potential.gradient(x))
     m = cert.p * potential.curvature_at(x) - cert.beta - w
     if not np.all(np.isfinite(m)):
         raise EvaluationError("margin not finite on the requested points")

@@ -4,7 +4,8 @@ Sampling is blocked and seeded per block, so results are bit-identical for a
 given seed no matter how many worker threads run (set CURVLAB_THREADS).
 One path set serves several start points and several checkpoint times.
 Functional accumulators integrate phi(X_s) ds along each path with the
-left-endpoint rule, matching the order of the Euler step itself.
+left-endpoint rule, matching the order of the Euler step itself; each
+functional is called as phi(x, drift), with the step's drift grad V(x).
 """
 
 from __future__ import annotations
@@ -61,6 +62,11 @@ def _times(t) -> np.ndarray:
     return ts.reshape(-1)
 
 
+def _check_dt(dt: float) -> None:
+    if not 0.0 < dt < math.inf:
+        raise ParameterError(f"need a finite dt > 0, got dt={dt}")
+
+
 def _step_plan(t: float, dt: float):
     """Full steps of dt, then one partial step for the remainder."""
     n_full = int(t / dt)
@@ -84,7 +90,7 @@ def _path_mean(values) -> tuple:
 
 def _run_block(potential: Potential, x0_block: np.ndarray, plans: list,
                dt: float, rng: np.random.Generator,
-               functionals: Mapping[str, Callable[[np.ndarray], np.ndarray]]):
+               functionals: Mapping[str, Callable]):
     """Yield (j, positions, integrals) of one block at each checkpoint j,
     whose step plan is plans[j], in time order.  The yielded arrays are
     overwritten by later steps: copy them before resuming."""
@@ -100,9 +106,11 @@ def _run_block(potential: Potential, x0_block: np.ndarray, plans: list,
     def draw():
         # what a step from x needs; a partial step shares it with the next
         # full step, as a run straight to the partial step's time draws it,
-        # and no draw refills `noise` before that full step
-        return ({name: phi(x) for name, phi in functionals.items()},
-                rng.standard_normal(out=noise), potential.gradient(x))
+        # and no draw refills `noise` before that full step.  The
+        # functionals see the step's drift, so none evaluates grad V again
+        drift = potential.gradient(x)
+        return ({name: phi(x, drift) for name, phi in functionals.items()},
+                rng.standard_normal(out=noise), drift)
 
     def advance(out, acc, h, values, noise, drift):
         # out = x + sqrt(2h) noise - drift h, each operation in that order;
@@ -141,14 +149,15 @@ def simulate(potential: Potential, x0, t, dt: float = 1e-3,
     straight to it, so each (time, start) slice is bitwise equal to a run
     from that start alone to that time alone.
 
-    By default the curvature integral int_0^t rho(X_s) ds is accumulated
-    under the name "rho".  Any path that, at a checkpoint, lies beyond
-    |x| = 1e8 or has a non-finite position or path integral raises
-    SimulationError; its exploded_fraction is that of the worst start.
+    Each functional phi(x, drift) maps positions x and the drift grad V(x)
+    there to one value per path.  By default the curvature integral
+    int_0^t rho(X_s) ds is accumulated under the name "rho".  Any path
+    that, at a checkpoint, lies beyond |x| = 1e8 or has a non-finite
+    position or path integral raises SimulationError; its
+    exploded_fraction is that of the worst start.
     """
     ts = _times(t)
-    if not 0.0 < dt < math.inf:
-        raise ParameterError(f"need a finite dt > 0, got dt={dt}")
+    _check_dt(dt)
     if n_paths < 1:
         raise ParameterError(f"n_paths must be positive, got {n_paths}")
     if seed < 0:
@@ -162,7 +171,7 @@ def simulate(potential: Potential, x0, t, dt: float = 1e-3,
     k = x0.size // n
     x0 = np.broadcast_to(x0.reshape(-1, 1, n), (k, n_paths, n))
     if functionals is None:
-        functionals = {"rho": potential.curvature_at}
+        functionals = {"rho": lambda x, drift: potential.curvature_at(x)}
     plans = [_step_plan(float(s), dt) for s in ts]
 
     n_blocks = (n_paths + BLOCK_SIZE - 1) // BLOCK_SIZE

@@ -57,11 +57,11 @@ from functools import lru_cache
 from typing import Callable
 
 import numpy as np
-from scipy.linalg.lapack import dgttrf, dgttrs
+from scipy.linalg.lapack import dpttrf, dpttrs
 
 from .errors import DomainError, NumericalError, ParameterError
 from .potentials import Potential
-from .sde import _path_mean, _step_plan, _times, simulate
+from .sde import _check_dt, _path_mean, _step_plan, _times, simulate
 
 __all__ = [
     "TestFunction",
@@ -384,24 +384,44 @@ class MehlerEngine(_Engine):
 @dataclass(frozen=True)
 class TridiagonalGenerator:
     """Second-order discretization of L = d^2/dx^2 - V' d/dx, zero-flux ends,
-    on the m equally spaced nodes of a window, h apart."""
+    on the m equally spaced nodes of a window, h apart.
+
+    L is held in its symmetric form S = D L D^-1.  The discrete L is a
+    birth-death generator, so it satisfies detailed balance with its
+    invariant measure pi, and D = sqrt(pi), scaled so that max ln D and
+    min ln D are opposite, makes S symmetric: its diagonal is L's, and its
+    off-diagonal entry between nodes i and i+1 is sqrt(upper_i lower_{i+1}),
+    the geometric mean of L's coupling of node i to i+1 and of i+1 to i.
+    """
 
     nodes: np.ndarray
     h: float
-    lower: np.ndarray  # coefficient of u_{i-1} in row i (entry 0 unused)
     diag: np.ndarray
-    upper: np.ndarray  # coefficient of u_{i+1} in row i (entry m-1 unused)
+    off: np.ndarray    # (m - 1,) off-diagonal of S
+    scale: np.ndarray  # D, the sqrt(pi) weights of the nodes
+
+    def symmetric(self, y: np.ndarray) -> np.ndarray:
+        """S applied to node values (m,) or to columns of them (m, ...)."""
+        shape = (-1,) + (1,) * (np.ndim(y) - 1)
+        diag, off = self.diag.reshape(shape), self.off.reshape(shape)
+        out = diag * y
+        out[1:] += off * y[:-1]
+        out[:-1] += off * y[1:]
+        return out
 
     def apply(self, values: np.ndarray) -> np.ndarray:
-        """L applied to node values (m,) or to columns of them (m, ...)."""
+        """L = D^-1 S D applied to node values (m,) or to columns of them."""
         v = np.asarray(values, dtype=float)
-        shape = (-1,) + (1,) * (v.ndim - 1)
-        lower, diag, upper = (c.reshape(shape)
-                              for c in (self.lower, self.diag, self.upper))
-        out = diag * v
-        out[1:] += lower[1:] * v[:-1]
-        out[:-1] += upper[:-1] * v[1:]
-        return out
+        scale = self.scale.reshape((-1,) + (1,) * (v.ndim - 1))
+        return self.symmetric(scale * v) / scale
+
+
+# the widest log-span max ln D - min ln D of the sqrt(pi) weights.  D itself
+# leaves the normal float range at a span of 2 ln(DBL_MAX) = 1419: marches
+# on gaussian windows agree with a float80 march to rounding up to a span of
+# 1401 and give NaN from 1421.  At half that, D stays within e^+-350, so D u
+# stays normal for node values of magnitude 1e-155 to 1e155
+_SPAN_MAX = 700.0
 
 
 def grid_generator(potential: Potential, lo: float, hi: float, m: int) -> TridiagonalGenerator:
@@ -421,13 +441,23 @@ def grid_generator(potential: Potential, lo: float, hi: float, m: int) -> Tridia
         raise ParameterError(f"cell Peclet number max |V'| h = {peclet:.3g} "
                              f"reaches 2 on [{lo}, {hi}] with m={m}; "
                              f"take more nodes or a narrower window")
-    lower = 1.0 / h**2 + vp / (2.0 * h)
-    upper = 1.0 / h**2 - vp / (2.0 * h)
-    diag = np.full(m, -2.0 / h**2)
-    # mirror ghost nodes: u_{-1} = u_1 kills the drift term at the ends
-    upper[0] = 2.0 / h**2
-    lower[-1] = 2.0 / h**2
-    return TridiagonalGenerator(nodes, h, lower, diag, upper)
+    # L's coupling of node i to i+1 and of node i+1 to i; mirror ghost
+    # nodes, u_{-1} = u_1, kill the drift term at the ends
+    upper = 1.0 / h**2 - vp[:-1] / (2.0 * h)
+    lower = 1.0 / h**2 + vp[1:] / (2.0 * h)
+    upper[0] = lower[-1] = 2.0 / h**2
+    ratio = np.sqrt(upper / lower)  # D_{i+1} / D_i
+    log_d = np.concatenate(([0.0], np.cumsum(np.log(ratio))))
+    span = float(np.max(log_d) - np.min(log_d))
+    if not span <= _SPAN_MAX:
+        raise ParameterError(f"the grid's sqrt(pi) weights span e^{span:.0f} "
+                             f"on [{lo}, {hi}] with m={m}, beyond "
+                             f"e^{_SPAN_MAX:.0f}; take a narrower window")
+    # a running product keeps each ratio of neighbours exact to rounding
+    start = math.exp(-0.5 * (np.max(log_d) + np.min(log_d)))
+    scale = np.cumprod(np.concatenate(([start], ratio)))
+    return TridiagonalGenerator(nodes, h, np.full(m, -2.0 / h**2),
+                                np.sqrt(upper * lower), scale)
 
 
 def grid_apply(gen: TridiagonalGenerator, values, t, dt: float):
@@ -438,8 +468,11 @@ def grid_apply(gen: TridiagonalGenerator, values, t, dt: float):
     Returns the node values as an array for one time and a tuple of them,
     in t's order, for a sequence.  Each time keeps the step plan of a march
     straight to it, taking its partial step on a copy, so its result is
-    bitwise that of a march to it alone.  I - (dt/2) L is factored once per
-    step size.
+    bitwise that of a march to it alone; a time that takes no step returns
+    the values untouched.  The march runs on y = D u, where a step solves
+    with the symmetric positive definite I - (dt/2) S, factored once per
+    step size by LAPACK's LDL^T (dpttrf), and divides by D at each time it
+    returns.
     """
     u = np.array(values, dtype=float)
     if np.shape(u)[:1] != gen.nodes.shape:
@@ -448,30 +481,32 @@ def grid_apply(gen: TridiagonalGenerator, values, t, dt: float):
     if not np.all(np.isfinite(u)):
         raise ParameterError("grid values must be finite")
     ts = _times(t)
-    if not 0.0 < dt < math.inf:
-        raise ParameterError(f"need a finite dt > 0, got dt={dt}")
+    _check_dt(dt)
     plans = [_step_plan(float(s), dt) for s in ts]
     factors = {}
 
-    def step(u, h):
+    def step(y, h):
         if h not in factors:
-            # LAPACK's LU factors of I - (h/2) L, the left side of a CN step
-            *lu, info = dgttrf(-0.5 * h * gen.lower[1:],
-                               1.0 - 0.5 * h * gen.diag,
-                               -0.5 * h * gen.upper[:-1])
+            *ldl, info = dpttrf(1.0 - 0.5 * h * gen.diag, -0.5 * h * gen.off)
             if info != 0:
-                raise NumericalError(f"I - (dt/2) L is singular at dt={h}")
-            factors[h] = lu
-        return dgttrs(*factors[h], u + 0.5 * h * gen.apply(u))[0]
+                raise NumericalError(f"I - (dt/2) L, in symmetric form, is "
+                                     f"not positive definite at dt={h}")
+            factors[h] = ldl
+        return dpttrs(*factors[h], y + 0.5 * h * gen.symmetric(y))[0]
 
+    scale = gen.scale.reshape((-1,) + (1,) * (u.ndim - 1))
+    y = scale * u
     out = [None] * len(ts)
     done = 0
     for j in sorted(range(len(ts)), key=plans.__getitem__):
         n_full, rem = plans[j]
+        if (n_full, rem) == (0, 0.0):
+            out[j] = u
+            continue
         for _ in range(done, n_full):
-            u = step(u, dt)
+            y = step(y, dt)
         done = n_full
-        v = step(u, rem) if rem > 0.0 else u
+        v = (step(y, rem) if rem > 0.0 else y) / scale
         if not np.all(np.isfinite(v)):
             raise NumericalError("time stepping produced non-finite values")
         out[j] = v
@@ -489,7 +524,8 @@ class GridEngine(_Engine):
     tolerance = 1e-3
 
     def __post_init__(self):
-        # every check of the grid runs here, once
+        # every check of the grid and its time step runs here, once
+        _check_dt(self.dt)
         object.__setattr__(self, "generator", grid_generator(
             self.potential, self.lo, self.hi, self.m))
 
@@ -577,6 +613,7 @@ class MonteCarloEngine(_Engine):
     def __post_init__(self):
         if self.n_paths < 100:
             raise ParameterError(f"need at least 100 paths, got {self.n_paths}")
+        _check_dt(self.dt)
 
     def _paths(self, starts, ts) -> np.ndarray:
         return simulate(self.potential, starts, ts, self.dt, self.n_paths,

@@ -425,6 +425,17 @@ def test_grid_with_a_cell_peclet_number_of_2_exits_2(capsys):
     assert "Peclet number max |V'| h = 2.82" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("engine", ["grid", "monte-carlo"])
+def test_a_time_step_that_is_not_positive_exits_2(tmp_path, capsys, engine):
+    # refused when the engine is built, so even a check at t = 0 alone,
+    # which takes no step, writes no report
+    assert main(["verify", "--engine", engine, "--dt", "-1", "--ts", "0",
+                 "--mfunction", "poincare", "--function", "sine",
+                 "--out", str(tmp_path)]) == 2
+    assert "need a finite dt > 0, got dt=-1" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
 def test_run_rejects_an_mfunction_no_check_takes(tmp_path, capsys):
     cfg = tmp_path / "exp.cfg"
     cfg.write_text("checks = local\nmfunctions = poincare, reverse-poincare\n"

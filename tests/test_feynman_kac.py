@@ -203,7 +203,7 @@ def test_stderr_uses_sample_deviation():
     rep = gradient_bound(GAUSS, get("sine"), xs=[0.5], ts=(0.5,),
                          lhs_engine=ENGINE, n_paths=300, dt=1e-2, seed=6)
     batch = simulate(GAUSS, np.array([0.5]), 0.5, dt=1e-2, n_paths=300,
-                     seed=6, functionals={"rho": GAUSS.curvature_at})
+                     seed=6)
     w = np.abs(get("sine").gradient(batch.positions)[:, 0]) \
         * np.exp(-batch.integrals["rho"])
     assert rep.records[0].stderr == pytest.approx(

@@ -73,8 +73,8 @@ def test_rho_integral_for_gaussian_is_time():
 def test_custom_functionals():
     P = make_example_potential("gaussian", n=1)
     out = simulate(P, [0.0], t=0.2, dt=1e-2, n_paths=256, seed=5,
-                   functionals={"one": lambda x: np.ones(x.shape[:-1]),
-                                "x2": lambda x: x[..., 0] ** 2})
+                   functionals={"one": lambda x, drift: np.ones(x.shape[:-1]),
+                                "x2": lambda x, drift: x[..., 0] ** 2})
     np.testing.assert_allclose(out.integrals["one"], 0.2, atol=1e-12)
     assert np.all(out.integrals["x2"] >= 0.0)
     assert "rho" not in out.integrals

@@ -295,11 +295,31 @@ def test_grid_generator_errors():
 
 def test_grid_generator_guards_the_cell_peclet_number():
     # on [-8, 8] the largest interior |V'| h is (8 - h) h: 1.94 at m = 65,
-    # where every off-diagonal of L is still positive, and 2.06 at m = 61
+    # where every off-diagonal of L is still positive, and 2.06 at m = 61;
+    # L's couplings off_i D_{i+1}/D_i and off_i D_i/D_{i+1} are positive
+    # when the symmetric off-diagonal and the weights D are
     gen = grid_generator(GAUSS, -8.0, 8.0, 65)
-    assert np.all(gen.lower[1:] > 0.0) and np.all(gen.upper[:-1] > 0.0)
+    assert np.all(gen.off > 0.0) and np.all(gen.scale > 0.0)
     with pytest.raises(ParameterError, match="Peclet number"):
         grid_generator(GAUSS, -8.0, 8.0, 61)
+
+
+def test_grid_generator_guards_the_weight_span():
+    # the double well's sqrt(pi) weights span e^580 on [-8, 8] at m = 4501,
+    # inside the bound of e^700, and e^727 on [-8.5, 8.5] at m = 6001
+    gen = grid_generator(make_double_well(), -8.0, 8.0, 4501)
+    log_d = np.log(gen.scale)
+    assert 570.0 < np.max(log_d) - np.min(log_d) < 700.0
+    assert np.max(log_d) == pytest.approx(-np.min(log_d))
+    with pytest.raises(ParameterError, match="weights span e\\^727"):
+        grid_generator(make_double_well(), -8.5, 8.5, 6001)
+
+
+@pytest.mark.parametrize("dt", [0.0, -1.0, math.inf, math.nan])
+def test_engines_refuse_a_time_step_when_built(dt):
+    for engine in (GridEngine, MonteCarloEngine):
+        with pytest.raises(ParameterError, match="dt > 0"):
+            engine(GAUSS, dt=dt)
 
 
 def test_grid_apply_linear_decay():
@@ -340,14 +360,37 @@ def test_grid_apply_time_zero_and_errors():
         grid_apply(gen, other, 0.5, 1e-3)
 
 
-def _banded_march(gen, f, t, dt):
-    # the march before LAPACK's factored solves: solve_banded refactors the
-    # banded I - (dt/2) L at every step
+def _rows(potential, lo, hi, m):
+    # L's rows (lower, diag, upper) as the difference formulas give them,
+    # before any symmetric form; lower[0] and upper[-1] are unused
+    nodes = np.linspace(lo, hi, m)
+    h = (hi - lo) / (m - 1)
+    vp = potential.gradient(nodes[:, None])[:, 0]
+    lower = 1.0 / h**2 + vp / (2.0 * h)
+    upper = 1.0 / h**2 - vp / (2.0 * h)
+    upper[0] = lower[-1] = 2.0 / h**2
+    return lower, np.full(m, -2.0 / h**2), upper
+
+
+def _rows_apply(rows, u):
+    lower, diag, upper = (c.reshape((-1,) + (1,) * (u.ndim - 1))
+                          for c in rows)
+    out = diag * u
+    out[1:] += lower[1:] * u[:-1]
+    out[:-1] += upper[:-1] * u[1:]
+    return out
+
+
+def _banded_march(rows, f, t, dt):
+    # Crank-Nicolson on u itself, with L's rows: solve_banded refactors the
+    # pivoted banded I - (dt/2) L at every step
+    lower, diag, upper = rows
+
     def banded(h):
-        ab = np.zeros((3, len(gen.nodes)))
-        ab[0, 1:] = -0.5 * h * gen.upper[:-1]
-        ab[1, :] = 1.0 - 0.5 * h * gen.diag
-        ab[2, :-1] = -0.5 * h * gen.lower[1:]
+        ab = np.zeros((3, len(diag)))
+        ab[0, 1:] = -0.5 * h * upper[:-1]
+        ab[1, :] = 1.0 - 0.5 * h * diag
+        ab[2, :-1] = -0.5 * h * lower[1:]
         return ab
 
     ts = _times(t)
@@ -359,12 +402,12 @@ def _banded_march(gen, f, t, dt):
     for j in sorted(range(len(ts)), key=plans.__getitem__):
         n_full, rem = plans[j]
         for _ in range(done, n_full):
-            u = solve_banded((1, 1), ab, u + 0.5 * dt * gen.apply(u))
+            u = solve_banded((1, 1), ab, u + 0.5 * dt * _rows_apply(rows, u))
         done = n_full
         v = u
         if rem > 0.0:
             v = solve_banded((1, 1), banded(rem),
-                             u + 0.5 * rem * gen.apply(u))
+                             u + 0.5 * rem * _rows_apply(rows, u))
         out[j] = v
     return out
 
@@ -375,7 +418,10 @@ def _banded_march(gen, f, t, dt):
 @pytest.mark.parametrize("names", [("sine",), ("sine", "quadratic", "cos-mix")])
 def test_grid_apply_is_bitwise_the_banded_march(monkeypatch, potential, lo,
                                                 hi, m, names):
-    # off-grid and partial-step times, unsorted
+    # the march in y = D u against Crank-Nicolson on u with L's rows: no
+    # longer bitwise, as the two round differently, but within 1e-11 of
+    # each column's largest value (2.2e-13 measured); off-grid and
+    # partial-step times, unsorted
     ts, dt = (0.3, 0.0004, 0.57, 0.1), 1e-3
     gen = grid_generator(potential, lo, hi, m)
     z = np.linspace(lo, hi, m)[:, None]
@@ -383,26 +429,71 @@ def test_grid_apply_is_bitwise_the_banded_march(monkeypatch, potential, lo,
     # one column marches as an (m,) vector, as GridEngine hands it over
     f0 = values[:, 0] if len(names) == 1 else values
     factored = []
-    real = semigroup.dgttrf
-    monkeypatch.setattr(semigroup, "dgttrf",
+    real = semigroup.dpttrf
+    monkeypatch.setattr(semigroup, "dpttrf",
                         lambda *a: factored.append(1) or real(*a))
     got = grid_apply(gen, f0, ts, dt)
     # one factorization for dt and one for each distinct partial step
     rems = {_step_plan(t, dt)[1] for t in ts} - {0.0}
     assert len(factored) == 1 + len(rems)
-    for u, want in zip(got, _banded_march(gen, f0, ts, dt)):
+    for u, want in zip(got, _banded_march(_rows(potential, lo, hi, m), f0,
+                                          ts, dt)):
         assert u.shape == f0.shape
-        np.testing.assert_array_equal(u, want)
+        assert np.all(np.abs(u - want)
+                      <= 1e-11 * np.max(np.abs(want), axis=0))
+
+
+def _float80_march(rows, f, n_steps, dt):
+    # n_steps Crank-Nicolson steps of u in float80 by the Thomas algorithm,
+    # which needs no pivoting: I - (dt/2) L is diagonally dominant
+    ld = np.longdouble
+    lower, diag, upper = ([ld(v) for v in c] for c in rows)
+    m, a = len(diag), ld(dt) / 2
+    sub = [-a * v for v in lower]
+    sup = [-a * v for v in upper]
+    inv, ratio = [ld(0)] * m, [ld(0)] * m
+    for i in range(m):
+        pivot = 1 - a * diag[i] - (sub[i] * ratio[i - 1] if i else 0)
+        inv[i] = 1 / pivot
+        ratio[i] = sup[i] * inv[i]
+    u = [ld(v) for v in f]
+    for _ in range(n_steps):
+        r = [u[i] + a * (diag[i] * u[i]
+                         + (lower[i] * u[i - 1] if i else 0)
+                         + (upper[i] * u[i + 1] if i < m - 1 else 0))
+             for i in range(m)]
+        for i in range(m):
+            r[i] = (r[i] - (sub[i] * r[i - 1] if i else 0)) * inv[i]
+        for i in range(m - 2, -1, -1):
+            r[i] -= ratio[i] * r[i + 1]
+        u = r
+    return np.array(u, dtype=np.longdouble)
+
+
+def test_grid_apply_matches_a_float80_march():
+    # the double well on [-6, 6], whose weights D span e^189 at m = 1301:
+    # 200 steps in y = D u stay within 1e-12 of max |u| of a float80 march
+    # of u with L's rows (2.0e-13 measured; 1.6e-13 for a pivoted LU march
+    # of u in float64)
+    lo, hi, m, dt = -6.0, 6.0, 1301, 1e-3
+    potential = make_double_well()
+    gen = grid_generator(potential, lo, hi, m)
+    f0 = suite.get("sine")(gen.nodes[:, None])
+    want = _float80_march(_rows(potential, lo, hi, m), f0, 200, dt)
+    err = np.max(np.abs(grid_apply(gen, f0, 200 * dt, dt) - want))
+    assert float(err) <= 1e-12 * float(np.max(np.abs(want)))
 
 
 def test_grid_apply_singular_factor_raises():
-    # L = (2/dt) I makes I - (dt/2) L the zero matrix, which dgttrf flags
+    # a diagonal of 2/dt makes I - (dt/2) L the zero matrix, and one of 4/dt
+    # makes it -I: neither is positive definite, which dpttrf flags
     m, dt = 101, 1e-3
-    zero = np.zeros(m)
-    gen = semigroup.TridiagonalGenerator(np.linspace(-1.0, 1.0, m), 0.02,
-                                         zero, np.full(m, 2.0 / dt), zero)
-    with pytest.raises(NumericalError):
-        grid_apply(gen, suite.get("sine")(gen.nodes[:, None]), 0.5, dt)
+    for diag in (2.0 / dt, 4.0 / dt):
+        gen = semigroup.TridiagonalGenerator(np.linspace(-1.0, 1.0, m), 0.02,
+                                             np.full(m, diag),
+                                             np.zeros(m - 1), np.ones(m))
+        with pytest.raises(NumericalError, match="positive definite"):
+            grid_apply(gen, suite.get("sine")(gen.nodes[:, None]), 0.5, dt)
 
 
 def test_grid_apply_validates_node_values():

@@ -711,7 +711,7 @@ def test_grid_monotone_march_count(monkeypatch):
     # the inner march takes 600 steps to t = 0.6 and 6 partial steps off the
     # dt grid, the outer ones 30 + 60 + ... + 600 = 6300
     marches = _count_calls(monkeypatch, "grid_apply")
-    solves = _count_calls(monkeypatch, "dgttrs")
+    solves = _count_calls(monkeypatch, "dpttrs")
     eng = GridEngine(make_double_well(), lo=-6.0, hi=6.0, m=2001, dt=1e-3)
     verify_H_monotone([catalog("poincare")], eng, get("sine"), t=0.6,
                       alpha=0.2, rho=-1.0, s_count=21)
