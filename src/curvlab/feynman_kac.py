@@ -22,12 +22,13 @@ never from paths that share the right side's random numbers.
 from __future__ import annotations
 
 import math
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .errors import CertificationError, ParameterError
-from .potentials import LyapunovCertificate, Potential, scan_certificate
+from .potentials import (LyapunovCertificate, Potential, _check_dimension,
+                         scan_certificate)
 from .sde import _path_mean, _times, simulate
 from .semigroup import TestFunction, as_points
 from .verify import InequalityReport, Record
@@ -56,27 +57,13 @@ def _check_lhs_engine(lhs_engine) -> None:
         raise ParameterError("the left side needs a deterministic engine")
 
 
-def supermartingale_check(potential: Potential, g, x0,
-                          ts: Sequence = (0.25, 0.5, 1.0),
+def supermartingale_check(potential: Potential, cert: LyapunovCertificate,
+                          x0, ts: Sequence = (0.25, 0.5, 1.0),
                           n_paths: int = 100_000, dt: float = 1e-3,
-                          seed: int = 0,
-                          lg_over_g: Callable | None = None) -> InequalityReport:
-    """E[g(X_t) e^{-int (Lg/g)}] <= g(x0) at each grid time.
-
-    g may be a LyapunovCertificate (Lg/g derived from its closures) or a
-    positive callable, in which case lg_over_g, a function of position, must
-    be supplied.
-    """
-    if isinstance(g, LyapunovCertificate):
-        # the path functional reads grad V off the Euler step's drift
-        g_value, rate, g_label = g.g_value, g.lg_over_g, g.label
-    else:
-        if lg_over_g is None:
-            raise ParameterError("a plain callable g needs lg_over_g")
-        g_value, g_label = g, getattr(g, "__name__", "g")
-
-        def rate(x, drift):
-            return lg_over_g(x)
+                          seed: int = 0) -> InequalityReport:
+    """E[g(X_t) e^{-int (Lg/g)}] <= g(x0) at each grid time, for the
+    certificate's g, with Lg/g derived from its closures."""
+    _check_dimension(potential, cert)
     _check_paths(n_paths)
     pts = as_points(x0, potential.n)
     if len(pts) != 1:
@@ -84,16 +71,17 @@ def supermartingale_check(potential: Potential, g, x0,
                              f"point, got {len(pts)}")
     x0 = pts[0]
     ts = _times(ts)
+    # the path functional reads grad V off the Euler step's drift
     batch = simulate(potential, x0, ts, dt=dt, n_paths=n_paths, seed=seed,
-                     functionals={"w": rate})
-    y = np.asarray(g_value(batch.positions)) * np.exp(-batch.integrals["w"])
+                     functionals={"w": cert.lg_over_g})
+    y = cert.g_value(batch.positions) * np.exp(-batch.integrals["w"])
     lhs_at, se_at = _mean_se(y)
-    rhs = float(np.asarray(g_value(x0[None, :]))[0])
+    rhs = float(cert.g_value(x0[None, :])[0])
     records = [Record(x=tuple(float(v) for v in x0), t=float(t), alpha=None,
-                      lhs=lhs, rhs=rhs, margin=rhs - lhs, stderr=se)
+                      lhs=lhs, rhs=rhs, stderr=se)
                for t, lhs, se in zip(ts, lhs_at, se_at)]
     return InequalityReport(
-        label=f"supermartingale[{g_label}|{potential.label}]",
+        label=f"supermartingale[{cert.label}|{potential.label}]",
         records=tuple(records), tolerance=0.0)
 
 
@@ -115,7 +103,7 @@ def gradient_bound(potential: Potential, f: TestFunction, xs, ts: Sequence,
         * np.exp(-batch.integrals["rho"])
     rhs_at, se_at = _mean_se(w)
     records = [Record(x=tuple(float(v) for v in x), t=float(t), alpha=None,
-                      lhs=lhs, rhs=rhs, margin=rhs - lhs, stderr=se)
+                      lhs=lhs, rhs=rhs, stderr=se)
                for t, lhs_t, rhs_t, se_t in zip(ts, lhs_at.tolist(), rhs_at,
                                                 se_at)
                for x, lhs, rhs, se in zip(pts, lhs_t, rhs_t, se_t)]
@@ -162,7 +150,7 @@ def commutation_check(potential: Potential, cert: LyapunovCertificate,
             lhs = grad ** p
             records.append(Record(x=tuple(float(v) for v in x), t=float(t),
                                   alpha=None, lhs=lhs, rhs=rhs,
-                                  margin=rhs - lhs, stderr=float(se)))
+                                  stderr=float(se)))
     return InequalityReport(
         label=f"commutation[p={p:g}|{cert.label}|{f.label}"
               f"|{potential.label}|{lhs_engine.kind}]",

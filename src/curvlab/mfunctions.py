@@ -288,21 +288,18 @@ def exp_integrability_F(s):
 
 @dataclass(frozen=True)
 class Interval:
+    """The open interval (lo, hi)."""
+
     lo: float
     hi: float
-    lo_open: bool = True
-    hi_open: bool = True
 
     def contains(self, v) -> np.ndarray:
         v = np.asarray(v, dtype=float)
-        ok_lo = v > self.lo if self.lo_open else v >= self.lo
-        ok_hi = v < self.hi if self.hi_open else v <= self.hi
-        return ok_lo & ok_hi & np.isfinite(v)
+        # open bounds refuse inf and nan too
+        return (v > self.lo) & (v < self.hi)
 
     def __str__(self):
-        left = "(" if self.lo_open else "["
-        right = ")" if self.hi_open else "]"
-        return f"{left}{self.lo:g}, {self.hi:g}{right}"
+        return f"({self.lo:g}, {self.hi:g})"
 
 
 REALS = Interval(-math.inf, math.inf)
@@ -321,7 +318,6 @@ class MFunction:
     m_yy: Callable
     x_domain: Interval = REALS
     y_open: bool = False  # partials need y strictly positive
-    my_nonneg: bool = True  # declared sign of M_y; checked, not assumed
     # M(x, y) = M(x, 0) + y M_y(x, 0): M_yy vanishes, as for a Phi-entropy
     affine_in_y: bool = False
     params: dict = field(default_factory=dict)
@@ -538,7 +534,6 @@ def perturbed(mf: MFunction, a: float, b: float, c: float) -> MFunction:
         m_yy=lambda x, y: a * mf.m_yy(x, y),
         x_domain=mf.x_domain,
         y_open=mf.y_open,
-        my_nonneg=mf.my_nonneg,
         affine_in_y=mf.affine_in_y,
         params=dict(mf.params),
     )
@@ -604,30 +599,26 @@ def condition_matrix(mf: MFunction, kind: str, x, y, rho: float | None = None):
 # PSD certification
 # ---------------------------------------------------------------------------
 
+# a 25 x 25 sample grid, with y in [1e-2, 10] for every M-function
+_SAMPLE_N = 25
+_PSD_TOL = 1e-10
+
+
 @dataclass(frozen=True)
 class SampleSpec:
     x_lo: float
     x_hi: float
-    y_lo: float = 1e-2
-    y_hi: float = 10.0
-    nx: int = 25
-    ny: int = 25
 
     def __post_init__(self):
-        if not (self.x_hi > self.x_lo and self.y_hi > self.y_lo):
+        if not self.x_hi > self.x_lo:
             raise ParameterError("sample rectangle is empty")
-        if not self.y_lo > 0.0:
-            raise ParameterError("certification samples need y >= y_min > 0")
-        if self.nx < 2 or self.ny < 2:
-            raise ParameterError("need at least a 2x2 sample grid")
 
     def grids(self):
         if self.x_lo > 0.0:
-            xs = np.geomspace(self.x_lo, self.x_hi, self.nx)
+            xs = np.geomspace(self.x_lo, self.x_hi, _SAMPLE_N)
         else:
-            xs = np.linspace(self.x_lo, self.x_hi, self.nx)
-        ys = np.geomspace(self.y_lo, self.y_hi, self.ny)
-        return xs, ys
+            xs = np.linspace(self.x_lo, self.x_hi, _SAMPLE_N)
+        return xs, np.geomspace(1e-2, 10.0, _SAMPLE_N)
 
 
 def default_sample_spec(mf: MFunction) -> SampleSpec:
@@ -676,17 +667,16 @@ class PsdReport:
         }
 
 
-def certify_psd(mf: MFunction, kind: str, spec: SampleSpec | None = None,
-                rho: float | None = None, tol: float = 1e-10) -> PsdReport:
-    """Sampled PSD check of the condition matrix over a rectangle.
+def certify_psd(mf: MFunction, kind: str,
+                rho: float | None = None) -> PsdReport:
+    """Sampled PSD check of the condition matrix over the default rectangle.
 
-    Trace and determinant (exact for 2x2) are compared against -tol after
+    Trace and determinant (exact for 2x2) are compared against -1e-10 after
     normalizing by the largest matrix entry, which absorbs rounding when
-    entries are huge or tiny.  The declared sign of M_y is re-checked.
+    entries are huge or tiny.  M_y >= 0, which every catalog entry has, is
+    re-checked.
     """
-    if spec is None:
-        spec = default_sample_spec(mf)
-    xs, ys = spec.grids()
+    xs, ys = default_sample_spec(mf).grids()
     X, Y = np.meshgrid(xs, ys, indexing="ij")
     mat = condition_matrix(mf, kind, X, Y, rho)
     scale = max(1.0, float(np.max(np.abs(mat))))
@@ -695,10 +685,9 @@ def certify_psd(mf: MFunction, kind: str, spec: SampleSpec | None = None,
     det = nm[..., 0, 0] * nm[..., 1, 1] - nm[..., 0, 1] ** 2
     worst = np.minimum(tr, det)
     i, j = np.unravel_index(np.argmin(worst), worst.shape)
-    my = mf.m_y(X, Y)
-    min_my = float(np.min(my))
-    my_ok = (min_my >= -1e-12) if mf.my_nonneg else True
-    passed = bool(np.all(tr >= -tol) and np.all(det >= -tol) and my_ok)
+    min_my = float(np.min(mf.m_y(X, Y)))
+    passed = bool(np.all(tr >= -_PSD_TOL) and np.all(det >= -_PSD_TOL)
+                  and min_my >= -1e-12)
     return PsdReport(
         mfunction=mf.label, kind=_KIND_ALIASES[kind], rho=rho,
         x_range=(float(xs[0]), float(xs[-1])),
@@ -707,5 +696,5 @@ def certify_psd(mf: MFunction, kind: str, spec: SampleSpec | None = None,
         worst_point=(float(X[i, j]), float(Y[i, j])),
         worst_trace=float(tr[i, j] * scale),
         worst_det=float(det[i, j] * scale**2),
-        min_my=min_my, scale=scale, tol=tol, passed=passed,
+        min_my=min_my, scale=scale, tol=_PSD_TOL, passed=passed,
     )

@@ -218,8 +218,6 @@ class LyapunovCertificate:
     log_value: Callable[[np.ndarray], np.ndarray]
     log_grad: Callable[[np.ndarray], np.ndarray]
     log_laplacian: Callable[[np.ndarray], np.ndarray]
-    kind: str = "custom"
-    alpha: float = float("nan")
     theta: float = 1.0
     label: str = "certificate"
 
@@ -279,8 +277,15 @@ def _radial_logform(c: float, q: float, n: int):
     return log_value, log_grad, log_laplacian
 
 
+def _check_dimension(potential: Potential, cert: LyapunovCertificate) -> None:
+    if cert.n != potential.n:
+        raise ParameterError(f"certificate {cert.label!r} is built for R^{cert.n}, "
+                             f"not for R^{potential.n} of {potential.label}")
+
+
 def local_eigenvalue_margin(potential: Potential, cert: LyapunovCertificate, x) -> np.ndarray:
     """p rho(x) - beta - Lg/g(x); nonnegative where the certificate is valid."""
+    _check_dimension(potential, cert)
     x = np.asarray(x, dtype=float)
     w = cert.lg_over_g(x, potential.gradient(x))
     m = cert.p * potential.curvature_at(x) - cert.beta - w
@@ -300,38 +305,37 @@ class MarginScan:
         return self.min_margin >= 0.0
 
 
-def scan_points(n: int, radius: float = 50.0, n_1d: int = 2001, n_nd: int = 10000) -> np.ndarray:
+def scan_points(n: int) -> np.ndarray:
     """Deterministic scan set: a regular grid for n=1, Sobol ball points otherwise."""
     if n == 1:
-        return np.linspace(-radius, radius, n_1d)[:, None]
+        return np.linspace(-50.0, 50.0, 2001)[:, None]
     # scipy.stats takes about a second to import, so only a scan in n >= 2
     # pays for it
     from scipy.stats import qmc
 
     # unscrambled Sobol is deterministic; oversample the cube, keep the ball
     ball_fraction = {2: math.pi / 4.0, 3: math.pi / 6.0}.get(n, 0.5 ** n)
-    m = 2 ** max(12, int(math.ceil(math.log2(n_nd / ball_fraction * 1.5))))
-    cube = qmc.Sobol(d=n, scramble=False).random(m) * 2.0 * radius - radius
-    pts = cube[np.linalg.norm(cube, axis=1) <= radius]
-    if len(pts) < n_nd:
+    m = 2 ** max(12, int(math.ceil(math.log2(10000 / ball_fraction * 1.5))))
+    cube = qmc.Sobol(d=n, scramble=False).random(m) * 2.0 * 50.0 - 50.0
+    pts = cube[np.linalg.norm(cube, axis=1) <= 50.0]
+    if len(pts) < 10000:
         raise ParameterError("scan oversampling too small for requested point count")
-    return pts[:n_nd]
+    return pts[:10000]
 
 
-def scan_certificate(potential: Potential, cert: LyapunovCertificate,
-                     radius: float = 50.0, n_1d: int = 2001, n_nd: int = 10000) -> MarginScan:
-    pts = scan_points(potential.n, radius, n_1d, n_nd)
+def scan_certificate(potential: Potential, cert: LyapunovCertificate) -> MarginScan:
+    pts = scan_points(potential.n)
     m = local_eigenvalue_margin(potential, cert, pts)
     i = int(np.argmin(m))
     return MarginScan(float(m[i]), pts[i].copy(), len(pts))
 
 
-def _bisect_feasible_c(make_cert, potential, c_hi=1.0, iters=40):
-    """Largest scan-feasible c <= c_hi, located by bisection."""
-    scan = scan_certificate(potential, make_cert(c_hi))
+def _bisect_feasible_c(make_cert, potential):
+    """Largest scan-feasible c <= 1, located by 40 bisection steps."""
+    scan = scan_certificate(potential, make_cert(1.0))
     if scan.passed:
-        return c_hi, scan
-    lo, hi, c = None, c_hi, c_hi
+        return 1.0
+    lo, hi, c = None, 1.0, 1.0
     while c > 1e-6:
         c *= 0.5
         scan = scan_certificate(potential, make_cert(c))
@@ -343,13 +347,13 @@ def _bisect_feasible_c(make_cert, potential, c_hi=1.0, iters=40):
         raise CertificationError(
             "no feasible certificate constant found",
             worst_point=scan.argmin, worst_margin=scan.min_margin)
-    for _ in range(iters):
+    for _ in range(40):
         mid = 0.5 * (lo + hi)
         if scan_certificate(potential, make_cert(mid)).passed:
             lo = mid
         else:
             hi = mid
-    return lo, scan_certificate(potential, make_cert(lo))
+    return lo
 
 
 def make_lyapunov(kind: str, alpha: float, p: float, n: int = 1) -> LyapunovCertificate:
@@ -381,14 +385,13 @@ def make_lyapunov(kind: str, alpha: float, p: float, n: int = 1) -> LyapunovCert
         else:
             def build(cc):
                 lv, lg, ll = _radial_logform(cc, q, n)
-                return LyapunovCertificate(p, cc / 2.0, cc, n, lv, lg, ll,
-                                           "spherical", a, 1.0, "calibrating")
+                return LyapunovCertificate(p, cc / 2.0, cc, n, lv, lg, ll)
 
-            c, _ = _bisect_feasible_c(build, potential)
+            c = _bisect_feasible_c(build, potential)
             beta = c / 2.0
         lv, lg, ll = _radial_logform(c, q, n)
-        return LyapunovCertificate(p, beta, c, n, lv, lg, ll, "spherical", a, 1.0,
-                                   f"spherical:alpha={a:g}:p={p:g}:n={n}")
+        return LyapunovCertificate(p, beta, c, n, lv, lg, ll,
+                                   label=f"spherical:alpha={a:g}:p={p:g}:n={n}")
 
     if kind == "product-power":
         potential = make_example_potential("product-power", a, n)
@@ -402,11 +405,10 @@ def make_lyapunov(kind: str, alpha: float, p: float, n: int = 1) -> LyapunovCert
             def build(cc, theta=theta):
                 lv, lg, ll = _power_logform(cc, q, theta)
                 return LyapunovCertificate(p, cc * n / theta ** (a - 1.0), cc, n,
-                                           lv, lg, ll, "product-power", a, theta,
-                                           "calibrating")
+                                           lv, lg, ll, theta)
 
             try:
-                c, _ = _bisect_feasible_c(build, potential)
+                c = _bisect_feasible_c(build, potential)
             except CertificationError as err:
                 last_err = err
                 continue
@@ -437,7 +439,7 @@ def constant_certificate(p: float = 2.0, beta: float | None = None,
         return np.zeros_like(x)
 
     return LyapunovCertificate(p, beta, 0.0, n, zero_scalar, zero_vec, zero_scalar,
-                               "constant", float("nan"), 1.0, "g=1")
+                               label="g=1")
 
 
 def parse_potential_id(text: str) -> Potential:

@@ -67,6 +67,11 @@ def _check_dt(dt: float) -> None:
         raise ParameterError(f"need a finite dt > 0, got dt={dt}")
 
 
+def _check_seed(seed: int) -> None:
+    if seed < 0:
+        raise ParameterError(f"seed must be >= 0, got {seed}")
+
+
 def _step_plan(t: float, dt: float):
     """Full steps of dt, then one partial step for the remainder."""
     n_full = int(t / dt)
@@ -160,8 +165,7 @@ def simulate(potential: Potential, x0, t, dt: float = 1e-3,
     _check_dt(dt)
     if n_paths < 1:
         raise ParameterError(f"n_paths must be positive, got {n_paths}")
-    if seed < 0:
-        raise ParameterError(f"seed must be >= 0, got {seed}")
+    _check_seed(seed)
     n = potential.n
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (n,) and (x0.ndim != 2 or x0.shape[1] != n or len(x0) == 0):

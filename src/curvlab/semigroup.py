@@ -61,7 +61,8 @@ from scipy.linalg.lapack import dpttrf, dpttrs
 
 from .errors import DomainError, NumericalError, ParameterError
 from .potentials import Potential
-from .sde import _check_dt, _path_mean, _step_plan, _times, simulate
+from .sde import (_check_dt, _check_seed, _path_mean, _step_plan, _times,
+                  simulate)
 
 __all__ = [
     "TestFunction",
@@ -429,8 +430,8 @@ def grid_generator(potential: Potential, lo: float, hi: float, m: int) -> Tridia
         raise ParameterError("the grid engine is one-dimensional")
     if m < 3:
         raise ParameterError(f"grid needs at least 3 nodes, got {m}")
-    if not hi > lo:
-        raise ParameterError(f"need hi > lo, got [{lo}, {hi}]")
+    if not (math.isfinite(lo) and math.isfinite(hi) and hi > lo):
+        raise ParameterError(f"need a finite window lo < hi, got [{lo}, {hi}]")
     nodes = np.linspace(lo, hi, m)
     h = (hi - lo) / (m - 1)
     vp = potential.gradient(nodes[:, None])[:, 0]
@@ -614,6 +615,7 @@ class MonteCarloEngine(_Engine):
         if self.n_paths < 100:
             raise ParameterError(f"need at least 100 paths, got {self.n_paths}")
         _check_dt(self.dt)
+        _check_seed(self.seed)
 
     def _paths(self, starts, ts) -> np.ndarray:
         return simulate(self.potential, starts, ts, self.dt, self.n_paths,

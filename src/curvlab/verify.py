@@ -113,9 +113,12 @@ class Record:
     alpha: float | None
     lhs: float
     rhs: float
-    margin: float
     stderr: float = 0.0
     s: float | None = None
+
+    @property
+    def margin(self) -> float:
+        return self.rhs - self.lhs
 
     def to_dict(self) -> dict:
         return {
@@ -279,7 +282,6 @@ def verify_local(mfs, engine, f: TestFunction, schedule: Schedule,
                     records[m].append(Record(
                         x=tuple(float(v) for v in xs[i]), t=t, alpha=alpha,
                         lhs=float(lhs[i, j]), rhs=float(rhs[i, j]),
-                        margin=float(rhs[i, j] - lhs[i, j]),
                         stderr=float(se[i, j])))
     return tuple(InequalityReport(
         label=f"{'reverse' if mf.reverse else 'local'}[{mf.label}|{f.label}"
@@ -333,8 +335,7 @@ def verify_H_monotone(mfs, engine, f: TestFunction, t: float, alpha: float,
     for mf, Hm in zip(mfs, np.moveaxis(H, -1, 0)):
         records = [Record(x=tuple(float(v) for v in xs[i]), t=t, alpha=alpha,
                           s=float(s_grid[j]), lhs=float(Hm[j, i]),
-                          rhs=float(Hm[j + 1, i]),
-                          margin=float(Hm[j + 1, i] - Hm[j, i]))
+                          rhs=float(Hm[j + 1, i]))
                    for j in range(s_count - 1) for i in range(len(xs))]
         kind = "reverse" if mf.reverse else "forward"
         reports.append(InequalityReport(
@@ -445,8 +446,7 @@ def verify_integrated_limit(mf: MFunction, potential: Potential,
     mf.check_domain(mean, 0.0)
     lhs = float(mf.value(mean, 0.0))
     rhs = got["m"] / got["_z"]
-    rec = Record(x=(), t=None, alpha=None, lhs=lhs, rhs=rhs,
-                 margin=rhs - lhs)
+    rec = Record(x=(), t=None, alpha=None, lhs=lhs, rhs=rhs)
     return InequalityReport(
         label=f"integrated-limit[{mf.label}|{f.label}|rho={rho:g}]",
         records=(rec,), tolerance=1e-9)
@@ -485,7 +485,7 @@ def verify_integrated_condition(mf: MFunction, potential: Potential,
     lhs = rho * got["wg"] / z
     if variant == "enhanced":
         lhs += got["wenh"] / z
-    rec = Record(x=(), t=None, alpha=None, lhs=lhs, rhs=rhs, margin=rhs - lhs)
+    rec = Record(x=(), t=None, alpha=None, lhs=lhs, rhs=rhs)
     return InequalityReport(
         label=f"integrated-{variant}[{mf.label}|{f.label}|rho={rho:g}]",
         records=(rec,), tolerance=1e-9)
@@ -516,7 +516,7 @@ def exp_integrability_bound_check(potential: Potential, h: TestFunction,
     z = got["_z"]
     lhs = math.log(got["eh"] / z) - got["h"] / z
     rhs = got["rhs"] / z
-    rec = Record(x=(), t=None, alpha=None, lhs=lhs, rhs=rhs, margin=rhs - lhs)
+    rec = Record(x=(), t=None, alpha=None, lhs=lhs, rhs=rhs)
     return InequalityReport(
         label=f"exp-integrability-bound[{h.label}|rho={rho:g}]",
         records=(rec,), tolerance=1e-9)

@@ -8,8 +8,8 @@ from curvlab import feynman_kac, semigroup
 from curvlab.errors import CertificationError, ParameterError
 from curvlab.feynman_kac import (commutation_check, gradient_bound,
                                  supermartingale_check)
-from curvlab.potentials import (constant_certificate, make_example_potential,
-                                make_lyapunov)
+from curvlab.potentials import (LyapunovCertificate, constant_certificate,
+                                make_example_potential, make_lyapunov)
 from curvlab.sde import simulate
 from curvlab.semigroup import GridEngine, MehlerEngine, MonteCarloEngine
 from curvlab.suite import get
@@ -29,6 +29,24 @@ def lgg_one_plus_sq(x):
     return (2.0 - 2.0 * r2) / (1.0 + r2)
 
 
+def one_plus_sq_cert(n: int = 1) -> LyapunovCertificate:
+    """g = 1 + |x|^2 in log form; p and beta play no part in the
+    supermartingale check."""
+
+    def log_value(x):
+        return np.log1p(np.sum(x * x, axis=-1))
+
+    def log_grad(x):
+        return 2.0 * x / (1.0 + np.sum(x * x, axis=-1))[..., None]
+
+    def log_laplacian(x):
+        r2 = np.sum(x * x, axis=-1)
+        return (2.0 * n * (1.0 + r2) - 4.0 * r2) / (1.0 + r2) ** 2
+
+    return LyapunovCertificate(2.0, 1.0, 1.0, n, log_value, log_grad,
+                               log_laplacian, label="1+|x|^2")
+
+
 def test_constant_curvature_weight_is_exact():
     batch = simulate(GAUSS, np.array([0.5]), 0.7, dt=1e-3, n_paths=500,
                      seed=3)
@@ -46,9 +64,15 @@ def test_supermartingale_unit_g_is_exact():
 
 
 def test_supermartingale_one_plus_square():
-    rep = supermartingale_check(GAUSS, one_plus_sq, x0=1.0,
+    cert = one_plus_sq_cert()
+    x = np.linspace(-3.0, 3.0, 13)[:, None]
+    np.testing.assert_allclose(cert.g_value(x), one_plus_sq(x), rtol=1e-14)
+    # on the gaussian the drift at x is x
+    np.testing.assert_allclose(cert.lg_over_g(x, x), lgg_one_plus_sq(x),
+                               rtol=1e-14, atol=1e-15)
+    rep = supermartingale_check(GAUSS, cert, x0=1.0,
                                 ts=(0.25, 0.5, 1.0), n_paths=20000, dt=2e-3,
-                                seed=5, lg_over_g=lgg_one_plus_sq)
+                                seed=5)
     assert rep.passed
     for r in rep.records:
         assert r.rhs == 2.0
@@ -61,12 +85,6 @@ def test_supermartingale_spherical_certificate():
     rep = supermartingale_check(sph, cert, x0=1.0, ts=(0.25, 0.5),
                                 n_paths=20000, dt=2e-3, seed=7)
     assert rep.passed
-
-
-def test_supermartingale_needs_rate_for_plain_callable():
-    with pytest.raises(ParameterError):
-        supermartingale_check(GAUSS, one_plus_sq, x0=0.0, ts=(0.1,),
-                              n_paths=200, dt=1e-2, seed=0)
 
 
 def test_gradient_bound_linear_is_equality():
@@ -152,12 +170,11 @@ def test_commutation_rejects_failing_certificate():
 
 
 def test_dt_refinement_consistency():
-    coarse = supermartingale_check(GAUSS, one_plus_sq, x0=1.0, ts=(0.5,),
-                                   n_paths=20000, dt=2e-3, seed=21,
-                                   lg_over_g=lgg_one_plus_sq)
-    fine = supermartingale_check(GAUSS, one_plus_sq, x0=1.0, ts=(0.5,),
-                                 n_paths=20000, dt=1e-3, seed=21,
-                                 lg_over_g=lgg_one_plus_sq)
+    cert = one_plus_sq_cert()
+    coarse = supermartingale_check(GAUSS, cert, x0=1.0, ts=(0.5,),
+                                   n_paths=20000, dt=2e-3, seed=21)
+    fine = supermartingale_check(GAUSS, cert, x0=1.0, ts=(0.5,),
+                                 n_paths=20000, dt=1e-3, seed=21)
     a, b = coarse.records[0], fine.records[0]
     assert abs(a.lhs - b.lhs) < max(2.0 * (a.stderr + b.stderr), 1e-3)
 
@@ -219,6 +236,13 @@ def test_supermartingale_starts_from_one_point():
                                 x0=[0.0, 1.0], ts=(0.25,), n_paths=200,
                                 dt=1e-2)
     assert rep.records[0].x == (0.0, 1.0)
+
+
+def test_certificate_of_another_dimension_is_refused():
+    gauss2 = make_example_potential("gaussian", n=2)
+    with pytest.raises(ParameterError, match="built for R\\^1"):
+        supermartingale_check(gauss2, constant_certificate(), x0=[0.0, 1.0],
+                              ts=(0.25,), n_paths=200, dt=1e-2)
 
 
 def test_grid_left_side_marches_once_per_t(monkeypatch):

@@ -203,6 +203,17 @@ def test_perturbed_linear_certificate_margin():
     np.testing.assert_allclose(m, expect, atol=1e-15)
 
 
+def test_certificate_of_another_dimension_is_refused():
+    # the radial Laplacian carries n, so an n = 1 certificate on the n = 2
+    # potential would give margins that are quietly wrong
+    pot = parse_potential_id("spherical:alpha=1.5:n=2")
+    cert = make_lyapunov("spherical", 1.5, 2.0, 1)
+    with pytest.raises(ParameterError, match="built for R\\^1"):
+        local_eigenvalue_margin(pot, cert, np.array([[0.3, -0.4]]))
+    with pytest.raises(ParameterError, match="built for R\\^1"):
+        scan_certificate(pot, cert)
+
+
 def test_spherical_certificates_pass_scan():
     # closed-form constants for alpha >= 4/3; frozen scan minima
     for a, margin in [(1.5, 0.123326), (1.8, 1.090832)]:

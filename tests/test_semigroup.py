@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -320,6 +321,20 @@ def test_engines_refuse_a_time_step_when_built(dt):
     for engine in (GridEngine, MonteCarloEngine):
         with pytest.raises(ParameterError, match="dt > 0"):
             engine(GAUSS, dt=dt)
+
+
+def test_monte_carlo_engine_refuses_a_negative_seed_when_built():
+    with pytest.raises(ParameterError, match="seed"):
+        MonteCarloEngine(GAUSS, n_paths=100, seed=-1)
+
+
+@pytest.mark.parametrize("lo,hi", [(-math.inf, 1.0), (-1.0, math.inf),
+                                   (math.nan, 1.0), (-1.0, math.nan)])
+def test_grid_window_that_is_not_finite_is_refused(lo, hi):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ParameterError, match="finite window"):
+            GridEngine(GAUSS, lo=lo, hi=hi, m=11)
 
 
 def test_grid_apply_linear_decay():

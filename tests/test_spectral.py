@@ -247,6 +247,14 @@ def test_generalized_t_zero_equality():
     assert max(abs(r.margin) for r in rep.records) < 1e-9
 
 
+def test_generalized_t_zero_margins_are_exactly_zero():
+    # P_0 is the identity, so both sides are M at the same arguments
+    for mm, alpha in ((poincare_multi(), 0.5), (coupled_multi(0.0), 0.7)):
+        rep = generalized_local_check(mm, [0.0, 1.0, 0.2], t=0.0,
+                                      alpha=alpha)
+        assert all(r.margin == 0.0 for r in rep.records)
+
+
 def test_generalized_coupled_passes_at_eps_zero():
     rep = generalized_local_check(coupled_multi(0.0), [0.0, 1.0, 0.2],
                                   t=0.4, alpha=0.0)

@@ -512,11 +512,11 @@ def test_report_serialization_roundtrip():
 
 def test_report_pass_rule_uses_stderr():
     recs = (Record(x=(0.0,), t=0.1, alpha=0.0, lhs=1.0, rhs=0.9,
-                   margin=-0.1, stderr=0.05),)
+                   stderr=0.05),)
     rep = InequalityReport(label="demo", records=recs, tolerance=0.0)
     assert rep.passed  # -0.1 >= -(0 + 4*0.05)
     recs = (Record(x=(0.0,), t=0.1, alpha=0.0, lhs=1.0, rhs=0.7,
-                   margin=-0.3, stderr=0.05),)
+                   stderr=0.05),)
     rep = InequalityReport(label="demo", records=recs, tolerance=0.0)
     assert not rep.passed
 

@@ -14,9 +14,13 @@ Mehler engine; a grid `verify-reverse`; and checks that share one
 evolution across M-functions: Monte Carlo `verify` and `verify-reverse`, a
 grid monotone check of a forward and a reverse M-function, and a grid
 `verify` of `sqrt-y`, which is not affine in y, with `y` and `poincare`,
-which are; and, on each engine, a local check at `--rho -352`, whose
+which are; on each engine, a local check at `--rho -352`, whose
 right sides are not finite on the Mehler and Monte Carlo engines (exit 2)
-and finite on the grid.  Each run
+and finite on the grid; `psd-check` of every catalog M-function (the
+beckners at p = 1.5); `lyapunov-scan` of the spherical certificates at
+alpha = 1, 1.2 and 1.5 and of the product-power one at alpha = 1.5 in
+n = 1 and 2; `houdre-kagan` of x^3; and a unit-certificate
+supermartingale check on the 2-D gaussian.  Each run
 gets its own directory under OUT/seed-S/ holding its output files, its
 stdout and stderr, and its exit status in `exit`.  `timestamp` and
 `wall_time_s` are dropped from every JSON document, so two trees with the
@@ -38,6 +42,7 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
 
 from curvlab.cli import PRESETS, main as cli_main  # noqa: E402
+from curvlab.mfunctions import MFUNCTION_NAMES  # noqa: E402
 from perfbench.workloads import WORKLOADS  # noqa: E402
 
 VOLATILE = ("timestamp", "wall_time_s")
@@ -106,6 +111,22 @@ def cases(config_file: str, seed: int) -> list:
             for engine, extra in (("mehler", ()),
                                   ("monte-carlo", ("--n-paths", "200")),
                                   ("grid", ()))]
+    out += [(f"psd-{name}", ("psd-check", "--mfunction",
+                             f"{name}:p=1.5" if "beckner" in name else name))
+            for name in MFUNCTION_NAMES]
+    out += [(f"lyapunov-{kind}-{alpha}-n{n}", ("lyapunov-scan", "--kind", kind,
+                                               "--alpha", alpha, "--n", n))
+            for kind, alpha, n in (("spherical", "1", "1"),
+                                   ("spherical", "1.2", "1"),
+                                   ("spherical", "1.5", "1"),
+                                   ("product-power", "1.5", "1"),
+                                   ("product-power", "1.5", "2"))]
+    out += [("houdre-kagan-x3", ("houdre-kagan", "--coeffs", "0,0,0,1",
+                                 "--N", "2")),
+            ("supermartingale-unit-n2", ("feynman-kac", "--check",
+                                         "supermartingale", "--cert", "unit",
+                                         "--potential", "gaussian:n=2",
+                                         "--x0", "0.3,-0.4"))]
     out = [(name, (*argv, "--seed", str(seed))) for name, argv in out]
     return out + [("criterion-12", ("run", config_file))]
 
