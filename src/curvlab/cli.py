@@ -250,13 +250,13 @@ seed = 0
 """,
     "doublewell-falsify": """\
 # claimed curvature 0.5 is false for the double well; the local check
-# must FAIL, and expected_fail turns that into a successful run
+# must FAIL, and expected_fail turns that into a successful run.  The grid
+# takes the engine's default step
 potential = double-well
 engine = grid
 engine.lo = -6
 engine.hi = 6
 engine.m = 2001
-engine.dt = 0.001
 checks = local
 mfunctions = y
 functions = linear

@@ -314,7 +314,7 @@ def scan_points(n: int) -> np.ndarray:
     from scipy.stats import qmc
 
     # unscrambled Sobol is deterministic; oversample the cube, keep the ball
-    ball_fraction = {2: math.pi / 4.0, 3: math.pi / 6.0}.get(n, 0.5 ** n)
+    ball_fraction = math.pi ** (n / 2) / math.gamma(n / 2 + 1) / 2 ** n
     m = 2 ** max(12, int(math.ceil(math.log2(10000 / ball_fraction * 1.5))))
     cube = qmc.Sobol(d=n, scramble=False).random(m) * 2.0 * 50.0 - 50.0
     pts = cube[np.linalg.norm(cube, axis=1) <= 50.0]

@@ -141,7 +141,13 @@ class InequalityReport:
 
     @property
     def worst(self) -> Record:
-        return min(self.records, key=lambda r: r.margin + 4.0 * r.stderr)
+        # the first record, in record order, whose slack ties the least one
+        # to 1e-12 of its scale: mirror records of a symmetric problem agree
+        # only to rounding, which must not pick between them
+        slack = [r.margin + 4.0 * r.stderr for r in self.records]
+        tie = min(slack)
+        tie += 1e-12 * max(1.0, abs(tie))
+        return next(r for r, s in zip(self.records, slack) if s <= tie)
 
     @property
     def min_margin(self) -> float:

@@ -172,6 +172,27 @@ def test_scan_points_shapes():
     np.testing.assert_array_equal(p2, scan_points(2))
 
 
+def test_scan_points_draw_sized_by_the_ball_volume(monkeypatch):
+    # the draw is sized by the ball's share of the cube,
+    # pi^(n/2) / Gamma(n/2 + 1) / 2^n, not 0.5^n: 4x fewer points from
+    # n = 4 on.  The kept points are the first 10 000 in the ball of one
+    # unscrambled Sobol sequence, so they are those of the old, larger draw
+    from scipy.stats import qmc
+
+    drawn = []
+    real = qmc.Sobol.random
+    monkeypatch.setattr(qmc.Sobol, "random",
+                        lambda self, n: drawn.append(n) or real(self, n))
+    old_sizes = {2: 2**15, 3: 2**15, 4: 2**18, 5: 2**19, 6: 2**20}
+    for n, old in old_sizes.items():
+        pts = scan_points(n)
+        assert drawn.pop() == (old if n <= 3 else old // 4)
+        sobol = qmc.Sobol(d=n, scramble=False)
+        cube = real(sobol, old) * 2.0 * 50.0 - 50.0
+        want = cube[np.linalg.norm(cube, axis=1) <= 50.0][:10000]
+        assert pts.tobytes() == want.tobytes()
+
+
 def test_constant_certificate_margin_is_spectral_gap():
     # g = 1 makes the margin p rho - beta exactly
     P = make_example_potential("gaussian", n=1)

@@ -433,9 +433,9 @@ def _banded_march(rows, f, t, dt):
 @pytest.mark.parametrize("names", [("sine",), ("sine", "quadratic", "cos-mix")])
 def test_grid_apply_is_bitwise_the_banded_march(monkeypatch, potential, lo,
                                                 hi, m, names):
-    # the march in y = D u against Crank-Nicolson on u with L's rows: no
-    # longer bitwise, as the two round differently, but within 1e-11 of
-    # each column's largest value (2.2e-13 measured); off-grid and
+    # the plain march in y = D u against Crank-Nicolson on u with L's
+    # rows: no longer bitwise, as the two round differently, but within
+    # 1e-11 of each column's largest value (2.2e-13 measured); off-grid and
     # partial-step times, unsorted
     ts, dt = (0.3, 0.0004, 0.57, 0.1), 1e-3
     gen = grid_generator(potential, lo, hi, m)
@@ -447,7 +447,7 @@ def test_grid_apply_is_bitwise_the_banded_march(monkeypatch, potential, lo,
     real = semigroup.dpttrf
     monkeypatch.setattr(semigroup, "dpttrf",
                         lambda *a: factored.append(1) or real(*a))
-    got = grid_apply(gen, f0, ts, dt)
+    got = semigroup._march(gen, f0, ts, dt)
     # one factorization for dt and one for each distinct partial step
     rems = {_step_plan(t, dt)[1] for t in ts} - {0.0}
     assert len(factored) == 1 + len(rems)
@@ -487,16 +487,43 @@ def _float80_march(rows, f, n_steps, dt):
 
 def test_grid_apply_matches_a_float80_march():
     # the double well on [-6, 6], whose weights D span e^189 at m = 1301:
-    # 200 steps in y = D u stay within 1e-12 of max |u| of a float80 march
-    # of u with L's rows (2.0e-13 measured; 1.6e-13 for a pivoted LU march
-    # of u in float64)
+    # 200 plain steps in y = D u stay within 1e-12 of max |u| of a float80
+    # march of u with L's rows (2.0e-13 measured; 1.6e-13 for a pivoted LU
+    # march of u in float64)
     lo, hi, m, dt = -6.0, 6.0, 1301, 1e-3
     potential = make_double_well()
     gen = grid_generator(potential, lo, hi, m)
     f0 = suite.get("sine")(gen.nodes[:, None])
     want = _float80_march(_rows(potential, lo, hi, m), f0, 200, dt)
-    err = np.max(np.abs(grid_apply(gen, f0, 200 * dt, dt) - want))
+    u = semigroup._march(gen, f0, [200 * dt], dt)[0]
+    err = np.max(np.abs(u - want))
     assert float(err) <= 1e-12 * float(np.max(np.abs(want)))
+
+
+@pytest.mark.parametrize("potential, lo, hi, m, name, limit", [
+    (GAUSS, -8.0, 8.0, 801, "hermite4", 2e-7),
+    (GAUSS, -8.0, 8.0, 801, "sine", 2e-7),
+    (make_double_well(), -6.0, 6.0, 2001, "linear", 3e-6)])
+def test_grid_apply_time_error(potential, lo, hi, m, name, limit):
+    # the extrapolated march at the default dt = 1e-2 against a plain march
+    # at dt = 1e-4, on |x| <= 3 at the default schedule's times, scaled by
+    # max(1, |reference|): 1.4e-7, 1.7e-8 and 1.2e-6 measured (the same on
+    # the default gaussian window, [-12, 12] at m = 4001), each below the
+    # plain march's error at dt = 1e-2 (2.9e-4, 3.5e-5, 3.6e-4)
+    ts, dt = (0.1, 0.3, 0.5, 1.0, 2.0), 1e-2
+    gen = grid_generator(potential, lo, hi, m)
+    f0 = suite.get(name)(gen.nodes[:, None])
+    near = np.abs(gen.nodes) <= 3.0
+    ref = semigroup._march(gen, f0, ts, 1e-4)
+
+    def error(got):
+        return max(float(np.max(np.abs(u - r)[near]
+                                / np.maximum(1.0, np.abs(r[near]))))
+                   for u, r in zip(got, ref))
+
+    err = error(grid_apply(gen, f0, ts, dt))
+    assert err <= limit
+    assert err < error(semigroup._march(gen, f0, ts, dt))
 
 
 def test_grid_apply_singular_factor_raises():

@@ -529,6 +529,27 @@ def test_report_worst_record():
     assert rep.worst.margin == rep.min_margin
 
 
+@pytest.mark.parametrize("scale", [1e-3, 1.0, 1e4])
+def test_worst_of_mirror_records_is_stable_under_rounding(scale):
+    # a symmetric problem gives mirror records whose slacks agree only to
+    # rounding: a 1e-14 relative nudge of either must not move `worst`,
+    # which is the first record of the tie in record order
+    def report(nudge_left, nudge_right):
+        recs = (Record(x=(-3.0,), t=0.5, alpha=0.0, lhs=2.0 * scale,
+                       rhs=scale * (1.0 + nudge_left)),
+                Record(x=(0.0,), t=0.5, alpha=0.0, lhs=scale,
+                       rhs=3.0 * scale),
+                Record(x=(3.0,), t=0.5, alpha=0.0, lhs=2.0 * scale,
+                       rhs=scale * (1.0 + nudge_right)))
+        return InequalityReport(label="demo", records=recs, tolerance=0.0)
+
+    for left, right in ((0.0, 0.0), (1e-14, 0.0), (0.0, 1e-14),
+                        (0.0, -1e-14), (-1e-14, 0.0)):
+        assert report(left, right).worst.x == (-3.0,)
+    # a real gap is not a tie
+    assert report(1e-6, 0.0).worst.x == (3.0,)
+
+
 # ---------------------------------------------------------------------------
 # work per check: each (t, x) evolves f once for its value and gradient
 # ---------------------------------------------------------------------------
@@ -656,6 +677,33 @@ def test_value_grad_needs_one_right_side_per_time():
         ENGINE.value_grad(get("sine"), (0.1, 0.2), 0.0, rhs=[np.cos])
 
 
+def test_grid_margins_match_mehler():
+    # the default grid engine against the exact Mehler engine on the
+    # gaussian, default schedule: margins agree to 1.3e-4 of
+    # max(1, |lhs|, |rhs|) over the polytrig suite wherever each
+    # M-function's domain holds f (worst 1.20e-4, hermite3 poincare; the
+    # grid's spatial error dominates, 1.17e-4 with plain steps of 1e-3)
+    grid, worst, checked = GridEngine(GAUSS), 0.0, 0
+    for name in suite.POLYTRIG:
+        for ids in (("poincare", "reverse-poincare"), ("log-sobolev",)):
+            mfs = [catalog(m) for m in ids]
+            try:
+                reports = verify_local(mfs, grid, get(name),
+                                       default_schedule(), rho=1.0)
+            except DomainError:
+                continue
+            exact = verify_local(mfs, ENGINE, get(name), default_schedule(),
+                                 rho=1.0)
+            checked += len(mfs)
+            worst = max([worst] + [
+                abs(r.margin - q.margin) / max(1.0, abs(q.lhs), abs(q.rhs))
+                for a, b in zip(reports, exact)
+                for r, q in zip(a.records, b.records)])
+    # log-sobolev holds only shifted-sine and unit-sine, which stay positive
+    assert checked == 22
+    assert worst <= 1.3e-4
+
+
 def test_grid_local_march_count(monkeypatch):
     # one checkpointed march of f for value and gradient at every t, then,
     # inside the same value_grad call, one march of the linear form
@@ -708,15 +756,17 @@ def test_mehler_local_quadrature_count(monkeypatch):
 def test_grid_monotone_march_count(monkeypatch):
     # the benchmark's grid monotone check: one march of f to every t - s > 0
     # gives all 20 inner functions, then each s > 0 marches the outer one;
-    # the inner march takes 600 steps to t = 0.6 and 6 partial steps off the
-    # dt grid, the outer ones 30 + 60 + ... + 600 = 6300
+    # each march runs at dt and at 2 dt.  At dt the inner march takes 600
+    # steps to t = 0.6 and 6 partial steps off the dt grid, the outer ones
+    # 30 + 60 + ... + 600 = 6300; at 2 dt, 300 + 6 and 15 + 30 + ... + 300
+    # = 3150
     marches = _count_calls(monkeypatch, "grid_apply")
     solves = _count_calls(monkeypatch, "dpttrs")
     eng = GridEngine(make_double_well(), lo=-6.0, hi=6.0, m=2001, dt=1e-3)
     verify_H_monotone([catalog("poincare")], eng, get("sine"), t=0.6,
                       alpha=0.2, rho=-1.0, s_count=21)
     assert len(marches) == 1 + 20
-    assert len(solves) == 606 + 6300
+    assert len(solves) == 606 + 6300 + 306 + 3150
 
 
 def test_mehler_monotone_quadrature_count(monkeypatch):
