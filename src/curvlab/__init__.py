@@ -12,26 +12,26 @@ so false claims fail visibly.
 """
 
 from .errors import (CertificationError, CurvlabError, DomainError,
-                     EvaluationError, NumericalError, ParameterError,
-                     QuadratureError, SimulationError)
+                     NumericalError, ParameterError, QuadratureError,
+                     SimulationError)
 from .feynman_kac import (commutation_check, gradient_bound,
                           supermartingale_check)
 from .mfunctions import (MFUNCTION_NAMES, MFunction, PsdReport, catalog,
                          certify_psd, condition_matrix)
 from .potentials import (POTENTIAL_KINDS, LyapunovCertificate, Potential,
-                         constant_certificate, local_eigenvalue_margin,
-                         make_example_potential, make_lyapunov,
-                         parse_potential_id, rho_min, scan_certificate,
-                         scan_points)
+                         as_points, constant_certificate,
+                         local_eigenvalue_margin, make_example_potential,
+                         make_lyapunov, parse_potential_id, rho_min,
+                         scan_certificate, scan_points)
 from .sde import PathBatch, simulate
 from .semigroup import (ENGINE_KINDS, GridEngine, MehlerEngine,
-                        MonteCarloEngine, TestFunction, as_points, gamma,
-                        gamma2, make_engine, mehler_apply)
+                        MonteCarloEngine, TestFunction, gamma, gamma2,
+                        make_engine, mehler_apply)
 from .spectral import (HermiteSeries, HoudreKagan, MultiM, PolySeries,
                        Q_iterate, apply_L, apply_Lk, apply_Pt, expand,
                        generalized_local_check, houdre_kagan, to_poly,
                        variance_bracket_check)
-from .verify import (InequalityReport, QuadSpec, Record, Schedule,
+from .verify import (InequalityReport, Record, Schedule,
                      default_schedule, exp_integrability_bound_check,
                      g_alpha, h_alpha, verify_H_monotone,
                      verify_integrated_condition, verify_integrated_limit,
@@ -40,20 +40,18 @@ from .verify import (InequalityReport, QuadSpec, Record, Schedule,
 __version__ = "0.1.0"
 
 __all__ = [
-    "CurvlabError", "DomainError", "ParameterError", "EvaluationError",
-    "NumericalError", "QuadratureError", "CertificationError",
-    "SimulationError",
+    "CurvlabError", "DomainError", "ParameterError", "NumericalError",
+    "QuadratureError", "CertificationError", "SimulationError",
     "Potential", "LyapunovCertificate", "POTENTIAL_KINDS",
     "make_example_potential", "parse_potential_id", "make_lyapunov",
     "constant_certificate", "local_eigenvalue_margin", "scan_certificate",
-    "scan_points", "rho_min",
+    "scan_points", "rho_min", "as_points",
     "PathBatch", "simulate",
     "TestFunction", "MehlerEngine", "GridEngine", "MonteCarloEngine",
-    "ENGINE_KINDS", "make_engine", "mehler_apply", "as_points", "gamma",
-    "gamma2",
+    "ENGINE_KINDS", "make_engine", "mehler_apply", "gamma", "gamma2",
     "MFunction", "MFUNCTION_NAMES", "catalog", "condition_matrix",
     "certify_psd", "PsdReport",
-    "Schedule", "Record", "InequalityReport", "QuadSpec",
+    "Schedule", "Record", "InequalityReport",
     "default_schedule", "g_alpha", "h_alpha",
     "verify_local", "verify_H_monotone",
     "verify_integrated_limit", "verify_integrated_condition",

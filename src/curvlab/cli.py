@@ -32,14 +32,14 @@ import numpy as np
 from .errors import CurvlabError, ParameterError
 from .feynman_kac import (commutation_check, gradient_bound,
                           supermartingale_check)
-from .mfunctions import MFUNCTION_NAMES, catalog, certify_psd
-from .potentials import (POTENTIAL_KINDS, constant_certificate,
+from .mfunctions import MATRIX_KINDS, MFUNCTION_NAMES, catalog, certify_psd
+from .potentials import (POTENTIAL_KINDS, _id_segments, constant_certificate,
                          make_lyapunov, parse_potential_id, scan_certificate)
 from .semigroup import ENGINE_KINDS, check_engine_params, make_engine
 from .spectral import houdre_kagan
 from .suite import get
 from .suite import catalog as function_catalog
-from .verify import (InequalityReport, QuadSpec, Schedule,
+from .verify import (InequalityReport, Schedule,
                      exp_integrability_bound_check, verify_H_monotone,
                      verify_integrated_condition, verify_integrated_limit,
                      verify_local)
@@ -271,15 +271,9 @@ expected_fail = true
 # ---------------------------------------------------------------------------
 
 def _mfunction_from_id(text: str):
-    parts = text.split(":")
-    params = {}
-    for part in parts[1:]:
-        if "=" not in part:
-            raise ParameterError(f"malformed M-function id segment "
-                                 f"{part!r} in {text!r}")
-        k, v = part.split("=", 1)
-        params[k] = _number(f"{k} in {text!r}", v)
-    return catalog(parts[0], **params)
+    name, kv = _id_segments(text, "M-function")
+    return catalog(name, **{k: _number(f"{k} in {text!r}", v)
+                            for k, v in kv.items()})
 
 
 def _check_plan(config: ExperimentConfig) -> list:
@@ -320,23 +314,13 @@ def _make_engine(kind: str, potential, params: dict, seed: int):
     return make_engine(kind, potential, **params)
 
 
-def _execute_one(check: str, mf, f, config, potential,
-                 spec: QuadSpec) -> InequalityReport:
-    """An integrated check."""
-    if check == "integrated-limit":
-        return verify_integrated_limit(mf, potential, f, spec=spec,
-                                       rho=config.rho)
-    # integrated-condition; the config admits no other check
-    return verify_integrated_condition(mf, potential, f, spec=spec,
-                                       rho=config.rho, variant=config.variant)
-
-
 def _execute(config: ExperimentConfig, plan: list,
-             spec: QuadSpec = QuadSpec()) -> tuple:
+             half_width: float | None = None) -> tuple:
     """The engine (None when no check of the plan needs one) and the
     (check_id, report) pairs of the plan, in its order; the local and
     reverse checks of one function make one verify_local call, and its
-    monotone checks one verify_H_monotone call."""
+    monotone checks one verify_H_monotone call.  The integrated checks
+    integrate over [-half_width, half_width], or their default window."""
     potential = parse_potential_id(config.potential)
     groups = {}  # (monotone?, f) -> [(check_id, mf)], in plan order
     for check_id, check, mf, f in plan:
@@ -348,9 +332,13 @@ def _execute(config: ExperimentConfig, plan: list,
     sched = config.schedule()
     reports = {}
     for check_id, check, mf, f in plan:
-        if check not in ENGINE_CHECKS:
-            reports[check_id] = _execute_one(check, mf, f, config, potential,
-                                             spec)
+        if check == "integrated-limit":
+            reports[check_id] = verify_integrated_limit(
+                mf, potential, f, half_width=half_width, rho=config.rho)
+        elif check == "integrated-condition":
+            reports[check_id] = verify_integrated_condition(
+                mf, potential, f, half_width=half_width, rho=config.rho,
+                variant=config.variant)
         elif check_id not in reports:
             ids, mfs = zip(*groups[check == "monotone", f])
             reps = verify_H_monotone(
@@ -441,12 +429,11 @@ def emit_plot_data(report: InequalityReport, out_dir, tag: str) -> list:
         for r in recs:
             if r.x not in xs:
                 xs.append(r.x)
-        # record j holds H at s_j (lhs) and s_{j+1} (rhs) on a uniform
-        # grid; rebuild H(s) by rank to dodge float-addition duplicates
+        # record j holds H at s_j (lhs) and s_{j+1} (rhs), and the last
+        # s is t; rebuild H(s) by rank to dodge float-addition duplicates
         s_grid = sorted({r.s for r in recs})
         rank = {s: j for j, s in enumerate(s_grid)}
-        step = s_grid[1] - s_grid[0] if len(s_grid) > 1 else recs[0].t
-        out_s = s_grid + [s_grid[-1] + step]
+        out_s = s_grid + [recs[0].t]
         curves = {x: [None] * len(out_s) for x in xs}
         for r in recs:
             j = rank[r.s]
@@ -613,7 +600,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = subs.add_parser("psd-check")
     sub.add_argument("--mfunction", required=True, action="append")
-    sub.add_argument("--kind", default=None,
+    sub.add_argument("--kind", default=None, choices=MATRIX_KINDS,
                      help="condition matrix (default: B-reverse for a "
                           "reverse M-function, A-forward otherwise)")
     sub.add_argument("--rho", type=float, default=None)
@@ -665,8 +652,8 @@ def _cmd_checks(args, check: str) -> int:
                               mfunctions=tuple(args.mfunction),
                               functions=tuple(args.function),
                               engine_params=_engine_params(args), **kw)
-    spec = QuadSpec(half_width=getattr(args, "half_width", None))
-    _, reports = _execute(config, _check_plan(config), spec)
+    _, reports = _execute(config, _check_plan(config),
+                          getattr(args, "half_width", None))
     return _emit_reports([rep for _, rep in reports], args)
 
 
@@ -678,10 +665,9 @@ def _cmd_integrated(args) -> int:
         return _cmd_checks(args, f"integrated-{args.check}")
     _finite("rho", args.rho)
     potential = parse_potential_id(args.potential)
-    spec = QuadSpec(half_width=args.half_width)
     return _emit_reports([exp_integrability_bound_check(
-        potential, get(f), spec=spec, rho=args.rho) for f in args.function],
-        args)
+        potential, get(f), half_width=args.half_width, rho=args.rho)
+        for f in args.function], args)
 
 
 def _cmd_psd(args) -> int:

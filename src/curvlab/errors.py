@@ -17,10 +17,6 @@ class DomainError(CurvlabError, ValueError):
     """A function was evaluated outside its declared domain."""
 
 
-class EvaluationError(CurvlabError, ArithmeticError):
-    """A pointwise evaluation produced non-finite values."""
-
-
 class NumericalError(CurvlabError, RuntimeError):
     """A numerical routine failed (singular solve, bracket failure, ...)."""
 

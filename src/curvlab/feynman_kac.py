@@ -28,9 +28,9 @@ import numpy as np
 
 from .errors import CertificationError, ParameterError
 from .potentials import (LyapunovCertificate, Potential, _check_dimension,
-                         scan_certificate)
-from .sde import _path_mean, _times, simulate
-from .semigroup import TestFunction, as_points
+                         as_points, scan_certificate)
+from .sde import _check_paths, _path_mean, _times, simulate
+from .semigroup import TestFunction
 from .verify import InequalityReport, Record
 
 __all__ = [
@@ -43,11 +43,6 @@ __all__ = [
 def _mean_se(values: np.ndarray) -> tuple:
     # along the path axis, the last one, as (nested) lists
     return tuple(a.tolist() for a in _path_mean(values))
-
-
-def _check_paths(n_paths: int) -> None:
-    if n_paths < 100:
-        raise ParameterError(f"need at least 100 paths, got {n_paths}")
 
 
 def _check_lhs_engine(lhs_engine) -> None:
@@ -72,11 +67,12 @@ def supermartingale_check(potential: Potential, cert: LyapunovCertificate,
     x0 = pts[0]
     ts = _times(ts)
     # the path functional reads grad V off the Euler step's drift
-    batch = simulate(potential, x0, ts, dt=dt, n_paths=n_paths, seed=seed,
+    batch = simulate(potential, pts, ts, dt=dt, n_paths=n_paths, seed=seed,
                      functionals={"w": cert.lg_over_g})
-    y = cert.g_value(batch.positions) * np.exp(-batch.integrals["w"])
+    y = cert.g_value(batch.positions[:, 0]) \
+        * np.exp(-batch.integrals["w"][:, 0])
     lhs_at, se_at = _mean_se(y)
-    rhs = float(cert.g_value(x0[None, :])[0])
+    rhs = float(cert.g_value(pts)[0])
     records = [Record(x=tuple(float(v) for v in x0), t=float(t), alpha=None,
                       lhs=lhs, rhs=rhs, stderr=se)
                for t, lhs, se in zip(ts, lhs_at, se_at)]
@@ -98,7 +94,7 @@ def gradient_bound(potential: Potential, f: TestFunction, xs, ts: Sequence,
     lhs_at = np.linalg.norm(lhs_engine.value_grad(f, ts, pts)[2], axis=-1)
     batch = simulate(potential, pts, ts, dt=dt, n_paths=n_paths, seed=seed,
                      functionals={"rho": lambda x, drift:
-                                  potential.curvature_at(x)})
+                                  potential.curvature(x)})
     w = np.linalg.norm(f.gradient(batch.positions), axis=-1) \
         * np.exp(-batch.integrals["rho"])
     rhs_at, se_at = _mean_se(w)

@@ -34,14 +34,12 @@ from .quadrature import adaptive
 __all__ = [
     "Interval",
     "MFunction",
-    "SampleSpec",
     "PsdReport",
     "MFUNCTION_NAMES",
     "MATRIX_KINDS",
     "catalog",
     "condition_matrix",
     "certify_psd",
-    "default_sample_spec",
     "perturbed",
     "isoperimetric_I",
     "exp_integrability_F",
@@ -543,15 +541,6 @@ def perturbed(mf: MFunction, a: float, b: float, c: float) -> MFunction:
 # condition matrices
 # ---------------------------------------------------------------------------
 
-_KIND_ALIASES = {
-    "A-forward": "A-forward", "forward": "A-forward", "A": "A-forward",
-    "B-reverse": "B-reverse", "reverse": "B-reverse", "B": "B-reverse",
-    "A-integrated": "A-integrated", "integrated": "A-integrated",
-    "A-prime-integrated": "A-prime-integrated",
-    "A'-integrated": "A-prime-integrated",
-    "integrated-enhanced": "A-prime-integrated",
-}
-
 MATRIX_KINDS = ("A-forward", "B-reverse", "A-integrated", "A-prime-integrated")
 
 _NEEDS_RHO = {"A-integrated", "A-prime-integrated"}
@@ -559,13 +548,11 @@ _NEEDS_POSITIVE_Y = {"A-forward", "B-reverse", "A-prime-integrated"}
 
 
 def condition_matrix(mf: MFunction, kind: str, x, y, rho: float | None = None):
-    """The 2x2 matrix governing the `kind` inequality, shape (..., 2, 2)."""
-    try:
-        kind = _KIND_ALIASES[kind]
-    except KeyError:
+    """The 2x2 matrix governing the `kind` inequality, one of
+    MATRIX_KINDS, shape (..., 2, 2)."""
+    if kind not in MATRIX_KINDS:
         raise ParameterError(
-            f"unknown matrix kind {kind!r}; known: {list(MATRIX_KINDS)}"
-        ) from None
+            f"unknown matrix kind {kind!r}; known: {list(MATRIX_KINDS)}")
     if kind in _NEEDS_RHO and rho is None:
         raise ParameterError(f"kind {kind} needs the curvature bound rho")
     mf.check_domain(x, y, for_partials=True)
@@ -604,35 +591,21 @@ _SAMPLE_N = 25
 _PSD_TOL = 1e-10
 
 
-@dataclass(frozen=True)
-class SampleSpec:
-    x_lo: float
-    x_hi: float
-
-    def __post_init__(self):
-        if not self.x_hi > self.x_lo:
-            raise ParameterError("sample rectangle is empty")
-
-    def grids(self):
-        if self.x_lo > 0.0:
-            xs = np.geomspace(self.x_lo, self.x_hi, _SAMPLE_N)
-        else:
-            xs = np.linspace(self.x_lo, self.x_hi, _SAMPLE_N)
-        return xs, np.geomspace(1e-2, 10.0, _SAMPLE_N)
-
-
-def default_sample_spec(mf: MFunction) -> SampleSpec:
+def _sample_grids(mf: MFunction) -> tuple:
+    """The x and y sample grids of mf's rectangle: x inside its domain,
+    geometric when the rectangle lies above 0, and y in [1e-2, 10]."""
     lo, hi = mf.x_domain.lo, mf.x_domain.hi
     if math.isfinite(lo) and math.isfinite(hi):
         pad = 0.02 * (hi - lo)
-        return SampleSpec(lo + pad, hi - pad)
-    if lo == 0.0:
+        lo, hi = lo + pad, hi - pad
+    elif lo == 0.0:
         # exp-integrability entries grow like e^{s^2/2} with s = sqrt(y)/x,
-        # so its default rectangle keeps x away from 0
-        if mf.y_open:
-            return SampleSpec(0.25, 10.0)
-        return SampleSpec(0.1, 10.0)
-    return SampleSpec(-10.0, 10.0)
+        # so its rectangle keeps x away from 0
+        lo, hi = (0.25 if mf.y_open else 0.1), 10.0
+    else:
+        lo, hi = -10.0, 10.0
+    space = np.geomspace if lo > 0.0 else np.linspace
+    return space(lo, hi, _SAMPLE_N), np.geomspace(1e-2, 10.0, _SAMPLE_N)
 
 
 @dataclass(frozen=True)
@@ -676,7 +649,7 @@ def certify_psd(mf: MFunction, kind: str,
     entries are huge or tiny.  M_y >= 0, which every catalog entry has, is
     re-checked.
     """
-    xs, ys = default_sample_spec(mf).grids()
+    xs, ys = _sample_grids(mf)
     X, Y = np.meshgrid(xs, ys, indexing="ij")
     mat = condition_matrix(mf, kind, X, Y, rho)
     scale = max(1.0, float(np.max(np.abs(mat))))
@@ -689,7 +662,7 @@ def certify_psd(mf: MFunction, kind: str,
     passed = bool(np.all(tr >= -_PSD_TOL) and np.all(det >= -_PSD_TOL)
                   and min_my >= -1e-12)
     return PsdReport(
-        mfunction=mf.label, kind=_KIND_ALIASES[kind], rho=rho,
+        mfunction=mf.label, kind=kind, rho=rho,
         x_range=(float(xs[0]), float(xs[-1])),
         y_range=(float(ys[0]), float(ys[-1])),
         n_samples=int(worst.size),

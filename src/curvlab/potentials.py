@@ -4,7 +4,8 @@ A potential V defines the diffusion generator L = Delta - grad V . grad with
 invariant measure exp(-V) dx.  All closures are vectorized: ``value`` maps
 arrays of shape (..., n) to (...), ``gradient`` to (..., n) and ``hessian``
 to (..., n, n).  The pointwise curvature rho(x) is the smallest eigenvalue
-of Hess V(x).
+of Hess V(x).  `as_points` is the package's one rule for reading evaluation
+points and path starts.
 """
 
 from __future__ import annotations
@@ -12,15 +13,16 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
-from .errors import CertificationError, EvaluationError, ParameterError
+from .errors import CertificationError, NumericalError, ParameterError
 
 __all__ = [
     "Potential",
     "LyapunovCertificate",
+    "as_points",
     "MarginScan",
     "make_example_potential",
     "make_double_well",
@@ -41,9 +43,8 @@ POTENTIAL_KINDS = ("gaussian", "spherical", "product-power", "double-well")
 class Potential:
     """A smooth confining potential on R^n.
 
-    ``curvature`` is an optional vectorized closed form for the smallest
-    Hessian eigenvalue; ``curvature_at`` falls back to a batched eigensolve
-    when it is absent.
+    ``curvature`` is the vectorized closed form of the smallest Hessian
+    eigenvalue, (..., n) -> (...).
     """
 
     n: int
@@ -52,17 +53,28 @@ class Potential:
     hessian: Callable[[np.ndarray], np.ndarray]
     label: str
     family: str
-    curvature: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    curvature: Callable[[np.ndarray], np.ndarray]
     params: dict = field(default_factory=dict)
 
-    def curvature_at(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        if self.curvature is not None:
-            return self.curvature(x)
-        H = self.hessian(x)
-        if self.n == 1:
-            return H[..., 0, 0]
-        return np.linalg.eigvalsh(H)[..., 0]
+
+def as_points(x, n: int) -> np.ndarray:
+    """Evaluation points as a (k, n) float array.
+
+    A scalar is one point in dimension 1.  A 1-D array is k points in
+    dimension 1 and a single point in any other dimension.  A 2-D array
+    must have n columns.  An empty set and non-finite coordinates are
+    rejected.
+    """
+    pts = np.asarray(x, dtype=float)
+    if pts.ndim == 0 or (pts.ndim == 1 and n == 1):
+        pts = pts.reshape(-1, 1)
+    elif pts.ndim == 1:
+        pts = pts[None, :]
+    if pts.ndim != 2 or pts.shape[1] != n or len(pts) == 0:
+        raise ParameterError(f"points of shape {np.shape(x)} in dimension {n}")
+    if not np.all(np.isfinite(pts)):
+        raise ParameterError("non-finite evaluation point")
+    return pts
 
 
 def _dot(a, b):
@@ -196,7 +208,7 @@ def rho_min(potential: Potential, x) -> float:
     x = np.asarray(x, dtype=float).reshape(potential.n)
     H = potential.hessian(x)
     if not np.all(np.isfinite(H)):
-        raise EvaluationError(f"hessian not finite at x={x!r}")
+        raise NumericalError(f"hessian not finite at x={x!r}")
     if potential.n == 1:
         return float(H[0, 0])
     return float(np.linalg.eigvalsh(H)[0])
@@ -288,9 +300,9 @@ def local_eigenvalue_margin(potential: Potential, cert: LyapunovCertificate, x) 
     _check_dimension(potential, cert)
     x = np.asarray(x, dtype=float)
     w = cert.lg_over_g(x, potential.gradient(x))
-    m = cert.p * potential.curvature_at(x) - cert.beta - w
+    m = cert.p * potential.curvature(x) - cert.beta - w
     if not np.all(np.isfinite(m)):
-        raise EvaluationError("margin not finite on the requested points")
+        raise NumericalError("margin not finite on the requested points")
     return m
 
 
@@ -442,16 +454,23 @@ def constant_certificate(p: float = 2.0, beta: float | None = None,
                                label="g=1")
 
 
-def parse_potential_id(text: str) -> Potential:
-    """Parse identifiers like 'spherical:alpha=1.5:n=1' or 'gaussian:n=2'."""
-    parts = text.split(":")
-    kind = parts[0]
+def _id_segments(text: str, what: str) -> tuple:
+    """An id 'kind:key=value:...' as its kind and a dict of the raw values;
+    a segment without '=' raises ParameterError naming `what`."""
+    kind, *segments = text.split(":")
     kv = {}
-    for part in parts[1:]:
+    for part in segments:
         if "=" not in part:
-            raise ParameterError(f"malformed potential id segment {part!r} in {text!r}")
+            raise ParameterError(f"malformed {what} id segment {part!r} in "
+                                 f"{text!r}")
         k, v = part.split("=", 1)
         kv[k] = v
+    return kind, kv
+
+
+def parse_potential_id(text: str) -> Potential:
+    """Parse identifiers like 'spherical:alpha=1.5:n=1' or 'gaussian:n=2'."""
+    kind, kv = _id_segments(text, "potential")
     keys = {"gaussian": {"n"}, "double-well": set(),
             "spherical": {"alpha", "n"}, "product-power": {"alpha", "n"}}
     if kind not in keys:

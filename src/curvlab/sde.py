@@ -19,7 +19,7 @@ from typing import Callable, Mapping, Optional
 import numpy as np
 
 from .errors import NumericalError, ParameterError, SimulationError
-from .potentials import Potential
+from .potentials import Potential, as_points
 
 __all__ = ["PathBatch", "simulate", "BLOCK_SIZE", "EXPLOSION_RADIUS"]
 
@@ -29,15 +29,13 @@ EXPLOSION_RADIUS = 1e8
 
 @dataclass
 class PathBatch:
-    """Positions and path integrals at time t.  A sequence of times adds a
-    leading time axis, and k starts a start axis after it."""
+    """Positions and path integrals at time t, with an axis for the k
+    starts.  A sequence of times adds a leading time axis."""
 
-    positions: np.ndarray          # ([T,] [k,] n_paths, n)
-    integrals: dict                # name -> ([T,] [k,] n_paths) of int_0^t phi(X_s) ds
+    positions: np.ndarray          # ([T,] k, n_paths, n)
+    integrals: dict                # name -> ([T,] k, n_paths) of int_0^t phi(X_s) ds
     t: float                       # or the sequence of times, as given
-    dt: float
     n_steps: int                   # steps to the latest time
-    seed: int
     exploded: np.ndarray = field(default=None)  # bool mask, all False once returned
 
     @property
@@ -70,6 +68,12 @@ def _check_dt(dt: float) -> None:
 def _check_seed(seed: int) -> None:
     if seed < 0:
         raise ParameterError(f"seed must be >= 0, got {seed}")
+
+
+def _check_paths(n_paths: int) -> None:
+    # the floor of every mean over paths that carries a stderr
+    if n_paths < 100:
+        raise ParameterError(f"need at least 100 paths, got {n_paths}")
 
 
 def _step_plan(t: float, dt: float):
@@ -147,12 +151,13 @@ def simulate(potential: Potential, x0, t, dt: float = 1e-3,
              functionals: Optional[Mapping[str, Callable]] = None) -> PathBatch:
     """Run n_paths Euler-Maruyama paths from x0 to each time of t.
 
-    x0 is one point (n,) or k start points (k, n) that all see the same
-    noise.  t is one time or a sequence of times in any order, repeats
-    allowed; a sequence adds a leading time axis, in the given order.  One
-    path set serves every time: each time keeps the step plan of a run
-    straight to it, so each (time, start) slice is bitwise equal to a run
-    from that start alone to that time alone.
+    x0 holds the start points, read by `as_points`; its k starts all see
+    the same noise and give the start axis, k = 1 included.  t is one time
+    or a sequence of times in any order, repeats allowed; a sequence adds a
+    leading time axis, in the given order.  One path set serves every
+    time: each time keeps the step plan of a run straight to it, so each
+    (time, start) slice is bitwise equal to a run from that start alone to
+    that time alone.
 
     Each functional phi(x, drift) maps positions x and the drift grad V(x)
     there to one value per path.  By default the curvature integral
@@ -167,15 +172,13 @@ def simulate(potential: Potential, x0, t, dt: float = 1e-3,
         raise ParameterError(f"n_paths must be positive, got {n_paths}")
     _check_seed(seed)
     n = potential.n
-    x0 = np.asarray(x0, dtype=float)
-    if x0.shape != (n,) and (x0.ndim != 2 or x0.shape[1] != n or len(x0) == 0):
-        raise ParameterError(f"x0 shape {x0.shape}: need ({n},) or (k, {n})")
-    # no time axis for one time, no start axis for a single point
-    shape = np.shape(t) + x0.shape[:-1] + (n_paths,)
-    k = x0.size // n
-    x0 = np.broadcast_to(x0.reshape(-1, 1, n), (k, n_paths, n))
+    x0 = as_points(x0, n)
+    k = len(x0)
+    # no time axis for one time
+    shape = np.shape(t) + (k, n_paths)
+    x0 = np.broadcast_to(x0[:, None, :], (k, n_paths, n))
     if functionals is None:
-        functionals = {"rho": lambda x, drift: potential.curvature_at(x)}
+        functionals = {"rho": lambda x, drift: potential.curvature(x)}
     plans = [_step_plan(float(s), dt) for s in ts]
 
     n_blocks = (n_paths + BLOCK_SIZE - 1) // BLOCK_SIZE
@@ -212,7 +215,7 @@ def simulate(potential: Potential, x0, t, dt: float = 1e-3,
 
     batch = PathBatch(positions.reshape(shape + (n,)),
                       {name: v.reshape(shape) for name, v in integrals.items()},
-                      t, dt, max(m + (rem > 0.0) for m, rem in plans), seed,
+                      t, max(m + (rem > 0.0) for m, rem in plans),
                       exploded.reshape(shape))
     if np.any(exploded):
         raise SimulationError(

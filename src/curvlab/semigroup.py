@@ -61,14 +61,13 @@ import numpy as np
 from scipy.linalg.lapack import dpttrf, dpttrs
 
 from .errors import DomainError, NumericalError, ParameterError
-from .potentials import Potential
-from .sde import (_check_dt, _check_seed, _path_mean, _step_plan, _times,
-                  simulate)
+from .potentials import Potential, as_points
+from .sde import (_check_dt, _check_paths, _check_seed, _path_mean,
+                  _step_plan, _times, simulate)
 
 __all__ = [
     "TestFunction",
     "RightSide",
-    "as_points",
     "MehlerEngine",
     "GridEngine",
     "MonteCarloEngine",
@@ -116,26 +115,6 @@ class TestFunction:
         return TestFunction(1, value, gradient, hessian, label)
 
 
-def as_points(x, n: int) -> np.ndarray:
-    """Evaluation points as a (k, n) float array.
-
-    A scalar is one point in dimension 1.  A 1-D array is k points in
-    dimension 1 and a single point in any other dimension.  A 2-D array
-    must have n columns.  An empty set and non-finite coordinates are
-    rejected.
-    """
-    pts = np.asarray(x, dtype=float)
-    if pts.ndim == 0 or (pts.ndim == 1 and n == 1):
-        pts = pts.reshape(-1, 1)
-    elif pts.ndim == 1:
-        pts = pts[None, :]
-    if pts.ndim != 2 or pts.shape[1] != n or len(pts) == 0:
-        raise ParameterError(f"points of shape {np.shape(x)} in dimension {n}")
-    if not np.all(np.isfinite(pts)):
-        raise ParameterError("non-finite evaluation point")
-    return pts
-
-
 def _check_dimension(f: TestFunction, potential: Potential) -> None:
     if f.n != potential.n:
         raise ParameterError(f"{f.label} is a function on R^{f.n}, the "
@@ -174,7 +153,7 @@ def enhanced_gap(f: TestFunction, potential: Potential, x) -> np.ndarray:
     gam = gamma(f, f, x)
     if np.any(gam <= 0.0):
         raise DomainError(f"Gamma(f) vanishes at a requested point of {f.label}")
-    return gamma2(f, potential, x) - potential.curvature_at(x) * gam \
+    return gamma2(f, potential, x) - potential.curvature(x) * gam \
         - gamma_gamma(f, x) / (4.0 * gam)
 
 
@@ -296,19 +275,19 @@ def _decay(t) -> np.ndarray:
     return np.reshape([math.exp(-s) for s in _times(t)], np.shape(t))
 
 
-def mehler_apply(f, t, x, order: int = 64, n: int | None = None):
-    """P_t f(x) for the gaussian potential by Gauss-Hermite quadrature.
+def mehler_apply(f, t, x, order: int = 64, *, n: int):
+    """P_t f(x) for the gaussian potential in R^n by Gauss-Hermite
+    quadrature.
 
-    f maps (..., n) to (..., *cols); the result has shape ([T,] k, *cols),
-    with a time axis when t is a sequence of T times.  f sees the nodes of
-    all times as one (T, k, G, n) array, T = 1 for one time.  Exact (up to
+    x holds the points, read by `as_points` in dimension n.  f maps
+    (..., n) to (..., *cols); the result has shape ([T,] k, *cols), with a
+    time axis when t is a sequence of T times.  f sees the nodes of all
+    times as one (T, k, G, n) array, T = 1 for one time.  Exact (up to
     rounding) for polynomials of per-coordinate degree < 2 order - 1.
     """
     if order < 2:
         raise ParameterError(f"quadrature order must be >= 2, got {order}")
     decay = _decay(t).reshape(-1, 1, 1, 1)
-    if n is None:
-        n = f.n if isinstance(f, TestFunction) else np.atleast_1d(np.asarray(x)).shape[-1]
     xs = as_points(x, n)
     Y, W = _gh_nodes(order, n)
     spread = np.sqrt(np.maximum(0.0, 1.0 - decay * decay))
@@ -343,7 +322,8 @@ class MehlerEngine(_Engine):
 
     def apply(self, func, t, x):
         def evolve(xs, ts):
-            for v in mehler_apply(func, ts, xs, self.order, self.potential.n):
+            for v in mehler_apply(func, ts, xs, self.order,
+                                  n=self.potential.n):
                 yield v, np.zeros(v.shape)
 
         return self._apply(func, t, x, evolve)
@@ -368,7 +348,7 @@ class MehlerEngine(_Engine):
                 return np.concatenate(cols, axis=-1)
 
             n = f.n
-            out = mehler_apply(columns, ts, xs, self.order, n)
+            out = mehler_apply(columns, ts, xs, self.order, n=n)
             # exact commutation: grad P_t f = e^-t P_t grad f
             grads = _decay(ts)[:, None, None] * out[..., 1:n + 1]
             for v, grad in zip(out, grads):
@@ -629,8 +609,7 @@ class MonteCarloEngine(_Engine):
     tolerance = 0.0  # stderr carries the uncertainty
 
     def __post_init__(self):
-        if self.n_paths < 100:
-            raise ParameterError(f"need at least 100 paths, got {self.n_paths}")
+        _check_paths(self.n_paths)
         _check_dt(self.dt)
         _check_seed(self.seed)
 

@@ -23,9 +23,9 @@ from numpy.polynomial import hermite_e as herme
 from numpy.polynomial import polynomial as P
 
 from .errors import ParameterError
-from .potentials import make_example_potential
-from .semigroup import MehlerEngine, as_points
-from .verify import InequalityReport, Record, g_alpha
+from .potentials import as_points, make_example_potential
+from .semigroup import MehlerEngine
+from .verify import InequalityReport, Record, Schedule, g_alpha
 
 __all__ = [
     "DEGREE_CAP",
@@ -317,7 +317,7 @@ def generalized_local_check(mm: MultiM, f, t: float, alpha: float,
     """
     if t < 0.0 or alpha < 0.0:
         raise ParameterError("need t >= 0 and alpha >= 0")
-    xs = as_points(np.linspace(-3.0, 3.0, 7) if xs is None else xs, 1)
+    xs = as_points(Schedule().xs if xs is None else xs, 1)
     h = expand(f)
     k = mm.n_args - 1
     d_polys = [to_poly(apply_Lk(h, j)).coef for j in range(k + 1)]

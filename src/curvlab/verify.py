@@ -27,16 +27,15 @@ import numpy as np
 
 from .errors import NumericalError, ParameterError, QuadratureError
 from .mfunctions import MFunction
-from .potentials import Potential
+from .potentials import Potential, as_points
 from .quadrature import adaptive
-from .semigroup import (RightSide, TestFunction, _check_dimension, as_points,
-                        gamma, gamma2, gamma_gamma)
+from .semigroup import (RightSide, TestFunction, _check_dimension, gamma,
+                        gamma2, gamma_gamma)
 
 __all__ = [
     "Schedule",
     "Record",
     "InequalityReport",
-    "QuadSpec",
     "g_alpha",
     "h_alpha",
     "default_schedule",
@@ -317,7 +316,7 @@ def verify_H_monotone(mfs, engine, f: TestFunction, t: float, alpha: float,
         raise ParameterError("monotonicity checks need a deterministic engine")
     _check_dimension(f, engine.potential)
     n = engine.potential.n
-    xs = as_points(default_schedule().xs if xs is None else xs, n)
+    xs = as_points(Schedule().xs if xs is None else xs, n)
     s_grid = np.linspace(0.0, t, s_count)
     H = np.empty((s_count, len(xs), len(mfs)))
     # P_{t-s} f and its gradient for every s from one engine call: the grid
@@ -356,21 +355,19 @@ def verify_H_monotone(mfs, engine, f: TestFunction, t: float, alpha: float,
 # ---------------------------------------------------------------------------
 
 _EPSABS = _EPSREL = 1e-11  # the tolerances of every integral
+_LIMIT = 200  # subintervals of every integral
 _TAIL_TOL = 1e-8  # of the mass on the 1.5x window against the window's
 
 
-@dataclass(frozen=True)
-class QuadSpec:
-    half_width: float | None = None  # None: 10 / sqrt(max(rho(0), 0.1))
-    limit: int = 200
-
-    def window(self, potential: Potential) -> float:
-        if self.half_width is not None:
-            if self.half_width <= 0.0:
-                raise ParameterError("window half-width must be positive")
-            return self.half_width
-        scale = max(float(potential.curvature_at(np.zeros(1))), 0.1)
-        return 10.0 / math.sqrt(scale)
+def _window(potential: Potential, half_width: float | None) -> float:
+    """The half-width W of the window [-W, W]: `half_width`, or
+    10 / sqrt(max(rho(0), 0.1)) when it is None."""
+    if half_width is not None:
+        if half_width <= 0.0:
+            raise ParameterError("window half-width must be positive")
+        return half_width
+    scale = max(float(potential.curvature(np.zeros(1))), 0.1)
+    return 10.0 / math.sqrt(scale)
 
 
 def _check_1d(potential: Potential):
@@ -398,8 +395,8 @@ def _critical_points(f: TestFunction, lo: float, hi: float) -> list:
     return sorted(set(roots.tolist()))
 
 
-def _mu_integrals(potential: Potential, spec: QuadSpec, integrands: dict,
-                  split: TestFunction | None = None) -> dict:
+def _mu_integrals(potential: Potential, half_width: float | None,
+                  integrands: dict, split: TestFunction | None = None) -> dict:
     """Unnormalized integrals against e^{-V} plus the normalizing mass Z.
 
     Integrands take points of shape (N, 1), and each is integrated on its
@@ -408,14 +405,14 @@ def _mu_integrals(potential: Potential, spec: QuadSpec, integrands: dict,
     The mass is re-measured on a 1.5x window; disagreement beyond _TAIL_TOL
     means the window clips the measure and the result would be garbage.
     """
-    W = spec.window(potential)
+    W = _window(potential, half_width)
 
     def integral(g, edges):
         def weighted(z):
             w = np.exp(-potential.value(z))
             return w if g is None else g(z) * w
 
-        return adaptive(weighted, edges, _EPSABS, _EPSREL, spec.limit)
+        return adaptive(weighted, edges, _EPSABS, _EPSREL, _LIMIT)
 
     z = integral(None, [-W, W])
     z_wide = integral(None, [-1.5 * W, 1.5 * W])
@@ -432,13 +429,12 @@ def _mu_integrals(potential: Potential, spec: QuadSpec, integrands: dict,
 
 
 def verify_integrated_limit(mf: MFunction, potential: Potential,
-                            f: TestFunction, spec: QuadSpec | None = None,
+                            f: TestFunction, half_width: float | None = None,
                             rho: float = 1.0) -> InequalityReport:
     """M(int f dmu, 0) <= int M(f, Gamma(f)/rho) dmu, for rho > 0."""
     _check_1d(potential)
     if not rho > 0.0:
         raise ParameterError(f"the ergodic limit needs rho > 0, got {rho}")
-    spec = spec or QuadSpec()
 
     def m_of_f(z):
         v = f.value(z)
@@ -446,7 +442,7 @@ def verify_integrated_limit(mf: MFunction, potential: Potential,
         mf.check_domain(v, y)
         return mf.value(v, y)
 
-    got = _mu_integrals(potential, spec, {"f": f.value, "m": m_of_f},
+    got = _mu_integrals(potential, half_width, {"f": f.value, "m": m_of_f},
                         split=f if mf.y_open else None)
     mean = got["f"] / got["_z"]
     mf.check_domain(mean, 0.0)
@@ -459,7 +455,7 @@ def verify_integrated_limit(mf: MFunction, potential: Potential,
 
 
 def verify_integrated_condition(mf: MFunction, potential: Potential,
-                                f: TestFunction, spec: QuadSpec | None = None,
+                                f: TestFunction, half_width: float | None = None,
                                 rho: float = 1.0,
                                 variant: str = "plain") -> InequalityReport:
     """Integrated curvature condition weighted by M_y(f, Gamma(f)).
@@ -470,7 +466,6 @@ def verify_integrated_condition(mf: MFunction, potential: Potential,
     _check_1d(potential)
     if variant not in ("plain", "enhanced"):
         raise ParameterError(f"variant must be plain or enhanced, got {variant!r}")
-    spec = spec or QuadSpec()
 
     def weight(z):
         v, y = f.value(z), np.maximum(gamma(f, f, z), 0.0)
@@ -485,7 +480,7 @@ def verify_integrated_condition(mf: MFunction, potential: Potential,
         integrands["wenh"] = lambda z: (weight(z) * gamma_gamma(f, z)
                                         / (4.0 * gamma(f, f, z)))
     split = f if variant == "enhanced" or mf.y_open else None
-    got = _mu_integrals(potential, spec, integrands, split=split)
+    got = _mu_integrals(potential, half_width, integrands, split=split)
     z = got["_z"]
     rhs = got["wg2"] / z
     lhs = rho * got["wg"] / z
@@ -498,7 +493,7 @@ def verify_integrated_condition(mf: MFunction, potential: Potential,
 
 
 def exp_integrability_bound_check(potential: Potential, h: TestFunction,
-                                  spec: QuadSpec | None = None,
+                                  half_width: float | None = None,
                                   rho: float = 1.0) -> InequalityReport:
     """log int e^h dmu - int h dmu <= 10 int e^{G/(2 rho)}/(1 + sqrt(G/rho)) dmu
 
@@ -508,13 +503,12 @@ def exp_integrability_bound_check(potential: Potential, h: TestFunction,
     _check_1d(potential)
     if not rho > 0.0:
         raise ParameterError(f"the bound needs rho > 0, got {rho}")
-    spec = spec or QuadSpec()
 
     def rhs_integrand(z):
         g = np.maximum(gamma(h, h, z), 0.0)
         return 10.0 * np.exp(g / (2.0 * rho)) / (1.0 + np.sqrt(g / rho))
 
-    got = _mu_integrals(potential, spec, {
+    got = _mu_integrals(potential, half_width, {
         "eh": lambda z: np.exp(h.value(z)),
         "h": h.value,
         "rhs": rhs_integrand,

@@ -12,8 +12,8 @@ import numpy as np
 import pytest
 
 from curvlab.cli import PRESETS, parse_config, run
-from curvlab.mfunctions import (catalog, certify_psd, condition_matrix,
-                                default_sample_spec, exp_integrability_F,
+from curvlab.mfunctions import (_sample_grids, catalog, certify_psd,
+                                condition_matrix, exp_integrability_F,
                                 isoperimetric_I)
 from curvlab.potentials import (constant_certificate, local_eigenvalue_margin,
                                 make_lyapunov, parse_potential_id,
@@ -85,7 +85,8 @@ def test_criterion_02_forward_local():
     t0_worst = 0.0
     for name, params, fname in FORWARD_PAIRS:
         mf = catalog(name, **params)
-        assert certify_psd(mf, "A").passed, f"PSD(A) failed for {mf.label}"
+        assert certify_psd(mf, "A-forward").passed, \
+            f"PSD(A) failed for {mf.label}"
         [rep] = verify_local([mf], MEHLER, get(fname), default_schedule(),
                              rho=1.0)
         worst = min(worst, rep.min_margin)
@@ -110,7 +111,8 @@ def test_criterion_03_reverse_local():
     closed_worst = 0.0
     for name, params, fname in REVERSE_PAIRS:
         mf = catalog(name, **params)
-        assert certify_psd(mf, "B").passed, f"PSD(B) failed for {mf.label}"
+        assert certify_psd(mf, "B-reverse").passed, \
+            f"PSD(B) failed for {mf.label}"
         [rep] = verify_local([mf], MEHLER, get(fname), default_schedule(),
                              rho=1.0)
         worst = min(worst, rep.min_margin)
@@ -209,9 +211,9 @@ def test_criterion_08_special_functions():
     det_worst = 0.0
     for name in ("bobkov", "log-sobolev"):
         mf = catalog(name)
-        gx, gy = default_sample_spec(mf).grids()
+        gx, gy = _sample_grids(mf)
         X, Y = np.meshgrid(gx, gy, indexing="ij")
-        A = condition_matrix(mf, "A", X, Y)
+        A = condition_matrix(mf, "A-forward", X, Y)
         det = A[..., 0, 0] * A[..., 1, 1] - A[..., 0, 1] ** 2
         det_worst = max(det_worst, float(np.max(np.abs(det))))
     ok = f_ok and iso_err <= 1e-6 and det_worst <= 1e-9

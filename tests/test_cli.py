@@ -179,6 +179,29 @@ def test_hs_plot_csv_has_s_count_rows(tmp_path):
     assert s == pytest.approx(list(np.linspace(0.0, 0.6, 7)), abs=1e-12)
 
 
+def test_malformed_id_segments_name_what_they_identify(capsys):
+    # potential and M-function ids share one parser and keep their messages
+    assert main(["psd-check", "--mfunction", "beckner:p"]) == 2
+    assert ("malformed M-function id segment 'p' in 'beckner:p'"
+            in capsys.readouterr().err)
+    assert main(["verify", "--potential", "spherical:alpha", "--mfunction",
+                 "poincare", "--function", "sine"]) == 2
+    assert ("malformed potential id segment 'alpha' in 'spherical:alpha'"
+            in capsys.readouterr().err)
+
+
+def test_hs_plot_ends_at_t(tmp_path):
+    # the last s is the check's t itself, not s_0 plus s_count - 1 steps,
+    # which rounds to 0.6999999999999998 here
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("checks = monotone\nmfunctions = poincare\n"
+                   "functions = sine\nt = 0.7\ns_count = 11\n")
+    out = tmp_path / "out"
+    assert main(["run", str(cfg), "--out", str(out)]) == 0
+    [plot] = out.glob("plot-hs-*.csv")
+    assert plot.read_text().splitlines()[-1].split(",")[0] == "0.7"
+
+
 def test_equality_case_gives_zero_margin_curve(tmp_path):
     cfg = tmp_path / "exp.cfg"
     cfg.write_text("checks = local\nmfunctions = poincare\n"
@@ -252,10 +275,18 @@ def test_integrated_subcommand(capsys):
 
 
 def test_psd_check_subcommand(capsys):
-    code = main(["psd-check", "--mfunction", "bobkov", "--kind", "A"])
+    code = main(["psd-check", "--mfunction", "bobkov", "--kind", "A-forward"])
     assert code == 0
     rep = json.loads(capsys.readouterr().out)
     assert rep["pass"] is True
+
+
+@pytest.mark.parametrize("kind", ["A", "forward", "integrated-enhanced"])
+def test_psd_check_refuses_a_kind_outside_the_matrix_kinds(capsys, kind):
+    with pytest.raises(SystemExit) as exc:
+        main(["psd-check", "--mfunction", "bobkov", "--kind", kind])
+    assert exc.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("mfunction,kind", [("reverse-poincare", "B-reverse"),
@@ -265,7 +296,8 @@ def test_psd_check_default_kind_follows_the_mfunction(capsys, mfunction,
     assert main(["psd-check", "--mfunction", mfunction]) == 0
     assert json.loads(capsys.readouterr().out)["kind"] == kind
     # an explicit --kind still wins
-    assert main(["psd-check", "--mfunction", mfunction, "--kind", "A"]) == 0
+    assert main(["psd-check", "--mfunction", mfunction,
+                 "--kind", "A-forward"]) == 0
     assert json.loads(capsys.readouterr().out)["kind"] == "A-forward"
 
 

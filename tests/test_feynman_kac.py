@@ -221,8 +221,8 @@ def test_stderr_uses_sample_deviation():
                          lhs_engine=ENGINE, n_paths=300, dt=1e-2, seed=6)
     batch = simulate(GAUSS, np.array([0.5]), 0.5, dt=1e-2, n_paths=300,
                      seed=6)
-    w = np.abs(get("sine").gradient(batch.positions)[:, 0]) \
-        * np.exp(-batch.integrals["rho"])
+    w = np.abs(get("sine").gradient(batch.positions[0])[:, 0]) \
+        * np.exp(-batch.integrals["rho"][0])
     assert rep.records[0].stderr == pytest.approx(
         np.std(w, ddof=1) / math.sqrt(300), rel=1e-12)
 

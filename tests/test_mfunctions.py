@@ -13,11 +13,9 @@ from curvlab.mfunctions import (
     Interval,
     MFunction,
     MFUNCTION_NAMES,
-    SampleSpec,
     catalog,
     certify_psd,
     condition_matrix,
-    default_sample_spec,
     exp_integrability_F,
     exp_integrability_F_derivs,
     isoperimetric_I,
@@ -106,7 +104,7 @@ def test_beckner_matrix_matches_closed_form():
     p = 1.5
     bk = catalog("beckner", p=p)
     for x, y in [(0.5, 0.4), (2.0, 1.3)]:
-        got = condition_matrix(bk, "A", x, y)
+        got = condition_matrix(bk, "A-forward", x, y)
         c = p * (p - 1.0) * x ** (p - 4.0) / (4.0 * y)
         want = c * np.array([
             [2 * (p - 2) * (p - 3) * y * y, 2 * (p - 2) * x * y],
@@ -128,24 +126,23 @@ def test_reverse_log_sobolev_matrix_equals_forward():
     ls = catalog("log-sobolev")
     rls = catalog("reverse-log-sobolev")
     for x, y in [(0.7, 0.5), (2.0, 3.0)]:
-        A = condition_matrix(ls, "A", x, y)
-        B = condition_matrix(rls, "B", x, y)
+        A = condition_matrix(ls, "A-forward", x, y)
+        B = condition_matrix(rls, "B-reverse", x, y)
         np.testing.assert_allclose(B, A, rtol=1e-12)
 
 
 def test_sqrt_y_matrix():
     sq = catalog("sqrt-y")
-    A = condition_matrix(sq, "A", 0.0, 4.0)
+    A = condition_matrix(sq, "A-forward", 0.0, 4.0)
     np.testing.assert_allclose(A, [[0.5, 0.0], [0.0, 0.0]], atol=1e-15)
 
 
 def test_degenerate_determinants_across_domain():
     for name in ("log-sobolev", "bobkov"):
         mf = catalog(name)
-        spec = default_sample_spec(mf)
-        xs, ys = spec.grids()
+        xs, ys = mfunctions._sample_grids(mf)
         X, Y = np.meshgrid(xs, ys, indexing="ij")
-        mat = condition_matrix(mf, "A", X, Y)
+        mat = condition_matrix(mf, "A-forward", X, Y)
         scale = np.max(np.abs(mat))
         nm = mat / scale
         det = nm[..., 0, 0] * nm[..., 1, 1] - nm[..., 0, 1] ** 2
@@ -169,27 +166,29 @@ def test_exp_integrability_matrix_identity():
     # the lower-right A entry collapses to F''/(4 x^2 y)
     mf = catalog("exp-integrability")
     for x, y in [(0.8, 0.5), (2.0, 1.7)]:
-        A = condition_matrix(mf, "A", x, y)
+        A = condition_matrix(mf, "A-forward", x, y)
         _, fpp = exp_integrability_F_derivs(math.sqrt(y) / x)
         assert A[1, 1] == pytest.approx(fpp / (4.0 * x * x * y), rel=1e-12)
 
 
 def test_condition_matrix_errors():
     ls = catalog("log-sobolev")
-    with pytest.raises(ParameterError):
-        condition_matrix(ls, "C-sideways", 1.0, 1.0)
+    # a kind is one of MATRIX_KINDS, spelled as there
+    for kind in ("C-sideways", "A", "forward", "A'-integrated"):
+        with pytest.raises(ParameterError, match="unknown matrix kind"):
+            condition_matrix(ls, kind, 1.0, 1.0)
     with pytest.raises(DomainError):
-        condition_matrix(ls, "A", -1.0, 1.0)
+        condition_matrix(ls, "A-forward", -1.0, 1.0)
     with pytest.raises(DomainError):
-        condition_matrix(ls, "A", 1.0, 0.0)  # M_y/(2y) entry
+        condition_matrix(ls, "A-forward", 1.0, 0.0)  # M_y/(2y) entry
     with pytest.raises(DomainError):
-        condition_matrix(ls, "A", 1.0, -0.5)
+        condition_matrix(ls, "A-forward", 1.0, -0.5)
     # A-integrated has no 1/(2y) entry, so y = 0 is fine there
     A = condition_matrix(ls, "A-integrated", 1.0, 0.0, rho=1.0)
     assert np.all(np.isfinite(A))
     bb = catalog("bobkov")
     with pytest.raises(DomainError):
-        condition_matrix(bb, "A", 1.2, 0.5)
+        condition_matrix(bb, "A-forward", 1.2, 0.5)
 
 
 def test_catalog_errors_and_labels():
@@ -212,13 +211,13 @@ def test_certify_psd_pass_list():
     forward = ["poincare", "log-sobolev", "bobkov", "sqrt-y", "y",
                "exp-integrability"]
     for name in forward:
-        rep = certify_psd(catalog(name), "A")
+        rep = certify_psd(catalog(name), "A-forward")
         assert rep.passed, name
     for p in (1.2, 1.5, 1.8):
-        assert certify_psd(catalog("beckner", p=p), "A").passed
-        assert certify_psd(catalog("reverse-beckner", p=p), "B").passed
+        assert certify_psd(catalog("beckner", p=p), "A-forward").passed
+        assert certify_psd(catalog("reverse-beckner", p=p), "B-reverse").passed
     for name in ("reverse-poincare", "reverse-log-sobolev"):
-        assert certify_psd(catalog(name), "B").passed
+        assert certify_psd(catalog(name), "B-reverse").passed
 
 
 def test_certify_psd_counterexample():
@@ -231,7 +230,7 @@ def test_certify_psd_counterexample():
         m_xy=lambda x, y: np.zeros(np.broadcast(x, y).shape),
         m_yy=lambda x, y: np.zeros(np.broadcast(x, y).shape),
     )
-    rep = certify_psd(neg, "A")
+    rep = certify_psd(neg, "A-forward")
     assert not rep.passed
     assert rep.worst_trace == pytest.approx(-2.0, abs=1e-12)
     d = rep.to_dict()
@@ -239,7 +238,7 @@ def test_certify_psd_counterexample():
 
 
 def test_certify_psd_report_fields():
-    rep = certify_psd(catalog("log-sobolev"), "A")
+    rep = certify_psd(catalog("log-sobolev"), "A-forward")
     assert rep.kind == "A-forward"
     assert rep.n_samples == 25 * 25
     assert rep.x_range[0] == pytest.approx(0.1)
@@ -253,10 +252,12 @@ def test_perturbation_invariance():
     for name in ("poincare", "log-sobolev", "bobkov"):
         mf = catalog(name)
         pert = perturbed(mf, 2.0, 3.0, 1.0)
-        assert certify_psd(mf, "A").passed == certify_psd(pert, "A").passed
+        assert certify_psd(mf, "A-forward").passed \
+            == certify_psd(pert, "A-forward").passed
         x, y = (0.4, 0.7)
-        np.testing.assert_allclose(condition_matrix(pert, "A", x, y),
-                                   2.0 * condition_matrix(mf, "A", x, y),
+        np.testing.assert_allclose(condition_matrix(pert, "A-forward", x, y),
+                                   2.0 * condition_matrix(mf, "A-forward",
+                                                          x, y),
                                    rtol=1e-12)
         assert pert.value(x, y) == pytest.approx(2 * mf.value(x, y) + 3 * x + 1)
     with pytest.raises(ParameterError):
@@ -293,13 +294,10 @@ def test_direction_is_a_property_of_the_mfunction():
     assert not perturbed(catalog("log-sobolev"), 2.0, 3.0, 1.0).reverse
 
 
-def test_sample_spec_validation():
-    with pytest.raises(ParameterError):
-        SampleSpec(1.0, 0.5)
-    spec = SampleSpec(-2.0, 2.0)
-    xs, ys = spec.grids()
+def test_sample_grids():
+    xs, ys = mfunctions._sample_grids(catalog("poincare"))
     assert len(xs) == 25 and len(ys) == 25
-    assert xs[0] == -2.0  # linear when the range crosses zero
+    assert xs[0] == -10.0  # linear when the range crosses zero
 
 
 def test_interval_str_and_contains():

@@ -72,7 +72,7 @@ def test_hessian_matches_gradient(P, u):
 def test_curvature_closure_is_min_eigenvalue(P, u):
     x = np.array(u[: P.n])
     lam = np.linalg.eigvalsh(P.hessian(x))[0]
-    np.testing.assert_allclose(P.curvature_at(x), lam, rtol=1e-10, atol=1e-12)
+    np.testing.assert_allclose(P.curvature(x), lam, rtol=1e-10, atol=1e-12)
 
 
 def test_rho_min_spherical_radial_direction():
@@ -117,7 +117,7 @@ def test_double_well_curvature_sign():
     assert rho_min(W, [0.0]) == -1.0
     assert rho_min(W, [1.0]) == 2.0
     x = np.linspace(-2, 2, 9)[:, None]
-    np.testing.assert_allclose(W.curvature_at(x), 3.0 * x[:, 0] ** 2 - 1.0, atol=0)
+    np.testing.assert_allclose(W.curvature(x), 3.0 * x[:, 0] ** 2 - 1.0, atol=0)
 
 
 def test_parameter_validation():

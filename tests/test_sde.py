@@ -47,8 +47,9 @@ def test_partial_final_step():
 def test_zero_time_is_identity():
     P = make_example_potential("gaussian", n=2)
     out = simulate(P, [1.0, 2.0], t=0.0, dt=1e-3, n_paths=64, seed=0)
-    np.testing.assert_array_equal(out.positions, np.broadcast_to([1.0, 2.0], (64, 2)))
-    np.testing.assert_array_equal(out.integrals["rho"], np.zeros(64))
+    np.testing.assert_array_equal(out.positions,
+                                  np.broadcast_to([1.0, 2.0], (1, 64, 2)))
+    np.testing.assert_array_equal(out.integrals["rho"], np.zeros((1, 64)))
 
 
 def test_ou_mean_and_variance():
@@ -56,7 +57,7 @@ def test_ou_mean_and_variance():
     P = make_example_potential("gaussian", n=1)
     t, x0 = 0.5, 2.0
     out = simulate(P, [x0], t=t, dt=5e-4, n_paths=200_000, seed=11)
-    xs = out.positions[:, 0]
+    xs = out.positions[0, :, 0]
     mean_exact = x0 * np.exp(-t)
     var_exact = 1.0 - np.exp(-2.0 * t)
     assert xs.mean() == pytest.approx(mean_exact, abs=4.0 * xs.std() / np.sqrt(len(xs)))
@@ -85,7 +86,8 @@ def test_explosion_guard_raises():
     bad = make_example_potential("gaussian", n=1)
     bad = type(bad)(n=1, value=lambda x: -0.5 * np.sum(x * x, -1),
                     gradient=lambda x: -np.asarray(x, float) * 1e5,
-                    hessian=bad.hessian, label="expanding", family="custom")
+                    hessian=bad.hessian, label="expanding", family="custom",
+                    curvature=bad.curvature)
     with pytest.raises(SimulationError) as exc:
         simulate(bad, [1.0], t=1.5, dt=0.5, n_paths=64, seed=0)
     assert exc.value.exploded_fraction > 0.9
@@ -106,9 +108,10 @@ def test_parameter_errors():
         simulate(P, [0.0], t=1.0, dt=0.0)
     with pytest.raises(ParameterError):
         simulate(P, [0.0], t=1.0, dt=1e-3, n_paths=0)
-    # x0 is one point (n,) or k start points (k, n)
-    for x0 in (np.zeros((2, 3, 1)), np.zeros(2), np.zeros((3, 2)),
-               np.zeros((0, 1)), 0.0):
+    # x0 is read by as_points: in n = 1 a scalar is one start and a 1-D
+    # array k starts, so only these shapes, and a non-finite start, fail
+    for x0 in (np.zeros((2, 3, 1)), np.zeros((3, 2)), np.zeros((0, 1)),
+               [np.nan]):
         with pytest.raises(ParameterError):
             simulate(P, x0, t=1.0, dt=1e-3, n_paths=7)
 
@@ -132,11 +135,13 @@ def test_start_points_match_single_runs(monkeypatch, threads, kind, n):
     assert out.positions.shape == (3, n_paths, n)
     assert out.n_paths == 3 * n_paths
     for k, x0 in enumerate(starts):
+        # a single start keeps its start axis
         one = simulate(P, x0, t=0.25, dt=0.1, n_paths=n_paths, seed=4)
-        np.testing.assert_array_equal(out.positions[k], one.positions)
-        np.testing.assert_array_equal(out.integrals["rho"][k],
+        assert one.positions.shape == (1, n_paths, n)
+        np.testing.assert_array_equal(out.positions[k:k + 1], one.positions)
+        np.testing.assert_array_equal(out.integrals["rho"][k:k + 1],
                                       one.integrals["rho"])
-        np.testing.assert_array_equal(out.exploded[k], one.exploded)
+        np.testing.assert_array_equal(out.exploded[k:k + 1], one.exploded)
 
 
 def test_blocks_fill_their_slices_under_thread_contention(monkeypatch):
@@ -168,7 +173,8 @@ def test_explosion_guard_is_per_start():
     P = make_example_potential("gaussian", n=1)
     bad = type(P)(n=1, value=P.value,
                   gradient=lambda x: np.where(x > 0.5, -1e5 * x, x),
-                  hessian=P.hessian, label="expanding", family="custom")
+                  hessian=P.hessian, label="expanding", family="custom",
+                  curvature=P.curvature)
     safe = simulate(bad, [-1000.0], t=1.5, dt=0.5, n_paths=64, seed=0)
     assert safe.exploded_fraction == 0.0
     with pytest.raises(SimulationError) as exc:
@@ -181,11 +187,12 @@ def test_one_exploded_path_in_twenty_thousand_raises():
     # a threshold between the two largest draws, so exactly one path explodes
     P = make_example_potential("gaussian", n=1)
     first = simulate(P, [0.0], t=0.5, dt=0.5, n_paths=20000, seed=0,
-                     functionals={}).positions[:, 0]
+                     functionals={}).positions[0, :, 0]
     c = np.mean(np.sort(first)[-2:])
     bad = type(P)(n=1, value=P.value,
                   gradient=lambda x: np.where(x > c, -1e9 * x, x),
-                  hessian=P.hessian, label="expanding", family="custom")
+                  hessian=P.hessian, label="expanding", family="custom",
+                  curvature=P.curvature)
     with pytest.raises(SimulationError) as exc:
         simulate(bad, [0.0], t=1.0, dt=0.5, n_paths=20000, seed=0)
     assert exc.value.exploded_fraction == 1 / 20000

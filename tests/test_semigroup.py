@@ -173,11 +173,12 @@ def test_enhanced_gap_rejects_critical_point():
 
 def test_mehler_hand_values():
     f = suite.get("linear")
-    got = mehler_apply(f, 0.7, np.array([2.0]))
+    got = mehler_apply(f, 0.7, np.array([2.0]), n=1)
     assert got == pytest.approx(2.0 * math.exp(-0.7), abs=1e-13)
     # P_t x^2 = e^{-2t} x^2 + 1 - e^{-2t} equals 1 at x = 1 for every t
     q = suite.get("quadratic")
-    assert mehler_apply(q, 0.5, np.array([1.0])) == pytest.approx(1.0, abs=1e-13)
+    assert mehler_apply(q, 0.5, np.array([1.0]), n=1) \
+        == pytest.approx(1.0, abs=1e-13)
     one = lambda z: np.ones(z.shape[:-1])
     assert mehler_apply(one, 1.3, np.array([0.4]), n=1) == pytest.approx(1.0, abs=1e-14)
 
@@ -185,7 +186,8 @@ def test_mehler_hand_values():
 def test_mehler_identity_at_time_zero():
     f = suite.get("hermite4")
     x = np.linspace(-2, 2, 5)[:, None]
-    np.testing.assert_allclose(mehler_apply(f, 0.0, x), f.value(x), atol=1e-12)
+    np.testing.assert_allclose(mehler_apply(f, 0.0, x, n=1), f.value(x),
+                               atol=1e-12)
 
 
 def test_mehler_matches_eigenfunction_decay():
@@ -193,7 +195,7 @@ def test_mehler_matches_eigenfunction_decay():
     for k in range(7):
         hk = suite.hermite_normalized(k)
         x = np.array([1.3])
-        got = mehler_apply(hk, t, x)
+        got = mehler_apply(hk, t, x, n=1)
         want = math.exp(-k * t) * float(hk.value(x[None, :])[0])
         assert got == pytest.approx(want, abs=1e-12)
 
@@ -208,18 +210,30 @@ def test_mehler_two_dim():
         "product",
     )
     # coordinates decouple: P_t (x1 x2) = e^{-2t} x1 x2
-    got = mehler_apply(f, 0.4, np.array([1.5, -2.0]))
+    got = mehler_apply(f, 0.4, np.array([1.5, -2.0]), n=2)
     assert got == pytest.approx(math.exp(-0.8) * -3.0, abs=1e-12)
+
+
+def test_mehler_reads_points_in_the_dimension_it_is_given():
+    # a 1-D array is k points in R^1, never one point in R^k; the dimension
+    # is not guessed from the points, so omitting it is an error
+    xs = np.linspace(-3.0, 3.0, 7)
+    got = mehler_apply(lambda z: z[..., 0], 0.5, xs, order=2, n=1)
+    assert got.shape == (7,)
+    np.testing.assert_allclose(got, math.exp(-0.5) * xs, rtol=1e-14,
+                               atol=1e-15)
+    with pytest.raises(TypeError):
+        mehler_apply(lambda z: z[..., 0], 0.5, xs, order=2)
 
 
 def test_mehler_parameter_errors():
     f = suite.get("linear")
     with pytest.raises(ParameterError):
-        mehler_apply(f, 0.5, np.array([1.0]), order=1)
+        mehler_apply(f, 0.5, np.array([1.0]), order=1, n=1)
     with pytest.raises(ParameterError):
-        mehler_apply(f, -0.1, np.array([1.0]))
+        mehler_apply(f, -0.1, np.array([1.0]), n=1)
     with pytest.raises(ParameterError):
-        mehler_apply(f, 0.5, np.zeros((2, 2)))  # wrong dimension
+        mehler_apply(f, 0.5, np.zeros((2, 2)), n=1)  # wrong dimension
     with pytest.raises(ParameterError):
         MehlerEngine(SPH15)
     with pytest.raises(ParameterError):
@@ -260,8 +274,9 @@ def test_mehler_value_grad_is_one_quadrature_of_the_old_formula():
     x = np.linspace(-3.0, 3.0, 7)
     t = 0.7
     v, err, g = eng.value_grad(f, t, x)
-    np.testing.assert_array_equal(v, mehler_apply(f, t, x, eng.order, 1))
-    comp = mehler_apply(lambda z: f.gradient(z)[..., 0], t, x, eng.order, 1)
+    np.testing.assert_array_equal(v, mehler_apply(f, t, x, eng.order, n=1))
+    comp = mehler_apply(lambda z: f.gradient(z)[..., 0], t, x, eng.order,
+                        n=1)
     np.testing.assert_array_equal(g[:, 0], math.exp(-t) * comp)
     assert np.all(err == 0.0)
     v, err, g = eng.value_grad(f, 0.0, x)

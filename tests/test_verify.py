@@ -16,7 +16,7 @@ from curvlab.sde import BLOCK_SIZE
 from curvlab.semigroup import (GridEngine, MehlerEngine, MonteCarloEngine,
                                TestFunction, as_points)
 from curvlab.suite import get
-from curvlab.verify import (InequalityReport, QuadSpec, Record, Schedule,
+from curvlab.verify import (InequalityReport, Record, Schedule,
                             _composite, _critical_points, _right_sides,
                             default_schedule,
                             exp_integrability_bound_check,
@@ -318,7 +318,7 @@ def test_integrated_limit_validation():
 def test_quadrature_window_guard():
     with pytest.raises(QuadratureError):
         verify_integrated_limit(catalog("poincare"), GAUSS, get("linear"),
-                                spec=QuadSpec(half_width=1.0), rho=1.0)
+                                half_width=1.0, rho=1.0)
 
 
 def test_chained_long_time_matches_integrated():
@@ -405,10 +405,10 @@ def test_exp_bound_on_a_kinked_integrand_is_accurate():
     assert abs(rep.records[0].rhs / 7.98914962692275 - 1.0) < 1e-11
 
 
-def test_quadrature_beyond_its_subinterval_limit_raises():
+def test_quadrature_beyond_its_subinterval_limit_raises(monkeypatch):
+    monkeypatch.setattr("curvlab.verify._LIMIT", 4)
     with pytest.raises(QuadratureError):
-        exp_integrability_bound_check(GAUSS, get("sine"),
-                                      spec=QuadSpec(limit=4), rho=1.0)
+        exp_integrability_bound_check(GAUSS, get("sine"), rho=1.0)
 
 
 def test_quadrature_refines_into_wells_its_first_nodes_miss():

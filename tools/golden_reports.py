@@ -5,7 +5,8 @@
 runs, through `curvlab.cli.main` and in csv and json, every check of the
 benchmark's workloads (`perfbench/workloads.py`, which covers the local
 checks of acceptance criteria 2 and 3), both presets, the configuration of
-acceptance criterion 12, Monte Carlo local checks on an unsorted schedule
+acceptance criterion 12, a `run` of a monotone check at t = 0.7 and
+s_count = 11 (its H(s) plot ends at s = t), Monte Carlo local checks on an unsorted schedule
 with a repeated time, t = 0 and a time off the dt grid, a Monte Carlo local
 check of `quadratic` on the default schedule, local checks at t = 0 alone
 on the grid and Mehler engines, and monotone checks beyond the benchmark's:
@@ -51,6 +52,9 @@ CRITERION_12 = ("checks = local\nmfunctions = poincare\nfunctions = sine\n"
                 "engine = monte-carlo\nengine.n_paths = 2000\nts = 0.3\n"
                 "alphas = 0.5\nseed = 7\n")
 
+MONOTONE_PLOT = ("checks = monotone\nmfunctions = poincare\nfunctions = sine\n"
+                 "t = 0.7\ns_count = 11\n")
+
 MC_TS = ("--engine", "monte-carlo", "--dt", "0.01",
          "--ts", "0.25,0,0.1,0.255,0.25")
 
@@ -60,9 +64,10 @@ GRID_MONOTONE = ("monotone", "--engine", "grid", "--potential", "double-well",
                  "sine")
 
 
-def cases(config_file: str, seed: int) -> list:
+def cases(configs: dict, seed: int) -> list:
     """(name, argv) of every run at `seed`, without --format and --out;
-    criterion 12 keeps its config's seed."""
+    `configs` maps a run name to its config file, and criterion 12 keeps
+    its config's seed."""
     out = [(f"{w.name}-{i}", check) for w in WORKLOADS.values()
            for i, check in enumerate(w.checks)]
     out += [(f"preset-{name}", ("run", name)) for name in sorted(PRESETS)]
@@ -127,8 +132,9 @@ def cases(config_file: str, seed: int) -> list:
                                          "supermartingale", "--cert", "unit",
                                          "--potential", "gaussian:n=2",
                                          "--x0", "0.3,-0.4"))]
+    out += [("monotone-plot", ("run", configs["monotone-plot"]))]
     out = [(name, (*argv, "--seed", str(seed))) for name, argv in out]
-    return out + [("criterion-12", ("run", config_file))]
+    return out + [("criterion-12", ("run", configs["criterion-12"]))]
 
 
 def _strip(doc):
@@ -176,10 +182,13 @@ def main(argv=None) -> int:
     root = Path(args.out)
     root.mkdir(parents=True)
     with tempfile.TemporaryDirectory() as tmp:
-        config_file = str(Path(tmp) / "criterion-12.conf")
-        Path(config_file).write_text(CRITERION_12)
+        configs = {}
+        for name, text in (("criterion-12", CRITERION_12),
+                           ("monotone-plot", MONOTONE_PLOT)):
+            configs[name] = str(Path(tmp) / f"{name}.conf")
+            Path(configs[name]).write_text(text)
         for seed in args.seeds:
-            for name, argv in cases(config_file, seed):
+            for name, argv in cases(configs, seed):
                 for fmt in ("csv", "json"):
                     code = record((*argv, "--format", fmt),
                                   root / f"seed-{seed}" / f"{name}-{fmt}")
