@@ -12,9 +12,10 @@ pass rule:
   Lg/g <= p rho - beta holds everywhere; that precondition is re-checked on
   the standard scan grid, never assumed.
 
-Each check runs one path set over all its points and times.  Path
-integrals use left-endpoint Riemann sums, matching the weak order of the
-Euler scheme that produces the paths.  The left sides of the gradient
+Each check's right side is one `multilevel_mean` over all its points and
+times: multilevel Monte Carlo over Euler levels, whose expectation is
+that of the Euler chain at the check's dt.  Path integrals use
+left-endpoint Riemann sums, matching the weak order of the Euler scheme.  The left sides of the gradient
 and commutation checks come from a deterministic engine's `value_grad`,
 never from paths that share the right side's random numbers.
 """
@@ -29,7 +30,7 @@ import numpy as np
 from .errors import CertificationError, ParameterError
 from .potentials import (LyapunovCertificate, Potential, _check_dimension,
                          as_points, scan_certificate)
-from .sde import _check_paths, _path_mean, _times, simulate
+from .sde import _check_paths, _times, multilevel_mean
 from .semigroup import TestFunction
 from .verify import InequalityReport, Record
 
@@ -38,11 +39,6 @@ __all__ = [
     "gradient_bound",
     "commutation_check",
 ]
-
-
-def _mean_se(values: np.ndarray) -> tuple:
-    # along the path axis, the last one, as (nested) lists
-    return tuple(a.tolist() for a in _path_mean(values))
 
 
 def _check_lhs_engine(lhs_engine) -> None:
@@ -64,18 +60,17 @@ def supermartingale_check(potential: Potential, cert: LyapunovCertificate,
     if len(pts) != 1:
         raise ParameterError(f"the supermartingale check starts from one "
                              f"point, got {len(pts)}")
-    x0 = pts[0]
     ts = _times(ts)
     # the path functional reads grad V off the Euler step's drift
-    batch = simulate(potential, pts, ts, dt=dt, n_paths=n_paths, seed=seed,
-                     functionals={"w": cert.lg_over_g})
-    y = cert.g_value(batch.positions[:, 0]) \
-        * np.exp(-batch.integrals["w"][:, 0])
-    lhs_at, se_at = _mean_se(y)
+    lhs_at, se_at = multilevel_mean(
+        potential, pts, ts,
+        lambda x, ints: cert.g_value(x) * np.exp(-ints["w"]), dt, n_paths,
+        seed, {"w": cert.lg_over_g})
     rhs = float(cert.g_value(pts)[0])
-    records = [Record(x=tuple(float(v) for v in x0), t=float(t), alpha=None,
-                      lhs=lhs, rhs=rhs, stderr=se)
-               for t, lhs, se in zip(ts, lhs_at, se_at)]
+    records = [Record(x=tuple(float(v) for v in pts[0]), t=float(t),
+                      alpha=None, lhs=lhs, rhs=rhs, stderr=se)
+               for t, lhs, se in zip(ts, lhs_at[:, 0].tolist(),
+                                     se_at[:, 0].tolist())]
     return InequalityReport(
         label=f"supermartingale[{cert.label}|{potential.label}]",
         records=tuple(records), tolerance=0.0)
@@ -89,19 +84,18 @@ def gradient_bound(potential: Potential, f: TestFunction, xs, ts: Sequence,
     _check_lhs_engine(lhs_engine)
     pts = as_points(xs, potential.n)
     ts = _times(ts)
-    # (T, k) left sides from one evolution, (T, k, n_paths) weights from one
-    # path set
+    # (T, k) left sides from one evolution, right sides from one
+    # multilevel estimate
     lhs_at = np.linalg.norm(lhs_engine.value_grad(f, ts, pts)[2], axis=-1)
-    batch = simulate(potential, pts, ts, dt=dt, n_paths=n_paths, seed=seed,
-                     functionals={"rho": lambda x, drift:
-                                  potential.curvature(x)})
-    w = np.linalg.norm(f.gradient(batch.positions), axis=-1) \
-        * np.exp(-batch.integrals["rho"])
-    rhs_at, se_at = _mean_se(w)
+    rhs_at, se_at = multilevel_mean(
+        potential, pts, ts,
+        lambda x, ints: np.linalg.norm(f.gradient(x), axis=-1)
+        * np.exp(-ints["rho"]), dt, n_paths, seed,
+        {"rho": lambda x, drift: potential.curvature(x)})
     records = [Record(x=tuple(float(v) for v in x), t=float(t), alpha=None,
                       lhs=lhs, rhs=rhs, stderr=se)
-               for t, lhs_t, rhs_t, se_t in zip(ts, lhs_at.tolist(), rhs_at,
-                                                se_at)
+               for t, lhs_t, rhs_t, se_t in zip(
+                   ts, lhs_at.tolist(), rhs_at.tolist(), se_at.tolist())
                for x, lhs, rhs, se in zip(pts, lhs_t, rhs_t, se_t)]
     return InequalityReport(
         label=f"gradient-bound[{f.label}|{potential.label}|{lhs_engine.kind}]",
@@ -132,13 +126,14 @@ def commutation_check(potential: Potential, cert: LyapunovCertificate,
     ts = _times(ts)
     grad_at = np.linalg.norm(lhs_engine.value_grad(f, ts, pts)[2], axis=-1)
     # the bound needs only the endpoints: no path integral
-    batch = simulate(potential, pts, ts, dt=dt, n_paths=n_paths, seed=seed,
-                     functionals={})
-    wq = np.linalg.norm(f.gradient(batch.positions), axis=-1) ** q
-    m_at, se_at = _mean_se(wq)
+    m_at, se_at = multilevel_mean(
+        potential, pts, ts,
+        lambda x, ints: np.linalg.norm(f.gradient(x), axis=-1) ** q, dt,
+        n_paths, seed, {})
     g_at = np.asarray(cert.g_value(pts)).tolist()
     records = []
-    for t, grad_t, m_t, se_t in zip(ts, grad_at.tolist(), m_at, se_at):
+    for t, grad_t, m_t, se_t in zip(ts, grad_at.tolist(), m_at.tolist(),
+                                    se_at.tolist()):
         for x, grad, m, se_m, gx in zip(pts, grad_t, m_t, se_t, g_at):
             scale = math.exp(-cert.beta * float(t)) * gx
             rhs = scale * m ** (p - 1.0)

@@ -6,6 +6,8 @@ One path set serves several start points and several checkpoint times.
 Functional accumulators integrate phi(X_s) ds along each path with the
 left-endpoint rule, matching the order of the Euler step itself; each
 functional is called as phi(x, drift), with the step's drift grad V(x).
+`multilevel_mean` estimates means over paths by multilevel Monte Carlo,
+each level's coarse twins driven by the sums of their fine paths' normals.
 """
 
 from __future__ import annotations
@@ -21,10 +23,13 @@ import numpy as np
 from .errors import NumericalError, ParameterError, SimulationError
 from .potentials import Potential, as_points
 
-__all__ = ["PathBatch", "simulate", "BLOCK_SIZE", "EXPLOSION_RADIUS"]
+__all__ = ["PathBatch", "simulate", "multilevel_mean", "BLOCK_SIZE",
+           "EXPLOSION_RADIUS"]
 
 BLOCK_SIZE = 8192
 EXPLOSION_RADIUS = 1e8
+LEVEL_RATIO = 5         # steps of an Euler level per step of the next coarser
+COARSEST_STEP = 1 / 40  # the largest step of a multilevel estimate
 
 
 @dataclass
@@ -99,49 +104,65 @@ def _path_mean(values) -> tuple:
 
 def _run_block(potential: Potential, x0_block: np.ndarray, plans: list,
                dt: float, rng: np.random.Generator,
-               functionals: Mapping[str, Callable]):
+               functionals: Mapping[str, Callable], twin: bool = False):
     """Yield (j, positions, integrals) of one block at each checkpoint j,
-    whose step plan is plans[j], in time order.  The yielded arrays are
-    overwritten by later steps: copy them before resuming."""
+    whose step plan is plans[j], in time order.  With twin, the k starts
+    are followed on the start axis by their k coarse twins: each steps by
+    LEVEL_RATIO dt once per LEVEL_RATIO steps, driven by the sum of those
+    steps' normals, so twins need plans of whole coarse steps.  The
+    yielded arrays are overwritten by later steps: copy them before
+    resuming."""
     # x0_block is (k, block, n): one (block, n) draw per step drives every start
-    x = x0_block.copy()
+    k = len(x0_block)
+    x = np.concatenate([x0_block] * (1 + twin))
     acc = {name: np.zeros(x.shape[:-1]) for name in functionals}
+    fine, fine_acc = x[:k], {name: a[:k] for name, a in acc.items()}
+    coarse, coarse_acc = x[k:], {name: a[k:] for name, a in acc.items()}
     # each step writes its arithmetic into these; a fresh temporary of this
     # size would be mapped and unmapped by the allocator at every step
-    noise, scaled = np.empty(x.shape[1:]), np.empty(x.shape[1:])
-    shift, part = np.empty(x.shape), np.empty(x.shape)
-    hv = np.empty(x.shape[:-1])
+    noise, scaled, summed = (np.zeros(x.shape[1:]) for _ in range(3))
+    shift, part = np.empty(x0_block.shape), np.empty(x0_block.shape)
+    hv = np.empty(x0_block.shape[:-1])
 
-    def draw():
-        # what a step from x needs; a partial step shares it with the next
-        # full step, as a run straight to the partial step's time draws it,
-        # and no draw refills `noise` before that full step.  The
-        # functionals see the step's drift, so none evaluates grad V again
-        drift = potential.gradient(x)
-        return ({name: phi(x, drift) for name, phi in functionals.items()},
-                rng.standard_normal(out=noise), drift)
+    def draw(y):
+        # the functionals see the step's drift, so none evaluates grad V again
+        drift = potential.gradient(y)
+        return {name: phi(y, drift) for name, phi in functionals.items()}, drift
 
-    def advance(out, acc, h, values, noise, drift):
-        # out = x + sqrt(2h) noise - drift h, each operation in that order;
-        # drift h comes first, as drift may share memory with x
+    def fresh():
+        # what a step of the paths needs; a partial step shares it with the
+        # next full step, as a run straight to the partial step's time draws
+        # it, and no draw refills `noise` before that full step
+        return (*draw(fine), rng.standard_normal(out=noise))
+
+    def advance(y, out, acc, h, values, drift, noise):
+        # out = y + sqrt(2h) noise - drift h, each operation in that order;
+        # drift h comes first, as drift may share memory with y
         for name, v in values.items():
             acc[name] += np.multiply(h, v, out=hv)
         np.multiply(drift, h, out=shift)
-        np.add(x, np.multiply(np.sqrt(2.0 * h), noise, out=scaled), out=out)
+        np.add(y, np.multiply(np.sqrt(2.0 * h), noise, out=scaled), out=out)
         return np.subtract(out, shift, out=out)
 
     done, pending = 0, None
     for j in sorted(range(len(plans)), key=plans.__getitem__):
         n_full, rem = plans[j]
-        for _ in range(done, n_full):
-            advance(x, acc, dt, *(pending or draw()))
+        for i in range(done, n_full):
+            advance(fine, fine, fine_acc, dt, *(pending or fresh()))
             pending = None
+            if twin:
+                summed += noise
+                if (i + 1) % LEVEL_RATIO == 0:
+                    summed *= LEVEL_RATIO ** -0.5
+                    advance(coarse, coarse, coarse_acc, LEVEL_RATIO * dt,
+                            *draw(coarse), summed)
+                    summed.fill(0.0)
         done = n_full
         if rem > 0.0:
             # the partial step runs into `part`; the march goes on from x
-            pending = pending or draw()
+            pending = pending or fresh()
             part_acc = {name: a.copy() for name, a in acc.items()}
-            yield j, advance(part, part_acc, rem, *pending), part_acc
+            yield j, advance(fine, part, part_acc, rem, *pending), part_acc
         else:
             yield j, x, acc
 
@@ -163,30 +184,41 @@ def simulate(potential: Potential, x0, t, dt: float = 1e-3,
     there to one value per path.  By default the curvature integral
     int_0^t rho(X_s) ds is accumulated under the name "rho".  Any path
     that, at a checkpoint, lies beyond |x| = 1e8 or has a non-finite
-    position or path integral raises SimulationError; its
-    exploded_fraction is that of the worst start.
+    position or path integral raises SimulationError, naming the step;
+    its exploded_fraction is that of the worst start.
     """
-    ts = _times(t)
+    _times(t)
     _check_dt(dt)
     if n_paths < 1:
         raise ParameterError(f"n_paths must be positive, got {n_paths}")
     _check_seed(seed)
-    n = potential.n
-    x0 = as_points(x0, n)
-    k = len(x0)
-    # no time axis for one time
-    shape = np.shape(t) + (k, n_paths)
-    x0 = np.broadcast_to(x0[:, None, :], (k, n_paths, n))
+    x0 = as_points(x0, potential.n)
     if functionals is None:
         functionals = {"rho": lambda x, drift: potential.curvature(x)}
+    return _walk(potential, x0, t, dt, n_paths,
+                 np.random.SeedSequence(seed), functionals)
+
+
+def _walk(potential: Potential, x0: np.ndarray, t, dt: float, n_paths: int,
+          seq: np.random.SeedSequence, functionals: Mapping[str, Callable],
+          twin: bool = False) -> PathBatch:
+    """`simulate` from the (k, n) points x0, its blocks seeded by children
+    of seq; with twin, the batch holds 2k starts, the paths' coarse twins
+    (see _run_block) after the k starts."""
+    ts = _times(t)
+    n = potential.n
+    k = len(x0)
+    # no time axis for one time
+    shape = np.shape(t) + (k * (1 + twin), n_paths)
+    x0 = np.broadcast_to(x0[:, None, :], (k, n_paths, n))
     plans = [_step_plan(float(s), dt) for s in ts]
 
     n_blocks = (n_paths + BLOCK_SIZE - 1) // BLOCK_SIZE
-    children = np.random.SeedSequence(seed).spawn(n_blocks)
+    children = seq.spawn(n_blocks)
     slices = [slice(i * BLOCK_SIZE, min((i + 1) * BLOCK_SIZE, n_paths))
               for i in range(n_blocks)]
 
-    full = (len(ts), k, n_paths)
+    full = (len(ts),) + shape[-2:]
     positions = np.empty(full + (n,))
     exploded = np.empty(full, dtype=bool)
     integrals = {name: np.empty(full) for name in functionals}
@@ -197,7 +229,7 @@ def simulate(potential: Potential, x0, t, dt: float = 1e-3,
         # overflow stays quiet; the checkpoints catch it (NaN fails r <= R)
         with np.errstate(over="ignore", invalid="ignore"):
             for j, xb, accb in _run_block(potential, x0[:, sl], plans, dt,
-                                          rng, functionals):
+                                          rng, functionals, twin):
                 positions[j, :, sl] = xb
                 lost = ~(np.linalg.norm(xb, axis=-1) <= EXPLOSION_RADIUS)
                 for name in functionals:
@@ -218,7 +250,56 @@ def simulate(potential: Potential, x0, t, dt: float = 1e-3,
                       t, max(m + (rem > 0.0) for m, rem in plans),
                       exploded.reshape(shape))
     if np.any(exploded):
+        # a coarse twin's explosion names the twins' step
+        h = LEVEL_RATIO * dt if np.any(exploded[:, k:]) else dt
         raise SimulationError(
-            f"{batch.exploded_fraction:.2e} of paths exploded",
+            f"{batch.exploded_fraction:.2e} of paths exploded at step {h:g}",
             exploded_fraction=batch.exploded_fraction)
     return batch
+
+
+def _level_count(ts: np.ndarray, dt: float) -> int:
+    """The largest L with dt M^L <= COARSEST_STEP such that every time is a
+    whole number of steps dt M^l, l <= L, by the step plan's rule."""
+    L = 0
+    while dt * LEVEL_RATIO ** (L + 1) <= COARSEST_STEP * (1.0 + 1e-12) \
+            and all(_step_plan(float(s), dt * LEVEL_RATIO ** l)[1] == 0.0
+                    for s in ts for l in range(L + 2)):
+        L += 1
+    return L
+
+
+def multilevel_mean(potential: Potential, x0, t, payoff: Callable,
+                    dt: float, n_paths: int, seed: int,
+                    functionals: Mapping[str, Callable]) -> tuple:
+    """Means and stderrs, each ([T,] k), over the Euler chain of step dt,
+    of payoff(positions, integrals), a value per path of a `simulate` batch.
+
+    Multilevel Monte Carlo (Giles 2008) over Euler levels l = 0..L of step
+    dt M^(L-l), M = LEVEL_RATIO, with L from `_level_count`: it depends on
+    the times, and L = 0 is plain Monte Carlo, bitwise one `simulate` run.
+    Level 0 runs n_paths paths; level l >= 1 runs max(100, ceil(n_paths
+    M^(-3l/2))) paths with their coarse twins, averaging payoff(path) -
+    payoff(twin).  Means add over levels and stderrs in quadrature; each
+    level is seeded by its own child of SeedSequence(seed).  An exploded
+    path raises SimulationError naming its level's step.
+    """
+    ts = _times(t)
+    _check_dt(dt)
+    _check_paths(n_paths)
+    _check_seed(seed)
+    x0 = as_points(x0, potential.n)
+    L = _level_count(ts, dt)
+    root = np.random.SeedSequence(seed)
+    levels = []
+    for l, seq in enumerate([root] if L == 0 else root.spawn(L + 1)):
+        m = n_paths if l == 0 else \
+            max(100, math.ceil(n_paths / LEVEL_RATIO ** (1.5 * l)))
+        batch = _walk(potential, x0, t, dt * LEVEL_RATIO ** (L - l), m, seq,
+                      functionals, twin=l > 0)
+        v = payoff(batch.positions, batch.integrals)
+        if l > 0:
+            v = v[..., :len(x0), :] - v[..., len(x0):, :]
+        levels.append(_path_mean(v))
+    means, stderrs = zip(*levels)
+    return np.sum(means, axis=0), np.hypot.reduce(stderrs, axis=0)

@@ -4,13 +4,14 @@ import os
 import numpy as np
 import pytest
 
-from curvlab import feynman_kac, semigroup
-from curvlab.errors import CertificationError, ParameterError
+from curvlab import feynman_kac, sde, semigroup
+from curvlab.errors import CertificationError, ParameterError, SimulationError
 from curvlab.feynman_kac import (commutation_check, gradient_bound,
                                  supermartingale_check)
 from curvlab.potentials import (LyapunovCertificate, constant_certificate,
-                                make_example_potential, make_lyapunov)
-from curvlab.sde import simulate
+                                make_double_well, make_example_potential,
+                                make_lyapunov)
+from curvlab.sde import _level_count, simulate
 from curvlab.semigroup import GridEngine, MehlerEngine, MonteCarloEngine
 from curvlab.suite import get
 
@@ -267,38 +268,48 @@ def test_grid_left_side_marches_once_per_t(monkeypatch):
     assert len(calls) == 2
 
 
-def test_only_the_gradient_bound_integrates_the_curvature(monkeypatch):
+def _spy_levels(monkeypatch):
+    # (functional names, level walks) of each multilevel evaluation
     seen = []
 
-    def spy(*args, **kwargs):
-        seen.append(sorted(kwargs["functionals"]))
-        return simulate(*args, **kwargs)
+    def spy(*args):
+        seen.append([sorted(args[7]), 0])
+        return sde.multilevel_mean(*args)
 
-    monkeypatch.setattr(feynman_kac, "simulate", spy)
-    commutation_check(GAUSS, constant_certificate(), get("linear"), xs=[0.3],
-                      ts=(0.4,), lhs_engine=ENGINE, n_paths=200, dt=1e-2)
-    assert seen == [[]]
-    gradient_bound(GAUSS, get("sine"), xs=[0.3], ts=(0.4,),
-                   lhs_engine=ENGINE, n_paths=200, dt=1e-2)
-    assert seen == [[], ["rho"]]
+    def walk(*args, **kwargs):
+        seen[-1][1] += 1
+        return real_walk(*args, **kwargs)
+
+    real_walk = sde._walk
+    monkeypatch.setattr(feynman_kac, "multilevel_mean", spy)
+    monkeypatch.setattr(sde, "_walk", walk)
+    return seen
+
+
+def test_only_the_gradient_bound_integrates_the_curvature(monkeypatch):
+    # each check is one multilevel evaluation; at dt = 1e-3 and t = 0.4 the
+    # levels have steps 0.025, 5e-3 and 1e-3, so L + 1 = 3 walks
+    seen = _spy_levels(monkeypatch)
+    kw = dict(xs=[0.3], ts=(0.4,), lhs_engine=ENGINE, n_paths=200, dt=1e-3)
+    commutation_check(GAUSS, constant_certificate(), get("linear"), **kw)
+    assert seen == [[[], 3]]
+    gradient_bound(GAUSS, get("sine"), **kw)
+    assert seen == [[[], 3], [["rho"], 3]]
+    supermartingale_check(GAUSS, constant_certificate(), x0=0.3, ts=(0.4,),
+                          n_paths=200, dt=1e-3)
+    assert seen == [[[], 3], [["rho"], 3], [["w"], 3]]
 
 
 def test_one_path_set_per_time(monkeypatch):
-    # every point and every t come from one path set, and each record is
-    # the one a run from that point alone gives
-    seen = []
-
-    def spy(*args, **kwargs):
-        seen.append(1)
-        return simulate(*args, **kwargs)
-
-    monkeypatch.setattr(feynman_kac, "simulate", spy)
-    kw = dict(ts=(0.25, 1.0), lhs_engine=ENGINE, n_paths=200, dt=1e-2)
+    # every point and every t come from one multilevel evaluation, and each
+    # record is the one a run from that point alone gives
+    seen = _spy_levels(monkeypatch)
+    kw = dict(ts=(0.25, 1.0), lhs_engine=ENGINE, n_paths=200, dt=1e-3)
     both = gradient_bound(GAUSS, get("sine"), xs=[0.0, 1.0], **kw)
-    assert len(seen) == 1
+    assert [walks for _, walks in seen] == [3]
     comm = commutation_check(GAUSS, constant_certificate(), get("linear"),
                              xs=[0.0, 1.0], **kw)
-    assert len(seen) == 2
+    assert [walks for _, walks in seen] == [3, 3]
     for check, rep in ((lambda x: gradient_bound(GAUSS, get("sine"), xs=[x],
                                                  **kw), both),
                        (lambda x: commutation_check(
@@ -308,6 +319,125 @@ def test_one_path_set_per_time(monkeypatch):
         alone.sort(key=lambda r: (r.t, r.x))
         assert [(r.rhs, r.stderr) for r in rep.records] == \
             [(r.rhs, r.stderr) for r in alone]
+
+
+def test_level_count():
+    # the coarsest step is at most 1/40 and divides every time
+    assert _level_count(np.array([0.25, 1.0]), 1e-3) == 2
+    assert _level_count(np.array([0.0, 0.5]), 1e-3) == 2
+    assert _level_count(np.array([0.33]), 1e-3) == 1
+    assert _level_count(np.array([0.25, 1.0]), 1e-2) == 0
+    assert _level_count(np.array([0.25, 0.5, 1.0]), 2e-3) == 1
+    assert _level_count(np.array([0.2555]), 1e-3) == 0
+
+
+def test_time_off_the_coarse_grid_runs_two_levels(monkeypatch):
+    seen = _spy_levels(monkeypatch)
+    rep = gradient_bound(GAUSS, get("sine"), xs=[0.5], ts=(0.33,),
+                         lhs_engine=ENGINE, n_paths=200, dt=1e-3, seed=3)
+    assert seen == [[["rho"], 2]]
+    assert rep.records[0].stderr > 0.0
+
+
+def test_one_level_check_is_plain_monte_carlo():
+    # dt = 1e-2 leaves one level: the right side is bitwise the mean and
+    # stderr of one simulate run
+    rep = gradient_bound(GAUSS, get("sine"), xs=[0.0, 1.0], ts=(0.25, 1.0),
+                         lhs_engine=ENGINE, n_paths=8292, dt=1e-2, seed=6)
+    batch = simulate(GAUSS, [[0.0], [1.0]], np.array([0.25, 1.0]), dt=1e-2,
+                     n_paths=8292, seed=6)
+    w = np.linalg.norm(get("sine").gradient(batch.positions), axis=-1) \
+        * np.exp(-batch.integrals["rho"])
+    mean = w.mean(axis=-1)
+    stderr = w.std(axis=-1, ddof=1) / math.sqrt(8292)
+    assert [(r.rhs, r.stderr) for r in rep.records] == \
+        list(zip(mean.ravel().tolist(), stderr.ravel().tolist()))
+
+
+def test_multilevel_report_ignores_the_thread_count():
+    old = os.environ.get("CURVLAB_THREADS")
+    reps = []
+    try:
+        for threads in ("1", "4"):
+            os.environ["CURVLAB_THREADS"] = threads
+            # 8292 paths: two blocks at level 0, over three levels
+            reps.append(gradient_bound(GAUSS, get("sine"), xs=[0.0, 1.0],
+                                       ts=(0.25, 1.0), lhs_engine=ENGINE,
+                                       n_paths=8292, dt=1e-3, seed=17))
+    finally:
+        if old is None:
+            os.environ.pop("CURVLAB_THREADS", None)
+        else:
+            os.environ["CURVLAB_THREADS"] = old
+    assert reps[0].records == reps[1].records
+
+
+def test_exact_checks_stay_exact_at_every_level():
+    # a constant payoff has level differences of exactly 0, so three levels
+    # (dt = 1e-3) give the records of one (dt = 1e-2)
+    def sm(dt):
+        return supermartingale_check(GAUSS, constant_certificate(), x0=0.5,
+                                     ts=(0.25, 1.0), n_paths=500, dt=dt,
+                                     seed=1).records
+
+    def comm(dt):
+        return commutation_check(GAUSS, constant_certificate(),
+                                 get("linear"), xs=[0.3], ts=(0.5, 1.0),
+                                 lhs_engine=ENGINE, n_paths=500, dt=dt,
+                                 seed=3).records
+
+    assert [(r.margin, r.stderr) for r in sm(1e-3)] == [(0.0, 0.0)] * 2
+    assert comm(1e-3) == comm(1e-2)
+    assert [r.stderr for r in comm(1e-3)] == [0.0, 0.0]
+
+
+def test_coarse_level_explosion_is_loud():
+    # from x = 10 the double well's Euler step of 1e-3 stays bounded, but
+    # the coarsest level's 0.025 overshoots and diverges
+    dw = make_double_well()
+    assert np.all(np.isfinite(simulate(dw, 10.0, 0.25, dt=1e-3,
+                                       n_paths=200).positions))
+    with pytest.raises(SimulationError, match="at step 0.025"):
+        supermartingale_check(dw, constant_certificate(), x0=10.0,
+                              ts=(0.25,), n_paths=200, dt=1e-3)
+
+
+def euler_chain_gradient_rhs(f, x: float, t: float, dt: float) -> tuple:
+    """Mean and standard deviation of |f'(X_N)| e^{-t} for the gaussian's
+    Euler chain of step dt, N = t/dt: X_N is normal, with mean (1 - dt)^N x
+    and variance 2 dt sum_{j<N} (1 - dt)^{2j}, and rho = 1 makes the
+    weight e^{-t}.  The mean is the gradient bound's exact right side."""
+    n_steps = round(t / dt)
+    mean = (1.0 - dt) ** n_steps * x
+    sd = math.sqrt(2.0 * dt * sum((1.0 - dt) ** (2 * j)
+                                  for j in range(n_steps)))
+    z = np.linspace(-12.0, 12.0, 240_001)
+    density = np.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
+    w = math.exp(-t) * np.linalg.norm(f.gradient((mean + sd * z)[:, None]),
+                                      axis=-1)
+    m1, m2 = (float(np.trapezoid(w ** p * density, z)) for p in (1, 2))
+    return m1, math.sqrt(m2 - m1 * m1)
+
+
+@pytest.mark.parametrize("fname", ["sine", "gauss-bump"])
+def test_multilevel_gradient_bound_matches_the_euler_chain(fname):
+    # the estimate is unbiased for the chain at dt, its stderr is calibrated,
+    # and it is about that of plain Monte Carlo at the same n_paths
+    f = get(fname)
+    exact = {(x, t): euler_chain_gradient_rhs(f, x, t, 1e-3)
+             for x in (0.0, 1.0) for t in (0.25, 1.0)}
+    records = [r for seed in range(20)
+               for r in gradient_bound(GAUSS, f, xs=[0.0, 1.0],
+                                       ts=(0.25, 1.0), lhs_engine=ENGINE,
+                                       n_paths=16_384, dt=1e-3,
+                                       seed=seed).records]
+    z = [(r.rhs - exact[(r.x[0], r.t)][0]) / r.stderr for r in records]
+    assert len(z) == 80
+    assert 0.8 <= np.std(z, ddof=1) <= 1.25
+    assert max(abs(v) for v in z) <= 5.5
+    plain = [r.stderr / (exact[(r.x[0], r.t)][1] / math.sqrt(16_384))
+             for r in records]
+    assert 0.9 <= min(plain) and max(plain) <= 1.1
 
 
 @pytest.mark.parametrize("check", [

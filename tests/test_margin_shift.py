@@ -47,3 +47,19 @@ def test_shift_flip_exit_and_worst(tmp_path):
     assert "exit-status changes: 1" in text and "exit 0 -> 1" in text
     assert "moved worst records: 1" in text
     assert changed
+
+
+def test_records_lists_each_moved_record(tmp_path):
+    _run(tmp_path / "a", "grid-0-csv", 0,
+         [(-1.0, 1.0, 2.0), (1.0, 4.0, 4.5)], True, 1.0)
+    _run(tmp_path / "b", "grid-0-csv", 0,
+         [(-1.0, 1.0, 2.0), (1.0, 4.0, 4.25)], True, 1.0)
+    lines, changed = margin_shift.compare(tmp_path / "a", tmp_path / "b",
+                                          records=True)
+    assert lines[-2:] == [
+        "moved records: 1",
+        "  seed-0/grid-0-csv/margins-local.csv row 1 (x=1.0, t=0.5, "
+        "alpha=1.0, s=): margin 0.5 -> 0.25, stderr 0.0 -> 0.0"]
+    assert not changed
+    assert "moved records" not in "\n".join(
+        margin_shift.compare(tmp_path / "a", tmp_path / "b")[0])

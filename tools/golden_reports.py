@@ -20,8 +20,10 @@ right sides are not finite on the Mehler and Monte Carlo engines (exit 2)
 and finite on the grid; `psd-check` of every catalog M-function (the
 beckners at p = 1.5); `lyapunov-scan` of the spherical certificates at
 alpha = 1, 1.2 and 1.5 and of the product-power one at alpha = 1.5 in
-n = 1 and 2; `houdre-kagan` of x^3; and a unit-certificate
-supermartingale check on the 2-D gaussian.  Each run
+n = 1 and 2; `houdre-kagan` of x^3; a unit-certificate
+supermartingale check on the 2-D gaussian; and Feynman-Kac gradient
+bounds with one Euler level (at --sim-dt 0.01, plain Monte Carlo) and
+with two (at a time of 0.33, not a whole number of 0.025 steps).  Each run
 gets its own directory under OUT/seed-S/ holding its output files, its
 stdout and stderr, and its exit status in `exit`.  `timestamp` and
 `wall_time_s` are dropped from every JSON document, so two trees with the
@@ -57,6 +59,10 @@ MONOTONE_PLOT = ("checks = monotone\nmfunctions = poincare\nfunctions = sine\n"
 
 MC_TS = ("--engine", "monte-carlo", "--dt", "0.01",
          "--ts", "0.25,0,0.1,0.255,0.25")
+
+FK_GRADIENT = ("feynman-kac", "--check", "gradient", "--potential", "gaussian",
+               "--function", "sine", "--xs", "0,1", "--engine", "mehler",
+               "--paths", "16384")
 
 GRID_MONOTONE = ("monotone", "--engine", "grid", "--potential", "double-well",
                  "--lo", "-6", "--hi", "6", "--m", "2001", "--dt", "0.001",
@@ -132,6 +138,9 @@ def cases(configs: dict, seed: int) -> list:
                                          "supermartingale", "--cert", "unit",
                                          "--potential", "gaussian:n=2",
                                          "--x0", "0.3,-0.4"))]
+    out += [(f"fk-gradient-{name}", (*FK_GRADIENT, *extra))
+            for name, extra in (("one-level", ("--sim-dt", "0.01")),
+                                ("two-levels", ("--ts", "0.33")))]
     out += [("monotone-plot", ("run", configs["monotone-plot"]))]
     out = [(name, (*argv, "--seed", str(seed))) for name, argv in out]
     return out + [("criterion-12", ("run", configs["criterion-12"]))]

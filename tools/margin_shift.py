@@ -10,7 +10,9 @@ For every run the two trees share, it pairs the records of each report
   moved at all;
 - every check whose pass/fail verdict flips;
 - every run whose exit status changes;
-- every check whose `worst` record moved to another (x, t, alpha, s).
+- every check whose `worst` record moved to another (x, t, alpha, s);
+- with --records, every record whose margin or stderr moved, with both
+  trees' values.
 
 Runs, reports or records found in one tree only are listed too.  Exits 1
 when anything but the margins themselves changed, else 0.  Byte identity
@@ -67,7 +69,8 @@ def _read(run: Path) -> tuple:
             if isinstance(doc, dict) and isinstance(doc.get("records"), list):
                 records.update(((path.name, i), {k: json.dumps(r.get(k))
                                                  for k in WHERE}
-                                | {k: r[k] for k in ("lhs", "rhs", "margin")})
+                                | {k: r.get(k) for k in ("lhs", "rhs", "margin",
+                                                        "stderr")})
                                for i, r in enumerate(doc["records"]))
     return records, checks
 
@@ -87,10 +90,11 @@ def _where(check: dict) -> tuple:
     return tuple(json.dumps(worst.get(k)) for k in WHERE)
 
 
-def compare(before: Path, after: Path) -> tuple:
-    """(lines to print, whether anything but the margins changed)."""
+def compare(before: Path, after: Path, records: bool = False) -> tuple:
+    """(lines to print, whether anything but the margins changed); with
+    records, the lines list every record whose margin or stderr moved."""
     runs_a, runs_b = _runs(before), _runs(after)
-    shifts, flips, exits, moved, other = [], [], [], [], []
+    shifts, flips, exits, moved, other, rows = [], [], [], [], [], []
     other += [f"run only in {label}: {name}"
               for label, mine, theirs in (("BEFORE", runs_a, runs_b),
                                           ("AFTER", runs_b, runs_a))
@@ -109,6 +113,11 @@ def compare(before: Path, after: Path) -> tuple:
             ra, rb = rec_a[key], rec_b[key]
             if any(ra[k] != rb[k] for k in WHERE):
                 other.append(f"record moved: {name}/{key[0]} row {key[1]}")
+            if any(ra.get(k) != rb.get(k) for k in ("margin", "stderr")):
+                rows.append(f"{name}/{key[0]} row {key[1]} "
+                            f"({', '.join(f'{k}={rb[k]}' for k in WHERE)}): "
+                            f"margin {ra['margin']} -> {rb['margin']}, "
+                            f"stderr {ra.get('stderr')} -> {rb.get('stderr')}")
             s = _shift(ra, rb)
             if not s <= worst[0]:  # NaN counts as a shift
                 worst = (s, key)
@@ -136,10 +145,9 @@ def compare(before: Path, after: Path) -> tuple:
                   for s, name, *_ in sorted(shifts, key=lambda i: -i[0])]
     else:
         lines.append("largest margin shift (scaled): 0")
-    for title, items in (("pass/fail flips", flips),
-                         ("exit-status changes", exits),
-                         ("moved worst records", moved),
-                         ("other differences", other)):
+    sections = [("pass/fail flips", flips), ("exit-status changes", exits),
+                ("moved worst records", moved), ("other differences", other)]
+    for title, items in sections + [("moved records", rows)] * records:
         lines.append(f"{title}: {len(items) or 'none'}")
         lines += [f"  {item}" for item in items]
     return lines, bool(flips or exits or moved or other)
@@ -149,8 +157,10 @@ def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("before", type=Path)
     p.add_argument("after", type=Path)
+    p.add_argument("--records", action="store_true",
+                   help="list every record whose margin or stderr moved")
     args = p.parse_args(argv)
-    lines, changed = compare(args.before, args.after)
+    lines, changed = compare(args.before, args.after, args.records)
     print("\n".join(lines))
     return int(changed)
 
