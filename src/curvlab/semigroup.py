@@ -1,11 +1,11 @@
 """Semigroup evaluation P_t f and the carre-du-champ calculus.
 
-Three interchangeable engines share one two-method contract: exact
+Three interchangeable engines share one three-method contract: exact
 Gauss-Hermite quadrature of the Mehler integral (gaussian potential only),
-Richardson-extrapolated Crank-Nicolson time stepping of u_t = Lu on a 1-D
-grid with reflecting ends (`grid_apply` marches arrays of node values; the
-engine builds and checks its grid once, when it is built), and
-Euler-Maruyama Monte Carlo.  The two deterministic engines add a third
+Richardson-extrapolated implicit-midpoint (Crank-Nicolson) steps of u_t = Lu
+on a 1-D grid with reflecting ends (`grid_apply` marches arrays of node
+values; the engine builds and checks its grid once, when it is built), and
+Euler-Maruyama Monte Carlo.  The two deterministic engines add a fourth
 method, for semigroups nested inside a sampled function.
 
 - `apply(func, t, xs) -> (values, stderr)` evaluates P_t of a plain
@@ -27,6 +27,10 @@ method, for semigroups nested inside a sampled function.
   function is its own basis, bitwise `apply(rhs_j, t_j, xs)`.  At t = 0,
   and on the other engines, a `RightSide` is only its function.  On every
   engine a right side or stderr that is not finite raises NumericalError.
+- `apply_each(funcs, t, xs) -> (values, stderr)` is P_{t_j} funcs[j], one
+  function per time of t, by one `apply` per time, except on the grid: its
+  march is self-adjoint in pi = D^2, so one march of the points' weights
+  serves every function, equal to `apply` up to rounding (`GridEngine`).
 - `evolved(f, t) -> tuple of callables` (Mehler and grid engines only)
   gives one callable per time s of t, in t's order, mapping points z to
   (P_s f(z), grad P_s f(z)), each bitwise the values and grads of
@@ -34,8 +38,8 @@ method, for semigroups nested inside a sampled function.
   of f; the Mehler engine defers each call to `value_grad`, because its
   nodes depend on z.
 
-The first two read points through `as_points`, so xs is anything it
-accepts, and both always return arrays: values and stderr of shape
+The first three read points through `as_points`, so xs is anything it
+accepts, and all three return arrays: values and stderr of shape
 (k, *cols), which is (k,) for a function without columns, and grads of
 shape (k, n).  stderr is exactly 0 for the deterministic engines.
 
@@ -203,6 +207,15 @@ def _at_points(func, xs):
     return vals, np.zeros(np.shape(vals))
 
 
+def _each(funcs, t) -> list:
+    """(funcs[j], t_j) for each time t_j of t: one function per time."""
+    ts = _times(t)
+    if len(funcs) != len(ts):
+        raise ParameterError(f"need one function per time, got "
+                             f"{len(funcs)} for t={t}")
+    return list(zip(funcs, ts))
+
+
 class _Engine:
     """The t = 0 rule of every engine, and its describe()."""
 
@@ -215,16 +228,18 @@ class _Engine:
         return _stacked(t, _over_times(t, lambda j: _at_points(func, xs),
                                        lambda ts: evolve(xs, ts)))
 
+    def apply_each(self, funcs, t, x):
+        # one apply per time
+        return _stacked(t, [self.apply(g, s, x) for g, s in _each(funcs, t)])
+
     def _value_grad(self, f: TestFunction, t, x, rhs, evolve):
         # evolve(xs, ts, later) yields value_grad's row per time of ts,
         # later holding the right sides of those times, empty without rhs
         _check_dimension(f, self.potential)
         ts = _times(t)
-        if rhs is not None and len(rhs) != len(ts):
-            raise ParameterError(f"need one right side per time, got "
-                                 f"{len(rhs)} for t={t}")
         xs = self._points(x)
-        later = [g for g, s in zip(rhs or (), ts) if s > 0.0]
+        later = [] if rhs is None else [g for g, s in _each(rhs, t)
+                                        if s > 0.0]
 
         def still(j):
             row = f(xs), np.zeros(len(xs)), f.gradient(xs)
@@ -382,20 +397,16 @@ class TridiagonalGenerator:
     off: np.ndarray    # (m - 1,) off-diagonal of S
     scale: np.ndarray  # D, the sqrt(pi) weights of the nodes
 
-    def symmetric(self, y: np.ndarray) -> np.ndarray:
-        """S applied to node values (m,) or to columns of them (m, ...)."""
-        shape = (-1,) + (1,) * (np.ndim(y) - 1)
-        diag, off = self.diag.reshape(shape), self.off.reshape(shape)
-        out = diag * y
-        out[1:] += off * y[:-1]
-        out[:-1] += off * y[1:]
-        return out
-
     def apply(self, values: np.ndarray) -> np.ndarray:
         """L = D^-1 S D applied to node values (m,) or to columns of them."""
         v = np.asarray(values, dtype=float)
-        scale = self.scale.reshape((-1,) + (1,) * (v.ndim - 1))
-        return self.symmetric(scale * v) / scale
+        diag, off, scale = (a.reshape((-1,) + (1,) * (v.ndim - 1))
+                            for a in (self.diag, self.off, self.scale))
+        y = scale * v
+        out = diag * y
+        out[1:] += off * y[:-1]
+        out[:-1] += off * y[1:]
+        return out / scale
 
 
 # the widest log-span max ln D - min ln D of the sqrt(pi) weights.  D itself
@@ -449,9 +460,10 @@ def _march(gen: TridiagonalGenerator, u: np.ndarray, ts, dt: float) -> list:
     Each time keeps the step plan of a march straight to it, taking its
     partial step on a copy, so its result is bitwise that of a march to it
     alone; a time that takes no step returns u itself.  The march runs on
-    y = D u, where a step solves with the symmetric positive definite
-    I - (dt/2) S, factored once per step size by LAPACK's LDL^T (dpttrf),
-    and divides by D at each time it returns.
+    y = D u, divided by D at each time it returns.  A step is CN's implicit
+    midpoint form, 2 z - y for z = (I - (dt/2) S)^-1 y: one solve with the
+    symmetric positive definite I - (dt/2) S, factored once per step size by
+    LAPACK's LDL^T (dpttrf).
     """
     plans = [_step_plan(float(s), dt) for s in ts]
     factors = {}
@@ -463,7 +475,10 @@ def _march(gen: TridiagonalGenerator, u: np.ndarray, ts, dt: float) -> list:
                 raise NumericalError(f"I - (dt/2) L, in symmetric form, is "
                                      f"not positive definite at dt={h}")
             factors[h] = ldl
-        return dpttrs(*factors[h], y + 0.5 * h * gen.symmetric(y))[0]
+        z = dpttrs(*factors[h], y)[0]  # a new array: y is left as it was
+        z *= 2.0
+        z -= y
+        return z
 
     scale = gen.scale.reshape((-1,) + (1,) * (u.ndim - 1))
     y = scale * u
@@ -549,6 +564,28 @@ class GridEngine(_Engine):
                 yield vals, np.zeros(vals.shape)
 
         return self._apply(func, t, x, evolve)
+
+    def apply_each(self, funcs, t, x):
+        # P_s g at a point is w . P_s g for w its interpolation weights on
+        # the nodes, that is sum_k pi_k g_k P_s(w / pi)_k
+        pairs, xs, gen = _each(funcs, t), self._points(x), self.generator
+        pi = np.square(gen.scale)[:, None]
+        w = np.maximum(0.0, 1.0 - abs(gen.nodes[:, None] - xs[:, 0]) / gen.h)
+
+        def evolve(ts):
+            later = (g for g, s in pairs if s > 0.0)
+            for g, v in zip(later, grid_apply(gen, w / pi, ts, self.dt)):
+                u = g(gen.nodes[:, None])
+                if not np.all(np.isfinite(u)):
+                    raise ParameterError("grid values must be finite")
+                # one contiguous dot per (point, column): bitwise per column
+                cols = (pi * u.reshape(len(pi), -1)).T.copy()
+                vals = np.array([[a @ c for c in cols] for a in v.T.copy()])
+                vals = vals.reshape(len(xs), *u.shape[1:])
+                yield vals, np.zeros(vals.shape)
+
+        return _stacked(t, _over_times(
+            t, lambda j: _at_points(pairs[j][0], xs), evolve))
 
     def evolved(self, f: TestFunction, t) -> tuple:
         nodes = self.generator.nodes

@@ -303,7 +303,9 @@ def verify_H_monotone(mfs, engine, f: TestFunction, t: float, alpha: float,
 
     c(s) is g_alpha(s) for a forward M and h_alpha(s) for a reverse one.
     Consecutive differences H(s_{i+1}) - H(s_i) are the margins.  Nested
-    semigroup evaluations rule out the Monte Carlo engine here.
+    semigroup evaluations rule out the Monte Carlo engine here.  One
+    `evolved` call gives P_{t-s} f and one `apply_each` call the outer P_s
+    of every s: on the grid, one march of f and one of the points' weights.
     """
     if not mfs:
         raise ParameterError("need at least one M-function")
@@ -318,11 +320,10 @@ def verify_H_monotone(mfs, engine, f: TestFunction, t: float, alpha: float,
     n = engine.potential.n
     xs = as_points(Schedule().xs if xs is None else xs, n)
     s_grid = np.linspace(0.0, t, s_count)
-    H = np.empty((s_count, len(xs), len(mfs)))
+    inners = []
     # P_{t-s} f and its gradient for every s from one engine call: the grid
     # engine marches f once for all of them
-    for j, (s, pt_f) in enumerate(zip(s_grid,
-                                      engine.evolved(f, t - s_grid))):
+    for s, pt_f in zip(s_grid, engine.evolved(f, t - s_grid)):
         factors = [h_alpha(s, t, alpha, rho) if mf.reverse
                    else g_alpha(s, alpha, rho) for mf in mfs]
 
@@ -335,7 +336,8 @@ def verify_H_monotone(mfs, engine, f: TestFunction, t: float, alpha: float,
                             for mf, c in zip(mfs, factors)], axis=-1)
             return out.reshape(z.shape[:-1] + (len(mfs),))
 
-        H[j], _ = engine.apply(inner, s, xs)
+        inners.append(inner)
+    H, _ = engine.apply_each(inners, s_grid, xs)
     reports = []
     for mf, Hm in zip(mfs, np.moveaxis(H, -1, 0)):
         records = [Record(x=tuple(float(v) for v in xs[i]), t=t, alpha=alpha,

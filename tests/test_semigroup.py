@@ -503,8 +503,9 @@ def _float80_march(rows, f, n_steps, dt):
 def test_grid_apply_matches_a_float80_march():
     # the double well on [-6, 6], whose weights D span e^189 at m = 1301:
     # 200 plain steps in y = D u stay within 1e-12 of max |u| of a float80
-    # march of u with L's rows (2.0e-13 measured; 1.6e-13 for a pivoted LU
-    # march of u in float64)
+    # march of u with L's rows (3.8e-13 measured; 2.0e-13 for steps that
+    # solve with (I + (dt/2) S) y, 1.6e-13 for a pivoted LU march of u in
+    # float64)
     lo, hi, m, dt = -6.0, 6.0, 1301, 1e-3
     potential = make_double_well()
     gen = grid_generator(potential, lo, hi, m)
@@ -513,6 +514,30 @@ def test_grid_apply_matches_a_float80_march():
     u = semigroup._march(gen, f0, [200 * dt], dt)[0]
     err = np.max(np.abs(u - want))
     assert float(err) <= 1e-12 * float(np.max(np.abs(want)))
+
+
+def test_crank_nicolson_step_is_one_solve_of_the_midpoint_form():
+    # 600 steps of 2 z - y, z = (I - (dt/2) S)^-1 y, against 600 steps of
+    # (I - (dt/2) S)^-1 (I + (dt/2) S) y, scaled by max(1, |reference|)
+    # (4.9e-13 measured); each column of a march depends on itself alone,
+    # bitwise
+    gen = grid_generator(make_double_well(), -6.0, 6.0, 2001)
+    z = gen.nodes[:, None]
+    f0 = np.stack([suite.get(name).value(z)
+                   for name in ("sine", "quadratic", "cos-mix")], axis=-1)
+    d, e, _ = semigroup.dpttrf(1.0 - 0.5e-3 * gen.diag, -0.5e-3 * gen.off)
+    y = gen.scale[:, None] * f0
+    for _ in range(600):
+        sy = gen.diag[:, None] * y
+        sy[1:] += gen.off[:, None] * y[:-1]
+        sy[:-1] += gen.off[:, None] * y[1:]
+        y = semigroup.dpttrs(d, e, y + 0.5e-3 * sy)[0]
+    want = y / gen.scale[:, None]
+    got = semigroup._march(gen, f0, [0.6], 1e-3)[0]
+    assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
+    for c in range(3):
+        one = semigroup._march(gen, f0[:, c], [0.6], 1e-3)[0]
+        assert one.tobytes() == np.ascontiguousarray(got[:, c]).tobytes()
 
 
 @pytest.mark.parametrize("potential, lo, hi, m, name, limit", [
@@ -871,6 +896,30 @@ def test_time_sequences_match_single_times(monkeypatch, threads):
         np.testing.assert_array_equal(batch.exploded[j], one.exploded)
 
 
+def test_apply_each_is_apply_at_each_time():
+    # one function per time, times unsorted, repeated and 0, trailing
+    # columns: the Mehler engine's default loop is bitwise apply, and the
+    # grid engine's one march of the points' weights is apply to rounding,
+    # scaled by max(1, |value|) (3.9e-14 measured); t = 0 evaluates at the
+    # points on both
+    ts = (0.255, 0.0, 0.003, 1.0, 0.255)
+    funcs = [lambda z, a=a: np.stack([np.sin(a + z[..., 0]), a * z[..., 0]],
+                                     axis=-1) for a in range(len(ts))]
+    x = [-2.0, -0.37, 0.0, 1.999]
+    for eng in _three_engines()[:2]:
+        got, err = eng.apply_each(funcs, ts, x)
+        assert got.shape == err.shape == (5, 4, 2) and np.all(err == 0.0)
+        for j, (g, t) in enumerate(zip(funcs, ts)):
+            want, _ = eng.apply(g, t, x)
+            if eng.kind == "mehler" or t == 0.0:
+                np.testing.assert_array_equal(got[j], want)
+            else:
+                assert np.all(np.abs(got[j] - want)
+                              <= 1e-12 * np.maximum(1.0, np.abs(want)))
+        with pytest.raises(ParameterError, match="one function per time"):
+            eng.apply_each(funcs[:2], ts, x)
+
+
 def test_empty_time_sequence_is_rejected():
     f = suite.get("sine")
     x = np.array([0.0, 1.0])
@@ -908,5 +957,7 @@ def test_grid_engine_rejects_points_outside_window():
             eng.apply(f, 0.5, np.array([x]))
         with pytest.raises(DomainError):
             eng.value_grad(f, 0.5, np.array([0.0, x]))
+        with pytest.raises(DomainError):
+            eng.apply_each([f, f], [0.0, 0.5], np.array([0.0, x]))
     vals, _ = eng.apply(f, 0.5, np.array([-2.0, 2.0]))
     assert vals.shape == (2,)
