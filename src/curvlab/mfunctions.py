@@ -9,9 +9,12 @@ worst trace/determinant.
 Special functions: `isoperimetric_I` is the gaussian isoperimetric profile
 phi o Phi^{-1}, and `exp_integrability_F` integrates e^{k o (k')^{-1}} with
 k(u) = u^2/2 + log integral_{-inf}^u e^{-s^2/2} ds.  Both work on whole
-arrays.  k' is inverted by Newton steps on k'' in closed form, kept inside
-the bracket [-40, 40]; below that bracket a Mills-ratio series takes over
-(k'(u) ~ -1/u - 2/u^3 - ...), and above it the inversion refuses to
+arrays, in numpy: Phi^{-1} by M. J. Wichura's AS241 (Appl. Statist. 37,
+1988), e^k through erfcx(x) = e^{x^2} erfc(x) by W. J. Cody's rational
+Chebyshev approximations (Math. Comp. 23, 1969), 2 e^{x^2} - erfcx(-x)
+below -0.46875.  k' is inverted by Newton steps on k'' in closed form, kept
+inside the bracket [-40, 40]; below that bracket a Mills-ratio series takes
+over (k'(u) ~ -1/u + 2/u^3 - ...), and above it the inversion refuses to
 extrapolate.  F is a fixed-order Gauss-Legendre sum of F' from the anchor
 below each point; the anchor values themselves come from the package's
 adaptive G10K21 rule (`quadrature.adaptive`) on the same F', once per
@@ -26,7 +29,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.special import erfcx, ndtri
 
 from .errors import DomainError, NumericalError, ParameterError
 from .quadrature import adaptive
@@ -53,6 +55,86 @@ _LOG_SQRT2PI = 0.5 * math.log(2.0 * math.pi)
 # special functions
 # ---------------------------------------------------------------------------
 
+# (numerator, denominator) coefficients, highest power first, of each range
+_ERF = ((0.18577770618460315, 3.1611237438705655, 113.86415415105016,
+    377.485237685302, 3209.3775891384694), (1.0, 23.601290952344122,
+    244.02463793444417, 1282.6165260773723, 2844.236833439171))
+_ERFCX_MID = ((2.1531153547440383e-8, 0.5641884969886701, 8.883149794388377,
+    66.11919063714163, 298.6351381974001, 881.952221241769, 1712.0476126340707,
+    2051.0783778260716, 1230.3393547979972), (1.0, 15.744926110709835,
+    117.6939508913125, 537.1811018620099, 1621.3895745666903,
+    3290.7992357334597, 4362.619090143247, 3439.3676741437216,
+    1230.3393548037495))
+_ERFCX_FAR = ((0.016315387137302097, 0.30532663496123236, 0.36034489994980445,
+    0.12578172611122926, 0.016083785148742275, 6.587491615298378e-4), (1.0,
+    2.568520192289822, 1.8729528499234673, 0.5279051029514285,
+    0.06051834131244132, 0.0023352049762686918))
+_NDTRI_BODY = ((2509.0809287301227, 33430.57558358813, 67265.7709270087,
+    45921.95393154987, 13731.69376550946, 1971.5909503065513,
+    133.14166789178438, 3.3871328727963665), (5226.495278852854,
+    28729.085735721943, 39307.89580009271, 21213.794301586597,
+    5394.196021424751, 687.1870074920579, 42.31333070160091, 1.0))
+_NDTRI_NEAR = ((7.745450142783414e-4, 0.022723844989269184, 0.2417807251774506,
+    1.2704582524523684, 3.6478483247632045, 5.769497221460691,
+    4.630337846156546, 1.4234371107496835), (1.0507500716444169e-9,
+    5.475938084995345e-4, 0.015198666563616457, 0.14810397642748008,
+    0.6897673349851, 1.6763848301838038, 2.053191626637759, 1.0))
+_NDTRI_FAR = ((2.0103343992922881e-7, 2.7115555687434876e-5,
+    0.0012426609473880784, 0.026532189526576124, 0.29656057182850487,
+    1.7848265399172913, 5.463784911164114, 6.657904643501103),
+    (2.0442631033899397e-15, 1.421511758316446e-7, 1.8463183175100548e-5,
+    7.868691311456133e-4, 0.014875361290850615, 0.1369298809227358,
+    0.599832206555888, 1.0))
+
+
+def _rational(z, pq):
+    # p(z)/q(z) by Horner's rule, in place; an empty z costs nothing
+    if not z.size:
+        return z
+    p, q = (np.full_like(z, c[0]) for c in pq)
+    for acc, c in ((p, pq[0]), (q, pq[1])):
+        for a in c[1:]:
+            acc *= z
+            acc += a
+    return np.divide(p, q, out=p)
+
+
+def _erfcx(x):
+    # e^{x^2} erfc(x), quietly inf where it overflows (x < -26.63)
+    x = np.asarray(x, dtype=float)
+    y = np.abs(x)
+    out = np.empty_like(y)
+    near, far, neg = y <= 0.46875, y > 4.0, x < -0.46875
+    mid = ~(near | far)
+    with np.errstate(over="ignore"):
+        v = x[near]
+        out[near] = np.exp(v * v) * (1.0 - v * _rational(v * v, _ERF))
+        out[mid] = _rational(y[mid], _ERFCX_MID)
+        w = 1.0 / np.square(y[far])
+        out[far] = (math.pi ** -0.5 - w * _rational(w, _ERFCX_FAR)) / y[far]
+        v = x[neg]
+        w = np.trunc(16.0 * v) / 16.0  # x^2 = w^2 + (x - w)(x + w)
+        e = np.exp(w * w) * np.exp((v - w) * (v + w))
+        out[neg] = (e + e) - out[neg]
+    return out
+
+
+def _ndtri(p):
+    # Phi^{-1} on a float array in [0, 1], exact at 0, 1/2 and 1
+    q = p - 0.5
+    out = np.empty_like(q)
+    body = np.abs(q) <= 0.425
+    out[body] = q[body] * _rational(0.180625 - q[body] ** 2, _NDTRI_BODY)
+    with np.errstate(divide="ignore"):
+        r = np.sqrt(-np.log(np.minimum(p[~body], 1.0 - p[~body])))
+    w = np.full_like(r, np.inf)
+    near, far = r <= 5.0, (r > 5.0) & (r < np.inf)
+    w[near] = _rational(r[near] - 1.6, _NDTRI_NEAR)
+    w[far] = _rational(r[far] - 5.0, _NDTRI_FAR)
+    out[~body] = np.copysign(w, q[~body])
+    return out
+
+
 def isoperimetric_I(x):
     """Gaussian isoperimetric profile phi(Phi^{-1}(x)) on [0, 1].
 
@@ -63,23 +145,20 @@ def isoperimetric_I(x):
     if not np.all(np.isfinite(arr)) or np.any(arr < 0.0) or np.any(arr > 1.0):
         bad = arr[~(np.isfinite(arr) & (arr >= 0.0) & (arr <= 1.0))].flat[0]
         raise DomainError(f"isoperimetric profile needs x in [0, 1], got {bad}")
-    interior = (arr > 0.0) & (arr < 1.0)
-    out = np.zeros_like(arr)
-    t = ndtri(arr[interior])
-    out[interior] = np.exp(-0.5 * t * t - _LOG_SQRT2PI)
+    out = _iso_pair(arr)[0]  # Phi^{-1} is -inf at 0 and inf at 1
     return float(out) if out.ndim == 0 else out
 
 
 def _iso_pair(x):
     # (I, I') on the open interval; I' = -Phi^{-1}
-    t = ndtri(x)
+    t = _ndtri(x)
     return np.exp(-0.5 * t * t - _LOG_SQRT2PI), -t
 
 
 def _mills(u):
     # phi(u)/Phi(u) through the scaled complementary error function, which
     # keeps full relative precision for u << 0
-    return math.sqrt(2.0 / math.pi) / erfcx(-u / math.sqrt(2.0))
+    return math.sqrt(2.0 / math.pi) / _erfcx(-u / math.sqrt(2.0))
 
 
 def _kp_series(z):
@@ -114,20 +193,19 @@ def _check_kprime_monotone():
 _check_kprime_monotone()
 
 
-def _kpp(u):
-    # k''(u) = 1 - u r - r^2 with r the inverse Mills ratio; the series
-    # below the bracket
+def _kpp(u, fp):
+    # k'' = 1 - u r - r^2 with r = phi/Phi = 1/F'; the series below the bracket
     out = np.empty_like(u)
     tail = u <= _U_LO
     out[tail] = -_kp_series_dz(-u[tail])
     v = u[~tail]
-    r = _mills(v)
+    r = 1.0 / fp[~tail]
     out[~tail] = 1.0 - r * (v + r)
     return out
 
 
 def _invert_kprime(s):
-    """u = (k')^{-1}(s) for a 1-D array of s > 0.
+    """u = (k')^{-1}(s) and e = erfcx(-u/sqrt 2) for a 1-D array of s > 0.
 
     Below k'(-40) five Newton steps invert the Mills-ratio series in
     z = -u.  Inside [k'(-40), k'(40)] each element takes Newton steps with
@@ -135,16 +213,16 @@ def _invert_kprime(s):
     residual shrinks; a step that leaves the bracket becomes a bisection.
     The bracket is what converges the nodes in the lower half, where
     rounding in r makes the residual noisy and plain Newton wanders.  An
-    element stops at its own convergence, so its result does not depend on
-    the rest of the batch.  Above k'(40) the inversion refuses to
-    extrapolate.
+    element stops once its next step is within tolerance, at the point it
+    last evaluated, so its result does not depend on the rest of the batch.
+    Above k'(40) the inversion refuses to extrapolate.
     """
     above = s > _S_HI
     if np.any(above):
         raise NumericalError(
             f"inversion bracket [-40, 40] covers slopes up to {_S_HI:.6g}, "
             f"got {s[above][0]}")
-    u = np.empty_like(s)
+    u, e = np.empty_like(s), np.full_like(s, np.nan)
     tail = s < _S_LO
     st = s[tail]
     z = 1.0 / st
@@ -153,15 +231,16 @@ def _invert_kprime(s):
     u[tail] = -z
     idx = np.flatnonzero(~tail)
     t = s[idx]
-    # k'(u) ~ u for u >> 0 and ~ -1/u for u << 0; for s inside the bracket
-    # this start lies inside (-40, 40)
-    x = t - 1.0 / t
+    # k'(u) ~ u for u >> 0 and ~ -1/u + 2/u^3 for u << 0, which this start
+    # follows to first order; for s in the bracket it lies inside (-40, 40)
+    x = t - 1.0 / (t + t**3)
     lo = np.full_like(t, _U_LO)
     hi = np.full_like(t, _U_HI)
     for _ in range(_NEWTON_MAXITER):
         if idx.size == 0:
-            return u
-        r = _mills(x)
+            return u, e
+        ex = _erfcx(-x / math.sqrt(2.0))
+        r = math.sqrt(2.0 / math.pi) / ex  # _mills(x), keeping its erfcx
         g = x + r - t
         lo = np.where(g < 0.0, x, lo)
         hi = np.where(g > 0.0, x, hi)
@@ -169,13 +248,13 @@ def _invert_kprime(s):
         out = ~((new > lo) & (new < hi))
         new[out] = 0.5 * (lo[out] + hi[out])
         done = np.abs(new - x) <= _U_XTOL + 4.0 * _EPS * np.abs(new)
-        u[idx[done]] = new[done]
+        u[idx[done]], e[idx[done]] = x[done], ex[done]
         keep = ~done
         idx, t, x, lo, hi = idx[keep], t[keep], new[keep], lo[keep], hi[keep]
     if idx.size:
         raise NumericalError(f"k' inversion did not converge in "
                              f"{_NEWTON_MAXITER} steps at s = {t[0]}")
-    return u
+    return u, e
 
 
 def _fprime(s):
@@ -185,17 +264,16 @@ def _fprime(s):
     overflows a float.
     """
     fp = s.copy()
-    u = np.full_like(s, -np.inf)
+    u, e = np.full_like(s, -np.inf), np.full_like(s, np.nan)
     pos = s >= _S_SMALL
-    u[pos] = _invert_kprime(s[pos])
+    u[pos], e[pos] = _invert_kprime(s[pos])
     tail = pos & (u <= _U_LO)
     fp[tail] = 1.0 / (s[tail] - u[tail])  # = 1/(s + z), no cancellation
     body = u > _U_LO
-    v = u[body]
     # e^{k(u)} = Phi(u)/phi(u) = sqrt(pi/2) erfcx(-u/sqrt 2); phi/Phi would
     # underflow s - u to zero once u is a few dozen
     with np.errstate(over="ignore"):
-        fp[body] = math.sqrt(0.5 * math.pi) * erfcx(-v / math.sqrt(2.0))
+        fp[body] = math.sqrt(0.5 * math.pi) * e[body]
     _check_finite(fp, s, "F'")
     return fp, u
 
@@ -226,7 +304,7 @@ def exp_integrability_F_derivs(s):
     fpp = np.ones_like(flat)
     pos = flat >= _S_SMALL
     with np.errstate(over="ignore"):
-        fpp[pos] = fp[pos] * flat[pos] / _kpp(u[pos])
+        fpp[pos] = fp[pos] * flat[pos] / _kpp(u[pos], fp[pos])
     _check_finite(fpp, flat, "F''")
     if arr.ndim == 0:
         return float(fp[0]), float(fpp[0])

@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Mapping, Optional
 
 import numpy as np
+import numpy.random  # the paths' generators; numpy loads it lazily
 
 from .errors import NumericalError, ParameterError, SimulationError
 from .potentials import Potential, as_points

@@ -62,7 +62,6 @@ from functools import lru_cache
 from typing import Callable
 
 import numpy as np
-from scipy.linalg.lapack import dpttrf, dpttrs
 
 from .errors import DomainError, NumericalError, ParameterError
 from .potentials import Potential, as_points
@@ -418,6 +417,7 @@ _SPAN_MAX = 700.0
 
 
 def grid_generator(potential: Potential, lo: float, hi: float, m: int) -> TridiagonalGenerator:
+    import scipy.linalg.lapack  # noqa: F401  (here, not in the first march)
     if potential.n != 1:
         raise ParameterError("the grid engine is one-dimensional")
     if m < 3:
@@ -465,6 +465,7 @@ def _march(gen: TridiagonalGenerator, u: np.ndarray, ts, dt: float) -> list:
     symmetric positive definite I - (dt/2) S, factored once per step size by
     LAPACK's LDL^T (dpttrf).
     """
+    from scipy.linalg.lapack import dpttrf, dpttrs  # loaded by grid_generator
     plans = [_step_plan(float(s), dt) for s in ts]
     factors = {}
 

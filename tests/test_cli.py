@@ -640,28 +640,36 @@ def test_plain_integrated_condition_of_a_y_open_mfunction_runs(capsys):
     assert math.isfinite(json.loads(capsys.readouterr().out)["min_margin"])
 
 
-def test_checks_import_neither_scipy_integrate_nor_scipy_optimize(tmp_path):
+def test_only_the_grid_engine_loads_scipy(tmp_path):
     # a fresh interpreter, because this test process has already imported
-    # scipy.integrate (tests/test_mfunctions.py); only the lazy scipy.stats
-    # import of potentials.scan_points, for n >= 2, loads both
+    # scipy; MC, Mehler and integrated checks call no scipy routine (erfcx
+    # and Phi^{-1} are numpy's), numpy.random loads with the package rather
+    # than inside the first simulate, and a grid engine loads LAPACK when it
+    # is built, before its first march
     script = f"""
 import sys
-import warnings
 from curvlab.cli import main
+random_at_import = "numpy.random" in sys.modules
 codes = [main(argv + ["--out", {str(tmp_path)!r}]) for argv in (
+    ["verify", "--engine", "monte-carlo", "--n-paths", "100",
+     "--mfunction", "poincare", "--function", "sine"],
+    ["verify", "--mfunction", "bobkov", "--function", "unit-gauss"],
+    ["verify", "--mfunction", "exp-integrability", "--function", "gauss-bump"],
     ["integrated", "--check", "condition", "--variant", "enhanced",
      "--mfunction", "y", "--function", "sine"],
-    ["verify", "--mfunction", "exp-integrability", "--function", "gauss-bump"],
     ["run", "ou-local-suite"])]
-print(codes, [m for m in ("scipy.integrate", "scipy.optimize")
-              if m in sys.modules])
+loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+from curvlab.potentials import make_example_potential
+from curvlab.semigroup import GridEngine
+GridEngine(make_example_potential("gaussian"))
+print(codes, random_at_import, loaded, "scipy.linalg.lapack" in sys.modules)
 """
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src, os.environ.get("PYTHONPATH", "")]))
     out = subprocess.run([sys.executable, "-c", script], env=env,
                          capture_output=True, text=True, check=True)
-    assert out.stdout.strip().splitlines()[-1] == "[0, 0, 0] []"
+    assert out.stdout.strip().splitlines()[-1] == "[0, 0, 0, 0, 0] True [] True"
 
 
 @pytest.mark.parametrize("argv", [

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 from scipy.optimize import brentq
-from scipy.special import log_ndtr
+from scipy.special import erfcx, log_ndtr, ndtri
 
 from curvlab import mfunctions
 from curvlab.errors import DomainError, NumericalError, ParameterError
@@ -519,3 +519,84 @@ def test_kprime_matches_its_continued_fraction_far_left():
     ref = np.array([_kprime_continued_fraction(z) for z in zs])
     got = -zs + mfunctions._mills(-zs)
     np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0.0)
+
+
+# e^{x^2} erfc(x) and Phi^{-1}(p) at 30 digits, from mpmath at 40; p is the
+# double nearest to the decimal written
+ERFCX_30 = {
+    -26.5: 1.92455316241856880924201605394e+305,
+    -12.25: 2.96719225192018923081313606345e+65,
+    -6.5: 4466546463040817118.71901940597,
+    -2.0: 108.940904389977972412355433825,
+    -0.46875: 1.85940241687142214643658842876,
+    -0.1: 1.12364335419920948066370454754,
+    0.0: 1.0,
+    0.3: 0.734599334567655149919783312303,
+    1.0: 0.427583576155807004410750344491,
+    3.9: 0.140314181600689735679465074993,
+    4.1: 0.133834116418651993728752199301,
+    11.0: 0.051080594758088443709985583014,
+    28.3: 0.0199236047544493920079121070139,
+}
+NDTRI_30 = {
+    1e-300: -37.0470962993611992365470425049,
+    1e-20: -9.26234008979840757957209460428,
+    1e-5: -4.26489079392282461023374886652,
+    0.02: -2.05374891063182304433863907492,
+    0.3: -0.524400512708040815969454362264,
+    0.5000001: 2.50662827331164830116188841284e-7,
+    0.9: 1.28155156554460059348744828852,
+    0.999999999999999: 7.94144448741597881060420658316,
+}
+
+
+def test_erfcx_matches_mpmath():
+    x = np.array(list(ERFCX_30))
+    want = np.array(list(ERFCX_30.values()))
+    assert np.all(np.abs(mfunctions._erfcx(x) / want - 1.0) <= 1e-15)
+
+
+def test_erfcx_matches_scipy():
+    # scipy rounds x^2 inside its e^{x^2} for x < 0, which costs it up to
+    # eps x^2 / 2 relative (3.7e-15 near x = -5.75, 5.7e-14 near -24,
+    # against mpmath); on top of that the two agree to 2e-15
+    x = np.linspace(-26.5, 28.3, 200001)
+    rel = np.abs(mfunctions._erfcx(x) / erfcx(x) - 1.0)
+    eps = np.finfo(float).eps
+    assert np.all(rel <= 2e-15 + 0.5 * eps * np.square(np.minimum(x, 0.0)))
+    assert np.max(rel[x >= -3.0]) <= 2e-15
+    assert np.max(rel) <= 1e-13
+
+
+def test_erfcx_overflows_quietly_where_scipy_does():
+    # 2 e^{x^2} leaves the float range below about -26.63
+    x = np.concatenate([np.linspace(-26.7, -26.6, 20001), [-38.0, -1e300]])
+    got = mfunctions._erfcx(x)
+    assert np.array_equal(np.isinf(got), np.isinf(erfcx(x)))
+    assert np.all(np.isinf(got[-2:])) and np.isinf(got[0])
+
+
+def test_ndtri_matches_mpmath_and_its_endpoints():
+    p = np.array(list(NDTRI_30))
+    want = np.array(list(NDTRI_30.values()))
+    assert np.all(np.abs(mfunctions._ndtri(p) / want - 1.0) <= 1e-15)
+    ends = mfunctions._ndtri(np.array([0.0, 0.5, 1.0]))
+    assert ends[0] == -np.inf and ends[1] == 0.0 and ends[2] == np.inf
+
+
+def test_ndtri_matches_scipy():
+    # scipy's ndtri is itself off by up to 4.3 ulp near |x| = 1.1 (against
+    # mpmath), where the two differ by up to 1.2e-15
+    p = np.concatenate([np.geomspace(1e-300, 0.5, 200001),
+                        np.linspace(1e-6, 1.0 - 1e-6, 200001),
+                        1.0 - np.geomspace(1e-15, 0.5, 200001)])
+    want = ndtri(p)
+    got = mfunctions._ndtri(p)
+    assert np.all(np.abs(got - want) <= 2e-15 * np.maximum(1.0, np.abs(want)))
+
+
+def test_inversion_bracket_slopes_match_their_scipy_values():
+    s_lo = -40.0 + math.sqrt(2.0 / math.pi) / erfcx(40.0 / math.sqrt(2.0))
+    s_hi = 40.0 + math.sqrt(2.0 / math.pi) / erfcx(-40.0 / math.sqrt(2.0))
+    assert abs(mfunctions._S_LO - s_lo) <= 1e-15
+    assert abs(mfunctions._S_HI - s_hi) <= 1e-15

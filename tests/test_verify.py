@@ -5,6 +5,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from scipy.linalg import lapack
 from scipy.optimize import brentq
 
 from curvlab import semigroup, suite
@@ -555,15 +556,15 @@ def test_worst_of_mirror_records_is_stable_under_rounding(scale):
 # work per check: each (t, x) evolves f once for its value and gradient
 # ---------------------------------------------------------------------------
 
-def _count_calls(monkeypatch, name):
+def _count_calls(monkeypatch, name, module=semigroup):
     calls = []
-    real = getattr(semigroup, name)
+    real = getattr(module, name)
 
     def counted(*args, **kwargs):
         calls.append(name)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(semigroup, name, counted)
+    monkeypatch.setattr(module, name, counted)
     return calls
 
 
@@ -765,7 +766,7 @@ def test_grid_monotone_march_count(monkeypatch):
     # short (a partial step within 2e-16 of a full one); at 2 dt, 300 + 6
     # and 300 + 3
     marches = _count_calls(monkeypatch, "grid_apply")
-    solves = _count_calls(monkeypatch, "dpttrs")
+    solves = _count_calls(monkeypatch, "dpttrs", lapack)
     eng = GridEngine(make_double_well(), lo=-6.0, hi=6.0, m=2001, dt=1e-3)
     verify_H_monotone([catalog("poincare")], eng, get("sine"), t=0.6,
                       alpha=0.2, rho=-1.0, s_count=21)
