@@ -20,6 +20,7 @@ import argparse
 import functools
 import hashlib
 import json
+import locale  # noqa: F401  argparse's gettext loads it at the first parser
 import math
 import sys
 import time

@@ -11,15 +11,14 @@ phi o Phi^{-1}, and `exp_integrability_F` integrates e^{k o (k')^{-1}} with
 k(u) = u^2/2 + log integral_{-inf}^u e^{-s^2/2} ds.  Both work on whole
 arrays, in numpy: Phi^{-1} by M. J. Wichura's AS241 (Appl. Statist. 37,
 1988), e^k through erfcx(x) = e^{x^2} erfc(x) by W. J. Cody's rational
-Chebyshev approximations (Math. Comp. 23, 1969), 2 e^{x^2} - erfcx(-x)
-below -0.46875.  k' is inverted by Newton steps on k'' in closed form, kept
-inside the bracket [-40, 40]; below that bracket a Mills-ratio series takes
-over (k'(u) ~ -1/u + 2/u^3 - ...), and above it the inversion refuses to
-extrapolate.  F is a fixed-order Gauss-Legendre sum of F' from the anchor
-below each point; the anchor values themselves come from the package's
-adaptive G10K21 rule (`quadrature.adaptive`) on the same F', once per
-process.  Where F, F' or F'' overflows a float the call raises
-NumericalError.
+Chebyshev approximations (Math. Comp. 23, 1969).  k' is inverted by Newton
+steps on k'' in closed form, kept inside the bracket [-40, 40]; below that
+bracket a Mills-ratio series takes over (k'(u) ~ -1/u + 2/u^3 - ...), and
+above it the inversion refuses to extrapolate.  F is a fixed-order
+Gauss-Legendre sum of F' from the anchor below each point; the anchor
+values themselves come from the package's adaptive G10K21 rule
+(`quadrature.adaptive`) on the same F', once per process.  Where F, F' or
+F'' overflows a float the call raises NumericalError.
 """
 
 from __future__ import annotations
@@ -184,13 +183,14 @@ _S_SMALL = 1e-8
 
 
 def _check_kprime_monotone():
-    us = np.linspace(_U_LO, _U_HI, 161)
+    us = np.linspace(_U_LO, _U_HI, 801)
     vals = us + _mills(us)
     if not np.all(np.diff(vals) > 0.0):
         raise NumericalError("k' failed its monotonicity check on [-40, 40]")
+    return vals, us
 
 
-_check_kprime_monotone()
+_KPRIME_TABLE = _check_kprime_monotone()  # (k'(u), u), the inversion's start
 
 
 def _kpp(u, fp):
@@ -231,9 +231,8 @@ def _invert_kprime(s):
     u[tail] = -z
     idx = np.flatnonzero(~tail)
     t = s[idx]
-    # k'(u) ~ u for u >> 0 and ~ -1/u + 2/u^3 for u << 0, which this start
-    # follows to first order; for s in the bracket it lies inside (-40, 40)
-    x = t - 1.0 / (t + t**3)
+    # k'^{-1} interpolated in the table: within 8e-4 of the root
+    x = np.interp(t, *_KPRIME_TABLE)
     lo = np.full_like(t, _U_LO)
     hi = np.full_like(t, _U_HI)
     for _ in range(_NEWTON_MAXITER):

@@ -643,13 +643,14 @@ def test_plain_integrated_condition_of_a_y_open_mfunction_runs(capsys):
 def test_only_the_grid_engine_loads_scipy(tmp_path):
     # a fresh interpreter, because this test process has already imported
     # scipy; MC, Mehler and integrated checks call no scipy routine (erfcx
-    # and Phi^{-1} are numpy's), numpy.random loads with the package rather
-    # than inside the first simulate, and a grid engine loads LAPACK when it
-    # is built, before its first march
+    # and Phi^{-1} are numpy's) and import nothing the package has not
+    # (numpy.random loads with it rather than inside the first simulate),
+    # and a grid engine loads LAPACK when it is built, before its first march
     script = f"""
 import sys
 from curvlab.cli import main
 random_at_import = "numpy.random" in sys.modules
+at_import = set(sys.modules)
 codes = [main(argv + ["--out", {str(tmp_path)!r}]) for argv in (
     ["verify", "--engine", "monte-carlo", "--n-paths", "100",
      "--mfunction", "poincare", "--function", "sine"],
@@ -659,17 +660,20 @@ codes = [main(argv + ["--out", {str(tmp_path)!r}]) for argv in (
      "--mfunction", "y", "--function", "sine"],
     ["run", "ou-local-suite"])]
 loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+new = sorted(set(sys.modules) - at_import)
 from curvlab.potentials import make_example_potential
 from curvlab.semigroup import GridEngine
 GridEngine(make_example_potential("gaussian"))
-print(codes, random_at_import, loaded, "scipy.linalg.lapack" in sys.modules)
+print(codes, random_at_import, loaded, new,
+      "scipy.linalg.lapack" in sys.modules)
 """
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src, os.environ.get("PYTHONPATH", "")]))
     out = subprocess.run([sys.executable, "-c", script], env=env,
                          capture_output=True, text=True, check=True)
-    assert out.stdout.strip().splitlines()[-1] == "[0, 0, 0, 0, 0] True [] True"
+    assert (out.stdout.strip().splitlines()[-1]
+            == "[0, 0, 0, 0, 0] True [] [] True")
 
 
 @pytest.mark.parametrize("argv", [
