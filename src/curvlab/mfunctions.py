@@ -11,14 +11,21 @@ phi o Phi^{-1}, and `exp_integrability_F` integrates e^{k o (k')^{-1}} with
 k(u) = u^2/2 + log integral_{-inf}^u e^{-s^2/2} ds.  Both work on whole
 arrays, in numpy: Phi^{-1} by M. J. Wichura's AS241 (Appl. Statist. 37,
 1988), e^k through erfcx(x) = e^{x^2} erfc(x) by W. J. Cody's rational
-Chebyshev approximations (Math. Comp. 23, 1969).  k' is inverted by Newton
-steps on k'' in closed form, kept inside the bracket [-40, 40]; below that
-bracket a Mills-ratio series takes over (k'(u) ~ -1/u + 2/u^3 - ...), and
-above it the inversion refuses to extrapolate.  F is a fixed-order
-Gauss-Legendre sum of F' from the anchor below each point; the anchor
-values themselves come from the package's adaptive G10K21 rule
-(`quadrature.adaptive`) on the same F', once per process.  Where F, F' or
-F'' overflows a float the call raises NumericalError.
+Chebyshev approximations (Math. Comp. 23, 1969).  With z = -u, e^k is the
+Mills ratio Phi(-z)/phi(z), which for z >= 3 comes from Laplace's continued
+fraction 1/(z + 1/(z + 2/(z + 3/(z + ...)))) (Abramowitz-Stegun 26.2.14)
+at a fixed depth, bottom-up; k' = u + phi/Phi and k'' then come from the
+same fraction's tails, free of the cancellation of u + phi/Phi there.
+erfcx serves u > -3 only.  k' is inverted by one Newton step from a cubic
+Hermite interpolant of a table on [-40, 40] (below it, from the inverted
+series k'(-z) = 1/z - 2/z^3 + ...), and refused above k'(40).  F
+substitutes sigma = k'(u): from each anchor a on,
+F(s) = F(a) + integral_{u(a)}^{u(s)} e^{k(u)} k''(u) du, a fixed-order
+Gauss-Legendre sum at explicit u, so each point inverts k' once and the
+anchors once per process; on the first segment, where u(0) = -inf, the sum
+runs over F' in s.  The anchor values come from the package's adaptive
+G10K21 rule (`quadrature.adaptive`) on F' in s, once per process.  Where
+F, F' or F'' overflows a float the call raises NumericalError.
 """
 
 from __future__ import annotations
@@ -160,121 +167,112 @@ def _mills(u):
     return math.sqrt(2.0 / math.pi) / _erfcx(-u / math.sqrt(2.0))
 
 
-def _kp_series(z):
-    # k'(-z) for z >= 40, from the Mills-ratio asymptotics
-    w = 1.0 / (z * z)
-    return (1.0 / z) * (1.0 + w * (-2.0 + w * (10.0 + w * (-74.0 + w * 706.0))))
+_Z0 = 3.0  # k', k'' and F' at u <= -_Z0 come from Laplace's fraction
+_CF_DEPTH = 48  # its depth: 5e-16 relative from z = 3, its slowest, on
 
 
-def _kp_series_dz(z):
-    w = 1.0 / (z * z)
-    return -w * (1.0 + w * (-6.0 + w * (50.0 + w * -518.0)))
+def _fraction(z):
+    # the tails T_n = z + n/T_{n+1} of Phi(-z)/phi(z) = 1/(z + 1/T_2),
+    # bottom-up from the root of T = z + n/T; returns T_2, T_3, T_4
+    t3 = t = 0.5 * (z + np.sqrt(z * z + 4.0 * _CF_DEPTH))
+    for n in range(_CF_DEPTH, 1, -1):
+        t4, t3, t = t3, t, z + n / t
+    return t, t3, t4
+
+
+def _kfuncs(u):
+    """(k', k'', F') at a 1-D array u, F' = e^k = Phi(u)/phi(u).
+
+    At and below -_Z0, with z = -u: k' = 1/T_2 and F' = 1/(z + 1/T_2) from the
+    continued fraction, and k'' = (2 T_2 - T_3)/(T_3 T_2^2) from its tails,
+    with 2 T_2 - T_3 = z + 4/T_3 - 3/T_4 >= 2z/3: nothing cancels where the
+    closed forms u + r and 1 - r (u + r) do.  Above -_Z0, through erfcx.
+    """
+    # erfcx on every element, overwritten below -_Z0: cheaper than a split
+    e = _erfcx(-u / math.sqrt(2.0))
+    r = math.sqrt(2.0 / math.pi) / e
+    kp = u + r
+    kpp = 1.0 - r * kp
+    with np.errstate(over="ignore"):
+        fp = math.sqrt(0.5 * math.pi) * e
+    low = u <= -_Z0
+    if np.any(low):
+        z = -u[low]
+        t2, t3, t4 = _fraction(z)
+        kp[low] = 1.0 / t2
+        kpp[low] = (z + 4.0 / t3 - 3.0 / t4) / (t3 * t2 * t2)
+        fp[low] = t2 / (z * t2 + 1.0)
+    return kp, kpp, fp
 
 
 _U_LO, _U_HI = -40.0, 40.0
 _S_LO = float(_U_LO + _mills(_U_LO))
 _S_HI = float(_U_HI + _mills(_U_HI))
-_NEWTON_MAXITER = 100
-_U_XTOL = 1e-14
-_EPS = np.finfo(float).eps
+_NEWTON_STEPS = 1
 # below this slope F' = s and F'' = 1 to rounding: the first neglected terms
-# are O(s^2) relative, and the series inversion would overflow 1/s^2
+# are O(s^2) relative
 _S_SMALL = 1e-8
 
 
 def _check_kprime_monotone():
-    us = np.linspace(_U_LO, _U_HI, 801)
-    vals = us + _mills(us)
+    us = np.linspace(_U_LO, _U_HI, 2001)
+    vals, kpp, _ = _kfuncs(us)
     if not np.all(np.diff(vals) > 0.0):
         raise NumericalError("k' failed its monotonicity check on [-40, 40]")
-    return vals, us
+    return vals, us, 1.0 / kpp
 
 
-_KPRIME_TABLE = _check_kprime_monotone()  # (k'(u), u), the inversion's start
+_KPRIME_TABLE = _check_kprime_monotone()  # (k', u, du/dk'), the start
 
 
-def _kpp(u, fp):
-    # k'' = 1 - u r - r^2 with r = phi/Phi = 1/F'; the series below the bracket
-    out = np.empty_like(u)
-    tail = u <= _U_LO
-    out[tail] = -_kp_series_dz(-u[tail])
-    v = u[~tail]
-    r = 1.0 / fp[~tail]
-    out[~tail] = 1.0 - r * (v + r)
-    return out
+def _start(s):
+    # u(s) by cubic Hermite interpolation in the table, within 1e-8 of the
+    # root; below it k'(-z) = 1/z - 2/z^3 + 10/z^5 - ..., inverted
+    ks, us, ds = _KPRIME_TABLE
+    j = np.clip(np.searchsorted(ks, s) - 1, 0, ks.size - 2)
+    h = ks[j + 1] - ks[j]
+    t = (s - ks[j]) / h
+    a, b = (1.0 - t) ** 2, t * t
+    u = (a * ((1.0 + 2.0 * t) * us[j] + t * h * ds[j])
+         + b * ((3.0 - 2.0 * t) * us[j + 1] - (1.0 - t) * h * ds[j + 1]))
+    tail = s < _S_LO
+    st = s[tail]
+    u[tail] = st * (2.0 - 2.0 * st * st) - 1.0 / st
+    return u
 
 
 def _invert_kprime(s):
-    """u = (k')^{-1}(s) and e = erfcx(-u/sqrt 2) for a 1-D array of s > 0.
+    """(u, k''(u), F'(u)) with u = (k')^{-1}(s), for a 1-D array of s in
+    [_S_SMALL, k'(40)].
 
-    Below k'(-40) five Newton steps invert the Mills-ratio series in
-    z = -u.  Inside [k'(-40), k'(40)] each element takes Newton steps with
-    the closed-form slope k'' = 1 - u r - r^2, inside a bracket that every
-    residual shrinks; a step that leaves the bracket becomes a bisection.
-    The bracket is what converges the nodes in the lower half, where
-    rounding in r makes the residual noisy and plain Newton wanders.  An
-    element stops once its next step is within tolerance, at the point it
-    last evaluated, so its result does not depend on the rest of the batch.
-    Above k'(40) the inversion refuses to extrapolate.
+    Newton starts from `_start`, within 1e-8 of the root.  k' is convex and,
+    with the fraction below -3, its residual is clean down to rounding, so
+    _NEWTON_STEPS steps converge every element with no bracket (to within
+    4 roundings of k'); a last evaluation gives k'' and F' at the root.
+    Each element's result is a fixed function of its s, independent of its
+    batch.  Above k'(40) the inversion refuses to extrapolate.
     """
     above = s > _S_HI
     if np.any(above):
         raise NumericalError(
             f"inversion bracket [-40, 40] covers slopes up to {_S_HI:.6g}, "
             f"got {s[above][0]}")
-    u, e = np.empty_like(s), np.full_like(s, np.nan)
-    tail = s < _S_LO
-    st = s[tail]
-    z = 1.0 / st
-    for _ in range(5):
-        z = z - (_kp_series(z) - st) / _kp_series_dz(z)
-    u[tail] = -z
-    idx = np.flatnonzero(~tail)
-    t = s[idx]
-    # k'^{-1} interpolated in the table: within 8e-4 of the root
-    x = np.interp(t, *_KPRIME_TABLE)
-    lo = np.full_like(t, _U_LO)
-    hi = np.full_like(t, _U_HI)
-    for _ in range(_NEWTON_MAXITER):
-        if idx.size == 0:
-            return u, e
-        ex = _erfcx(-x / math.sqrt(2.0))
-        r = math.sqrt(2.0 / math.pi) / ex  # _mills(x), keeping its erfcx
-        g = x + r - t
-        lo = np.where(g < 0.0, x, lo)
-        hi = np.where(g > 0.0, x, hi)
-        new = x - g / (1.0 - r * (x + r))
-        out = ~((new > lo) & (new < hi))
-        new[out] = 0.5 * (lo[out] + hi[out])
-        done = np.abs(new - x) <= _U_XTOL + 4.0 * _EPS * np.abs(new)
-        u[idx[done]], e[idx[done]] = x[done], ex[done]
-        keep = ~done
-        idx, t, x, lo, hi = idx[keep], t[keep], new[keep], lo[keep], hi[keep]
-    if idx.size:
-        raise NumericalError(f"k' inversion did not converge in "
-                             f"{_NEWTON_MAXITER} steps at s = {t[0]}")
-    return u, e
+    u = _start(s)
+    for _ in range(_NEWTON_STEPS):
+        kp, kpp, _ = _kfuncs(u)
+        u = u - (kp - s) / kpp
+    return (u, *_kfuncs(u)[1:])
 
 
 def _fprime(s):
-    """(F', u) on a 1-D array s >= 0, with u = (k')^{-1}(s).
-
-    Below _S_SMALL, F' = s and u = -inf.  Raises NumericalError where F'
-    overflows a float.
-    """
-    fp = s.copy()
-    u, e = np.full_like(s, -np.inf), np.full_like(s, np.nan)
+    """(F', F'') on a 1-D array s >= 0; below _S_SMALL F' = s, F'' = 1."""
+    fp, fpp = s.copy(), np.ones_like(s)
     pos = s >= _S_SMALL
-    u[pos], e[pos] = _invert_kprime(s[pos])
-    tail = pos & (u <= _U_LO)
-    fp[tail] = 1.0 / (s[tail] - u[tail])  # = 1/(s + z), no cancellation
-    body = u > _U_LO
-    # e^{k(u)} = Phi(u)/phi(u) = sqrt(pi/2) erfcx(-u/sqrt 2); phi/Phi would
-    # underflow s - u to zero once u is a few dozen
-    with np.errstate(over="ignore"):
-        fp[body] = math.sqrt(0.5 * math.pi) * e[body]
-    _check_finite(fp, s, "F'")
-    return fp, u
+    if np.any(pos):
+        _, kpp, fp[pos] = _invert_kprime(s[pos])
+        with np.errstate(over="ignore"):
+            fpp[pos] = fp[pos] * s[pos] / kpp
+    return fp, fpp
 
 
 def _check_finite(vals, s, name):
@@ -299,11 +297,8 @@ def exp_integrability_F_derivs(s):
     """
     arr = _nonneg(s, "F'")
     flat = arr.ravel()
-    fp, u = _fprime(flat)
-    fpp = np.ones_like(flat)
-    pos = flat >= _S_SMALL
-    with np.errstate(over="ignore"):
-        fpp[pos] = fp[pos] * flat[pos] / _kpp(u[pos], fp[pos])
+    fp, fpp = _fprime(flat)
+    _check_finite(fp, flat, "F'")
     _check_finite(fpp, flat, "F''")
     if arr.ndim == 0:
         return float(fp[0]), float(fpp[0])
@@ -315,6 +310,7 @@ def exp_integrability_F_derivs(s):
 # rule meets 1e-10 relative on each up to s ~ 37.65, where F' overflows
 _F_ANCHORS = np.concatenate([(0.0, 0.0125, 0.025, 0.1, 0.5, 1.0, 2.0, 4.0),
                              8.0 * np.sqrt(np.arange(1.0, 23.0))])
+_U_ANCHORS = np.concatenate([[-np.inf], _invert_kprime(_F_ANCHORS[1:])[0]])
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(20)
 _anchor_values = [0.0]  # F at the leading anchors, grown on demand
 
@@ -339,16 +335,25 @@ def exp_integrability_F(s):
     arr = _nonneg(s, "F")
     flat = arr.ravel()
     i = np.searchsorted(_F_ANCHORS, flat, side="right") - 1
-    half = 0.5 * (flat - _F_ANCHORS[i])
-    nodes = (_F_ANCHORS[i] + half)[:, None] + half[:, None] * _GL_NODES
+    # past the first anchor the rule runs in u, sigma = k'(u):
+    # F(s) = F(a) + integral_{u(a)}^{u(s)} e^{k(u)} k''(u) du
+    up = i > 0
+    lo, hi = np.where(up, _U_ANCHORS[i], 0.0), flat.copy()
     try:
-        fp = _fprime(nodes.ravel())[0].reshape(nodes.shape)
+        hi[up] = _invert_kprime(flat[up])[0]
     except NumericalError as exc:
         raise NumericalError(f"F up to s = {flat.max()}: {exc}") from None
+    half = 0.5 * (hi - lo)
+    nodes = (lo + half)[:, None] + half[:, None] * _GL_NODES
+    g = np.empty_like(nodes)
+    if not np.all(up):
+        g[~up] = _fprime(nodes[~up].ravel())[0].reshape(-1, _GL_NODES.size)
+    _, kpp, fp = _kfuncs(nodes[up].ravel())
+    g[up] = (fp * kpp).reshape(-1, _GL_NODES.size)
     seg = np.zeros_like(flat)
     for j, w in enumerate(_GL_WEIGHTS):
         # node by node, so that each sum runs in the same order in any batch
-        seg += w * fp[:, j]
+        seg += w * g[:, j]
     with np.errstate(over="ignore"):
         out = _F_at_anchors(int(np.max(i, initial=0)) + 1)[i] + half * seg
     _check_finite(out, flat, "F")
@@ -734,7 +739,12 @@ def certify_psd(mf: MFunction, kind: str,
     tr = nm[..., 0, 0] + nm[..., 1, 1]
     det = nm[..., 0, 0] * nm[..., 1, 1] - nm[..., 0, 1] ** 2
     worst = np.minimum(tr, det)
-    i, j = np.unravel_index(np.argmin(worst), worst.shape)
+    # the first sample, in grid order, within 1e-12 of the least value's
+    # scale, as InequalityReport.worst: a singular matrix's zero reads as
+    # rounding noise, which must not pick the point
+    least = float(np.min(worst))
+    tie = worst <= least + 1e-12 * max(1.0, abs(least))
+    i, j = np.unravel_index(np.argmax(tie), worst.shape)
     min_my = float(np.min(mf.m_y(X, Y)))
     passed = bool(np.all(tr >= -_PSD_TOL) and np.all(det >= -_PSD_TOL)
                   and min_my >= -1e-12)

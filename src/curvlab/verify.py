@@ -397,6 +397,9 @@ def _critical_points(f: TestFunction, lo: float, hi: float) -> list:
     return sorted(set(roots.tolist()))
 
 
+_masses = {}  # Z of each measure and window, measured once per process
+
+
 def _mu_integrals(potential: Potential, half_width: float | None,
                   integrands: dict, split: TestFunction | None = None) -> dict:
     """Unnormalized integrals against e^{-V} plus the normalizing mass Z.
@@ -406,6 +409,8 @@ def _mu_integrals(potential: Potential, half_width: float | None,
     critical points of `split`, when given, are their initial breakpoints.
     The mass is re-measured on a 1.5x window; disagreement beyond _TAIL_TOL
     means the window clips the measure and the result would be garbage.
+    Each passing mass is kept per process, keyed by the potential's label,
+    the window and V at 13 points of the wider window.
     """
     W = _window(potential, half_width)
 
@@ -416,15 +421,19 @@ def _mu_integrals(potential: Potential, half_width: float | None,
 
         return adaptive(weighted, edges, _EPSABS, _EPSREL, _LIMIT)
 
-    z = integral(None, [-W, W])
-    z_wide = integral(None, [-1.5 * W, 1.5 * W])
-    if not z > 0.0 or abs(z_wide - z) > _TAIL_TOL * abs(z_wide):
-        raise QuadratureError(
-            f"measure mass {z:.6g} on [-{W:g}, {W:g}] vs {z_wide:.6g} on the "
-            f"1.5x window; widen the quadrature window")
+    probe = potential.value(np.linspace(-1.5 * W, 1.5 * W, 13)[:, None])
+    key = (potential.label, W, probe.tobytes())
+    if key not in _masses:
+        z = integral(None, [-W, W])
+        z_wide = integral(None, [-1.5 * W, 1.5 * W])
+        if not z > 0.0 or abs(z_wide - z) > _TAIL_TOL * abs(z_wide):
+            raise QuadratureError(
+                f"measure mass {z:.6g} on [-{W:g}, {W:g}] vs {z_wide:.6g} on "
+                f"the 1.5x window; widen the quadrature window")
+        _masses[key] = z
     points = () if split is None else _critical_points(split, -W, W)
     edges = [-W, *(p for p in points if -W < p < W), W]
-    out = {"_z": z}
+    out = {"_z": _masses[key]}
     for name, g in integrands.items():
         out[name] = integral(g, edges)
     return out

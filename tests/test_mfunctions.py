@@ -237,6 +237,34 @@ def test_certify_psd_counterexample():
     assert d["pass"] is False and d["worst_trace"] == pytest.approx(-2.0)
 
 
+def _noisy_singular(seed):
+    # A-forward's a11 = M_xx + 2 M_y is zero up to a random last bit, so the
+    # determinant is rounding noise on every sample
+    rng = np.random.default_rng(seed)
+
+    def m_xx(x, y):
+        shape = np.broadcast(x, y).shape
+        return -2.0 + 2.0 * np.finfo(float).eps * rng.standard_normal(shape)
+
+    return MFunction(
+        "noisy-singular", value=lambda x, y: 0.0 * x + np.asarray(y, float),
+        m_x=_zero_part, m_y=lambda x, y: 1.0 + _zero_part(x, y), m_xx=m_xx,
+        m_xy=_zero_part, m_yy=_zero_part)
+
+
+def _zero_part(x, y):
+    return np.zeros(np.broadcast(x, y).shape)
+
+
+def test_certify_psd_worst_point_ignores_rounding_noise():
+    # the first sample within 1e-12 of the least value, whatever the noise
+    points = {certify_psd(_noisy_singular(seed), "A-forward").worst_point
+              for seed in range(5)}
+    assert points == {(-10.0, 0.01)}
+    rep = certify_psd(_noisy_singular(0), "A-forward")
+    assert rep.passed and abs(rep.worst_det) < 1e-12
+
+
 def test_certify_psd_report_fields():
     rep = certify_psd(catalog("log-sobolev"), "A-forward")
     assert rep.kind == "A-forward"
@@ -519,6 +547,57 @@ def test_kprime_matches_its_continued_fraction_far_left():
     ref = np.array([_kprime_continued_fraction(z) for z in zs])
     got = -zs + mfunctions._mills(-zs)
     np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0.0)
+
+
+# k'(-z), k''(-z) and F' = Phi(-z)/phi(z) at 25 digits, from mpmath at 60
+KFUNCS_25 = {
+    3.0: (0.2830986549304365069280922, 0.07055918678526811686240206,
+          0.3045902987101032957336125),
+    10.0: (0.09809323396251196284364165, 0.009445377825656261164136818,
+           0.09902859647173192139533719),
+    40.0: (0.024968847207263723244871, 0.0006226683785913887734988794,
+           0.02498440420572057114738839),
+}
+
+
+def test_kfuncs_match_mpmath_on_the_continued_fraction():
+    z = np.array(list(KFUNCS_25))
+    got = np.array(mfunctions._kfuncs(-z)).T
+    want = np.array(list(KFUNCS_25.values()))
+    assert np.all(np.abs(got / want - 1.0) <= 1e-15)
+
+
+def test_kfuncs_are_continuous_where_the_fraction_takes_over():
+    u0 = -mfunctions._Z0
+    u = np.array([np.nextafter(u0, -np.inf), np.nextafter(u0, 0.0)])
+    below, above = np.array(mfunctions._kfuncs(u)).T
+    # erfcx's side rounds k'' at about 14 eps there, through u + r
+    np.testing.assert_allclose(below, above, rtol=1e-13, atol=0.0)
+
+
+def _inversion_residuals(s):
+    # |k'(u) - s| at the returned root over the rounding of k' there: an
+    # ulp of k' on the fraction's side, and u + r's terms on erfcx's
+    u, kpp, fp = mfunctions._invert_kprime(s)
+    kp, kpp_again, fp_again = mfunctions._kfuncs(u)
+    assert np.array_equal(kpp, kpp_again) and np.array_equal(fp, fp_again)
+    eps = np.finfo(float).eps
+    low = u <= -mfunctions._Z0
+    scale = np.where(low, s, np.abs(u) + (kp - u))
+    return np.abs(kp - s) / (eps * scale)
+
+
+def test_inversion_converges_in_its_fixed_newton_steps(monkeypatch):
+    s = np.concatenate([np.geomspace(1e-8, mfunctions._S_HI, 200001),
+                        np.linspace(1e-8, mfunctions._S_HI, 200001),
+                        [mfunctions._S_LO, np.nextafter(mfunctions._S_LO, 0.0),
+                         np.nextafter(mfunctions._S_HI, 0.0)]])
+    s = s[s < mfunctions._S_HI]
+    assert mfunctions._NEWTON_STEPS == 1
+    assert np.max(_inversion_residuals(s)) <= 4.0
+    # and it is needed: the start alone is short of rounding
+    monkeypatch.setattr(mfunctions, "_NEWTON_STEPS", 0)
+    assert np.max(_inversion_residuals(s)) > 4.0
 
 
 # e^{x^2} erfc(x) and Phi^{-1}(p) at 30 digits, from mpmath at 40; p is the

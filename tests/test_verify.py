@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import warnings
@@ -8,7 +9,7 @@ import pytest
 from scipy.linalg import lapack
 from scipy.optimize import brentq
 
-from curvlab import semigroup, suite
+from curvlab import semigroup, suite, verify
 from curvlab.errors import (DomainError, NumericalError, ParameterError,
                             QuadratureError)
 from curvlab.mfunctions import catalog
@@ -321,6 +322,41 @@ def test_quadrature_window_guard():
     with pytest.raises(QuadratureError):
         verify_integrated_limit(catalog("poincare"), GAUSS, get("linear"),
                                 half_width=1.0, rho=1.0)
+
+
+def test_mass_is_measured_once_per_measure_and_window(monkeypatch):
+    windows = []
+
+    def counting_adaptive(g, edges, *args, **kwargs):
+        windows.append(edges[-1])
+        return adaptive(g, edges, *args, **kwargs)
+
+    monkeypatch.setattr(verify, "adaptive", counting_adaptive)
+    monkeypatch.setattr(verify, "_masses", {})
+
+    def limit(potential, **kwargs):
+        rep = verify_integrated_limit(catalog("poincare"), potential,
+                                      get("linear"), rho=1.0, **kwargs)
+        return rep.records[0]
+
+    first = limit(GAUSS)
+    assert limit(GAUSS) == first
+    # Z on [-10, 10] and on [-15, 15] once, then the checks' own integrands
+    assert sorted(windows) == [10.0] * 5 + [15.0]
+    # another measure, even under the same label and window, measures its own
+    narrower = dataclasses.replace(
+        GAUSS, value=lambda x: np.sum(np.square(x), axis=-1))
+    assert limit(narrower).rhs == pytest.approx(0.5, rel=1e-12)
+    assert windows.count(15.0) == 2
+    dw = make_double_well()  # its window is 10/sqrt(0.1)
+    got = limit(dw)
+    assert windows.count(1.5 * (10.0 / math.sqrt(0.1))) == 1
+    monkeypatch.setattr(verify, "_masses", {})
+    assert limit(dw) == got
+    # a window that clips the measure raises on its first measurement
+    for _ in range(2):
+        with pytest.raises(QuadratureError):
+            limit(GAUSS, half_width=1.0)
 
 
 def test_chained_long_time_matches_integrated():

@@ -17,7 +17,9 @@ grid monotone check of a forward and a reverse M-function, and a grid
 `verify` of `sqrt-y`, which is not affine in y, with `y` and `poincare`,
 which are; on each engine, a local check at `--rho -352`, whose
 right sides are not finite on the Mehler and Monte Carlo engines (exit 2)
-and finite on the grid; `psd-check` of every catalog M-function (the
+and finite on the grid; a Mehler `verify` and an integrated limit of
+`exp-integrability` at rho = 0.3, whose F arguments reach below 0.025 and
+above 8; `psd-check` of every catalog M-function (the
 beckners at p = 1.5); `lyapunov-scan` of the spherical certificates at
 alpha = 1, 1.2 and 1.5 and of the product-power one at alpha = 1.5 in
 n = 1 and 2; `houdre-kagan` of x^3; a unit-certificate
@@ -122,6 +124,14 @@ def cases(configs: dict, seed: int) -> list:
             for engine, extra in (("mehler", ()),
                                   ("monte-carlo", ("--n-paths", "200")),
                                   ("grid", ()))]
+    # at rho = 0.3 F's arguments run from below 1e-8 to above 12, so every
+    # segment of its rule is reached; the benchmark's checks stop short of 8
+    out += [(f"exp-integrability-{name}-rho03", (*argv, "--mfunction",
+                                                  "exp-integrability",
+                                                  "--function", "gauss-bump",
+                                                  "--rho", "0.3"))
+            for name, argv in (("local", ("verify",)),
+                               ("limit", ("integrated", "--check", "limit")))]
     out += [(f"psd-{name}", ("psd-check", "--mfunction",
                              f"{name}:p=1.5" if "beckner" in name else name))
             for name in MFUNCTION_NAMES]
