@@ -102,7 +102,7 @@ def make_example_potential(kind: str, alpha: float | None = None, n: int = 1) ->
             return 0.5 * _r2(np.asarray(x, dtype=float))
 
         def gradient(x):
-            return np.asarray(x, dtype=float).copy()
+            return np.asarray(x, dtype=float)
 
         def hessian(x):
             x = np.asarray(x, dtype=float)

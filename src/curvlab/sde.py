@@ -28,6 +28,7 @@ __all__ = ["PathBatch", "simulate", "multilevel_mean", "BLOCK_SIZE",
            "EXPLOSION_RADIUS"]
 
 BLOCK_SIZE = 8192
+CHUNK_BYTES = 1 << 16   # the normals of a block's steps are drawn this many bytes at once
 EXPLOSION_RADIUS = 1e8
 LEVEL_RATIO = 5         # steps of an Euler level per step of the next coarser
 COARSEST_STEP = 1 / 40  # the largest step of a multilevel estimate
@@ -119,51 +120,72 @@ def _run_block(potential: Potential, x0_block: np.ndarray, plans: list,
     acc = {name: np.zeros(x.shape[:-1]) for name in functionals}
     fine, fine_acc = x[:k], {name: a[:k] for name, a in acc.items()}
     coarse, coarse_acc = x[k:], {name: a[k:] for name, a in acc.items()}
-    # each step writes its arithmetic into these; a fresh temporary of this
-    # size would be mapped and unmapped by the allocator at every step
-    noise, scaled, summed = (np.zeros(x.shape[1:]) for _ in range(3))
+    n_steps = max(m + (rem > 0.0) for m, rem in plans)
+    # the normals of c steps, drawn at once; a twin's chunk holds whole
+    # coarse steps.  Each step writes its arithmetic into these buffers: a
+    # fresh temporary of this size would be mapped and unmapped by the
+    # allocator at every step
+    c = max(1, min(n_steps, CHUNK_BYTES // (8 * x[0].size)))
+    if twin:
+        c = max(LEVEL_RATIO, c - c % LEVEL_RATIO)
+    noise, scaled = np.empty((2, c) + x.shape[1:])
+    summed = np.empty((c // LEVEL_RATIO,) + x.shape[1:])
     shift, part = np.empty(x0_block.shape), np.empty(x0_block.shape)
     hv = np.empty(x0_block.shape[:-1])
+    first = -c  # the step of the chunk's first row
+
+    def row(i):
+        # the row of step i's normals, drawing i's chunk when i opens it
+        nonlocal first
+        if i >= first + c:
+            first, rows = i, slice(min(c, n_steps - i))
+            rng.standard_normal(out=noise[rows])
+            np.multiply(math.sqrt(2.0 * dt), noise[rows], out=scaled[rows])
+            if twin:
+                # each coarse step's normals are summed in step order
+                groups = summed[:rows.stop // LEVEL_RATIO]
+                np.copyto(groups, noise[0:rows.stop:LEVEL_RATIO])
+                for r in range(1, LEVEL_RATIO):
+                    groups += noise[r:rows.stop:LEVEL_RATIO]
+                groups *= LEVEL_RATIO ** -0.5
+                groups *= math.sqrt(2.0 * (LEVEL_RATIO * dt))
+        return i - first
 
     def draw(y):
         # the functionals see the step's drift, so none evaluates grad V again
         drift = potential.gradient(y)
         return {name: phi(y, drift) for name, phi in functionals.items()}, drift
 
-    def fresh():
-        # what a step of the paths needs; a partial step shares it with the
-        # next full step, as a run straight to the partial step's time draws
-        # it, and no draw refills `noise` before that full step
-        return (*draw(fine), rng.standard_normal(out=noise))
-
-    def advance(y, out, acc, h, values, drift, noise):
-        # out = y + sqrt(2h) noise - drift h, each operation in that order;
+    def advance(y, acc, h, values, drift, step):
+        # y += sqrt(2h) noise - drift h, each operation in that order;
         # drift h comes first, as drift may share memory with y
         for name, v in values.items():
             acc[name] += np.multiply(h, v, out=hv)
         np.multiply(drift, h, out=shift)
-        np.add(y, np.multiply(np.sqrt(2.0 * h), noise, out=scaled), out=out)
-        return np.subtract(out, shift, out=out)
+        y += step
+        y -= shift
 
     done, pending = 0, None
     for j in sorted(range(len(plans)), key=plans.__getitem__):
         n_full, rem = plans[j]
         for i in range(done, n_full):
-            advance(fine, fine, fine_acc, dt, *(pending or fresh()))
+            # a partial step shares its values and drift with this step,
+            # as a run straight to the partial step's time draws them
+            advance(fine, fine_acc, dt, *(pending or draw(fine)),
+                    scaled[row(i)])
             pending = None
-            if twin:
-                summed += noise
-                if (i + 1) % LEVEL_RATIO == 0:
-                    summed *= LEVEL_RATIO ** -0.5
-                    advance(coarse, coarse, coarse_acc, LEVEL_RATIO * dt,
-                            *draw(coarse), summed)
-                    summed.fill(0.0)
+            if twin and (i + 1) % LEVEL_RATIO == 0:
+                advance(coarse, coarse_acc, LEVEL_RATIO * dt, *draw(coarse),
+                        summed[row(i) // LEVEL_RATIO])
         done = n_full
         if rem > 0.0:
             # the partial step runs into `part`; the march goes on from x
-            pending = pending or fresh()
+            pending = pending or draw(fine)
             part_acc = {name: a.copy() for name, a in acc.items()}
-            yield j, advance(fine, part, part_acc, rem, *pending), part_acc
+            np.copyto(part, fine)
+            advance(part, part_acc, rem, *pending,
+                    math.sqrt(2.0 * rem) * noise[row(n_full)])
+            yield j, part, part_acc
         else:
             yield j, x, acc
 

@@ -23,9 +23,11 @@ above 8; `psd-check` of every catalog M-function (the
 beckners at p = 1.5); `lyapunov-scan` of the spherical certificates at
 alpha = 1, 1.2 and 1.5 and of the product-power one at alpha = 1.5 in
 n = 1 and 2; `houdre-kagan` of x^3; a unit-certificate
-supermartingale check on the 2-D gaussian; and Feynman-Kac gradient
-bounds with one Euler level (at --sim-dt 0.01, plain Monte Carlo) and
-with two (at a time of 0.33, not a whole number of 0.025 steps).  Each run
+supermartingale check on the 2-D gaussian, and auto-certificate ones on
+the 2-D spherical and product-power potentials at alpha = 1.5; and
+Feynman-Kac gradient bounds with one Euler level (at --sim-dt 0.01, plain
+Monte Carlo), with two (at a time of 0.33, not a whole number of 0.025
+steps), and at 8229 paths, whose last block is short.  Each run
 gets its own directory under OUT/seed-S/ holding its output files, its
 stdout and stderr, and its exit status in `exit`.  `timestamp` and
 `wall_time_s` are dropped from every JSON document, so two trees with the
@@ -148,9 +150,16 @@ def cases(configs: dict, seed: int) -> list:
                                          "supermartingale", "--cert", "unit",
                                          "--potential", "gaussian:n=2",
                                          "--x0", "0.3,-0.4"))]
+    out += [(f"supermartingale-auto-{kind}-n2", ("feynman-kac", "--check",
+                                                "supermartingale", "--cert",
+                                                "auto", "--potential",
+                                                f"{kind}:alpha=1.5:n=2",
+                                                "--x0", "0.3,-0.4"))
+            for kind in ("spherical", "product-power")]
     out += [(f"fk-gradient-{name}", (*FK_GRADIENT, *extra))
             for name, extra in (("one-level", ("--sim-dt", "0.01")),
-                                ("two-levels", ("--ts", "0.33")))]
+                                ("two-levels", ("--ts", "0.33")),
+                                ("uneven-block", ("--paths", "8229")))]
     out += [("monotone-plot", ("run", configs["monotone-plot"]))]
     out = [(name, (*argv, "--seed", str(seed))) for name, argv in out]
     return out + [("criterion-12", ("run", configs["criterion-12"]))]
