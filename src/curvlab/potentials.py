@@ -127,17 +127,15 @@ def make_example_potential(kind: str, alpha: float | None = None, n: int = 1) ->
 
             def gradient(x):
                 x = np.asarray(x, dtype=float)
-                base = 1.0 + _r2(x)
-                return a * base[..., None] ** (a / 2.0 - 1.0) * x
+                return (a * (1.0 + _r2(x)) ** (a / 2.0 - 1.0))[..., None] * x
 
             def hessian(x):
                 x = np.asarray(x, dtype=float)
                 base = 1.0 + _r2(x)
-                eye = np.eye(n)
-                t1 = a * base[..., None, None] ** (a / 2.0 - 1.0) * eye
+                p = base ** (a / 2.0 - 2.0)
+                t1 = (a * (p * base))[..., None, None] * np.eye(n)
                 outer = x[..., :, None] * x[..., None, :]
-                t2 = a * (a - 2.0) * base[..., None, None] ** (a / 2.0 - 2.0) * outer
-                return t1 + t2
+                return t1 + (a * (a - 2.0) * p)[..., None, None] * outer
 
             def curvature(x):
                 # smallest eigenvalue sits along the radial direction for alpha < 2
@@ -232,6 +230,8 @@ class LyapunovCertificate:
     log_laplacian: Callable[[np.ndarray], np.ndarray]
     theta: float = 1.0
     label: str = "certificate"
+    # Lg/g(x, drift) in closed form, where the family has one
+    closed_form: Callable | None = None
 
     def __post_init__(self):
         if not self.p > 1.0:
@@ -246,12 +246,15 @@ class LyapunovCertificate:
         """Lg/g at the points x under the potential whose gradient at x is
         `drift`: a path functional of `simulate`, vectorized."""
         x = np.asarray(x, dtype=float)
+        if self.closed_form is not None:
+            return self.closed_form(x, drift)
         gf = self.log_grad(x)
         return self.log_laplacian(x) + _dot(gf, gf) - _dot(drift, gf)
 
 
 def _power_logform(c: float, q: float, theta: float):
-    """Closures for f(x) = sum_i c (theta + x_i^2)^q."""
+    """Closures for f(x) = sum_i c (theta + x_i^2)^q; each raises one
+    fractional power."""
 
     def log_value(x):
         x = np.asarray(x, dtype=float)
@@ -263,30 +266,45 @@ def _power_logform(c: float, q: float, theta: float):
 
     def log_laplacian(x):
         x = np.asarray(x, dtype=float)
-        b = theta + x * x
-        return np.sum(2.0 * c * q * (b ** (q - 1.0) + 2.0 * (q - 1.0) * x * x * b ** (q - 2.0)),
-                      axis=-1)
+        x2 = x * x
+        b = theta + x2
+        g = 2.0 * c * q * b ** (q - 1.0)
+        return np.sum(g * (1.0 + 2.0 * (q - 1.0) * x2 / b), axis=-1)
 
     return log_value, log_grad, log_laplacian
 
 
 def _radial_logform(c: float, q: float, n: int):
-    """Closures for f(x) = c (1 + |x|^2)^q."""
+    """Closures for f(x) = c (1 + |x|^2)^q, whose gradient is g x with
+    g = 2cq b^(q-1) and b = 1 + |x|^2; each raises one fractional power."""
 
     def log_value(x):
         return c * (1.0 + _r2(np.asarray(x, dtype=float))) ** q
 
     def log_grad(x):
         x = np.asarray(x, dtype=float)
-        base = 1.0 + _r2(x)
-        return 2.0 * c * q * base[..., None] ** (q - 1.0) * x
+        return (2.0 * c * q * (1.0 + _r2(x)) ** (q - 1.0))[..., None] * x
 
     def log_laplacian(x):
-        x = np.asarray(x, dtype=float)
-        base = 1.0 + _r2(x)
-        return 2.0 * c * q * (n * base ** (q - 1.0) + 2.0 * (q - 1.0) * _r2(x) * base ** (q - 2.0))
+        r2 = _r2(np.asarray(x, dtype=float))
+        b = 1.0 + r2
+        return 2.0 * c * q * b ** (q - 1.0) * (n + 2.0 * (q - 1.0) * r2 / b)
 
     return log_value, log_grad, log_laplacian
+
+
+def _radial_lg_over_g(c: float, q: float, n: int):
+    """Lg/g of `_radial_logform`'s f in closed form,
+    g (n + (2(q-1)/b + g) |x|^2 - drift . x), at one fractional power where
+    composing log_grad and log_laplacian takes two."""
+
+    def lg_over_g(x, drift):
+        r2 = _r2(x)
+        b = 1.0 + r2
+        g = 2.0 * c * q * b ** (q - 1.0)
+        return g * (n + (2.0 * (q - 1.0) / b + g) * r2 - _dot(drift, x))
+
+    return lg_over_g
 
 
 def _check_dimension(potential: Potential, cert: LyapunovCertificate) -> None:
@@ -389,21 +407,21 @@ def make_lyapunov(kind: str, alpha: float, p: float, n: int = 1) -> LyapunovCert
     q = (2.0 - a) / 2.0
 
     if kind == "spherical":
-        potential = make_example_potential("spherical", a, n)
+        def build(cc, beta):
+            return LyapunovCertificate(
+                p, beta, cc, n, *_radial_logform(cc, q, n),
+                label=f"spherical:alpha={a:g}:p={p:g}:n={n}",
+                closed_form=_radial_lg_over_g(cc, q, n))
+
         if a >= 4.0 / 3.0:
             c = beta = 0.25 * min(p / n, math.sqrt(p))
         elif a == 1.0:
             c = beta = 1.0 / (4.0 * n)
         else:
-            def build(cc):
-                lv, lg, ll = _radial_logform(cc, q, n)
-                return LyapunovCertificate(p, cc / 2.0, cc, n, lv, lg, ll)
-
-            c = _bisect_feasible_c(build, potential)
+            c = _bisect_feasible_c(lambda cc: build(cc, cc / 2.0),
+                                   make_example_potential("spherical", a, n))
             beta = c / 2.0
-        lv, lg, ll = _radial_logform(c, q, n)
-        return LyapunovCertificate(p, beta, c, n, lv, lg, ll,
-                                   label=f"spherical:alpha={a:g}:p={p:g}:n={n}")
+        return build(c, beta)
 
     if kind == "product-power":
         potential = make_example_potential("product-power", a, n)

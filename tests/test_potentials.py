@@ -324,3 +324,82 @@ def test_constant_certificate_defaults():
     assert float(np.asarray(cert.g_value(np.array([[3.0]])))[0]) == 1.0
     with pytest.raises(ParameterError):
         constant_certificate(p=1.0)
+
+
+# The closures' earlier forms, which raise 1 + |x|^2 (or theta + x_i^2) to
+# a fractional power up to twice per call and compose Lg/g from log_grad and
+# log_laplacian: the one-power forms must agree with them to rounding.
+
+def _radial_points(n):
+    rng = np.random.default_rng(n)
+    r = np.concatenate([[0.0, 1e-8, 1e-3], np.geomspace(1e-2, 50.0, 200)])
+    d = rng.normal(size=(len(r), n))
+    return r[:, None] * d / np.linalg.norm(d, axis=1, keepdims=True)
+
+
+def _composed_lg(ll, gf, drift):
+    """Lg/g composed from its parts, and the sum of the parts' sizes."""
+    gg, dg = np.sum(gf * gf, -1), np.sum(drift * gf, -1)
+    return ll + gg - dg, np.abs(ll) + gg + np.abs(dg)
+
+
+def _within_ulps(new, old, scale, ulps=8):
+    tol = ulps * np.finfo(float).eps * np.maximum(1.0, scale)
+    assert np.all(np.abs(new - old) <= tol)
+
+
+@pytest.mark.parametrize("alpha", [1.0, 1.2, 1.5])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_spherical_closures_match_their_two_power_forms(alpha, n):
+    P = make_example_potential("spherical", alpha, n)
+    cert = make_lyapunov("spherical", alpha, 2.0, n)
+    a, c, q = alpha, cert.c, (2.0 - alpha) / 2.0
+    x = _radial_points(n)
+    r2 = np.sum(x * x, -1)
+    base = 1.0 + r2
+    grad = a * base[..., None] ** (a / 2.0 - 1.0) * x
+    curv = a * (1.0 + (a - 1.0) * r2) * base ** (a / 2.0 - 2.0)
+    hess = (a * base[..., None, None] ** (a / 2.0 - 1.0) * np.eye(n)
+            + a * (a - 2.0) * base[..., None, None] ** (a / 2.0 - 2.0)
+            * x[..., :, None] * x[..., None, :])
+    gf = 2.0 * c * q * base[..., None] ** (q - 1.0) * x
+    ll = 2.0 * c * q * (n * base ** (q - 1.0)
+                        + 2.0 * (q - 1.0) * r2 * base ** (q - 2.0))
+    lg, size = _composed_lg(ll, gf, grad)
+    _within_ulps(P.gradient(x), grad, np.abs(grad).max(-1, keepdims=True))
+    _within_ulps(P.curvature(x), curv, np.abs(curv))
+    _within_ulps(P.hessian(x), hess,
+                 np.abs(hess).max(axis=(-2, -1), keepdims=True))
+    _within_ulps(cert.lg_over_g(x, P.gradient(x)), lg, size)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_product_power_closures_match_their_two_power_forms(n):
+    a = 1.5
+    P = make_example_potential("product-power", a, n)
+    cert = make_lyapunov("product-power", a, 2.0, n)
+    c, q, theta = cert.c, (2.0 - a) / 2.0, cert.theta
+    x = _radial_points(n)
+    grad = a * x * (1.0 + x * x) ** (a / 2.0 - 1.0)
+    w2 = a * (1.0 + (a - 1.0) * x * x) * (1.0 + x * x) ** (a / 2.0 - 2.0)
+    b = theta + x * x
+    gf = 2.0 * c * q * x * b ** (q - 1.0)
+    ll = np.sum(2.0 * c * q * (b ** (q - 1.0)
+                               + 2.0 * (q - 1.0) * x * x * b ** (q - 2.0)), -1)
+    lg, size = _composed_lg(ll, gf, grad)
+    _within_ulps(P.gradient(x), grad, np.abs(grad))
+    _within_ulps(P.curvature(x), np.min(w2, -1), np.min(w2, -1))
+    _within_ulps(cert.lg_over_g(x, P.gradient(x)), lg, size)
+
+
+@pytest.mark.parametrize("alpha", [1.0, 1.2, 1.5])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_closed_form_lg_over_g_honours_the_drift(alpha, n):
+    # under the gaussian's drift x, not the spherical one it was built for,
+    # the closed form still equals lap f + |grad f|^2 - drift . grad f
+    cert = make_lyapunov("spherical", alpha, 2.0, n)
+    assert cert.closed_form is not None
+    x = _radial_points(n)
+    drift = make_example_potential("gaussian", n=n).gradient(x)
+    lg, size = _composed_lg(cert.log_laplacian(x), cert.log_grad(x), drift)
+    _within_ulps(cert.lg_over_g(x, drift), lg, size)
