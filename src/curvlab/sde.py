@@ -84,12 +84,13 @@ def _check_paths(n_paths: int) -> None:
 
 
 def _step_plan(t: float, dt: float):
-    """Full steps of dt, then one partial step for the remainder."""
+    """Full steps of dt, then one partial step for the remainder; a time
+    within 1e-12 max(1, t) of a whole number of steps takes that many."""
+    n = round(t / dt)
+    if abs(t - n * dt) <= 1e-12 * max(1.0, t):
+        return n, 0.0
     n_full = int(t / dt)
-    rem = t - n_full * dt
-    if rem < 1e-12 * max(1.0, t):
-        rem = 0.0
-    return n_full, rem
+    return n_full, t - n_full * dt
 
 
 def _path_mean(values) -> tuple:

@@ -796,18 +796,16 @@ def test_grid_monotone_march_count(monkeypatch):
     # gives all 20 inner functions, then one march of the 7 points'
     # interpolation weights to every s > 0 gives all 20 outer values; each
     # march runs at dt and at 2 dt, one solve per step for all its columns.
-    # At dt the inner march takes 600 steps to t = 0.6 and 6 partial steps
-    # off the dt grid, the weights' march 600 steps to s = 0.6 and 3 partial
-    # steps, for the s = 0.33, 0.45 and 0.57 that int(s / dt) puts one step
-    # short (a partial step within 2e-16 of a full one); at 2 dt, 300 + 6
-    # and 300 + 3
+    # Every t - s and s (multiples of 0.03) is a whole number of steps of
+    # dt and of 2 dt to within rounding, so no march takes a partial step:
+    # 600 steps each to 0.6 at dt, 300 at 2 dt
     marches = _count_calls(monkeypatch, "grid_apply")
     solves = _count_calls(monkeypatch, "dpttrs", lapack)
     eng = GridEngine(make_double_well(), lo=-6.0, hi=6.0, m=2001, dt=1e-3)
     verify_H_monotone([catalog("poincare")], eng, get("sine"), t=0.6,
                       alpha=0.2, rho=-1.0, s_count=21)
     assert len(marches) == 1 + 1
-    assert len(solves) == 606 + 603 + 306 + 303
+    assert len(solves) == 600 + 600 + 300 + 300
 
 
 def test_grid_monotone_refuses_an_outer_function_that_is_not_finite():
