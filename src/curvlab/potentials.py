@@ -44,7 +44,9 @@ class Potential:
     """A smooth confining potential on R^n.
 
     ``curvature`` is the vectorized closed form of the smallest Hessian
-    eigenvalue, (..., n) -> (...).
+    eigenvalue, (..., n) -> (...).  ``gradient`` may return its input
+    itself (the gaussian's does): callers must only read it, and read it
+    before they write the positions it was evaluated at.
     """
 
     n: int
@@ -230,7 +232,7 @@ class LyapunovCertificate:
     log_laplacian: Callable[[np.ndarray], np.ndarray]
     theta: float = 1.0
     label: str = "certificate"
-    # Lg/g(x, drift) in closed form, where the family has one
+    # Lg/g(x, drift) in closed form; if None, lg_over_g composes it
     closed_form: Callable | None = None
 
     def __post_init__(self):
@@ -253,8 +255,7 @@ class LyapunovCertificate:
 
 
 def _power_logform(c: float, q: float, theta: float):
-    """Closures for f(x) = sum_i c (theta + x_i^2)^q; each raises one
-    fractional power."""
+    """Closures for f(x) = sum_i c (theta + x_i^2)^q, one power each."""
 
     def log_value(x):
         x = np.asarray(x, dtype=float)
@@ -265,18 +266,15 @@ def _power_logform(c: float, q: float, theta: float):
         return 2.0 * c * q * x * (theta + x * x) ** (q - 1.0)
 
     def log_laplacian(x):
-        x = np.asarray(x, dtype=float)
-        x2 = x * x
+        x2 = np.square(np.asarray(x, dtype=float))
         b = theta + x2
-        g = 2.0 * c * q * b ** (q - 1.0)
-        return np.sum(g * (1.0 + 2.0 * (q - 1.0) * x2 / b), axis=-1)
+        return np.sum(2.0 * c * q * b ** (q - 1.0) * (1.0 + 2.0 * (q - 1.0) * x2 / b), axis=-1)
 
     return log_value, log_grad, log_laplacian
 
 
 def _radial_logform(c: float, q: float, n: int):
-    """Closures for f(x) = c (1 + |x|^2)^q, whose gradient is g x with
-    g = 2cq b^(q-1) and b = 1 + |x|^2; each raises one fractional power."""
+    """Closures for f(x) = c (1 + |x|^2)^q, one power each."""
 
     def log_value(x):
         return c * (1.0 + _r2(np.asarray(x, dtype=float))) ** q
@@ -294,9 +292,8 @@ def _radial_logform(c: float, q: float, n: int):
 
 
 def _radial_lg_over_g(c: float, q: float, n: int):
-    """Lg/g of `_radial_logform`'s f in closed form,
-    g (n + (2(q-1)/b + g) |x|^2 - drift . x), at one fractional power where
-    composing log_grad and log_laplacian takes two."""
+    """Lg/g of `_radial_logform`'s f at one power: grad f = g x with
+    g = 2cq b^(q-1), b = 1 + |x|^2, so Lg/g = g (n + (2(q-1)/b + g) |x|^2 - drift . x)."""
 
     def lg_over_g(x, drift):
         r2 = _r2(x)
@@ -460,16 +457,11 @@ def constant_certificate(p: float = 2.0, beta: float | None = None,
     if beta is None:
         beta = p
 
-    def zero_scalar(x):
-        x = np.asarray(x, dtype=float)
-        return np.zeros(x.shape[:-1])
+    def zero(x):
+        return np.zeros(np.shape(x)[:-1])
 
-    def zero_vec(x):
-        x = np.asarray(x, dtype=float)
-        return np.zeros_like(x)
-
-    return LyapunovCertificate(p, beta, 0.0, n, zero_scalar, zero_vec, zero_scalar,
-                               label="g=1")
+    return LyapunovCertificate(p, beta, 0.0, n, zero, lambda x: np.zeros(np.shape(x)),
+                               zero, label="g=1")
 
 
 def _id_segments(text: str, what: str) -> tuple:

@@ -2,6 +2,9 @@
 
 Sampling is blocked and seeded per block, so results are bit-identical for a
 given seed no matter how many worker threads run (set CURVLAB_THREADS).
+Each block draws its normals CHUNK_BYTES at a time, the same stream as one
+draw per step, and each step is three array passes: shift = grad V(y) dt,
+y += sqrt(2 dt) normals (scaled once per chunk), y -= shift.
 One path set serves several start points and several checkpoint times.
 Functional accumulators integrate phi(X_s) ds along each path with the
 left-endpoint rule, matching the order of the Euler step itself; each
@@ -25,10 +28,10 @@ from .errors import NumericalError, ParameterError, SimulationError
 from .potentials import Potential, as_points
 
 __all__ = ["PathBatch", "simulate", "multilevel_mean", "BLOCK_SIZE",
-           "EXPLOSION_RADIUS"]
+           "CHUNK_BYTES", "EXPLOSION_RADIUS"]
 
 BLOCK_SIZE = 8192
-CHUNK_BYTES = 1 << 16   # the normals of a block's steps are drawn this many bytes at once
+CHUNK_BYTES = 1 << 16   # a block's normals are drawn this many bytes at a time
 EXPLOSION_RADIUS = 1e8
 LEVEL_RATIO = 5         # steps of an Euler level per step of the next coarser
 COARSEST_STEP = 1 / 40  # the largest step of a multilevel estimate
@@ -89,8 +92,7 @@ def _step_plan(t: float, dt: float):
     n = round(t / dt)
     if abs(t - n * dt) <= 1e-12 * max(1.0, t):
         return n, 0.0
-    n_full = int(t / dt)
-    return n_full, t - n_full * dt
+    return int(t / dt), t - int(t / dt) * dt
 
 
 def _path_mean(values) -> tuple:
@@ -122,17 +124,14 @@ def _run_block(potential: Potential, x0_block: np.ndarray, plans: list,
     fine, fine_acc = x[:k], {name: a[:k] for name, a in acc.items()}
     coarse, coarse_acc = x[k:], {name: a[k:] for name, a in acc.items()}
     n_steps = max(m + (rem > 0.0) for m, rem in plans)
-    # the normals of c steps, drawn at once; a twin's chunk holds whole
-    # coarse steps.  Each step writes its arithmetic into these buffers: a
-    # fresh temporary of this size would be mapped and unmapped by the
-    # allocator at every step
+    # the normals of a chunk of c steps, a twin's chunk whole coarse steps;
+    # steps write into these buffers, as a fresh temporary of this size
+    # would be mapped and unmapped by the allocator at every step
     c = max(1, min(n_steps, CHUNK_BYTES // (8 * x[0].size)))
-    if twin:
-        c = max(LEVEL_RATIO, c - c % LEVEL_RATIO)
+    c = max(LEVEL_RATIO, c - c % LEVEL_RATIO) if twin else c
     noise, scaled = np.empty((2, c) + x.shape[1:])
     summed = np.empty((c // LEVEL_RATIO,) + x.shape[1:])
-    shift, part = np.empty(x0_block.shape), np.empty(x0_block.shape)
-    hv = np.empty(x0_block.shape[:-1])
+    shift, hv = np.empty(x0_block.shape), np.empty(x0_block.shape[:-1])
     first = -c  # the step of the chunk's first row
 
     def row(i):
@@ -142,14 +141,13 @@ def _run_block(potential: Potential, x0_block: np.ndarray, plans: list,
             first, rows = i, slice(min(c, n_steps - i))
             rng.standard_normal(out=noise[rows])
             np.multiply(math.sqrt(2.0 * dt), noise[rows], out=scaled[rows])
-            if twin:
-                # each coarse step's normals are summed in step order
-                groups = summed[:rows.stop // LEVEL_RATIO]
-                np.copyto(groups, noise[0:rows.stop:LEVEL_RATIO])
+            if twin:  # each coarse step's normals, summed in step order
+                sums = summed[:rows.stop // LEVEL_RATIO]
+                np.copyto(sums, noise[0:rows.stop:LEVEL_RATIO])
                 for r in range(1, LEVEL_RATIO):
-                    groups += noise[r:rows.stop:LEVEL_RATIO]
-                groups *= LEVEL_RATIO ** -0.5
-                groups *= math.sqrt(2.0 * (LEVEL_RATIO * dt))
+                    sums += noise[r:rows.stop:LEVEL_RATIO]
+                sums *= LEVEL_RATIO ** -0.5
+                sums *= math.sqrt(2.0 * (LEVEL_RATIO * dt))
         return i - first
 
     def draw(y):
@@ -164,7 +162,7 @@ def _run_block(potential: Potential, x0_block: np.ndarray, plans: list,
             acc[name] += np.multiply(h, v, out=hv)
         np.multiply(drift, h, out=shift)
         y += step
-        y -= shift
+        return np.subtract(y, shift, out=y)
 
     done, pending = 0, None
     for j in sorted(range(len(plans)), key=plans.__getitem__):
@@ -180,13 +178,12 @@ def _run_block(potential: Potential, x0_block: np.ndarray, plans: list,
                         summed[row(i) // LEVEL_RATIO])
         done = n_full
         if rem > 0.0:
-            # the partial step runs into `part`; the march goes on from x
+            # the partial step runs into a copy; the march goes on from x
             pending = pending or draw(fine)
             part_acc = {name: a.copy() for name, a in acc.items()}
-            np.copyto(part, fine)
-            advance(part, part_acc, rem, *pending,
-                    math.sqrt(2.0 * rem) * noise[row(n_full)])
-            yield j, part, part_acc
+            step = math.sqrt(2.0 * rem) * noise[row(n_full)]
+            yield j, advance(fine.copy(), part_acc, rem, *pending, step), \
+                part_acc
         else:
             yield j, x, acc
 

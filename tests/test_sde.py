@@ -7,9 +7,12 @@ import warnings
 import numpy as np
 import pytest
 
+from curvlab import sde
 from curvlab.errors import ParameterError, SimulationError
-from curvlab.potentials import make_example_potential, make_double_well
-from curvlab.sde import simulate, BLOCK_SIZE
+from curvlab.potentials import (make_double_well, make_example_potential,
+                                make_lyapunov)
+from curvlab.sde import (BLOCK_SIZE, CHUNK_BYTES, LEVEL_RATIO,
+                         multilevel_mean, simulate)
 
 
 def test_bit_reproducible():
@@ -208,3 +211,96 @@ def test_overflowing_paths_raise_without_warnings():
             simulate(W, [50.0], t=20.0, dt=1.0, n_paths=200, seed=0)
     assert exc.value.exploded_fraction == 1.0
     assert not [w for w in seen if issubclass(w.category, RuntimeWarning)]
+
+
+def _one_draw_per_step(potential, x0_block, plans, dt, rng, functionals,
+                       twin=False):
+    """The Euler loop as it was before chunked draws: one standard_normal
+    call per step, a partial step sharing the next full step's normals."""
+    k = len(x0_block)
+    x = np.concatenate([x0_block] * (1 + twin))
+    acc = {name: np.zeros(x.shape[:-1]) for name in functionals}
+    draws = []
+
+    def normals(i):
+        while len(draws) <= i:
+            draws.append(rng.standard_normal(x.shape[1:]))
+        return draws[i]
+
+    def step(y, acc, h, noise):
+        drift = potential.gradient(y)
+        for name, phi in functionals.items():
+            acc[name] += h * phi(y, drift)
+        return y + np.sqrt(2.0 * h) * noise - drift * h
+
+    done = 0
+    for j in sorted(range(len(plans)), key=plans.__getitem__):
+        n_full, rem = plans[j]
+        for i in range(done, n_full):
+            x[:k] = step(x[:k], {n: a[:k] for n, a in acc.items()}, dt,
+                         normals(i))
+            if twin and (i + 1) % LEVEL_RATIO == 0:
+                summed = np.zeros(x.shape[1:])
+                for r in range(i + 1 - LEVEL_RATIO, i + 1):
+                    summed += normals(r)
+                summed *= LEVEL_RATIO ** -0.5
+                x[k:] = step(x[k:], {n: a[k:] for n, a in acc.items()},
+                             LEVEL_RATIO * dt, summed)
+        done = n_full
+        if rem > 0.0:
+            part_acc = {name: a.copy() for name, a in acc.items()}
+            yield j, step(x[:k], part_acc, rem, normals(n_full)), part_acc
+        else:
+            yield j, x, acc
+
+
+def _both_kernels(run):
+    """run() with the chunked kernel, then with the one-draw-per-step loop."""
+    chunked = run()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sde, "_run_block", _one_draw_per_step)
+        return chunked, run()
+
+
+@pytest.mark.parametrize("threads", ["1", "4"])
+def test_chunked_draws_match_one_draw_per_step(monkeypatch, threads):
+    monkeypatch.setenv("CURVLAB_THREADS", threads)
+    P = make_example_potential("spherical", 1.5, 2)
+    starts = [[0.3, -0.4], [2.0, 1.0]]
+    # 1024 paths in n = 2 draw c steps per chunk: the partial step of t1
+    # needs step c's normals, the first of the second chunk, and t2 ends
+    # in a short chunk
+    c = CHUNK_BYTES // (8 * 1024 * 2)
+    assert c > 1
+    ts = [(c + 0.5) * 0.01, (2 * c + 1) * 0.01, 0.0]
+    # a gaussian, whose drift is the positions themselves, on a short last
+    # block: 37 paths, whose chunks are longer than the first block's
+    G = make_example_potential("gaussian", n=1)
+    for pot, x0, t, n_paths in ((P, starts, ts, 1024),
+                                (G, [[-0.5], [1.0]], [0.255, 1.0],
+                                 BLOCK_SIZE + 37)):
+        functionals = {"rho": lambda x, d: pot.curvature(x),
+                       "x0": lambda x, d: x[..., 0]}
+        a, b = _both_kernels(lambda: simulate(
+            pot, x0, t, dt=0.01, n_paths=n_paths, seed=6,
+            functionals=functionals))
+        np.testing.assert_array_equal(a.positions, b.positions)
+        for name in functionals:
+            np.testing.assert_array_equal(a.integrals[name],
+                                          b.integrals[name])
+        assert a.n_steps == b.n_steps
+
+
+@pytest.mark.parametrize("threads", ["1", "4"])
+def test_chunked_twins_match_one_draw_per_step(monkeypatch, threads):
+    # three levels at dt = 1e-3 to t = 0.25: BLOCK_SIZE + 37 plain paths,
+    # then 737 and 100 path pairs, whose chunks hold whole coarse steps
+    monkeypatch.setenv("CURVLAB_THREADS", threads)
+    P = make_example_potential("spherical", 1.5, 2)
+    cert = make_lyapunov("spherical", 1.5, 2.0, 2)
+    a, b = _both_kernels(lambda: multilevel_mean(
+        P, [[0.3, -0.4], [1.0, 0.5]], [0.25, 0.1],
+        lambda x, ints: cert.g_value(x) * np.exp(-ints["w"]), 1e-3,
+        BLOCK_SIZE + 37, 2, {"w": cert.lg_over_g}))
+    for u, v in zip(a, b):
+        np.testing.assert_array_equal(u, v)
