@@ -291,19 +291,6 @@ def _radial_logform(c: float, q: float, n: int):
     return log_value, log_grad, log_laplacian
 
 
-def _radial_lg_over_g(c: float, q: float, n: int):
-    """Lg/g of `_radial_logform`'s f at one power: grad f = g x with
-    g = 2cq b^(q-1), b = 1 + |x|^2, so Lg/g = g (n + (2(q-1)/b + g) |x|^2 - drift . x)."""
-
-    def lg_over_g(x, drift):
-        r2 = _r2(x)
-        b = 1.0 + r2
-        g = 2.0 * c * q * b ** (q - 1.0)
-        return g * (n + (2.0 * (q - 1.0) / b + g) * r2 - _dot(drift, x))
-
-    return lg_over_g
-
-
 def _check_dimension(potential: Potential, cert: LyapunovCertificate) -> None:
     if cert.n != potential.n:
         raise ParameterError(f"certificate {cert.label!r} is built for R^{cert.n}, "
@@ -405,10 +392,18 @@ def make_lyapunov(kind: str, alpha: float, p: float, n: int = 1) -> LyapunovCert
 
     if kind == "spherical":
         def build(cc, beta):
+            def lg_over_g(x, drift):
+                # grad f = g x, g = 2cq b^(q-1) with b = 1 + |x|^2, so one
+                # power gives Lg/g = g (n + (2(q-1)/b + g) |x|^2 - drift . x)
+                r2 = _r2(x)
+                b = 1.0 + r2
+                g = 2.0 * cc * q * b ** (q - 1.0)
+                return g * (n + (2.0 * (q - 1.0) / b + g) * r2 - _dot(drift, x))
+
             return LyapunovCertificate(
                 p, beta, cc, n, *_radial_logform(cc, q, n),
                 label=f"spherical:alpha={a:g}:p={p:g}:n={n}",
-                closed_form=_radial_lg_over_g(cc, q, n))
+                closed_form=lg_over_g)
 
         if a >= 4.0 / 3.0:
             c = beta = 0.25 * min(p / n, math.sqrt(p))
@@ -457,11 +452,16 @@ def constant_certificate(p: float = 2.0, beta: float | None = None,
     if beta is None:
         beta = p
 
-    def zero(x):
-        return np.zeros(np.shape(x)[:-1])
+    def zero_scalar(x):
+        x = np.asarray(x, dtype=float)
+        return np.zeros(x.shape[:-1])
 
-    return LyapunovCertificate(p, beta, 0.0, n, zero, lambda x: np.zeros(np.shape(x)),
-                               zero, label="g=1")
+    def zero_vec(x):
+        x = np.asarray(x, dtype=float)
+        return np.zeros_like(x)
+
+    return LyapunovCertificate(p, beta, 0.0, n, zero_scalar, zero_vec, zero_scalar,
+                               label="g=1")
 
 
 def _id_segments(text: str, what: str) -> tuple:

@@ -156,7 +156,7 @@ def _run_block(potential: Potential, x0_block: np.ndarray, plans: list,
         return {name: phi(y, drift) for name, phi in functionals.items()}, drift
 
     def advance(y, acc, h, values, drift, step):
-        # y += sqrt(2h) noise - drift h, each operation in that order;
+        # y += step - drift h, step being sqrt(2h) normals, in that order;
         # drift h comes first, as drift may share memory with y
         for name, v in values.items():
             acc[name] += np.multiply(h, v, out=hv)
