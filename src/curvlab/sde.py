@@ -6,6 +6,11 @@ Each block draws its normals CHUNK_BYTES at a time, the same stream as one
 draw per step, and each step is three array passes: shift = grad V(y) dt,
 y += sqrt(2 dt) normals (scaled once per chunk), y -= shift.
 One path set serves several start points and several checkpoint times.
+The walk advances every block to one checkpoint at a time and hands that
+time's positions, one contiguous array of all paths, to its consumer:
+`simulate` collects them, the Monte Carlo engine and `multilevel_mean`
+reduce them at once.  Besides the paths' own state, one time's positions
+are live, whatever the number of times.
 Functional accumulators integrate phi(X_s) ds along each path with the
 left-endpoint rule, matching the order of the Euler step itself; each
 functional is called as phi(x, drift), with the step's drift grad V(x).
@@ -15,10 +20,11 @@ each level's coarse twins driven by the sums of their fine paths' normals.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Mapping, Optional
 
 import numpy as np
@@ -46,17 +52,11 @@ class PathBatch:
     integrals: dict                # name -> ([T,] k, n_paths) of int_0^t phi(X_s) ds
     t: float                       # or the sequence of times, as given
     n_steps: int                   # steps to the latest time
-    exploded: np.ndarray = field(default=None)  # bool mask, all False once returned
 
     @property
     def n_paths(self) -> int:
         """Paths over all start points."""
         return math.prod(self.positions.shape[np.ndim(self.t):-1])
-
-    @property
-    def exploded_fraction(self) -> float:
-        """The exploded fraction of the worst start point at any time."""
-        return float(np.max(np.mean(self.exploded, axis=-1)))
 
 
 def _times(t) -> np.ndarray:
@@ -131,7 +131,6 @@ def _run_block(potential: Potential, x0_block: np.ndarray, plans: list,
     c = max(LEVEL_RATIO, c - c % LEVEL_RATIO) if twin else c
     noise, scaled = np.empty((2, c) + x.shape[1:])
     summed = np.empty((c // LEVEL_RATIO,) + x.shape[1:])
-    shift, hv = np.empty(x0_block.shape), np.empty(x0_block.shape[:-1])
     first = -c  # the step of the chunk's first row
 
     def row(i):
@@ -166,6 +165,9 @@ def _run_block(potential: Potential, x0_block: np.ndarray, plans: list,
 
     done, pending = 0, None
     for j in sorted(range(len(plans)), key=plans.__getitem__):
+        # the steps' scratch lives until the checkpoint, so a block waiting
+        # at one holds only its paths, integrals and normals
+        shift, hv = np.empty(x0_block.shape), np.empty(x0_block.shape[:-1])
         n_full, rem = plans[j]
         for i in range(done, n_full):
             # a partial step shares its values and drift with this step,
@@ -182,10 +184,11 @@ def _run_block(potential: Potential, x0_block: np.ndarray, plans: list,
             pending = pending or draw(fine)
             part_acc = {name: a.copy() for name, a in acc.items()}
             step = math.sqrt(2.0 * rem) * noise[row(n_full)]
-            yield j, advance(fine.copy(), part_acc, rem, *pending, step), \
-                part_acc
+            at = advance(fine.copy(), part_acc, rem, *pending, step), part_acc
         else:
-            yield j, x, acc
+            at = x, acc
+        shift = hv = None
+        yield (j, *at)
 
 
 def simulate(potential: Potential, x0, t, dt: float = 1e-3,
@@ -203,12 +206,13 @@ def simulate(potential: Potential, x0, t, dt: float = 1e-3,
 
     Each functional phi(x, drift) maps positions x and the drift grad V(x)
     there to one value per path.  By default the curvature integral
-    int_0^t rho(X_s) ds is accumulated under the name "rho".  Any path
-    that, at a checkpoint, lies beyond |x| = 1e8 or has a non-finite
-    position or path integral raises SimulationError, naming the step;
-    its exploded_fraction is that of the worst start.
+    int_0^t rho(X_s) ds is accumulated under the name "rho".  The walk
+    raises SimulationError at the first time, in time order, at which any
+    path lies beyond |x| = 1e8 or has a non-finite position or path
+    integral, naming the step; its exploded_fraction is that of the worst
+    start at that time.  A returned batch has no exploded path.
     """
-    _times(t)
+    ts = _times(t)
     _check_dt(dt)
     if n_paths < 1:
         raise ParameterError(f"n_paths must be positive, got {n_paths}")
@@ -216,67 +220,78 @@ def simulate(potential: Potential, x0, t, dt: float = 1e-3,
     x0 = as_points(x0, potential.n)
     if functionals is None:
         functionals = {"rho": lambda x, drift: potential.curvature(x)}
-    return _walk(potential, x0, t, dt, n_paths,
-                 np.random.SeedSequence(seed), functionals)
-
-
-def _walk(potential: Potential, x0: np.ndarray, t, dt: float, n_paths: int,
-          seq: np.random.SeedSequence, functionals: Mapping[str, Callable],
-          twin: bool = False) -> PathBatch:
-    """`simulate` from the (k, n) points x0, its blocks seeded by children
-    of seq; with twin, the batch holds 2k starts, the paths' coarse twins
-    (see _run_block) after the k starts."""
-    ts = _times(t)
-    n = potential.n
-    k = len(x0)
     # no time axis for one time
-    shape = np.shape(t) + (k * (1 + twin), n_paths)
-    x0 = np.broadcast_to(x0[:, None, :], (k, n_paths, n))
+    shape = np.shape(t) + (len(x0), n_paths)
+    positions = np.empty((len(ts),) + shape[-2:] + (potential.n,))
+    integrals = {name: np.empty(positions.shape[:-1]) for name in functionals}
+    for j, x, ints in _walk(potential, x0, ts, dt, n_paths,
+                            np.random.SeedSequence(seed), functionals):
+        positions[j] = x
+        for name, v in ints.items():
+            integrals[name][j] = v
     plans = [_step_plan(float(s), dt) for s in ts]
+    return PathBatch(positions.reshape(shape + (potential.n,)),
+                     {name: v.reshape(shape) for name, v in integrals.items()},
+                     t, max(m + (rem > 0.0) for m, rem in plans))
 
+
+def _walk(potential: Potential, x0: np.ndarray, ts: np.ndarray, dt: float,
+          n_paths: int, seq: np.random.SeedSequence,
+          functionals: Mapping[str, Callable], twin: bool = False):
+    """Yield (j, positions, integrals) of `simulate`'s paths from the (k, n)
+    points x0 at each time j of the 1-D ts, in time order, its blocks
+    seeded by children of seq; with twin, the start axis holds 2k starts,
+    the paths' coarse twins (see _run_block) after the k starts.
+
+    Every block reaches time j before it is yielded, in parallel under
+    CURVLAB_THREADS, so positions is one contiguous (starts, n_paths, n)
+    array of all paths and each integral one (starts, n_paths) array.  Both
+    are overwritten by the next time: copy them before resuming.  The first
+    time at which a path has exploded (see `simulate`) raises
+    SimulationError naming the step, the twins' LEVEL_RATIO dt if a twin
+    exploded, with the worst start's exploded fraction at that time.
+    """
+    n, k = potential.n, len(x0)
+    plans = [_step_plan(float(s), dt) for s in ts]
     n_blocks = (n_paths + BLOCK_SIZE - 1) // BLOCK_SIZE
-    children = seq.spawn(n_blocks)
     slices = [slice(i * BLOCK_SIZE, min((i + 1) * BLOCK_SIZE, n_paths))
               for i in range(n_blocks)]
+    x0 = np.broadcast_to(x0[:, None, :], (k, n_paths, n))
+    blocks = [_run_block(potential, x0[:, sl], plans, dt,
+                         np.random.default_rng(child), functionals, twin)
+              for sl, child in zip(slices, seq.spawn(n_blocks))]
+    positions = np.empty((k * (1 + twin), n_paths, n))
+    integrals = {name: np.empty(positions.shape[:-1]) for name in functionals}
 
-    full = (len(ts),) + shape[-2:]
-    positions = np.empty(full + (n,))
-    exploded = np.empty(full, dtype=bool)
-    integrals = {name: np.empty(full) for name in functionals}
-
-    def work(i):
-        # each block fills its own slices, so no second copy of the paths lives
-        sl, rng = slices[i], np.random.default_rng(children[i])
+    def advance(i):
+        # block i to its next time, into its slices; its lost paths per start
+        sl = slices[i]
         # overflow stays quiet; the checkpoints catch it (NaN fails r <= R)
         with np.errstate(over="ignore", invalid="ignore"):
-            for j, xb, accb in _run_block(potential, x0[:, sl], plans, dt,
-                                          rng, functionals, twin):
-                positions[j, :, sl] = xb
-                lost = ~(np.linalg.norm(xb, axis=-1) <= EXPLOSION_RADIUS)
-                for name in functionals:
-                    integrals[name][j, :, sl] = accb[name]
-                    lost |= ~np.isfinite(accb[name])
-                exploded[j, :, sl] = lost
+            j, xb, accb = next(blocks[i])
+            positions[:, sl] = xb
+            lost = ~(np.linalg.norm(xb, axis=-1) <= EXPLOSION_RADIUS)
+            for name in functionals:
+                integrals[name][:, sl] = accb[name]
+                lost |= ~np.isfinite(accb[name])
+        return j, np.count_nonzero(lost, axis=-1)
 
     n_threads = int(os.environ.get("CURVLAB_THREADS", "1"))
-    if n_threads > 1 and n_blocks > 1:
-        with ThreadPoolExecutor(max_workers=n_threads) as pool:
-            list(pool.map(work, range(n_blocks)))
-    else:
-        for i in range(n_blocks):
-            work(i)
-
-    batch = PathBatch(positions.reshape(shape + (n,)),
-                      {name: v.reshape(shape) for name, v in integrals.items()},
-                      t, max(m + (rem > 0.0) for m, rem in plans),
-                      exploded.reshape(shape))
-    if np.any(exploded):
-        # a coarse twin's explosion names the twins' step
-        h = LEVEL_RATIO * dt if np.any(exploded[:, k:]) else dt
-        raise SimulationError(
-            f"{batch.exploded_fraction:.2e} of paths exploded at step {h:g}",
-            exploded_fraction=batch.exploded_fraction)
-    return batch
+    threaded = n_threads > 1 and n_blocks > 1
+    with ThreadPoolExecutor(max_workers=n_threads) if threaded \
+            else contextlib.nullcontext() as pool:
+        for _ in plans:
+            reached = list((pool.map if threaded else map)(
+                advance, range(n_blocks)))
+            lost = np.sum([counts for _, counts in reached], axis=0)
+            if np.any(lost):
+                # a coarse twin's explosion names the twins' step
+                h = LEVEL_RATIO * dt if np.any(lost[k:]) else dt
+                fraction = float(np.max(lost) / n_paths)
+                raise SimulationError(
+                    f"{fraction:.2e} of paths exploded at step {h:g}",
+                    exploded_fraction=fraction)
+            yield reached[0][0], positions, integrals
 
 
 def _level_count(ts: np.ndarray, dt: float) -> int:
@@ -310,17 +325,19 @@ def multilevel_mean(potential: Potential, x0, t, payoff: Callable,
     _check_paths(n_paths)
     _check_seed(seed)
     x0 = as_points(x0, potential.n)
+    k = len(x0)
     L = _level_count(ts, dt)
     root = np.random.SeedSequence(seed)
     levels = []
     for l, seq in enumerate([root] if L == 0 else root.spawn(L + 1)):
         m = n_paths if l == 0 else \
             max(100, math.ceil(n_paths / LEVEL_RATIO ** (1.5 * l)))
-        batch = _walk(potential, x0, t, dt * LEVEL_RATIO ** (L - l), m, seq,
-                      functionals, twin=l > 0)
-        v = payoff(batch.positions, batch.integrals)
-        if l > 0:
-            v = v[..., :len(x0), :] - v[..., len(x0):, :]
-        levels.append(_path_mean(v))
+        # each time's payoff is reduced as soon as the walk reaches it
+        at = [None] * len(ts)
+        for j, x, ints in _walk(potential, x0, ts, dt * LEVEL_RATIO ** (L - l),
+                                m, seq, functionals, twin=l > 0):
+            v = payoff(x, ints)
+            at[j] = _path_mean(v if l == 0 else v[:k] - v[k:])
+        levels.append([np.reshape(a, np.shape(t) + (k,)) for a in zip(*at)])
     means, stderrs = zip(*levels)
     return np.sum(means, axis=0), np.hypot.reduce(stderrs, axis=0)

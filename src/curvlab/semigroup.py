@@ -4,9 +4,11 @@ Three interchangeable engines share one three-method contract: exact
 Gauss-Hermite quadrature of the Mehler integral (gaussian potential only),
 Richardson-extrapolated implicit-midpoint (Crank-Nicolson) steps of u_t = Lu
 on a 1-D grid with reflecting ends (`grid_apply` marches arrays of node
-values; the engine builds and checks its grid once, when it is built), and
-Euler-Maruyama Monte Carlo.  The two deterministic engines add a fourth
-method, for semigroups nested inside a sampled function.
+values, reducing each time's as it is reached if asked; the engine builds
+and checks its grid once, when it is built), and Euler-Maruyama Monte Carlo
+(`sde._walk`'s paths, one checkpoint at a time).  The two deterministic
+engines add a fourth method, for semigroups nested inside a sampled
+function.
 
 - `apply(func, t, xs) -> (values, stderr)` evaluates P_t of a plain
   function of position, vectorized over leading axes: (..., n) ->
@@ -46,8 +48,12 @@ shape (k, n).  stderr is exactly 0 for the deterministic engines.
 t is one time or a sequence of times in any order, repeats allowed.  A
 sequence adds a leading time axis, in the given order, and every time comes
 from one evolution; each time's slice is bitwise what a call with that time
-alone returns.  P_0 is the identity: at t = 0 every engine evaluates at
-the points, with zero stderr, and it evolves only the positive times.
+alone returns.  The grid and Monte Carlo evolutions hand each time over as
+soon as they reach it, and the engines reduce it to values at the points
+before the next time is computed, so one time's node values or paths are
+live at once; only `evolved`'s readers keep one node column per time.  P_0
+is the identity: at t = 0 every engine evaluates at the points, with zero
+stderr, and it evolves only the positive times.
 
 Gamma(f, g) = grad f . grad g and
 Gamma2(f) = ||Hess f||_HS^2 + grad f . Hess V grad f.  The gradient of
@@ -66,7 +72,7 @@ import numpy as np
 from .errors import DomainError, NumericalError, ParameterError
 from .potentials import Potential, as_points
 from .sde import (_check_dt, _check_paths, _check_seed, _path_mean,
-                  _step_plan, _times, simulate)
+                  _step_plan, _times, _walk)
 
 __all__ = [
     "TestFunction",
@@ -222,7 +228,7 @@ class _Engine:
         return as_points(x, self.potential.n)
 
     def _apply(self, func, t, x, evolve):
-        # evolve(xs, ts) yields (values, stderr) per time of ts
+        # evolve(xs, ts) gives (values, stderr) per time of ts, in order
         xs = self._points(x)
         return _stacked(t, _over_times(t, lambda j: _at_points(func, xs),
                                        lambda ts: evolve(xs, ts)))
@@ -453,14 +459,15 @@ def grid_generator(potential: Potential, lo: float, hi: float, m: int) -> Tridia
                                 np.sqrt(upper * lower), scale)
 
 
-def _march(gen: TridiagonalGenerator, u: np.ndarray, ts, dt: float) -> list:
-    """One Crank-Nicolson march of u_t = Lu from the node values u, an
-    (m, ...) array, to each time of ts, in ts's order.
+def _march(gen: TridiagonalGenerator, u: np.ndarray, ts, dt: float):
+    """Yield (j, node values) of one Crank-Nicolson march of u_t = Lu from
+    the node values u, an (m, ...) array, at each time j of ts, in march
+    order: by step plan, which is time order.
 
     Each time keeps the step plan of a march straight to it, taking its
-    partial step on a copy, so its result is bitwise that of a march to it
-    alone; a time that takes no step returns u itself.  The march runs on
-    y = D u, divided by D at each time it returns.  A step is CN's implicit
+    partial step on a copy, so its values are bitwise those of a march to
+    it alone; a time that takes no step yields u itself.  The march runs on
+    y = D u, divided by D at each time it yields.  A step is CN's implicit
     midpoint form, 2 z - y for z = (I - (dt/2) S)^-1 y: one solve with the
     symmetric positive definite I - (dt/2) S, factored once per step size by
     LAPACK's LDL^T (dpttrf).
@@ -483,33 +490,38 @@ def _march(gen: TridiagonalGenerator, u: np.ndarray, ts, dt: float) -> list:
 
     scale = gen.scale.reshape((-1,) + (1,) * (u.ndim - 1))
     y = scale * u
-    out = [None] * len(ts)
     done = 0
     for j in sorted(range(len(ts)), key=plans.__getitem__):
         n_full, rem = plans[j]
         if (n_full, rem) == (0, 0.0):
-            out[j] = u
+            yield j, u
             continue
         for _ in range(done, n_full):
             y = step(y, dt)
         done = n_full
-        out[j] = (step(y, rem) if rem > 0.0 else y) / scale
-    return out
+        yield j, (step(y, rem) if rem > 0.0 else y) / scale
 
 
-def grid_apply(gen: TridiagonalGenerator, values, t, dt: float):
+def grid_apply(gen: TridiagonalGenerator, values, t, dt: float,
+               reduce=None):
     """Richardson-extrapolated Crank-Nicolson evolution of u_t = Lu from the
     node values, an (m, ...) array on gen's nodes, to each time of t;
     trailing columns march together.
 
     Returns the node values as an array for one time and a tuple of them,
     in t's order, for a sequence.  Two marches (`_march`) reach every time,
-    at steps dt and 2 dt, and each time returns u_dt + (u_dt - u_2dt)/3.
-    CN's global error expands in even powers of the step, so this is
-    fourth order in time.  dt is the finer step, one that is taken: a time
-    t <= dt, where both marches would take the same one step, returns the
-    fine march's values, and a time that takes no step the values
-    untouched.  Each time's result is bitwise that of a call with it alone.
+    at steps dt and 2 dt, advancing together, and each time's values are
+    u_dt + (u_dt - u_2dt)/3, formed and checked to be finite as soon as
+    both marches reach it.  CN's global error expands in even powers of the
+    step, so this is fourth order in time.  dt is the finer step, one that
+    is taken: a time t <= dt, where both marches would take the same one
+    step, returns the fine march's values, and a time that takes no step
+    the values untouched.  Each time's result is bitwise that of a call
+    with it alone.
+
+    With reduce, each time j's node values v are replaced by reduce(j, v)
+    as soon as they are formed, j indexing the times of t, so only the
+    reductions are kept: one time's node values are live at once.
     """
     u = np.array(values, dtype=float)
     if np.shape(u)[:1] != gen.nodes.shape:
@@ -519,11 +531,19 @@ def grid_apply(gen: TridiagonalGenerator, values, t, dt: float):
         raise ParameterError("grid values must be finite")
     ts = _times(t)
     _check_dt(dt)
-    coarse = iter(_march(gen, u, ts[ts > dt], 2.0 * dt))
-    out = [v if s <= dt else v + (v - next(coarse)) / 3.0
-           for s, v in zip(ts, _march(gen, u, ts, dt))]
-    if not all(np.all(np.isfinite(v)) for v in out):
-        raise NumericalError("time stepping produced non-finite values")
+    slow = np.flatnonzero(ts > dt)
+    coarse = _march(gen, u, ts[slow], 2.0 * dt)
+    ahead = {}  # the coarse march's values of times the fine one has not met
+    out = [None] * len(ts)
+    for j, v in _march(gen, u, ts, dt):
+        if ts[j] > dt:
+            while j not in ahead:
+                i, w = next(coarse)
+                ahead[int(slow[i])] = w
+            v = v + (v - ahead.pop(j)) / 3.0
+        if not np.all(np.isfinite(v)):
+            raise NumericalError("time stepping produced non-finite values")
+        out[j] = v if reduce is None else reduce(j, v)
     return tuple(out) if np.ndim(t) else out[0]
 
 
@@ -543,9 +563,10 @@ class GridEngine(_Engine):
         object.__setattr__(self, "generator", grid_generator(
             self.potential, self.lo, self.hi, self.m))
 
-    def _evolved(self, func, ts) -> tuple:
+    def _evolved(self, func, ts, reduce=None) -> tuple:
+        # grid_apply's values, or their reductions, at each time of ts
         gen = self.generator
-        return grid_apply(gen, func(gen.nodes[:, None]), ts, self.dt)
+        return grid_apply(gen, func(gen.nodes[:, None]), ts, self.dt, reduce)
 
     def _points(self, x) -> np.ndarray:
         # np.interp would clamp a point outside the window to the end value
@@ -557,12 +578,14 @@ class GridEngine(_Engine):
 
     def apply(self, func, t, x):
         def evolve(xs, ts):
-            for u in self._evolved(func, ts):
+            def at_points(j, u):
                 # np.interp takes one column at a time
                 vals = np.stack([np.interp(xs[:, 0], self.generator.nodes, c)
                                  for c in u.reshape(len(u), -1).T], axis=-1)
                 vals = vals.reshape(len(xs), *u.shape[1:])
-                yield vals, np.zeros(vals.shape)
+                return vals, np.zeros(vals.shape)
+
+            return self._evolved(func, ts, at_points)
 
         return self._apply(func, t, x, evolve)
 
@@ -573,41 +596,45 @@ class GridEngine(_Engine):
         pi = np.square(gen.scale)[:, None]
         w = np.maximum(0.0, 1.0 - abs(gen.nodes[:, None] - xs[:, 0]) / gen.h)
 
-        def evolve(ts):
-            later = (g for g, s in pairs if s > 0.0)
-            for g, v in zip(later, grid_apply(gen, w / pi, ts, self.dt)):
-                u = g(gen.nodes[:, None])
-                if not np.all(np.isfinite(u)):
-                    raise ParameterError("grid values must be finite")
-                # one contiguous dot per (point, column): bitwise per column
-                cols = (pi * u.reshape(len(pi), -1)).T.copy()
-                vals = np.array([[a @ c for c in cols] for a in v.T.copy()])
-                vals = vals.reshape(len(xs), *u.shape[1:])
-                yield vals, np.zeros(vals.shape)
+        later = [g for g, s in pairs if s > 0.0]
+
+        def at_points(j, v):
+            # P_s g at the points from the marched weights v at time j
+            u = later[j](gen.nodes[:, None])
+            if not np.all(np.isfinite(u)):
+                raise ParameterError("grid values must be finite")
+            # one contiguous dot per (point, column): bitwise per column
+            cols = (pi * u.reshape(len(pi), -1)).T.copy()
+            vals = np.array([[a @ c for c in cols] for a in v.T.copy()])
+            vals = vals.reshape(len(xs), *u.shape[1:])
+            return vals, np.zeros(vals.shape)
 
         return _stacked(t, _over_times(
-            t, lambda j: _at_points(pairs[j][0], xs), evolve))
+            t, lambda j: _at_points(pairs[j][0], xs),
+            lambda ts: grid_apply(gen, w / pi, ts, self.dt, at_points)))
+
+    def _reader(self, j, u):
+        # the reader of f's node values u at time j: (P f, grad P f)
+        nodes = self.generator.nodes
+        du = np.gradient(u, self.generator.h)
+
+        def at(x):
+            xs = self._points(x)[:, 0]
+            return (np.interp(xs, nodes, u),
+                    np.interp(xs, nodes, du)[:, None])
+        return at
 
     def evolved(self, f: TestFunction, t) -> tuple:
-        nodes = self.generator.nodes
-
-        def read(u):
-            du = np.gradient(u, self.generator.h)
-
-            def at(x):
-                xs = self._points(x)[:, 0]
-                return (np.interp(xs, nodes, u),
-                        np.interp(xs, nodes, du)[:, None])
-            return at
-
-        return self._readers(f, t, lambda ts: map(read, self._evolved(f, ts)))
+        # each reader keeps its time's node values
+        return self._readers(f, t,
+                             lambda ts: self._evolved(f, ts, self._reader))
 
     def value_grad(self, f: TestFunction, t, x, rhs=None):
         def evolve(xs, ts, later):
             zeros = np.zeros(len(xs))
             sides = self._evolve_right_sides(later, ts, xs)
-            for j, at in enumerate(self.evolved(f, ts)):
-                u, grad = at(xs)
+            at_xs = self._evolved(f, ts, lambda j, u: self._reader(j, u)(xs))
+            for j, (u, grad) in enumerate(at_xs):
                 yield (u, zeros, grad, sides[j], np.zeros(sides[j].shape)) \
                     if later else (u, zeros, grad)
 
@@ -651,9 +678,15 @@ class MonteCarloEngine(_Engine):
         _check_dt(self.dt)
         _check_seed(self.seed)
 
-    def _paths(self, starts, ts) -> np.ndarray:
-        return simulate(self.potential, starts, ts, self.dt, self.n_paths,
-                        self.seed, functionals={}).positions
+    def _over_paths(self, starts, ts, reduce) -> list:
+        # reduce(j, positions) at each time j of ts, in ts's order, from one
+        # path set: each time's paths are reduced as soon as they are reached
+        out = [None] * len(ts)
+        for j, x, _ in _walk(self.potential, starts, ts, self.dt,
+                             self.n_paths, np.random.SeedSequence(self.seed),
+                             {}):
+            out[j] = reduce(j, x)
+        return out
 
     def _mean(self, func, x):
         # as (k, *cols, n_paths): each column reduces along a contiguous
@@ -661,12 +694,8 @@ class MonteCarloEngine(_Engine):
         return _path_mean(np.moveaxis(func(x), 1, -1))
 
     def apply(self, func, t, x):
-        def evolve(xs, ts):
-            # one time at a time
-            for x in self._paths(xs, ts):
-                yield self._mean(func, x)
-
-        return self._apply(func, t, x, evolve)
+        return self._apply(func, t, x, lambda xs, ts: self._over_paths(
+            xs, ts, lambda j, x: self._mean(func, x)))
 
     def value_grad(self, f: TestFunction, t, x, rhs=None):
         def evolve(xs, ts, later):
@@ -676,13 +705,16 @@ class MonteCarloEngine(_Engine):
             h = 1e-3 * (1.0 + np.abs(xs))
             e = np.eye(n)[:, None, :] * h  # (n, k, n): shift of dimension i
             starts = np.concatenate([xs[None], xs + e, xs - e]).reshape(-1, n)
-            for j, x in enumerate(self._paths(starts, ts)):
+
+            def sides(j, x):
                 vals, errs = self._mean(f, x)
                 up, dn = vals[k:].reshape(2, n, k)
                 row = vals[:k], errs[:k], ((up - dn) / (2.0 * h.T)).T
                 # the first k starts are the points, so a right side reads
                 # its paths off f's: bitwise those of a run from the points
-                yield row + self._mean(later[j], x[:k]) if later else row
+                return row + self._mean(later[j], x[:k]) if later else row
+
+            return self._over_paths(starts, ts, sides)
 
         return self._value_grad(f, t, x, rhs, evolve)
 

@@ -851,16 +851,16 @@ def test_parser_is_built_once_and_survives_a_rejection(capsys):
     ("verify-reverse", ("reverse-poincare", "reverse-log-sobolev"))])
 def test_mc_checks_of_one_function_share_one_simulation(
         tmp_path, monkeypatch, command, mfunctions):
-    # two M-functions make one simulate call and write the files of two
+    # two M-functions make one path walk and write the files of two
     # single-M runs, byte for byte: the runs always shared the seed
     calls = []
-    simulate = semigroup.simulate
+    walk = semigroup._walk
 
     def counted(*args, **kwargs):
         calls.append(1)
-        return simulate(*args, **kwargs)
+        return walk(*args, **kwargs)
 
-    monkeypatch.setattr(semigroup, "simulate", counted)
+    monkeypatch.setattr(semigroup, "_walk", counted)
     base = [command, "--engine", "monte-carlo", "--n-paths", "200",
             "--function", "shifted-sine", "--format", "csv", "--seed", "2"]
     flags = [x for m in mfunctions for x in ("--mfunction", m)]

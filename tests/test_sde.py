@@ -2,6 +2,7 @@
 
 import os
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -13,6 +14,9 @@ from curvlab.potentials import (make_double_well, make_example_potential,
                                 make_lyapunov)
 from curvlab.sde import (BLOCK_SIZE, CHUNK_BYTES, LEVEL_RATIO,
                          multilevel_mean, simulate)
+from curvlab.semigroup import MonteCarloEngine
+from curvlab.suite import get
+from curvlab.verify import Schedule
 
 
 def test_bit_reproducible():
@@ -99,7 +103,6 @@ def test_explosion_guard_raises():
 def test_double_well_paths_stay_bounded():
     W = make_double_well()
     out = simulate(W, [0.0], t=1.0, dt=1e-2, n_paths=4096, seed=2)
-    assert out.exploded_fraction == 0.0
     assert np.max(np.abs(out.positions)) < 10.0
 
 
@@ -144,7 +147,6 @@ def test_start_points_match_single_runs(monkeypatch, threads, kind, n):
         np.testing.assert_array_equal(out.positions[k:k + 1], one.positions)
         np.testing.assert_array_equal(out.integrals["rho"][k:k + 1],
                                       one.integrals["rho"])
-        np.testing.assert_array_equal(out.exploded[k:k + 1], one.exploded)
 
 
 def test_blocks_fill_their_slices_under_thread_contention(monkeypatch):
@@ -166,7 +168,6 @@ def test_blocks_fill_their_slices_under_thread_contention(monkeypatch):
     np.testing.assert_array_equal(serial.positions, threaded.positions)
     np.testing.assert_array_equal(serial.integrals["rho"],
                                   threaded.integrals["rho"])
-    np.testing.assert_array_equal(serial.exploded, threaded.exploded)
 
 
 def test_explosion_guard_is_per_start():
@@ -178,8 +179,7 @@ def test_explosion_guard_is_per_start():
                   gradient=lambda x: np.where(x > 0.5, -1e5 * x, x),
                   hessian=P.hessian, label="expanding", family="custom",
                   curvature=P.curvature)
-    safe = simulate(bad, [-1000.0], t=1.5, dt=0.5, n_paths=64, seed=0)
-    assert safe.exploded_fraction == 0.0
+    simulate(bad, [-1000.0], t=1.5, dt=0.5, n_paths=64, seed=0)
     with pytest.raises(SimulationError) as exc:
         simulate(bad, [[-1000.0], [1.0]], t=1.5, dt=0.5, n_paths=64, seed=0)
     assert exc.value.exploded_fraction == 1.0
@@ -211,6 +211,31 @@ def test_overflowing_paths_raise_without_warnings():
             simulate(W, [50.0], t=20.0, dt=1.0, n_paths=200, seed=0)
     assert exc.value.exploded_fraction == 1.0
     assert not [w for w in seen if issubclass(w.category, RuntimeWarning)]
+
+
+@pytest.mark.parametrize("threads", ["1", "4"])
+def test_explosion_is_raised_at_the_first_time_it_happens(monkeypatch,
+                                                          threads):
+    # the drift expands only above x = 1: no path has exploded at t = 0.5,
+    # the paths above 1 there have by t = 1, and more by t = 1.5; three
+    # times, unsorted, on two blocks raise at t = 1 with t = 1's fraction
+    monkeypatch.setenv("CURVLAB_THREADS", threads)
+    P = make_example_potential("gaussian", n=1)
+    bad = type(P)(n=1, value=P.value,
+                  gradient=lambda x: np.where(x > 1.0, -1e9 * x, x),
+                  hessian=P.hessian, label="expanding", family="custom",
+                  curvature=P.curvature)
+    run = dict(x0=[0.0], dt=0.5, n_paths=BLOCK_SIZE + 100, seed=0)
+    simulate(bad, t=0.5, **run)
+    fractions = []
+    for t in (1.0, 1.5):
+        with pytest.raises(SimulationError) as exc:
+            simulate(bad, t=t, **run)
+        fractions.append(exc.value.exploded_fraction)
+    assert 0.0 < fractions[0] < fractions[1]
+    with pytest.raises(SimulationError, match="at step 0.5") as exc:
+        simulate(bad, t=(1.5, 0.5, 1.0), **run)
+    assert exc.value.exploded_fraction == fractions[0]
 
 
 def _one_draw_per_step(potential, x0_block, plans, dt, rng, functionals,
@@ -304,3 +329,23 @@ def test_chunked_twins_match_one_draw_per_step(monkeypatch, threads):
         BLOCK_SIZE + 37, 2, {"w": cert.lg_over_g}))
     for u, v in zip(a, b):
         np.testing.assert_array_equal(u, v)
+
+
+def test_monte_carlo_holds_one_time_of_paths():
+    # tracemalloc sees numpy's buffers.  A value_grad of 21 starts (7 points
+    # and their shifts) at 20 000 paths over the default schedule's 5
+    # positive times, one time's positions being 3.36 MB: the walk holds the
+    # paths and the time it hands over, and the mean of f over them its
+    # values and the std's temporary, 13.8 MB measured.  Holding every
+    # time's positions, as one (T, k, n_paths, n) array, took 27.5 MB
+    engine = MonteCarloEngine(make_example_potential("gaussian", n=1),
+                              n_paths=20_000, dt=1e-2)
+    sched = Schedule()
+    one_time = 21 * 20_000 * 8
+    tracemalloc.start()
+    try:
+        engine.value_grad(get("sine"), sched.ts, sched.xs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * one_time

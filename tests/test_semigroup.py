@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -26,6 +27,7 @@ from curvlab.semigroup import (
 )
 from curvlab import semigroup, suite
 from curvlab.sde import BLOCK_SIZE, _step_plan, _times, simulate
+from curvlab.verify import Schedule
 
 GAUSS = make_example_potential("gaussian")
 SPH15 = make_example_potential("spherical", alpha=1.5)
@@ -411,6 +413,14 @@ def _rows_apply(rows, u):
     return out
 
 
+def _marched(gen, u, ts, dt):
+    # one plain march's node values, in ts's order
+    out = [None] * len(ts)
+    for j, v in semigroup._march(gen, u, ts, dt):
+        out[j] = v
+    return out
+
+
 def _banded_march(rows, f, t, dt):
     # Crank-Nicolson on u itself, with L's rows: solve_banded refactors the
     # pivoted banded I - (dt/2) L at every step
@@ -462,7 +472,7 @@ def test_grid_apply_is_bitwise_the_banded_march(monkeypatch, potential, lo,
     real = lapack.dpttrf
     monkeypatch.setattr(lapack, "dpttrf",
                         lambda *a: factored.append(1) or real(*a))
-    got = semigroup._march(gen, f0, ts, dt)
+    got = _marched(gen, f0, ts, dt)
     # one factorization for dt and one for each distinct partial step
     rems = {_step_plan(t, dt)[1] for t in ts} - {0.0}
     assert len(factored) == 1 + len(rems)
@@ -511,7 +521,7 @@ def test_grid_apply_matches_a_float80_march():
     gen = grid_generator(potential, lo, hi, m)
     f0 = suite.get("sine")(gen.nodes[:, None])
     want = _float80_march(_rows(potential, lo, hi, m), f0, 200, dt)
-    u = semigroup._march(gen, f0, [200 * dt], dt)[0]
+    u = _marched(gen, f0, [200 * dt], dt)[0]
     err = np.max(np.abs(u - want))
     assert float(err) <= 1e-12 * float(np.max(np.abs(want)))
 
@@ -533,10 +543,10 @@ def test_crank_nicolson_step_is_one_solve_of_the_midpoint_form():
         sy[:-1] += gen.off[:, None] * y[1:]
         y = lapack.dpttrs(d, e, y + 0.5e-3 * sy)[0]
     want = y / gen.scale[:, None]
-    got = semigroup._march(gen, f0, [0.6], 1e-3)[0]
+    got = _marched(gen, f0, [0.6], 1e-3)[0]
     assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
     for c in range(3):
-        one = semigroup._march(gen, f0[:, c], [0.6], 1e-3)[0]
+        one = _marched(gen, f0[:, c], [0.6], 1e-3)[0]
         assert one.tobytes() == np.ascontiguousarray(got[:, c]).tobytes()
 
 
@@ -554,7 +564,7 @@ def test_grid_apply_time_error(potential, lo, hi, m, name, limit):
     gen = grid_generator(potential, lo, hi, m)
     f0 = suite.get(name)(gen.nodes[:, None])
     near = np.abs(gen.nodes) <= 3.0
-    ref = semigroup._march(gen, f0, ts, 1e-4)
+    ref = _marched(gen, f0, ts, 1e-4)
 
     def error(got):
         return max(float(np.max(np.abs(u - r)[near]
@@ -563,7 +573,7 @@ def test_grid_apply_time_error(potential, lo, hi, m, name, limit):
 
     err = error(grid_apply(gen, f0, ts, dt))
     assert err <= limit
-    assert err < error(semigroup._march(gen, f0, ts, dt))
+    assert err < error(_marched(gen, f0, ts, dt))
 
 
 def test_grid_apply_singular_factor_raises():
@@ -879,8 +889,11 @@ def test_time_sequences_match_single_times(monkeypatch, threads):
                 np.testing.assert_array_equal(a[j], b)
     gen = grid_generator(SPH15, -8.0, 8.0, 801)
     f0 = f(gen.nodes[:, None])
-    for u, t in zip(grid_apply(gen, f0, ts, 1e-2), ts):
-        np.testing.assert_array_equal(u, grid_apply(gen, f0, t, 1e-2))
+    # and two times one rounding apart, whose fine plans tie and whose
+    # coarse plans (a partial step of 0.01 -+ 1e-14) sort the other way
+    for times in (ts, (0.31 + 1e-14, 0.31 - 1e-14)):
+        for u, t in zip(grid_apply(gen, f0, times, 1e-2), times):
+            np.testing.assert_array_equal(u, grid_apply(gen, f0, t, 1e-2))
     # several blocks of paths from two starts
     starts = np.array([[-1.0], [0.5]])
     n_paths = 2 * BLOCK_SIZE + 17
@@ -893,7 +906,6 @@ def test_time_sequences_match_single_times(monkeypatch, threads):
         np.testing.assert_array_equal(batch.positions[j], one.positions)
         np.testing.assert_array_equal(batch.integrals["rho"][j],
                                       one.integrals["rho"])
-        np.testing.assert_array_equal(batch.exploded[j], one.exploded)
 
 
 def test_apply_each_is_apply_at_each_time():
@@ -918,6 +930,23 @@ def test_apply_each_is_apply_at_each_time():
                               <= 1e-12 * np.maximum(1.0, np.abs(want)))
         with pytest.raises(ParameterError, match="one function per time"):
             eng.apply_each(funcs[:2], ts, x)
+
+
+def test_grid_apply_each_holds_one_time_of_weights():
+    # tracemalloc sees numpy's buffers.  The monotone check's outer march on
+    # the double well (m = 2001, dt = 1e-3, 21 times up to 0.6, the default
+    # schedule's 7 points): the weights of both marches at every time are
+    # 4.7 MB, and with the combined values 7.2 MB were held; reduced to the
+    # points one time at a time, 1.1 MB measured
+    grid = GridEngine(make_double_well(), lo=-6.0, hi=6.0, m=2001, dt=1e-3)
+    funcs = [lambda z, a=a: np.sin(a + z[..., 0]) for a in range(21)]
+    tracemalloc.start()
+    try:
+        grid.apply_each(funcs, np.linspace(0.0, 0.6, 21), Schedule().xs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2e6
 
 
 def test_empty_time_sequence_is_rejected():

@@ -608,7 +608,7 @@ def test_mc_local_simulation_count(monkeypatch):
     # one checkpointed run over the 7 points and their shifted starts gives
     # P_t f, its stderr and the central difference at every t, and the right
     # sides of all alphas at every t are read off its first 7 starts
-    calls = _count_calls(monkeypatch, "simulate")
+    calls = _count_calls(monkeypatch, "_walk")
     eng = MonteCarloEngine(GAUSS, n_paths=100, dt=1e-2, seed=0)
     verify_local([catalog("poincare")], eng, get("sine"), default_schedule(),
                  rho=1.0)
@@ -833,9 +833,9 @@ def test_mehler_monotone_quadrature_count(monkeypatch):
 
 
 def _evolution_times(monkeypatch) -> list:
-    """Every time handed to mehler_apply, grid_apply or simulate."""
+    """Every time handed to mehler_apply, grid_apply or the path walk."""
     times = []
-    for name, at in (("mehler_apply", 1), ("grid_apply", 2), ("simulate", 2)):
+    for name, at in (("mehler_apply", 1), ("grid_apply", 2), ("_walk", 2)):
         def traced(*args, real=getattr(semigroup, name), at=at, **kwargs):
             times.extend(np.atleast_1d(args[at]).tolist())
             return real(*args, **kwargs)

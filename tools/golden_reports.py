@@ -27,7 +27,11 @@ supermartingale check on the 2-D gaussian, and auto-certificate ones on
 the 2-D spherical and product-power potentials at alpha = 1.5; and
 Feynman-Kac gradient bounds with one Euler level (at --sim-dt 0.01, plain
 Monte Carlo), with two (at a time of 0.33, not a whole number of 0.025
-steps), and at 8229 paths, whose last block is short.  Each run
+steps), and at 8229 paths, whose last block is short.  Checkpoints out of
+time order: a grid `verify` at unsorted, repeated times with 0 and a time
+below dt, a grid monotone check at unsorted points, a Monte Carlo `verify`
+at 8229 paths on an unsorted schedule, and a supermartingale check at
+unsorted times.  Each run
 gets its own directory under OUT/seed-S/ holding its output files, its
 stdout and stderr, and its exit status in `exit`.  `timestamp` and
 `wall_time_s` are dropped from every JSON document, so two trees with the
@@ -160,6 +164,23 @@ def cases(configs: dict, seed: int) -> list:
             for name, extra in (("one-level", ("--sim-dt", "0.01")),
                                 ("two-levels", ("--ts", "0.33")),
                                 ("uneven-block", ("--paths", "8229")))]
+    out += [("grid-unsorted-ts-local", ("verify", "--engine", "grid", "--ts",
+                                        "1,0.3,0.3,0,0.005", "--mfunction",
+                                        "poincare", "--function", "sine")),
+            ("monotone-grid-unsorted-xs", (*GRID_MONOTONE, "--t", "0.3",
+                                           "--s-count", "6", "--xs",
+                                           "2,-1,0.5,-3")),
+            ("mc-unsorted-8229-local", ("verify", "--engine", "monte-carlo",
+                                        "--dt", "0.01", "--n-paths", "8229",
+                                        "--ts", "0.5,0.1,0.3,0.1",
+                                        "--mfunction", "poincare",
+                                        "--function", "sine")),
+            ("supermartingale-unsorted-ts", ("feynman-kac", "--check",
+                                             "supermartingale", "--cert",
+                                             "auto", "--potential",
+                                             "spherical:alpha=1.5", "--x0",
+                                             "1", "--ts", "1,0.25,0.5",
+                                             "--paths", "16384"))]
     out += [("monotone-plot", ("run", configs["monotone-plot"]))]
     out = [(name, (*argv, "--seed", str(seed))) for name, argv in out]
     return out + [("criterion-12", ("run", configs["criterion-12"]))]
