@@ -27,10 +27,6 @@ from .sde import PathBatch, simulate
 from .semigroup import (ENGINE_KINDS, GridEngine, MehlerEngine,
                         MonteCarloEngine, TestFunction, gamma, gamma2,
                         make_engine, mehler_apply)
-from .spectral import (HermiteSeries, HoudreKagan, MultiM, PolySeries,
-                       Q_iterate, apply_L, apply_Lk, apply_Pt, expand,
-                       generalized_local_check, houdre_kagan, to_poly,
-                       variance_bracket_check)
 from .verify import (InequalityReport, Record, Schedule,
                      default_schedule, exp_integrability_bound_check,
                      g_alpha, h_alpha, verify_H_monotone,
@@ -38,6 +34,13 @@ from .verify import (InequalityReport, Record, Schedule,
                      verify_local)
 
 __version__ = "0.1.0"
+
+# spectral's names load with their module on first access, so that
+# `import curvlab` does not import numpy.polynomial
+_SPECTRAL = ("HermiteSeries", "HoudreKagan", "MultiM", "PolySeries",
+             "Q_iterate", "apply_L", "apply_Lk", "apply_Pt", "expand",
+             "generalized_local_check", "houdre_kagan", "to_poly",
+             "variance_bracket_check")
 
 __all__ = [
     "CurvlabError", "DomainError", "ParameterError", "NumericalError",
@@ -63,3 +66,21 @@ __all__ = [
     "variance_bracket_check",
     "__version__",
 ]
+
+
+def __getattr__(name):
+    if name != "spectral" and name not in _SPECTRAL:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    import importlib
+
+    # import_module, not `from . import`: that would ask this hook for
+    # "spectral" again before importing it
+    spectral = importlib.import_module(".spectral", __name__)
+    globals().update({k: getattr(spectral, k) for k in _SPECTRAL})
+    return globals()[name]
+
+
+def __dir__():
+    # the names of an eager import of spectral, without this hook's own
+    hooks = {"_SPECTRAL", "__getattr__", "__dir__"}
+    return sorted(set(globals()) - hooks | set(_SPECTRAL) | {"spectral"})

@@ -37,7 +37,6 @@ from .mfunctions import MATRIX_KINDS, MFUNCTION_NAMES, catalog, certify_psd
 from .potentials import (POTENTIAL_KINDS, _id_segments, constant_certificate,
                          make_lyapunov, parse_potential_id, scan_certificate)
 from .semigroup import ENGINE_KINDS, check_engine_params, make_engine
-from .spectral import houdre_kagan
 from .suite import get
 from .suite import catalog as function_catalog
 from .verify import (InequalityReport, Schedule,
@@ -110,8 +109,9 @@ class ExperimentConfig:
         for seed in (self.seed, self.engine_params.get("seed", 0)):
             if seed < 0:
                 raise ParameterError(f"seed must be >= 0, got {seed}")
-        if self.tol is not None and not self.tol > 0.0:
-            raise ParameterError("tolerances must be positive")
+        if self.tol is not None and not 0.0 < self.tol < math.inf:
+            raise ParameterError(f"tol must be a finite number > 0, got "
+                                 f"{self.tol}")
         if self.ts is not None and not self.ts:
             raise ParameterError("empty schedule")
         if self.alphas is not None and not self.alphas:
@@ -485,6 +485,19 @@ def _floats(text: str) -> tuple:
     return tuple(float(s) for s in text.split(",") if s.strip())
 
 
+def _tolerance(text: str) -> float:
+    # an infinite tolerance passes every claim, and nan or one <= 0 fails
+    # every record
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not 0.0 < value < math.inf:
+        raise argparse.ArgumentTypeError(
+            f"must be a finite number > 0, got {text!r}")
+    return value
+
+
 _ENGINE_FLAGS = {"order": int, "m": int, "lo": float, "hi": float,
                  "dt": float, "n_paths": int}
 
@@ -559,7 +572,7 @@ def _global_flags(p, suppress: bool):
     p.add_argument("--seed", type=int, default=d,
                    help="random seed (default 0); on run, overrides the "
                         "config's seed")
-    p.add_argument("--tol", type=float, default=d)
+    p.add_argument("--tol", type=_tolerance, default=d)
     p.add_argument("--out", default=d, metavar="DIR")
     p.add_argument("--format", choices=("json", "csv"),
                    default=argparse.SUPPRESS if suppress else "json")
@@ -726,6 +739,8 @@ def _cmd_feynman_kac(args) -> int:
 
 
 def _cmd_houdre_kagan(args) -> int:
+    from .spectral import houdre_kagan  # no other command needs spectral
+
     hk = houdre_kagan(np.asarray(args.coeffs, dtype=float), args.N)
     lines = ["k,partial_sum,variance"]
     for k, s in enumerate(hk.partial_sums, start=1):

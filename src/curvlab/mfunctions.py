@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cache
 from typing import Callable
 
 import numpy as np
@@ -311,8 +312,13 @@ def exp_integrability_F_derivs(s):
 _F_ANCHORS = np.concatenate([(0.0, 0.0125, 0.025, 0.1, 0.5, 1.0, 2.0, 4.0),
                              8.0 * np.sqrt(np.arange(1.0, 23.0))])
 _U_ANCHORS = np.concatenate([[-np.inf], _invert_kprime(_F_ANCHORS[1:])[0]])
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(20)
 _anchor_values = [0.0]  # F at the leading anchors, grown on demand
+
+
+@cache
+def _gauss_legendre() -> tuple:
+    # the fixed-order rule, built at the first F: it loads numpy.polynomial
+    return np.polynomial.legendre.leggauss(20)
 
 
 def _F_at_anchors(n: int) -> np.ndarray:
@@ -344,14 +350,15 @@ def exp_integrability_F(s):
     except NumericalError as exc:
         raise NumericalError(f"F up to s = {flat.max()}: {exc}") from None
     half = 0.5 * (hi - lo)
-    nodes = (lo + half)[:, None] + half[:, None] * _GL_NODES
+    gl_nodes, gl_weights = _gauss_legendre()
+    nodes = (lo + half)[:, None] + half[:, None] * gl_nodes
     g = np.empty_like(nodes)
     if not np.all(up):
-        g[~up] = _fprime(nodes[~up].ravel())[0].reshape(-1, _GL_NODES.size)
+        g[~up] = _fprime(nodes[~up].ravel())[0].reshape(-1, gl_nodes.size)
     _, kpp, fp = _kfuncs(nodes[up].ravel())
-    g[up] = (fp * kpp).reshape(-1, _GL_NODES.size)
+    g[up] = (fp * kpp).reshape(-1, gl_nodes.size)
     seg = np.zeros_like(flat)
-    for j, w in enumerate(_GL_WEIGHTS):
+    for j, w in enumerate(gl_weights):
         # node by node, so that each sum runs in the same order in any batch
         seg += w * g[:, j]
     with np.errstate(over="ignore"):

@@ -383,6 +383,8 @@ def make_lyapunov(kind: str, alpha: float, p: float, n: int = 1) -> LyapunovCert
     constraint is void, so the grid starts at 1) and c is bisected per theta
     with beta = c n / theta^(alpha-1).
     """
+    if n < 1:
+        raise ParameterError(f"dimension must be >= 1, got {n}")
     if not p > 1.0:
         raise ParameterError(f"p must exceed 1, got {p}")
     if not (1.0 <= alpha < 2.0):

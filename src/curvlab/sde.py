@@ -23,12 +23,12 @@ from __future__ import annotations
 import contextlib
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Mapping, Optional
 
+# numpy loads numpy.random at the first np.random; the Monte Carlo engine
+# loads it when it is built, so that no check pays for it
 import numpy as np
-import numpy.random  # the paths' generators; numpy loads it lazily
 
 from .errors import NumericalError, ParameterError, SimulationError
 from .potentials import Potential, as_points
@@ -278,6 +278,8 @@ def _walk(potential: Potential, x0: np.ndarray, ts: np.ndarray, dt: float,
 
     n_threads = int(os.environ.get("CURVLAB_THREADS", "1"))
     threaded = n_threads > 1 and n_blocks > 1
+    if threaded:
+        from concurrent.futures import ThreadPoolExecutor
     with ThreadPoolExecutor(max_workers=n_threads) if threaded \
             else contextlib.nullcontext() as pool:
         for _ in plans:

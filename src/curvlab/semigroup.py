@@ -8,7 +8,9 @@ values, reducing each time's as it is reached if asked; the engine builds
 and checks its grid once, when it is built), and Euler-Maruyama Monte Carlo
 (`sde._walk`'s paths, one checkpoint at a time).  The two deterministic
 engines add a fourth method, for semigroups nested inside a sampled
-function.
+function.  Each engine loads its backend when it is built, not in its
+first check: the Mehler engine its Gauss-Hermite rule (numpy.polynomial),
+the grid engine LAPACK (scipy) and the Monte Carlo engine numpy.random.
 
 - `apply(func, t, xs) -> (values, stderr)` evaluates P_t of a plain
   function of position, vectorized over leading axes: (..., n) ->
@@ -339,6 +341,7 @@ class MehlerEngine(_Engine):
             raise ParameterError("tensor quadrature limited to n <= 3")
         if self.order < 2:
             raise ParameterError("quadrature order must be >= 2")
+        _gh_nodes(self.order, self.potential.n)  # here, not in the first check
 
     def apply(self, func, t, x):
         def evolve(xs, ts):
@@ -677,6 +680,7 @@ class MonteCarloEngine(_Engine):
         _check_paths(self.n_paths)
         _check_dt(self.dt)
         _check_seed(self.seed)
+        import numpy.random  # noqa: F401  (here, not in the first walk)
 
     def _over_paths(self, starts, ts, reduce) -> list:
         # reduce(j, positions) at each time j of ts, in ts's order, from one

@@ -345,6 +345,45 @@ def test_tol_flag_overrides_report_tolerance(capsys):
     assert rep["tolerance"] == 0.5
 
 
+@pytest.mark.parametrize("argv", [
+    # rho = 5 is a false claim for the gaussian (exit 1 without --tol)
+    ["verify", "--mfunction", "poincare", "--function", "sine", "--rho", "5",
+     "--tol", "inf"],
+    ["--tol", "inf", "verify", "--mfunction", "poincare", "--function",
+     "sine", "--rho", "5"],
+    ["run", "doublewell-falsify", "--tol", "inf"],
+    ["verify", "--mfunction", "poincare", "--function", "sine", "--tol",
+     "-1"],
+    ["verify", "--mfunction", "poincare", "--function", "sine", "--tol",
+     "nan"],
+    ["psd-check", "--mfunction", "poincare", "--tol", "0"],
+])
+def test_tol_must_be_finite_and_positive(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "argument --tol: must be a finite number > 0" \
+        in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("tol", ["inf", "nan", "0", "-1"])
+def test_config_tol_must_be_finite_and_positive(tmp_path, capsys, tol):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("checks = local\nmfunctions = poincare\n"
+                   f"functions = sine\nrho = 5\ntol = {tol}\n")
+    assert main(["run", str(cfg)]) == 2
+    assert f"error: tol must be a finite number > 0, got {float(tol)}" \
+        in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("n", ["0", "-1"])
+def test_lyapunov_scan_checks_the_dimension_first(capsys, n):
+    assert main(["lyapunov-scan", "--kind", "spherical", "--alpha", "1.5",
+                 "--n", n]) == 2
+    assert f"error: dimension must be >= 1, got {n}" \
+        in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # determinism
 # ---------------------------------------------------------------------------
@@ -642,15 +681,30 @@ def test_plain_integrated_condition_of_a_y_open_mfunction_runs(capsys):
 
 def test_only_the_grid_engine_loads_scipy(tmp_path):
     # a fresh interpreter, because this test process has already imported
-    # scipy; MC, Mehler and integrated checks call no scipy routine (erfcx
-    # and Phi^{-1} are numpy's) and import nothing the package has not
-    # (numpy.random loads with it rather than inside the first simulate),
-    # and a grid engine loads LAPACK when it is built, before its first march
+    # every backend.  Each optional backend loads with the engine or
+    # command that runs it: numpy.random with a Monte Carlo engine,
+    # numpy.polynomial with a Mehler engine, LAPACK (scipy) with a grid
+    # engine, the thread pool only in a threaded walk and spectral only in
+    # houdre-kagan.  Once the engines are built, no check imports anything
     script = f"""
-import sys
+import json, sys
+import curvlab
 from curvlab.cli import main
-random_at_import = "numpy.random" in sys.modules
-at_import = set(sys.modules)
+LAZY = ("numpy.random", "numpy.polynomial", "concurrent.futures",
+        "curvlab.spectral", "scipy")
+# dir() lists the spectral names without importing them
+listed = set(curvlab.__all__) | {{"spectral"}} <= set(dir(curvlab))
+at_import = [m for m in LAZY if m in sys.modules]
+from curvlab.potentials import make_example_potential
+from curvlab.semigroup import GridEngine, MehlerEngine, MonteCarloEngine
+built = []
+for engine, module in ((MonteCarloEngine, "numpy.random"),
+                       (MehlerEngine, "numpy.polynomial"),
+                       (GridEngine, "scipy.linalg.lapack")):
+    before = module in sys.modules
+    engine(make_example_potential("gaussian"))
+    built.append([before, module in sys.modules])
+at_engines = set(sys.modules)
 codes = [main(argv + ["--out", {str(tmp_path)!r}]) for argv in (
     ["verify", "--engine", "monte-carlo", "--n-paths", "100",
      "--mfunction", "poincare", "--function", "sine"],
@@ -659,21 +713,31 @@ codes = [main(argv + ["--out", {str(tmp_path)!r}]) for argv in (
     ["integrated", "--check", "condition", "--variant", "enhanced",
      "--mfunction", "y", "--function", "sine"],
     ["run", "ou-local-suite"])]
-loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
-new = sorted(set(sys.modules) - at_import)
-from curvlab.potentials import make_example_potential
-from curvlab.semigroup import GridEngine
-GridEngine(make_example_potential("gaussian"))
-print(codes, random_at_import, loaded, new,
-      "scipy.linalg.lapack" in sys.modules)
+checks_load = sorted(set(sys.modules) - at_engines)
+codes += [main(["houdre-kagan", "--coeffs", "0,0,0,1", "--out",
+                {str(tmp_path)!r}]), main(["list"])]
+all_load = sorted(set(sys.modules) - at_engines)
+from curvlab import *
+print(json.dumps([at_import, built, codes, checks_load, all_load, listed,
+                  curvlab.houdre_kagan is houdre_kagan,
+                  callable(variance_bracket_check)]))
 """
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src, os.environ.get("PYTHONPATH", "")]))
     out = subprocess.run([sys.executable, "-c", script], env=env,
                          capture_output=True, text=True, check=True)
-    assert (out.stdout.strip().splitlines()[-1]
-            == "[0, 0, 0, 0, 0] True [] [] True")
+    at_import, built, codes, checks_load, all_load, *resolved = json.loads(
+        out.stdout.strip().splitlines()[-1])
+    assert at_import == []
+    assert built == [[False, True]] * 3
+    assert codes == [0] * 7
+    assert checks_load == []
+    assert all_load == ["curvlab.spectral"]  # houdre-kagan's own module
+    assert resolved == [True, True, True]
+    import curvlab
+    with pytest.raises(AttributeError, match="no attribute 'nonesuch'"):
+        curvlab.nonesuch
 
 
 @pytest.mark.parametrize("argv", [

@@ -137,6 +137,11 @@ def test_parameter_validation():
         constant_certificate(2.0, 0.0)
     with pytest.raises(ParameterError):
         make_lyapunov("spherical", 1.5, 0.5)
+    # the dimension first, before anything divides by it
+    for kind in ("spherical", "product-power"):
+        with pytest.raises(ParameterError,
+                           match="dimension must be >= 1, got 0"):
+            make_lyapunov(kind, 1.5, 0.5, 0)
 
 
 def test_parse_potential_id_round_trip():

@@ -31,7 +31,9 @@ steps), and at 8229 paths, whose last block is short.  Checkpoints out of
 time order: a grid `verify` at unsorted, repeated times with 0 and a time
 below dt, a grid monotone check at unsorted points, a Monte Carlo `verify`
 at 8229 paths on an unsorted schedule, and a supermartingale check at
-unsorted times.  Each run
+unsorted times.  Rejected inputs (exit 2): `--tol inf` on a `verify` of a
+false claim and on `run doublewell-falsify`, and `lyapunov-scan` at
+`--n 0`.  Each run
 gets its own directory under OUT/seed-S/ holding its output files, its
 stdout and stderr, and its exit status in `exit`.  `timestamp` and
 `wall_time_s` are dropped from every JSON document, so two trees with the
@@ -181,6 +183,14 @@ def cases(configs: dict, seed: int) -> list:
                                              "spherical:alpha=1.5", "--x0",
                                              "1", "--ts", "1,0.25,0.5",
                                              "--paths", "16384"))]
+    out += [("tol-inf-local", ("verify", "--mfunction", "poincare",
+                               "--function", "sine", "--rho", "5", "--tol",
+                               "inf")),
+            ("tol-inf-falsify", ("run", "doublewell-falsify", "--tol",
+                                 "inf")),
+            ("lyapunov-spherical-1.5-n0", ("lyapunov-scan", "--kind",
+                                           "spherical", "--alpha", "1.5",
+                                           "--n", "0"))]
     out += [("monotone-plot", ("run", configs["monotone-plot"]))]
     out = [(name, (*argv, "--seed", str(seed))) for name, argv in out]
     return out + [("criterion-12", ("run", configs["criterion-12"]))]
