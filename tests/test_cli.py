@@ -685,25 +685,28 @@ def test_only_the_grid_engine_loads_scipy(tmp_path):
     # command that runs it: numpy.random with a Monte Carlo engine,
     # numpy.polynomial with a Mehler engine, LAPACK (scipy) with a grid
     # engine, the thread pool only in a threaded walk and spectral only in
-    # houdre-kagan.  Once the engines are built, no check imports anything
+    # houdre-kagan.  Once the Monte Carlo and Mehler engines are built, the
+    # MC, Mehler and integrated checks import nothing, scipy least of all;
+    # the grid engine is built last, so its scipy cannot hide theirs
     script = f"""
 import json, sys
 import curvlab
 from curvlab.cli import main
 LAZY = ("numpy.random", "numpy.polynomial", "concurrent.futures",
         "curvlab.spectral", "scipy")
+def scipy_loaded():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
 # dir() lists the spectral names without importing them
 listed = set(curvlab.__all__) | {{"spectral"}} <= set(dir(curvlab))
 at_import = [m for m in LAZY if m in sys.modules]
 from curvlab.potentials import make_example_potential
 from curvlab.semigroup import GridEngine, MehlerEngine, MonteCarloEngine
-built = []
-for engine, module in ((MonteCarloEngine, "numpy.random"),
-                       (MehlerEngine, "numpy.polynomial"),
-                       (GridEngine, "scipy.linalg.lapack")):
+def build(engine, module):
     before = module in sys.modules
     engine(make_example_potential("gaussian"))
-    built.append([before, module in sys.modules])
+    return [before, module in sys.modules]
+built = [build(MonteCarloEngine, "numpy.random"),
+         build(MehlerEngine, "numpy.polynomial")]
 at_engines = set(sys.modules)
 codes = [main(argv + ["--out", {str(tmp_path)!r}]) for argv in (
     ["verify", "--engine", "monte-carlo", "--n-paths", "100",
@@ -717,8 +720,11 @@ checks_load = sorted(set(sys.modules) - at_engines)
 codes += [main(["houdre-kagan", "--coeffs", "0,0,0,1", "--out",
                 {str(tmp_path)!r}]), main(["list"])]
 all_load = sorted(set(sys.modules) - at_engines)
+scipy_before_grid = scipy_loaded()
+built.append(build(GridEngine, "scipy.linalg.lapack"))
 from curvlab import *
-print(json.dumps([at_import, built, codes, checks_load, all_load, listed,
+print(json.dumps([at_import, built, codes, checks_load, all_load,
+                  scipy_before_grid, listed,
                   curvlab.houdre_kagan is houdre_kagan,
                   callable(variance_bracket_check)]))
 """
@@ -727,13 +733,14 @@ print(json.dumps([at_import, built, codes, checks_load, all_load, listed,
         [src, os.environ.get("PYTHONPATH", "")]))
     out = subprocess.run([sys.executable, "-c", script], env=env,
                          capture_output=True, text=True, check=True)
-    at_import, built, codes, checks_load, all_load, *resolved = json.loads(
-        out.stdout.strip().splitlines()[-1])
+    (at_import, built, codes, checks_load, all_load, scipy_before_grid,
+     *resolved) = json.loads(out.stdout.strip().splitlines()[-1])
     assert at_import == []
     assert built == [[False, True]] * 3
     assert codes == [0] * 7
     assert checks_load == []
     assert all_load == ["curvlab.spectral"]  # houdre-kagan's own module
+    assert scipy_before_grid == []
     assert resolved == [True, True, True]
     import curvlab
     with pytest.raises(AttributeError, match="no attribute 'nonesuch'"):
