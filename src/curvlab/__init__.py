@@ -23,7 +23,6 @@ from .potentials import (POTENTIAL_KINDS, LyapunovCertificate, Potential,
                          local_eigenvalue_margin, make_example_potential,
                          make_lyapunov, parse_potential_id, rho_min,
                          scan_certificate, scan_points)
-from .sde import PathBatch, simulate
 from .semigroup import (ENGINE_KINDS, GridEngine, MehlerEngine,
                         MonteCarloEngine, TestFunction, gamma, gamma2,
                         make_engine, mehler_apply)
@@ -49,7 +48,6 @@ __all__ = [
     "make_example_potential", "parse_potential_id", "make_lyapunov",
     "constant_certificate", "local_eigenvalue_margin", "scan_certificate",
     "scan_points", "rho_min", "as_points",
-    "PathBatch", "simulate",
     "TestFunction", "MehlerEngine", "GridEngine", "MonteCarloEngine",
     "ENGINE_KINDS", "make_engine", "mehler_apply", "gamma", "gamma2",
     "MFunction", "MFUNCTION_NAMES", "catalog", "condition_matrix",

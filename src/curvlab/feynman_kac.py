@@ -64,7 +64,7 @@ def supermartingale_check(potential: Potential, cert: LyapunovCertificate,
     # the path functional reads grad V off the Euler step's drift
     lhs_at, se_at = multilevel_mean(
         potential, pts, ts,
-        lambda x, ints: cert.g_value(x) * np.exp(-ints["w"]), dt, n_paths,
+        lambda j, x, ints: cert.g_value(x) * np.exp(-ints["w"]), dt, n_paths,
         seed, {"w": cert.lg_over_g})
     rhs = float(cert.g_value(pts)[0])
     records = [Record(x=tuple(float(v) for v in pts[0]), t=float(t),
@@ -89,7 +89,7 @@ def gradient_bound(potential: Potential, f: TestFunction, xs, ts: Sequence,
     lhs_at = np.linalg.norm(lhs_engine.value_grad(f, ts, pts)[2], axis=-1)
     rhs_at, se_at = multilevel_mean(
         potential, pts, ts,
-        lambda x, ints: np.linalg.norm(f.gradient(x), axis=-1)
+        lambda j, x, ints: np.linalg.norm(f.gradient(x), axis=-1)
         * np.exp(-ints["rho"]), dt, n_paths, seed,
         {"rho": lambda x, drift: potential.curvature(x)})
     records = [Record(x=tuple(float(v) for v in x), t=float(t), alpha=None,
@@ -128,7 +128,7 @@ def commutation_check(potential: Potential, cert: LyapunovCertificate,
     # the bound needs only the endpoints: no path integral
     m_at, se_at = multilevel_mean(
         potential, pts, ts,
-        lambda x, ints: np.linalg.norm(f.gradient(x), axis=-1) ** q, dt,
+        lambda j, x, ints: np.linalg.norm(f.gradient(x), axis=-1) ** q, dt,
         n_paths, seed, {})
     g_at = np.asarray(cert.g_value(pts)).tolist()
     records = []

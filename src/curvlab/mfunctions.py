@@ -213,6 +213,7 @@ _NEWTON_STEPS = 1
 # below this slope F' = s and F'' = 1 to rounding: the first neglected terms
 # are O(s^2) relative
 _S_SMALL = 1e-8
+_F_CHUNK = 256  # elements per pass of F's fixed-order rule
 
 
 def _check_kprime_monotone():
@@ -351,16 +352,18 @@ def exp_integrability_F(s):
         raise NumericalError(f"F up to s = {flat.max()}: {exc}") from None
     half = 0.5 * (hi - lo)
     gl_nodes, gl_weights = _gauss_legendre()
-    nodes = (lo + half)[:, None] + half[:, None] * gl_nodes
-    g = np.empty_like(nodes)
-    if not np.all(up):
-        g[~up] = _fprime(nodes[~up].ravel())[0].reshape(-1, gl_nodes.size)
-    _, kpp, fp = _kfuncs(nodes[up].ravel())
-    g[up] = (fp * kpp).reshape(-1, gl_nodes.size)
     seg = np.zeros_like(flat)
-    for j, w in enumerate(gl_weights):
-        # node by node, so that each sum runs in the same order in any batch
-        seg += w * g[:, j]
+    # the rule's (elements, nodes) arrays, _F_CHUNK elements at a time
+    for c in range(0, flat.size, _F_CHUNK):
+        part, u = slice(c, c + _F_CHUNK), up[c:c + _F_CHUNK]
+        nodes = (lo[part] + half[part])[:, None] + half[part, None] * gl_nodes
+        g = np.empty_like(nodes)
+        g[~u] = _fprime(nodes[~u].ravel())[0].reshape(-1, gl_nodes.size)
+        _, kpp, fp = _kfuncs(nodes[u].ravel())
+        g[u] = (fp * kpp).reshape(-1, gl_nodes.size)
+        for j, w in enumerate(gl_weights):
+            # node by node: each sum runs in one order in any batch
+            seg[part] += w * g[:, j]
     with np.errstate(over="ignore"):
         out = _F_at_anchors(int(np.max(i, initial=0)) + 1)[i] + half * seg
     _check_finite(out, flat, "F")

@@ -246,7 +246,7 @@ class LyapunovCertificate:
 
     def lg_over_g(self, x, drift) -> np.ndarray:
         """Lg/g at the points x under the potential whose gradient at x is
-        `drift`: a path functional of `simulate`, vectorized."""
+        `drift`: a path functional of `sde._walk`, vectorized."""
         x = np.asarray(x, dtype=float)
         if self.closed_form is not None:
             return self.closed_form(x, drift)

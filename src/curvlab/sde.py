@@ -1,4 +1,4 @@
-"""Euler-Maruyama paths for dX = -grad V(X) dt + sqrt(2) dW.
+"""Euler-Maruyama paths for dX = -grad V(X) dt + sqrt(2) dW; means over them.
 
 Sampling is blocked and seeded per block, so results are bit-identical for a
 given seed no matter how many worker threads run (set CURVLAB_THREADS).
@@ -7,24 +7,21 @@ draw per step, and each step is three array passes: shift = grad V(y) dt,
 y += sqrt(2 dt) normals (scaled once per chunk), y -= shift.
 One path set serves several start points and several checkpoint times.
 The walk advances every block to one checkpoint at a time and hands that
-time's positions, one contiguous array of all paths, to its consumer:
-`simulate` collects them, the Monte Carlo engine and `multilevel_mean`
-reduce them at once.  Besides the paths' own state, one time's positions
-are live, whatever the number of times.
+time's positions, one contiguous array of all paths, to `multilevel_mean`,
+which reduces them at once.  Besides the paths' own state, one time's
+positions are live, whatever the number of times.
 Functional accumulators integrate phi(X_s) ds along each path with the
 left-endpoint rule, matching the order of the Euler step itself; each
 functional is called as phi(x, drift), with the step's drift grad V(x).
-`multilevel_mean` estimates means over paths by multilevel Monte Carlo,
-each level's coarse twins driven by the sums of their fine paths' normals.
-"""
+`multilevel_mean`, the one mean over paths, is multilevel Monte Carlo, each
+level's coarse twins driven by the sums of their fine paths' normals."""
 
 from __future__ import annotations
 
 import contextlib
 import math
 import os
-from dataclasses import dataclass
-from typing import Callable, Mapping, Optional
+from typing import Callable, Mapping
 
 # numpy loads numpy.random at the first np.random; the Monte Carlo engine
 # loads it when it is built, so that no check pays for it
@@ -33,30 +30,13 @@ import numpy as np
 from .errors import NumericalError, ParameterError, SimulationError
 from .potentials import Potential, as_points
 
-__all__ = ["PathBatch", "simulate", "multilevel_mean", "BLOCK_SIZE",
-           "CHUNK_BYTES", "EXPLOSION_RADIUS"]
+__all__ = ["multilevel_mean", "BLOCK_SIZE", "CHUNK_BYTES", "EXPLOSION_RADIUS"]
 
 BLOCK_SIZE = 8192
 CHUNK_BYTES = 1 << 16   # a block's normals are drawn this many bytes at a time
 EXPLOSION_RADIUS = 1e8
 LEVEL_RATIO = 5         # steps of an Euler level per step of the next coarser
 COARSEST_STEP = 1 / 40  # the largest step of a multilevel estimate
-
-
-@dataclass
-class PathBatch:
-    """Positions and path integrals at time t, with an axis for the k
-    starts.  A sequence of times adds a leading time axis."""
-
-    positions: np.ndarray          # ([T,] k, n_paths, n)
-    integrals: dict                # name -> ([T,] k, n_paths) of int_0^t phi(X_s) ds
-    t: float                       # or the sequence of times, as given
-    n_steps: int                   # steps to the latest time
-
-    @property
-    def n_paths(self) -> int:
-        """Paths over all start points."""
-        return math.prod(self.positions.shape[np.ndim(self.t):-1])
 
 
 def _times(t) -> np.ndarray:
@@ -95,10 +75,11 @@ def _step_plan(t: float, dt: float):
     return int(t / dt), t - int(t / dt) * dt
 
 
-def _path_mean(values) -> tuple:
-    """Mean and stderr (ddof = 1) over paths, the last axis of values.
-    Overflow is quiet; a mean or stderr that is not finite raises."""
-    v = np.ascontiguousarray(values)
+def _path_mean(values, twins=None) -> tuple:
+    """Mean and stderr (ddof = 1) over paths, the last axis of values, or
+    of values - twins.  Overflow is quiet; a mean or stderr that is not
+    finite raises."""
+    v = np.ascontiguousarray(values if twins is None else values - twins)
     with np.errstate(over="ignore", invalid="ignore"):
         out = v.mean(axis=-1), v.std(axis=-1, ddof=1) / math.sqrt(v.shape[-1])
     if not all(np.all(np.isfinite(a)) for a in out):
@@ -191,65 +172,25 @@ def _run_block(potential: Potential, x0_block: np.ndarray, plans: list,
         yield (j, *at)
 
 
-def simulate(potential: Potential, x0, t, dt: float = 1e-3,
-             n_paths: int = 8192, seed: int = 0,
-             functionals: Optional[Mapping[str, Callable]] = None) -> PathBatch:
-    """Run n_paths Euler-Maruyama paths from x0 to each time of t.
-
-    x0 holds the start points, read by `as_points`; its k starts all see
-    the same noise and give the start axis, k = 1 included.  t is one time
-    or a sequence of times in any order, repeats allowed; a sequence adds a
-    leading time axis, in the given order.  One path set serves every
-    time: each time keeps the step plan of a run straight to it, so each
-    (time, start) slice is bitwise equal to a run from that start alone to
-    that time alone.
-
-    Each functional phi(x, drift) maps positions x and the drift grad V(x)
-    there to one value per path.  By default the curvature integral
-    int_0^t rho(X_s) ds is accumulated under the name "rho".  The walk
-    raises SimulationError at the first time, in time order, at which any
-    path lies beyond |x| = 1e8 or has a non-finite position or path
-    integral, naming the step; its exploded_fraction is that of the worst
-    start at that time.  A returned batch has no exploded path.
-    """
-    ts = _times(t)
-    _check_dt(dt)
-    if n_paths < 1:
-        raise ParameterError(f"n_paths must be positive, got {n_paths}")
-    _check_seed(seed)
-    x0 = as_points(x0, potential.n)
-    if functionals is None:
-        functionals = {"rho": lambda x, drift: potential.curvature(x)}
-    # no time axis for one time
-    shape = np.shape(t) + (len(x0), n_paths)
-    positions = np.empty((len(ts),) + shape[-2:] + (potential.n,))
-    integrals = {name: np.empty(positions.shape[:-1]) for name in functionals}
-    for j, x, ints in _walk(potential, x0, ts, dt, n_paths,
-                            np.random.SeedSequence(seed), functionals):
-        positions[j] = x
-        for name, v in ints.items():
-            integrals[name][j] = v
-    plans = [_step_plan(float(s), dt) for s in ts]
-    return PathBatch(positions.reshape(shape + (potential.n,)),
-                     {name: v.reshape(shape) for name, v in integrals.items()},
-                     t, max(m + (rem > 0.0) for m, rem in plans))
-
-
 def _walk(potential: Potential, x0: np.ndarray, ts: np.ndarray, dt: float,
           n_paths: int, seq: np.random.SeedSequence,
           functionals: Mapping[str, Callable], twin: bool = False):
-    """Yield (j, positions, integrals) of `simulate`'s paths from the (k, n)
-    points x0 at each time j of the 1-D ts, in time order, its blocks
-    seeded by children of seq; with twin, the start axis holds 2k starts,
-    the paths' coarse twins (see _run_block) after the k starts.
+    """Yield (j, positions, integrals) of n_paths Euler-Maruyama paths of
+    step dt from the (k, n) points x0 at each time j of the 1-D ts, in time
+    order, its blocks seeded by children of seq; with twin, the start axis
+    holds 2k starts, the paths' coarse twins (see _run_block) after the k
+    starts.  The starts share their noise, and each time keeps the step
+    plan of a run straight to it, so each (time, start) slice is bitwise a
+    walk from that start alone to that time alone.
 
     Every block reaches time j before it is yielded, in parallel under
     CURVLAB_THREADS, so positions is one contiguous (starts, n_paths, n)
     array of all paths and each integral one (starts, n_paths) array.  Both
     are overwritten by the next time: copy them before resuming.  The first
-    time at which a path has exploded (see `simulate`) raises
-    SimulationError naming the step, the twins' LEVEL_RATIO dt if a twin
-    exploded, with the worst start's exploded fraction at that time.
+    time at which a path lies beyond |x| = EXPLOSION_RADIUS or has a
+    non-finite position or integral raises SimulationError naming the
+    step, the twins' LEVEL_RATIO dt if a twin exploded, with the worst
+    start's exploded fraction at that time.
     """
     n, k = potential.n, len(x0)
     plans = [_step_plan(float(s), dt) for s in ts]
@@ -296,11 +237,13 @@ def _walk(potential: Potential, x0: np.ndarray, ts: np.ndarray, dt: float,
             yield reached[0][0], positions, integrals
 
 
-def _level_count(ts: np.ndarray, dt: float) -> int:
+def _level_count(ts: np.ndarray, dt: float, n_paths: int) -> int:
     """The largest L with dt M^L <= COARSEST_STEP such that every time is a
-    whole number of steps dt M^l, l <= L, by the step plan's rule."""
+    whole number of steps dt M^l, l <= L, by the step plan's rule, and no
+    level l runs fewer than 100 of its ceil(n_paths M^(-3l/2)) paths."""
     L = 0
     while dt * LEVEL_RATIO ** (L + 1) <= COARSEST_STEP * (1.0 + 1e-12) \
+            and math.ceil(n_paths / LEVEL_RATIO ** (1.5 * (L + 1))) >= 100 \
             and all(_step_plan(float(s), dt * LEVEL_RATIO ** l)[1] == 0.0
                     for s in ts for l in range(L + 2)):
         L += 1
@@ -310,17 +253,23 @@ def _level_count(ts: np.ndarray, dt: float) -> int:
 def multilevel_mean(potential: Potential, x0, t, payoff: Callable,
                     dt: float, n_paths: int, seed: int,
                     functionals: Mapping[str, Callable]) -> tuple:
-    """Means and stderrs, each ([T,] k), over the Euler chain of step dt,
-    of payoff(positions, integrals), a value per path of a `simulate` batch.
+    """Means and stderrs, over the Euler chain of step dt from the points
+    x0, of payoff(j, positions, integrals) at each time j of t.
+
+    payoff reads one time of a walk, as `_walk` yields it, and returns an
+    array with the paths on its last axis, or an iterable of such arrays,
+    each reduced before the next is drawn.  Each mean and stderr has the
+    array's shape without the path axis, after a time axis if t is a
+    sequence; an iterable payoff gives tuples of them.
 
     Multilevel Monte Carlo (Giles 2008) over Euler levels l = 0..L of step
-    dt M^(L-l), M = LEVEL_RATIO, with L from `_level_count`: it depends on
-    the times, and L = 0 is plain Monte Carlo, bitwise one `simulate` run.
-    Level 0 runs n_paths paths; level l >= 1 runs max(100, ceil(n_paths
-    M^(-3l/2))) paths with their coarse twins, averaging payoff(path) -
-    payoff(twin).  Means add over levels and stderrs in quadrature; each
-    level is seeded by its own child of SeedSequence(seed).  An exploded
-    path raises SimulationError naming its level's step.
+    dt M^(L-l), M = LEVEL_RATIO, L from `_level_count`; L = 0 is plain Monte
+    Carlo, bitwise the mean over one walk.  Level l, seeded by its own child
+    of SeedSequence(seed), runs ceil(n_paths M^(-3l/2)) paths; above level
+    0 payoff reads them and their coarse twins separately, each on the k
+    starts of x0, and averages payoff(path) - payoff(twin).  Means add over
+    levels and stderrs in quadrature.  An exploded path raises
+    SimulationError naming its level's step.
     """
     ts = _times(t)
     _check_dt(dt)
@@ -328,18 +277,27 @@ def multilevel_mean(potential: Potential, x0, t, payoff: Callable,
     _check_seed(seed)
     x0 = as_points(x0, potential.n)
     k = len(x0)
-    L = _level_count(ts, dt)
+    L = _level_count(ts, dt, n_paths)
     root = np.random.SeedSequence(seed)
     levels = []
     for l, seq in enumerate([root] if L == 0 else root.spawn(L + 1)):
-        m = n_paths if l == 0 else \
-            max(100, math.ceil(n_paths / LEVEL_RATIO ** (1.5 * l)))
         # each time's payoff is reduced as soon as the walk reaches it
         at = [None] * len(ts)
         for j, x, ints in _walk(potential, x0, ts, dt * LEVEL_RATIO ** (L - l),
-                                m, seq, functionals, twin=l > 0):
-            v = payoff(x, ints)
-            at[j] = _path_mean(v if l == 0 else v[:k] - v[k:])
-        levels.append([np.reshape(a, np.shape(t) + (k,)) for a in zip(*at)])
-    means, stderrs = zip(*levels)
-    return np.sum(means, axis=0), np.hypot.reduce(stderrs, axis=0)
+                                math.ceil(n_paths / LEVEL_RATIO ** (1.5 * l)),
+                                seq, functionals, twin=l > 0):
+            parts = [payoff(j, x[s], {name: a[s] for name, a in ints.items()})
+                     for s in ([slice(k)] if l == 0
+                               else [slice(k), slice(k, None)])]
+            many = not isinstance(parts[0], np.ndarray)
+            # map frees each array once reduced: a generator holds one
+            at[j] = list(map(_path_mean, *(p if many else [p]
+                                            for p in parts)))
+        # per payoff array, its means and its stderrs, each ([T,] *shape)
+        levels.append([[np.reshape(a, np.shape(t) + np.shape(a[0]))
+                        for a in zip(*pairs)] for pairs in zip(*at)])
+    # per payoff array, means add over levels and stderrs in quadrature
+    sums = [(np.sum(m, axis=0), np.hypot.reduce(s, axis=0))
+            for m, s in (zip(*array) for array in zip(*levels))]
+    means, stderrs = zip(*sums)
+    return (means, stderrs) if many else (means[0], stderrs[0])

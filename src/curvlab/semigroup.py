@@ -6,7 +6,7 @@ Richardson-extrapolated implicit-midpoint (Crank-Nicolson) steps of u_t = Lu
 on a 1-D grid with reflecting ends (`grid_apply` marches arrays of node
 values, reducing each time's as it is reached if asked; the engine builds
 and checks its grid once, when it is built), and Euler-Maruyama Monte Carlo
-(`sde._walk`'s paths, one checkpoint at a time).  The two deterministic
+(`sde.multilevel_mean`, one checkpoint at a time).  The two deterministic
 engines add a fourth method, for semigroups nested inside a sampled
 function.  Each engine loads its backend when it is built, not in its
 first check: the Mehler engine its Gauss-Hermite rule (numpy.polynomial),
@@ -47,15 +47,16 @@ accepts, and all three return arrays: values and stderr of shape
 (k, *cols), which is (k,) for a function without columns, and grads of
 shape (k, n).  stderr is exactly 0 for the deterministic engines.
 
-t is one time or a sequence of times in any order, repeats allowed.  A
-sequence adds a leading time axis, in the given order, and every time comes
-from one evolution; each time's slice is bitwise what a call with that time
-alone returns.  The grid and Monte Carlo evolutions hand each time over as
-soon as they reach it, and the engines reduce it to values at the points
-before the next time is computed, so one time's node values or paths are
-live at once; only `evolved`'s readers keep one node column per time.  P_0
-is the identity: at t = 0 every engine evaluates at the points, with zero
-stderr, and it evolves only the positive times.
+t is one time or a sequence of times in any order, repeats allowed.  A sequence
+adds a leading time axis, in the given order, and every time comes from one
+evolution; each time's slice is bitwise what a call with that time alone
+returns, on the Monte Carlo engine (and so a right side's `apply`) if that time
+alone takes the Euler levels of them all.  The grid and Monte Carlo evolutions
+hand each time over as soon as they reach it, and the engines reduce it to
+values at the points before the next time is computed, so one time's node
+values or paths are live at once; only `evolved`'s readers keep one node column
+per time.  P_0 is the identity: at t = 0 every engine evaluates at the points,
+with zero stderr, and it evolves only the positive times.
 
 Gamma(f, g) = grad f . grad g and
 Gamma2(f) = ||Hess f||_HS^2 + grad f . Hess V grad f.  The gradient of
@@ -73,8 +74,8 @@ import numpy as np
 
 from .errors import DomainError, NumericalError, ParameterError
 from .potentials import Potential, as_points
-from .sde import (_check_dt, _check_paths, _check_seed, _path_mean,
-                  _step_plan, _times, _walk)
+from .sde import (BLOCK_SIZE, _check_dt, _check_paths, _check_seed, _step_plan,
+                  _times, multilevel_mean)
 
 __all__ = [
     "TestFunction",
@@ -667,6 +668,14 @@ class GridEngine(_Engine):
 # Monte Carlo engine
 # ---------------------------------------------------------------------------
 
+def _columns_last(func, x) -> np.ndarray:
+    # func at the (k, paths, n) positions x as a contiguous (k, *cols, paths)
+    # array, formed BLOCK_SIZE paths at a time
+    return np.concatenate([np.ascontiguousarray(np.moveaxis(
+        func(x[:, b:b + BLOCK_SIZE]), 1, -1))
+        for b in range(0, x.shape[1], BLOCK_SIZE)], axis=-1)
+
+
 @dataclass(frozen=True)
 class MonteCarloEngine(_Engine):
     potential: Potential
@@ -682,24 +691,10 @@ class MonteCarloEngine(_Engine):
         _check_seed(self.seed)
         import numpy.random  # noqa: F401  (here, not in the first walk)
 
-    def _over_paths(self, starts, ts, reduce) -> list:
-        # reduce(j, positions) at each time j of ts, in ts's order, from one
-        # path set: each time's paths are reduced as soon as they are reached
-        out = [None] * len(ts)
-        for j, x, _ in _walk(self.potential, starts, ts, self.dt,
-                             self.n_paths, np.random.SeedSequence(self.seed),
-                             {}):
-            out[j] = reduce(j, x)
-        return out
-
-    def _mean(self, func, x):
-        # as (k, *cols, n_paths): each column reduces along a contiguous
-        # path axis
-        return _path_mean(np.moveaxis(func(x), 1, -1))
-
     def apply(self, func, t, x):
-        return self._apply(func, t, x, lambda xs, ts: self._over_paths(
-            xs, ts, lambda j, x: self._mean(func, x)))
+        return self._apply(func, t, x, lambda xs, ts: zip(*multilevel_mean(
+            self.potential, xs, ts, lambda j, x, _: _columns_last(func, x),
+            self.dt, self.n_paths, self.seed, {})))
 
     def value_grad(self, f: TestFunction, t, x, rhs=None):
         def evolve(xs, ts, later):
@@ -710,15 +705,19 @@ class MonteCarloEngine(_Engine):
             e = np.eye(n)[:, None, :] * h  # (n, k, n): shift of dimension i
             starts = np.concatenate([xs[None], xs + e, xs - e]).reshape(-1, n)
 
-            def sides(j, x):
-                vals, errs = self._mean(f, x)
-                up, dn = vals[k:].reshape(2, n, k)
-                row = vals[:k], errs[:k], ((up - dn) / (2.0 * h.T)).T
-                # the first k starts are the points, so a right side reads
-                # its paths off f's: bitwise those of a run from the points
-                return row + self._mean(later[j], x[:k]) if later else row
+            def payoff(j, x, _):
+                yield f(x)
+                if later:
+                    # the first k starts are the points: a right side's
+                    # paths are bitwise those of a run from the points
+                    yield _columns_last(later[j], x[:k])
 
-            return self._over_paths(starts, ts, sides)
+            means, errs = multilevel_mean(self.potential, starts, ts, payoff,
+                                          self.dt, self.n_paths, self.seed, {})
+            for j, (vals, err) in enumerate(zip(means[0], errs[0])):
+                up, dn = vals[k:].reshape(2, n, k)
+                row = vals[:k], err[:k], ((up - dn) / (2.0 * h.T)).T
+                yield row + (means[1][j], errs[1][j]) if later else row
 
         return self._value_grad(f, t, x, rhs, evolve)
 

@@ -194,9 +194,11 @@ def _of_f(f: TestFunction, columns):
 
 
 def _composite(mfs, f: TestFunction, factors):
-    # z -> M(f(z), c Gamma(f)(z)), one column per factor c of each M in turn
-    return _of_f(f, lambda x, gam: [mf.value(x, np.maximum(gam * r, 0.0))
-                                    for mf, r in zip(mfs, factors)])
+    # z -> M(f(z), c Gamma(f)(z)), one column per factor c of each M in turn;
+    # each M's c Gamma(f) is clipped at 0 in the array that holds it
+    return _of_f(f, lambda x, gam: [
+        mf.value(x, np.maximum(y, 0.0, out=y))
+        for mf, y in zip(mfs, (gam * r for r in factors))])
 
 
 def _linear_basis(mfs, f: TestFunction):

@@ -20,7 +20,6 @@ from curvlab.potentials import (constant_certificate, local_eigenvalue_margin,
                                 scan_points)
 from curvlab.feynman_kac import (commutation_check, gradient_bound,
                                  supermartingale_check)
-from curvlab.sde import simulate
 from curvlab.semigroup import MehlerEngine, gamma, make_engine
 from curvlab.spectral import (Q_iterate, derivative_l2, expand, gauss_mean,
                               houdre_kagan, random_corpus)
@@ -320,7 +319,7 @@ def test_criterion_11_houdre_kagan():
              f"Q-vs-derivative rel err {q_worst:.2e}")
 
 
-def test_criterion_12_reproducibility(tmp_path, monkeypatch):
+def test_criterion_12_reproducibility(tmp_path, monkeypatch, paths_at):
     cfg = parse_config("checks = local\nmfunctions = poincare\n"
                        "functions = sine\nengine = monte-carlo\n"
                        "engine.n_paths = 2000\nts = 0.3\nalphas = 0.5\n"
@@ -337,13 +336,14 @@ def test_criterion_12_reproducibility(tmp_path, monkeypatch):
         (a / p.name).read_bytes() == (b / p.name).read_bytes()
         for p in a.iterdir() if p.name != "summary.json")
 
+    rho = {"rho": lambda x, drift: GAUSS.curvature(x)}
     monkeypatch.setenv("CURVLAB_THREADS", "1")
-    one = simulate(GAUSS, np.zeros(1), 0.3, n_paths=3000, seed=5)
+    [(one, one_ints)] = paths_at(GAUSS, np.zeros(1), 0.3, 1e-3, 3000, 5, rho)
     monkeypatch.setenv("CURVLAB_THREADS", "4")
-    four = simulate(GAUSS, np.zeros(1), 0.3, n_paths=3000, seed=5)
-    thread_ok = (np.array_equal(one.positions, four.positions)
-                 and np.array_equal(one.integrals["rho"],
-                                    four.integrals["rho"]))
+    [(four, four_ints)] = paths_at(GAUSS, np.zeros(1), 0.3, 1e-3, 3000, 5,
+                                   rho)
+    thread_ok = (np.array_equal(one, four)
+                 and np.array_equal(one_ints["rho"], four_ints["rho"]))
     ok = byte_ok and thread_ok
     _verdict(12, "reproducibility", ok,
              "byte-identical reruns, thread-count invariant Monte Carlo")

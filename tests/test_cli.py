@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from curvlab import cli, semigroup
+from curvlab import cli, sde
 from curvlab.cli import (PRESETS, ExperimentConfig, list_catalogs, main,
                          parse_config, run)
 from curvlab.errors import ParameterError
@@ -925,13 +925,13 @@ def test_mc_checks_of_one_function_share_one_simulation(
     # two M-functions make one path walk and write the files of two
     # single-M runs, byte for byte: the runs always shared the seed
     calls = []
-    walk = semigroup._walk
+    walk = sde._walk
 
     def counted(*args, **kwargs):
         calls.append(1)
         return walk(*args, **kwargs)
 
-    monkeypatch.setattr(semigroup, "_walk", counted)
+    monkeypatch.setattr(sde, "_walk", counted)
     base = [command, "--engine", "monte-carlo", "--n-paths", "200",
             "--function", "shifted-sine", "--format", "csv", "--seed", "2"]
     flags = [x for m in mfunctions for x in ("--mfunction", m)]

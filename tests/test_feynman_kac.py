@@ -11,12 +11,14 @@ from curvlab.feynman_kac import (commutation_check, gradient_bound,
 from curvlab.potentials import (LyapunovCertificate, constant_certificate,
                                 make_double_well, make_example_potential,
                                 make_lyapunov)
-from curvlab.sde import _level_count, simulate
+from curvlab.sde import _level_count
 from curvlab.semigroup import GridEngine, MehlerEngine, MonteCarloEngine
 from curvlab.suite import get
+from curvlab.verify import Schedule
 
 GAUSS = make_example_potential("gaussian")
 ENGINE = MehlerEngine(GAUSS)
+RHO = {"rho": lambda x, drift: GAUSS.curvature(x)}
 
 
 def one_plus_sq(x):
@@ -48,12 +50,11 @@ def one_plus_sq_cert(n: int = 1) -> LyapunovCertificate:
                                log_laplacian, label="1+|x|^2")
 
 
-def test_constant_curvature_weight_is_exact():
-    batch = simulate(GAUSS, np.array([0.5]), 0.7, dt=1e-3, n_paths=500,
-                     seed=3)
+def test_constant_curvature_weight_is_exact(paths_at):
+    [(_, ints)] = paths_at(GAUSS, np.array([0.5]), 0.7, 1e-3, 500, 3, RHO)
     # rho is identically 1, so the integral is t path-by-path
-    assert np.max(np.abs(batch.integrals["rho"] - 0.7)) < 1e-12
-    w = np.exp(-batch.integrals["rho"])
+    assert np.max(np.abs(ints["rho"] - 0.7)) < 1e-12
+    w = np.exp(-ints["rho"])
     assert np.max(np.abs(w - math.exp(-0.7))) < 1e-12
 
 
@@ -187,22 +188,22 @@ def test_dt_refinement_consistency():
     assert abs(ra.rhs - rb.rhs) < max(2.0 * (ra.stderr + rb.stderr), 1e-3)
 
 
-def test_thread_count_does_not_change_paths():
+def test_thread_count_does_not_change_paths(paths_at):
     old = os.environ.get("CURVLAB_THREADS")
     try:
         os.environ["CURVLAB_THREADS"] = "1"
-        serial = simulate(GAUSS, np.array([0.2]), 0.3, dt=1e-2,
-                          n_paths=20000, seed=17)
+        [(serial, serial_ints)] = paths_at(GAUSS, np.array([0.2]), 0.3, 1e-2,
+                                           20000, 17, RHO)
         os.environ["CURVLAB_THREADS"] = "4"
-        threaded = simulate(GAUSS, np.array([0.2]), 0.3, dt=1e-2,
-                            n_paths=20000, seed=17)
+        [(threaded, threaded_ints)] = paths_at(GAUSS, np.array([0.2]), 0.3,
+                                               1e-2, 20000, 17, RHO)
     finally:
         if old is None:
             os.environ.pop("CURVLAB_THREADS", None)
         else:
             os.environ["CURVLAB_THREADS"] = old
-    assert np.array_equal(serial.positions, threaded.positions)
-    assert np.array_equal(serial.integrals["rho"], threaded.integrals["rho"])
+    assert np.array_equal(serial, threaded)
+    assert np.array_equal(serial_ints["rho"], threaded_ints["rho"])
 
 
 def test_monte_carlo_left_side_is_rejected():
@@ -217,13 +218,11 @@ def test_monte_carlo_left_side_is_rejected():
                           dt=1e-2, seed=0)
 
 
-def test_stderr_uses_sample_deviation():
+def test_stderr_uses_sample_deviation(paths_at):
     rep = gradient_bound(GAUSS, get("sine"), xs=[0.5], ts=(0.5,),
                          lhs_engine=ENGINE, n_paths=300, dt=1e-2, seed=6)
-    batch = simulate(GAUSS, np.array([0.5]), 0.5, dt=1e-2, n_paths=300,
-                     seed=6)
-    w = np.abs(get("sine").gradient(batch.positions[0])[:, 0]) \
-        * np.exp(-batch.integrals["rho"][0])
+    [(x, ints)] = paths_at(GAUSS, np.array([0.5]), 0.5, 1e-2, 300, 6, RHO)
+    w = np.abs(get("sine").gradient(x[0])[:, 0]) * np.exp(-ints["rho"][0])
     assert rep.records[0].stderr == pytest.approx(
         np.std(w, ddof=1) / math.sqrt(300), rel=1e-12)
 
@@ -287,16 +286,18 @@ def _spy_levels(monkeypatch):
 
 
 def test_only_the_gradient_bound_integrates_the_curvature(monkeypatch):
-    # each check is one multilevel evaluation; at dt = 1e-3 and t = 0.4 the
-    # levels have steps 0.025, 5e-3 and 1e-3, so L + 1 = 3 walks
+    # each check is one multilevel evaluation; at dt = 1e-3, t = 0.4 and
+    # 12 500 paths the levels have steps 0.025, 5e-3 and 1e-3, so L + 1 = 3
+    # walks
     seen = _spy_levels(monkeypatch)
-    kw = dict(xs=[0.3], ts=(0.4,), lhs_engine=ENGINE, n_paths=200, dt=1e-3)
+    kw = dict(xs=[0.3], ts=(0.4,), lhs_engine=ENGINE, n_paths=12_500,
+              dt=1e-3)
     commutation_check(GAUSS, constant_certificate(), get("linear"), **kw)
     assert seen == [[[], 3]]
     gradient_bound(GAUSS, get("sine"), **kw)
     assert seen == [[[], 3], [["rho"], 3]]
     supermartingale_check(GAUSS, constant_certificate(), x0=0.3, ts=(0.4,),
-                          n_paths=200, dt=1e-3)
+                          n_paths=12_500, dt=1e-3)
     assert seen == [[[], 3], [["rho"], 3], [["w"], 3]]
 
 
@@ -304,7 +305,7 @@ def test_one_path_set_per_time(monkeypatch):
     # every point and every t come from one multilevel evaluation, and each
     # record is the one a run from that point alone gives
     seen = _spy_levels(monkeypatch)
-    kw = dict(ts=(0.25, 1.0), lhs_engine=ENGINE, n_paths=200, dt=1e-3)
+    kw = dict(ts=(0.25, 1.0), lhs_engine=ENGINE, n_paths=12_500, dt=1e-3)
     both = gradient_bound(GAUSS, get("sine"), xs=[0.0, 1.0], **kw)
     assert [walks for _, walks in seen] == [3]
     comm = commutation_check(GAUSS, constant_certificate(), get("linear"),
@@ -323,31 +324,42 @@ def test_one_path_set_per_time(monkeypatch):
 
 def test_level_count():
     # the coarsest step is at most 1/40 and divides every time
-    assert _level_count(np.array([0.25, 1.0]), 1e-3) == 2
-    assert _level_count(np.array([0.0, 0.5]), 1e-3) == 2
-    assert _level_count(np.array([0.33]), 1e-3) == 1
-    assert _level_count(np.array([0.25, 1.0]), 1e-2) == 0
-    assert _level_count(np.array([0.25, 0.5, 1.0]), 2e-3) == 1
-    assert _level_count(np.array([0.2555]), 1e-3) == 0
+    def count(ts, dt):
+        return _level_count(np.array(ts), dt, 10 ** 6)
+
+    assert count([0.25, 1.0], 1e-3) == 2
+    assert count([0.0, 0.5], 1e-3) == 2
+    assert count([0.33], 1e-3) == 1
+    assert count([0.25, 1.0], 1e-2) == 0
+    assert count([0.25, 0.5, 1.0], 2e-3) == 1
+    assert count([0.2555], 1e-3) == 0
+
+
+def test_level_count_leaves_no_level_below_100_paths():
+    # level l runs ceil(n_paths 5^(-3l/2)) paths; on the default schedule
+    # at dt = 1e-3 the times allow L = 2, and the paths cap it
+    ts = np.array(Schedule().ts)
+    for n_paths, levels in ((200, 0), (1106, 0), (1118, 1), (12_375, 1),
+                            (16_384, 2), (100_000, 2)):
+        assert _level_count(ts, 1e-3, n_paths) == levels
 
 
 def test_time_off_the_coarse_grid_runs_two_levels(monkeypatch):
     seen = _spy_levels(monkeypatch)
     rep = gradient_bound(GAUSS, get("sine"), xs=[0.5], ts=(0.33,),
-                         lhs_engine=ENGINE, n_paths=200, dt=1e-3, seed=3)
+                         lhs_engine=ENGINE, n_paths=1118, dt=1e-3, seed=3)
     assert seen == [[["rho"], 2]]
     assert rep.records[0].stderr > 0.0
 
 
-def test_one_level_check_is_plain_monte_carlo():
+def test_one_level_check_is_plain_monte_carlo(paths_at):
     # dt = 1e-2 leaves one level: the right side is bitwise the mean and
-    # stderr of one simulate run
+    # stderr of one plain walk
     rep = gradient_bound(GAUSS, get("sine"), xs=[0.0, 1.0], ts=(0.25, 1.0),
                          lhs_engine=ENGINE, n_paths=8292, dt=1e-2, seed=6)
-    batch = simulate(GAUSS, [[0.0], [1.0]], np.array([0.25, 1.0]), dt=1e-2,
-                     n_paths=8292, seed=6)
-    w = np.linalg.norm(get("sine").gradient(batch.positions), axis=-1) \
-        * np.exp(-batch.integrals["rho"])
+    at = paths_at(GAUSS, [[0.0], [1.0]], [0.25, 1.0], 1e-2, 8292, 6, RHO)
+    w = np.array([np.linalg.norm(get("sine").gradient(x), axis=-1)
+                  * np.exp(-ints["rho"]) for x, ints in at])
     mean = w.mean(axis=-1)
     stderr = w.std(axis=-1, ddof=1) / math.sqrt(8292)
     assert [(r.rhs, r.stderr) for r in rep.records] == \
@@ -360,10 +372,10 @@ def test_multilevel_report_ignores_the_thread_count():
     try:
         for threads in ("1", "4"):
             os.environ["CURVLAB_THREADS"] = threads
-            # 8292 paths: two blocks at level 0, over three levels
+            # 16 384 paths: two blocks at level 0, over three levels
             reps.append(gradient_bound(GAUSS, get("sine"), xs=[0.0, 1.0],
                                        ts=(0.25, 1.0), lhs_engine=ENGINE,
-                                       n_paths=8292, dt=1e-3, seed=17))
+                                       n_paths=16_384, dt=1e-3, seed=17))
     finally:
         if old is None:
             os.environ.pop("CURVLAB_THREADS", None)
@@ -374,16 +386,16 @@ def test_multilevel_report_ignores_the_thread_count():
 
 def test_exact_checks_stay_exact_at_every_level():
     # a constant payoff has level differences of exactly 0, so three levels
-    # (dt = 1e-3) give the records of one (dt = 1e-2)
+    # (dt = 1e-3, 12 500 paths) give the records of one (dt = 1e-2)
     def sm(dt):
         return supermartingale_check(GAUSS, constant_certificate(), x0=0.5,
-                                     ts=(0.25, 1.0), n_paths=500, dt=dt,
+                                     ts=(0.25, 1.0), n_paths=12_500, dt=dt,
                                      seed=1).records
 
     def comm(dt):
         return commutation_check(GAUSS, constant_certificate(),
                                  get("linear"), xs=[0.3], ts=(0.5, 1.0),
-                                 lhs_engine=ENGINE, n_paths=500, dt=dt,
+                                 lhs_engine=ENGINE, n_paths=12_500, dt=dt,
                                  seed=3).records
 
     assert [(r.margin, r.stderr) for r in sm(1e-3)] == [(0.0, 0.0)] * 2
@@ -391,15 +403,15 @@ def test_exact_checks_stay_exact_at_every_level():
     assert [r.stderr for r in comm(1e-3)] == [0.0, 0.0]
 
 
-def test_coarse_level_explosion_is_loud():
+def test_coarse_level_explosion_is_loud(paths_at):
     # from x = 10 the double well's Euler step of 1e-3 stays bounded, but
-    # the coarsest level's 0.025 overshoots and diverges
+    # the coarsest level's 0.025, at 12 500 paths, overshoots and diverges
     dw = make_double_well()
-    assert np.all(np.isfinite(simulate(dw, 10.0, 0.25, dt=1e-3,
-                                       n_paths=200).positions))
+    assert np.all(np.isfinite(paths_at(dw, 10.0, 0.25, 1e-3, 200, 0,
+                                       {})[0][0]))
     with pytest.raises(SimulationError, match="at step 0.025"):
         supermartingale_check(dw, constant_certificate(), x0=10.0,
-                              ts=(0.25,), n_paths=200, dt=1e-3)
+                              ts=(0.25,), n_paths=12_500, dt=1e-3)
 
 
 def euler_chain_gradient_rhs(f, x: float, t: float, dt: float) -> tuple:

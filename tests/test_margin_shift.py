@@ -63,3 +63,17 @@ def test_records_lists_each_moved_record(tmp_path):
     assert not changed
     assert "moved records" not in "\n".join(
         margin_shift.compare(tmp_path / "a", tmp_path / "b")[0])
+
+
+def test_shifts_in_combined_stderrs(tmp_path):
+    # a margin that moved by 0.25 with stderrs 0.3 and 0.4 moved by 0.5
+    # combined stderrs
+    for tree, rhs, se in (("a", 4.5, 0.3), ("b", 4.25, 0.4)):
+        _run(tmp_path / tree, "mc-0-csv", 0, [(1.0, 4.0, rhs)], True, 1.0)
+        path = tmp_path / tree / "seed-0" / "mc-0-csv" / "files" \
+            / "margins-local.csv"
+        path.write_text(path.read_text().replace(",0.0\n", f",{se}\n"))
+    lines, _ = margin_shift.compare(tmp_path / "a", tmp_path / "b",
+                                    records=True)
+    assert lines[1] == "  0.0556  seed-0/mc-0-csv  (0.5 combined stderrs)"
+    assert lines[-1].endswith("stderr 0.3 -> 0.4, 0.5 combined stderrs")

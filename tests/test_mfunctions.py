@@ -493,6 +493,13 @@ def test_F_elements_do_not_depend_on_their_batch():
             assert exp_integrability_F(v) == F[i]
             assert exp_integrability_F_derivs(v) == (fp[i], fpp[i])
         assert np.array_equal(exp_integrability_F(a.reshape(-1, 1)).ravel(), F)
+    # more elements than one pass of F's rule takes, in batches that do not
+    # meet its seams
+    a = np.concatenate([rng.uniform(0.0, 37.0, 2 * mfunctions._F_CHUNK),
+                        rng.uniform(0.0, 0.05, 5)])
+    rng.shuffle(a)
+    assert np.array_equal(exp_integrability_F(a), np.concatenate(
+        [exp_integrability_F(a[i:i + 97]) for i in range(0, a.size, 97)]))
 
 
 def test_mehler_verify_local_makes_no_quad_call_beyond_the_anchors(

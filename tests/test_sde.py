@@ -12,83 +12,95 @@ from curvlab import sde
 from curvlab.errors import ParameterError, SimulationError
 from curvlab.potentials import (make_double_well, make_example_potential,
                                 make_lyapunov)
-from curvlab.sde import (BLOCK_SIZE, CHUNK_BYTES, LEVEL_RATIO,
-                         multilevel_mean, simulate)
+from curvlab.sde import (BLOCK_SIZE, CHUNK_BYTES, LEVEL_RATIO, _step_plan,
+                         multilevel_mean)
 from curvlab.semigroup import MonteCarloEngine
 from curvlab.suite import get
 from curvlab.verify import Schedule
 
 
-def test_bit_reproducible():
+def _rho(P):
+    # the curvature integral int_0^t rho(X_s) ds
+    return {"rho": lambda x, drift: P.curvature(x)}
+
+
+def _mean_x(P, x0, t, dt, n_paths=100, seed=0):
+    return multilevel_mean(P, x0, t, lambda j, x, _: x[..., 0], dt, n_paths,
+                           seed, {})
+
+
+def test_bit_reproducible(paths_at):
     P = make_example_potential("gaussian", n=2)
-    a = simulate(P, [0.5, -0.5], t=0.25, dt=1e-2, n_paths=3000, seed=7)
-    b = simulate(P, [0.5, -0.5], t=0.25, dt=1e-2, n_paths=3000, seed=7)
-    np.testing.assert_array_equal(a.positions, b.positions)
-    np.testing.assert_array_equal(a.integrals["rho"], b.integrals["rho"])
-    c = simulate(P, [0.5, -0.5], t=0.25, dt=1e-2, n_paths=3000, seed=8)
-    assert not np.array_equal(a.positions, c.positions)
+    [(a, ai)], [(b, bi)], [(c, _)] = (
+        paths_at(P, [0.5, -0.5], 0.25, 1e-2, 3000, seed, _rho(P))
+        for seed in (7, 7, 8))
+    np.testing.assert_array_equal(a, b)
+    np.testing.assert_array_equal(ai["rho"], bi["rho"])
+    assert not np.array_equal(a, c)
 
 
-def test_thread_count_does_not_change_bits(monkeypatch):
+def test_thread_count_does_not_change_bits(monkeypatch, paths_at):
     P = make_example_potential("spherical", 1.5, 1)
     n = 2 * BLOCK_SIZE + 100  # force several blocks
     monkeypatch.delenv("CURVLAB_THREADS", raising=False)
-    a = simulate(P, [0.0], t=0.1, dt=1e-2, n_paths=n, seed=3)
+    [(a, ai)] = paths_at(P, [0.0], 0.1, 1e-2, n, 3, _rho(P))
     monkeypatch.setenv("CURVLAB_THREADS", "4")
-    b = simulate(P, [0.0], t=0.1, dt=1e-2, n_paths=n, seed=3)
-    np.testing.assert_array_equal(a.positions, b.positions)
-    np.testing.assert_array_equal(a.integrals["rho"], b.integrals["rho"])
+    [(b, bi)] = paths_at(P, [0.0], 0.1, 1e-2, n, 3, _rho(P))
+    np.testing.assert_array_equal(a, b)
+    np.testing.assert_array_equal(ai["rho"], bi["rho"])
 
 
-def test_partial_final_step():
+def test_partial_final_step(paths_at):
     P = make_example_potential("gaussian", n=1)
     # t = 0.25, dt = 0.1 -> 2 full steps plus a 0.05 remainder
-    out = simulate(P, [1.0], t=0.25, dt=0.1, n_paths=16, seed=0)
-    assert out.n_steps == 3
-    assert out.t == 0.25
+    n_full, rem = _step_plan(0.25, 0.1)
+    assert n_full + (rem > 0.0) == 3
+    one = {"one": lambda x, drift: np.ones(x.shape[:-1])}
+    [(_, ints)] = paths_at(P, [1.0], 0.25, 0.1, 16, 0, one)
+    np.testing.assert_allclose(ints["one"], 0.25, atol=1e-12)
     # step count exact when dt divides t
-    out = simulate(P, [1.0], t=0.3, dt=0.1, n_paths=16, seed=0)
-    assert out.n_steps == 3
+    assert _step_plan(0.3, 0.1) == (3, 0.0)
 
 
-def test_zero_time_is_identity():
+def test_zero_time_is_identity(paths_at):
     P = make_example_potential("gaussian", n=2)
-    out = simulate(P, [1.0, 2.0], t=0.0, dt=1e-3, n_paths=64, seed=0)
-    np.testing.assert_array_equal(out.positions,
-                                  np.broadcast_to([1.0, 2.0], (1, 64, 2)))
-    np.testing.assert_array_equal(out.integrals["rho"], np.zeros((1, 64)))
+    [(x, ints)] = paths_at(P, [1.0, 2.0], 0.0, 1e-3, 64, 0, _rho(P))
+    np.testing.assert_array_equal(x, np.broadcast_to([1.0, 2.0], (1, 64, 2)))
+    np.testing.assert_array_equal(ints["rho"], np.zeros((1, 64)))
 
 
 def test_ou_mean_and_variance():
-    # gaussian potential: X_t ~ N(x0 e^-t, 1 - e^-2t); weak error O(dt)
+    # gaussian potential: X_t ~ N(x0 e^-t, 1 - e^-2t); weak error O(dt).
+    # The first two moments as payoffs of one multilevel mean
     P = make_example_potential("gaussian", n=1)
     t, x0 = 0.5, 2.0
-    out = simulate(P, [x0], t=t, dt=5e-4, n_paths=200_000, seed=11)
-    xs = out.positions[0, :, 0]
+    (m1, m2), (se1, _) = multilevel_mean(
+        P, [x0], t, lambda j, x, _: (x[..., 0], x[..., 0] ** 2), 5e-4,
+        200_000, 11, {})
     mean_exact = x0 * np.exp(-t)
     var_exact = 1.0 - np.exp(-2.0 * t)
-    assert xs.mean() == pytest.approx(mean_exact, abs=4.0 * xs.std() / np.sqrt(len(xs)))
-    assert xs.var() == pytest.approx(var_exact, rel=2e-2)
+    assert m1[0] == pytest.approx(mean_exact, abs=4.0 * se1[0])
+    assert m2[0] - m1[0] ** 2 == pytest.approx(var_exact, rel=2e-2)
 
 
-def test_rho_integral_for_gaussian_is_time():
+def test_rho_integral_for_gaussian_is_time(paths_at):
     # rho = 1 identically, so the accumulator equals t for every path
     P = make_example_potential("gaussian", n=2)
-    out = simulate(P, [0.3, 0.3], t=0.37, dt=1e-2, n_paths=128, seed=1)
-    np.testing.assert_allclose(out.integrals["rho"], 0.37, atol=1e-12)
+    [(_, ints)] = paths_at(P, [0.3, 0.3], 0.37, 1e-2, 128, 1, _rho(P))
+    np.testing.assert_allclose(ints["rho"], 0.37, atol=1e-12)
 
 
-def test_custom_functionals():
+def test_custom_functionals(paths_at):
     P = make_example_potential("gaussian", n=1)
-    out = simulate(P, [0.0], t=0.2, dt=1e-2, n_paths=256, seed=5,
-                   functionals={"one": lambda x, drift: np.ones(x.shape[:-1]),
-                                "x2": lambda x, drift: x[..., 0] ** 2})
-    np.testing.assert_allclose(out.integrals["one"], 0.2, atol=1e-12)
-    assert np.all(out.integrals["x2"] >= 0.0)
-    assert "rho" not in out.integrals
+    [(_, ints)] = paths_at(
+        P, [0.0], 0.2, 1e-2, 256, 5,
+        {"one": lambda x, drift: np.ones(x.shape[:-1]),
+         "x2": lambda x, drift: x[..., 0] ** 2})
+    np.testing.assert_allclose(ints["one"], 0.2, atol=1e-12)
+    assert np.all(ints["x2"] >= 0.0)
 
 
-def test_explosion_guard_raises():
+def test_explosion_guard_raises(paths_at):
     # an expanding drift: V = -|x|^2 pushes mass out exponentially fast
     bad = make_example_potential("gaussian", n=1)
     bad = type(bad)(n=1, value=lambda x: -0.5 * np.sum(x * x, -1),
@@ -96,81 +108,81 @@ def test_explosion_guard_raises():
                     hessian=bad.hessian, label="expanding", family="custom",
                     curvature=bad.curvature)
     with pytest.raises(SimulationError) as exc:
-        simulate(bad, [1.0], t=1.5, dt=0.5, n_paths=64, seed=0)
+        paths_at(bad, [1.0], 1.5, 0.5, 64, 0, _rho(bad))
     assert exc.value.exploded_fraction > 0.9
 
 
-def test_double_well_paths_stay_bounded():
+def test_double_well_paths_stay_bounded(paths_at):
     W = make_double_well()
-    out = simulate(W, [0.0], t=1.0, dt=1e-2, n_paths=4096, seed=2)
-    assert np.max(np.abs(out.positions)) < 10.0
+    [(x, _)] = paths_at(W, [0.0], 1.0, 1e-2, 4096, 2, _rho(W))
+    assert np.max(np.abs(x)) < 10.0
 
 
 def test_parameter_errors():
     P = make_example_potential("gaussian", n=1)
     with pytest.raises(ParameterError):
-        simulate(P, [0.0], t=-1.0, dt=1e-3)
+        _mean_x(P, [0.0], -1.0, 1e-3)
     with pytest.raises(ParameterError):
-        simulate(P, [0.0], t=1.0, dt=0.0)
+        _mean_x(P, [0.0], 1.0, 0.0)
     with pytest.raises(ParameterError):
-        simulate(P, [0.0], t=1.0, dt=1e-3, n_paths=0)
+        _mean_x(P, [0.0], 1.0, 1e-3, n_paths=0)
     # x0 is read by as_points: in n = 1 a scalar is one start and a 1-D
     # array k starts, so only these shapes, and a non-finite start, fail
     for x0 in (np.zeros((2, 3, 1)), np.zeros((3, 2)), np.zeros((0, 1)),
                [np.nan]):
         with pytest.raises(ParameterError):
-            simulate(P, x0, t=1.0, dt=1e-3, n_paths=7)
+            _mean_x(P, x0, 1.0, 1e-3)
 
 
 def test_negative_seed_is_a_parameter_error():
     # numpy's SeedSequence would raise a bare ValueError
     P = make_example_potential("gaussian", n=1)
     with pytest.raises(ParameterError, match="seed"):
-        simulate(P, [0.0], t=0.1, dt=1e-2, n_paths=7, seed=-1)
+        _mean_x(P, [0.0], 0.1, 1e-2, seed=-1)
 
 
 @pytest.mark.parametrize("threads", ["1", "4"])
 @pytest.mark.parametrize("kind,n", [("gaussian", 2), ("spherical", 3)])
-def test_start_points_match_single_runs(monkeypatch, threads, kind, n):
+def test_start_points_match_single_runs(monkeypatch, paths_at, threads, kind,
+                                        n):
     # several blocks and a partial final step (t = 0.25 at dt = 0.1)
     P = make_example_potential(kind, None if kind == "gaussian" else 1.5, n)
     monkeypatch.setenv("CURVLAB_THREADS", threads)
     starts = np.random.default_rng(0).normal(size=(3, n))
     n_paths = 2 * BLOCK_SIZE + 17
-    out = simulate(P, starts, t=0.25, dt=0.1, n_paths=n_paths, seed=4)
-    assert out.positions.shape == (3, n_paths, n)
-    assert out.n_paths == 3 * n_paths
+    [(x, ints)] = paths_at(P, starts, 0.25, 0.1, n_paths, 4, _rho(P))
+    assert x.shape == (3, n_paths, n)
     for k, x0 in enumerate(starts):
         # a single start keeps its start axis
-        one = simulate(P, x0, t=0.25, dt=0.1, n_paths=n_paths, seed=4)
-        assert one.positions.shape == (1, n_paths, n)
-        np.testing.assert_array_equal(out.positions[k:k + 1], one.positions)
-        np.testing.assert_array_equal(out.integrals["rho"][k:k + 1],
-                                      one.integrals["rho"])
+        [(one, one_ints)] = paths_at(P, x0, 0.25, 0.1, n_paths, 4, _rho(P))
+        assert one.shape == (1, n_paths, n)
+        np.testing.assert_array_equal(x[k:k + 1], one)
+        np.testing.assert_array_equal(ints["rho"][k:k + 1], one_ints["rho"])
 
 
-def test_blocks_fill_their_slices_under_thread_contention(monkeypatch):
+def test_blocks_fill_their_slices_under_thread_contention(monkeypatch,
+                                                          paths_at):
     # more workers than cores, switching threads as often as possible: a
     # block that lost its write would leave a slice unlike the serial run
     P = make_example_potential("gaussian", n=1)
     starts = np.array([[-1.0], [0.0], [2.0]])
     n_paths = 8 * BLOCK_SIZE + 5
     monkeypatch.setenv("CURVLAB_THREADS", "1")
-    serial = simulate(P, starts, t=0.05, dt=1e-2, n_paths=n_paths, seed=9)
+    [(serial, serial_ints)] = paths_at(P, starts, 0.05, 1e-2, n_paths, 9,
+                                       _rho(P))
     monkeypatch.setenv("CURVLAB_THREADS", "8")
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        threaded = simulate(P, starts, t=0.05, dt=1e-2, n_paths=n_paths,
-                            seed=9)
+        [(threaded, threaded_ints)] = paths_at(P, starts, 0.05, 1e-2,
+                                               n_paths, 9, _rho(P))
     finally:
         sys.setswitchinterval(interval)
-    np.testing.assert_array_equal(serial.positions, threaded.positions)
-    np.testing.assert_array_equal(serial.integrals["rho"],
-                                  threaded.integrals["rho"])
+    np.testing.assert_array_equal(serial, threaded)
+    np.testing.assert_array_equal(serial_ints["rho"], threaded_ints["rho"])
 
 
-def test_explosion_guard_is_per_start():
+def test_explosion_guard_is_per_start(paths_at):
     # the drift expands only above x = 0.5: no path from -1000 explodes and
     # every path from 1 does, so the worst start's fraction is reported, not
     # the pooled 0.5
@@ -179,43 +191,42 @@ def test_explosion_guard_is_per_start():
                   gradient=lambda x: np.where(x > 0.5, -1e5 * x, x),
                   hessian=P.hessian, label="expanding", family="custom",
                   curvature=P.curvature)
-    simulate(bad, [-1000.0], t=1.5, dt=0.5, n_paths=64, seed=0)
+    paths_at(bad, [-1000.0], 1.5, 0.5, 64, 0, _rho(bad))
     with pytest.raises(SimulationError) as exc:
-        simulate(bad, [[-1000.0], [1.0]], t=1.5, dt=0.5, n_paths=64, seed=0)
+        paths_at(bad, [[-1000.0], [1.0]], 1.5, 0.5, 64, 0, _rho(bad))
     assert exc.value.exploded_fraction == 1.0
 
 
-def test_one_exploded_path_in_twenty_thousand_raises():
+def test_one_exploded_path_in_twenty_thousand_raises(paths_at):
     # from 0 the first step is the draw itself; the drift expands only above
     # a threshold between the two largest draws, so exactly one path explodes
     P = make_example_potential("gaussian", n=1)
-    first = simulate(P, [0.0], t=0.5, dt=0.5, n_paths=20000, seed=0,
-                     functionals={}).positions[0, :, 0]
+    first = paths_at(P, [0.0], 0.5, 0.5, 20000, 0, {})[0][0][0, :, 0]
     c = np.mean(np.sort(first)[-2:])
     bad = type(P)(n=1, value=P.value,
                   gradient=lambda x: np.where(x > c, -1e9 * x, x),
                   hessian=P.hessian, label="expanding", family="custom",
                   curvature=P.curvature)
     with pytest.raises(SimulationError) as exc:
-        simulate(bad, [0.0], t=1.0, dt=0.5, n_paths=20000, seed=0)
+        paths_at(bad, [0.0], 1.0, 0.5, 20000, 0, _rho(bad))
     assert exc.value.exploded_fraction == 1 / 20000
 
 
-def test_overflowing_paths_raise_without_warnings():
+def test_overflowing_paths_raise_without_warnings(paths_at):
     # from x0 = 50 at dt = 1 the double well's cubic drift overflows to inf
     # and then to NaN; the run fails before any RuntimeWarning escapes
     W = make_double_well()
     with warnings.catch_warnings(record=True) as seen:
         warnings.simplefilter("always")
         with pytest.raises(SimulationError) as exc:
-            simulate(W, [50.0], t=20.0, dt=1.0, n_paths=200, seed=0)
+            paths_at(W, [50.0], 20.0, 1.0, 200, 0, _rho(W))
     assert exc.value.exploded_fraction == 1.0
     assert not [w for w in seen if issubclass(w.category, RuntimeWarning)]
 
 
 @pytest.mark.parametrize("threads", ["1", "4"])
 def test_explosion_is_raised_at_the_first_time_it_happens(monkeypatch,
-                                                          threads):
+                                                          paths_at, threads):
     # the drift expands only above x = 1: no path has exploded at t = 0.5,
     # the paths above 1 there have by t = 1, and more by t = 1.5; three
     # times, unsorted, on two blocks raise at t = 1 with t = 1's fraction
@@ -225,16 +236,18 @@ def test_explosion_is_raised_at_the_first_time_it_happens(monkeypatch,
                   gradient=lambda x: np.where(x > 1.0, -1e9 * x, x),
                   hessian=P.hessian, label="expanding", family="custom",
                   curvature=P.curvature)
-    run = dict(x0=[0.0], dt=0.5, n_paths=BLOCK_SIZE + 100, seed=0)
-    simulate(bad, t=0.5, **run)
+    def run(t):
+        return paths_at(bad, [0.0], t, 0.5, BLOCK_SIZE + 100, 0, _rho(bad))
+
+    run(0.5)
     fractions = []
     for t in (1.0, 1.5):
         with pytest.raises(SimulationError) as exc:
-            simulate(bad, t=t, **run)
+            run(t)
         fractions.append(exc.value.exploded_fraction)
     assert 0.0 < fractions[0] < fractions[1]
     with pytest.raises(SimulationError, match="at step 0.5") as exc:
-        simulate(bad, t=(1.5, 0.5, 1.0), **run)
+        run((1.5, 0.5, 1.0))
     assert exc.value.exploded_fraction == fractions[0]
 
 
@@ -288,7 +301,8 @@ def _both_kernels(run):
 
 
 @pytest.mark.parametrize("threads", ["1", "4"])
-def test_chunked_draws_match_one_draw_per_step(monkeypatch, threads):
+def test_chunked_draws_match_one_draw_per_step(monkeypatch, paths_at,
+                                               threads):
     monkeypatch.setenv("CURVLAB_THREADS", threads)
     P = make_example_potential("spherical", 1.5, 2)
     starts = [[0.3, -0.4], [2.0, 1.0]]
@@ -306,27 +320,26 @@ def test_chunked_draws_match_one_draw_per_step(monkeypatch, threads):
                                  BLOCK_SIZE + 37)):
         functionals = {"rho": lambda x, d: pot.curvature(x),
                        "x0": lambda x, d: x[..., 0]}
-        a, b = _both_kernels(lambda: simulate(
-            pot, x0, t, dt=0.01, n_paths=n_paths, seed=6,
-            functionals=functionals))
-        np.testing.assert_array_equal(a.positions, b.positions)
-        for name in functionals:
-            np.testing.assert_array_equal(a.integrals[name],
-                                          b.integrals[name])
-        assert a.n_steps == b.n_steps
+        a, b = _both_kernels(lambda: paths_at(pot, x0, t, 0.01, n_paths, 6,
+                                              functionals))
+        for (xa, ia), (xb, ib) in zip(a, b):
+            np.testing.assert_array_equal(xa, xb)
+            for name in functionals:
+                np.testing.assert_array_equal(ia[name], ib[name])
 
 
 @pytest.mark.parametrize("threads", ["1", "4"])
 def test_chunked_twins_match_one_draw_per_step(monkeypatch, threads):
-    # three levels at dt = 1e-3 to t = 0.25: BLOCK_SIZE + 37 plain paths,
-    # then 737 and 100 path pairs, whose chunks hold whole coarse steps
+    # three levels at dt = 1e-3 to t = 0.25: 2 BLOCK_SIZE + 37 plain paths,
+    # a short last block, then 1469 and 132 path pairs, whose chunks hold
+    # whole coarse steps
     monkeypatch.setenv("CURVLAB_THREADS", threads)
     P = make_example_potential("spherical", 1.5, 2)
     cert = make_lyapunov("spherical", 1.5, 2.0, 2)
     a, b = _both_kernels(lambda: multilevel_mean(
         P, [[0.3, -0.4], [1.0, 0.5]], [0.25, 0.1],
-        lambda x, ints: cert.g_value(x) * np.exp(-ints["w"]), 1e-3,
-        BLOCK_SIZE + 37, 2, {"w": cert.lg_over_g}))
+        lambda j, x, ints: cert.g_value(x) * np.exp(-ints["w"]), 1e-3,
+        2 * BLOCK_SIZE + 37, 2, {"w": cert.lg_over_g}))
     for u, v in zip(a, b):
         np.testing.assert_array_equal(u, v)
 

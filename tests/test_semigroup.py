@@ -26,7 +26,7 @@ from curvlab.semigroup import (
     mehler_apply,
 )
 from curvlab import semigroup, suite
-from curvlab.sde import BLOCK_SIZE, _step_plan, _times, simulate
+from curvlab.sde import BLOCK_SIZE, _step_plan, _times, multilevel_mean
 from curvlab.verify import Schedule
 
 GAUSS = make_example_potential("gaussian")
@@ -713,6 +713,31 @@ def test_mc_engine_gradient_common_random_numbers():
     assert g[0] == pytest.approx(2.0 * math.exp(-0.5), abs=0.02)
 
 
+def test_mc_engine_at_one_level_is_the_plain_walk_mean(paths_at):
+    # 200 paths leave one Euler level on the default schedule at dt = 1e-3:
+    # values, stderrs, central differences and right sides are bitwise the
+    # means over one plain walk of the points and their shifted starts
+    eng = MonteCarloEngine(SPH15, n_paths=200, dt=1e-3, seed=4)
+    f, xs, ts = suite.get("sine"), Schedule().xs, Schedule().ts[1:]
+
+    def side(z):
+        return np.stack([np.cos(z[..., 0]), z[..., 0] ** 2], axis=-1)
+
+    got = eng.value_grad(f, ts, xs, rhs=[side] * len(ts))
+    k, h = len(xs), 1e-3 * (1.0 + np.abs(xs))
+    walk = paths_at(SPH15, np.concatenate([xs, xs + h, xs - h]), ts, 1e-3,
+                    200, 4, {})
+    for j, (x, _) in enumerate(walk):
+        v = f(x)
+        mean, se = v.mean(axis=-1), v.std(axis=-1, ddof=1) / math.sqrt(200)
+        r = np.ascontiguousarray(np.moveaxis(side(x[:k]), 1, -1))
+        want = (mean[:k], se[:k],
+                ((mean[k:2 * k] - mean[2 * k:]) / (2.0 * h))[:, None],
+                r.mean(axis=-1), r.std(axis=-1, ddof=1) / math.sqrt(200))
+        for a, b in zip(got, want):
+            np.testing.assert_array_equal(a[j], b)
+
+
 def test_mc_engine_validation():
     with pytest.raises(ParameterError):
         MonteCarloEngine(GAUSS, n_paths=10)
@@ -868,7 +893,7 @@ def test_apply_passes_trailing_columns_through():
 
 
 @pytest.mark.parametrize("threads", ["1", "4"])
-def test_time_sequences_match_single_times(monkeypatch, threads):
+def test_time_sequences_match_single_times(monkeypatch, paths_at, threads):
     # 0, a time below dt and an off-grid time, unsorted and repeated: each
     # time's slice is bitwise what a call with that time alone returns
     monkeypatch.setenv("CURVLAB_THREADS", threads)
@@ -897,15 +922,13 @@ def test_time_sequences_match_single_times(monkeypatch, threads):
     # several blocks of paths from two starts
     starts = np.array([[-1.0], [0.5]])
     n_paths = 2 * BLOCK_SIZE + 17
-    batch = simulate(SPH15, starts, ts, dt=1e-2, n_paths=n_paths, seed=3)
-    assert batch.positions.shape == (6, 2, n_paths, 1)
-    assert batch.n_paths == 2 * n_paths
-    assert batch.n_steps == 100
-    for j, t in enumerate(ts):
-        one = simulate(SPH15, starts, t, dt=1e-2, n_paths=n_paths, seed=3)
-        np.testing.assert_array_equal(batch.positions[j], one.positions)
-        np.testing.assert_array_equal(batch.integrals["rho"][j],
-                                      one.integrals["rho"])
+    rho = {"rho": lambda x, drift: SPH15.curvature(x)}
+    walk = paths_at(SPH15, starts, ts, 1e-2, n_paths, 3, rho)
+    assert [x.shape for x, _ in walk] == [(2, n_paths, 1)] * 6
+    for (x, ints), t in zip(walk, ts):
+        [(one, one_ints)] = paths_at(SPH15, starts, t, 1e-2, n_paths, 3, rho)
+        np.testing.assert_array_equal(x, one)
+        np.testing.assert_array_equal(ints["rho"], one_ints["rho"])
 
 
 def test_apply_each_is_apply_at_each_time():
@@ -953,7 +976,9 @@ def test_empty_time_sequence_is_rejected():
     f = suite.get("sine")
     x = np.array([0.0, 1.0])
     gen = grid_generator(GAUSS, -8.0, 8.0, 801)
-    calls = [lambda: simulate(GAUSS, [0.0], (), dt=1e-2, n_paths=100),
+    calls = [lambda: multilevel_mean(GAUSS, [0.0], (),
+                                     lambda j, x, _: x[..., 0], 1e-2, 100, 0,
+                                     {}),
              lambda: grid_apply(gen, f(gen.nodes[:, None]), (), 1e-2)]
     for eng in _three_engines():
         calls += [lambda eng=eng: eng.apply(f, (), x),

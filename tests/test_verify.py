@@ -9,7 +9,7 @@ import pytest
 from scipy.linalg import lapack
 from scipy.optimize import brentq
 
-from curvlab import semigroup, suite, verify
+from curvlab import sde, semigroup, suite, verify
 from curvlab.errors import (DomainError, NumericalError, ParameterError,
                             QuadratureError)
 from curvlab.mfunctions import catalog
@@ -21,7 +21,6 @@ from curvlab.semigroup import (GridEngine, MehlerEngine, MonteCarloEngine,
 from curvlab.suite import get
 from curvlab.verify import (InequalityReport, Record, Schedule,
                             _composite, _critical_points, _right_sides,
-                            default_schedule,
                             exp_integrability_bound_check,
                             g_alpha, h_alpha, verify_H_monotone,
                             verify_integrated_condition,
@@ -100,7 +99,7 @@ def test_schedule_validation():
         Schedule(ts=(-1.0,))
     with pytest.raises(ParameterError):
         as_points(Schedule(xs=np.zeros((3, 2))).xs, 1)
-    sched = default_schedule()
+    sched = Schedule()
     assert as_points(sched.xs, 1).shape == (7, 1)
 
 
@@ -604,13 +603,31 @@ def _count_calls(monkeypatch, name, module=semigroup):
     return calls
 
 
+def test_mc_multilevel_stderrs_match_plain_monte_carlo(monkeypatch):
+    # 5000 paths at dt = 1e-3 run two Euler levels on the default schedule;
+    # every record's stderr is within 0.9-1.15 of a plain run's at the same
+    # n_paths (0.965-1.064 measured at seed 0)
+    eng = MonteCarloEngine(GAUSS, n_paths=5000, dt=1e-3, seed=0)
+
+    def stderrs():
+        [rep] = verify_local([catalog("poincare")], eng, get("sine"),
+                             Schedule(), rho=1.0)
+        return np.array([r.stderr for r in rep.records if r.t > 0.0])
+
+    multilevel = stderrs()
+    monkeypatch.setattr(sde, "_level_count", lambda *args: 0)
+    ratio = multilevel / stderrs()
+    assert len(ratio) == 5 * 3 * 7
+    assert 0.9 <= ratio.min() and ratio.max() <= 1.15
+
+
 def test_mc_local_simulation_count(monkeypatch):
     # one checkpointed run over the 7 points and their shifted starts gives
     # P_t f, its stderr and the central difference at every t, and the right
     # sides of all alphas at every t are read off its first 7 starts
-    calls = _count_calls(monkeypatch, "_walk")
+    calls = _count_calls(monkeypatch, "_walk", sde)
     eng = MonteCarloEngine(GAUSS, n_paths=100, dt=1e-2, seed=0)
-    verify_local([catalog("poincare")], eng, get("sine"), default_schedule(),
+    verify_local([catalog("poincare")], eng, get("sine"), Schedule(),
                  rho=1.0)
     assert len(calls) == 1
 
@@ -707,7 +724,7 @@ def test_local_check_names_the_domain_f_leaves(engine):
         warnings.simplefilter("error")
         with pytest.raises(DomainError, match="log-sobolev needs x"):
             verify_local([catalog("log-sobolev")], engine, get("sine"),
-                         default_schedule(), rho=1.0)
+                         Schedule(), rho=1.0)
 
 
 def test_value_grad_needs_one_right_side_per_time():
@@ -727,10 +744,10 @@ def test_grid_margins_match_mehler():
             mfs = [catalog(m) for m in ids]
             try:
                 reports = verify_local(mfs, grid, get(name),
-                                       default_schedule(), rho=1.0)
+                                       Schedule(), rho=1.0)
             except DomainError:
                 continue
-            exact = verify_local(mfs, ENGINE, get(name), default_schedule(),
+            exact = verify_local(mfs, ENGINE, get(name), Schedule(),
                                  rho=1.0)
             checked += len(mfs)
             worst = max([worst] + [
@@ -749,7 +766,7 @@ def test_grid_local_march_count(monkeypatch):
     # right sides of every alpha are combined
     calls = _count_calls(monkeypatch, "grid_apply")
     eng = GridEngine(make_double_well(), lo=-6.0, hi=6.0, m=2001, dt=1e-2)
-    verify_local([catalog("y")], eng, get("linear"), default_schedule(),
+    verify_local([catalog("y")], eng, get("linear"), Schedule(),
                  rho=0.5)
     assert len(calls) == 1 + 1
 
@@ -771,8 +788,8 @@ def test_grid_linear_right_sides_match_the_composite_march(engine, mf_id, fn):
     # to rounding, scaled by max(1, |rhs|)
     params = {"p": 1.5} if mf_id.endswith("beckner") else {}
     mf, f = catalog(mf_id, **params), get(fn)
-    ts = default_schedule().ts[1:]
-    xs = as_points(default_schedule().xs, 1)
+    ts = Schedule().ts[1:]
+    xs = as_points(Schedule().xs, 1)
     factors = [[np.array([0.0, 0.5, 1.0, 2.0 * t])] for t in ts]
     *_, rhs, _ = engine.value_grad(f, ts, xs,
                                    rhs=_right_sides([mf], f, factors))
@@ -787,7 +804,7 @@ def test_mehler_local_quadrature_count(monkeypatch):
     # [f, grad f] and, at each time, the right sides of all alphas
     calls = _count_calls(monkeypatch, "mehler_apply")
     verify_local([catalog("poincare")], MehlerEngine(GAUSS), get("sine"),
-                 default_schedule(), rho=1.0)
+                 Schedule(), rho=1.0)
     assert len(calls) == 1
 
 
@@ -835,12 +852,13 @@ def test_mehler_monotone_quadrature_count(monkeypatch):
 def _evolution_times(monkeypatch) -> list:
     """Every time handed to mehler_apply, grid_apply or the path walk."""
     times = []
-    for name, at in (("mehler_apply", 1), ("grid_apply", 2), ("_walk", 2)):
-        def traced(*args, real=getattr(semigroup, name), at=at, **kwargs):
+    for module, name, at in ((semigroup, "mehler_apply", 1),
+                             (semigroup, "grid_apply", 2), (sde, "_walk", 2)):
+        def traced(*args, real=getattr(module, name), at=at, **kwargs):
             times.extend(np.atleast_1d(args[at]).tolist())
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(semigroup, name, traced)
+        monkeypatch.setattr(module, name, traced)
     return times
 
 
@@ -891,7 +909,7 @@ def test_time_zero_is_the_identity(monkeypatch, engine):
 def _per_s_monotone(mf, engine, f, t, alpha, rho, s_count, xs=None):
     """(lhs, rhs, margin) of each record of verify_H_monotone, from one
     apply per s whose sampled function calls value_grad(f, t - s, z)."""
-    xs = as_points(default_schedule().xs if xs is None else xs, 1)
+    xs = as_points(Schedule().xs if xs is None else xs, 1)
     H = []
     for s in np.linspace(0.0, t, s_count):
         factor = h_alpha(s, t, alpha, rho) if mf.reverse \
@@ -1002,7 +1020,7 @@ def _same_reports(grouped, single):
 
 def test_an_empty_mfunction_sequence_is_a_parameter_error():
     with pytest.raises(ParameterError, match="at least one M-function"):
-        verify_local([], ENGINE, get("sine"), default_schedule(), rho=1.0)
+        verify_local([], ENGINE, get("sine"), Schedule(), rho=1.0)
     with pytest.raises(ParameterError, match="at least one M-function"):
         verify_H_monotone([], ENGINE, get("sine"), t=0.6, alpha=0.2, rho=1.0)
 
@@ -1059,5 +1077,5 @@ def test_grid_local_group_marches_f_once(monkeypatch):
     calls = _count_calls(monkeypatch, "grid_apply")
     eng = GridEngine(make_double_well(), lo=-6.0, hi=6.0, m=2001, dt=1e-2)
     verify_local([catalog(m) for m in ("y", "poincare", "reverse-poincare")],
-                 eng, get("linear"), default_schedule(), rho=0.5)
+                 eng, get("linear"), Schedule(), rho=0.5)
     assert len(calls) == 1 + 1

@@ -8,7 +8,8 @@ checks of acceptance criteria 2 and 3), both presets, the configuration of
 acceptance criterion 12, a `run` of a monotone check at t = 0.7 and
 s_count = 11 (its H(s) plot ends at s = t), Monte Carlo local checks on an unsorted schedule
 with a repeated time, t = 0 and a time off the dt grid, a Monte Carlo local
-check of `quadratic` on the default schedule, local checks at t = 0 alone
+check of `quadratic` on the default schedule, one of `sine` at 12 500
+paths, which runs three Euler levels, local checks at t = 0 alone
 on the grid and Mehler engines, and monotone checks beyond the benchmark's:
 on the grid at a t off the dt grid and at t = 0, and a reverse one on the
 Mehler engine; a grid `verify-reverse`; and checks that share one
@@ -95,7 +96,10 @@ def cases(configs: dict, seed: int) -> list:
                  "--function", "shifted-sine"))]
     out += [("mc-quadratic-local", ("verify", "--engine", "monte-carlo",
                                      "--n-paths", "200", "--mfunction",
-                                     "poincare", "--function", "quadratic"))]
+                                     "poincare", "--function", "quadratic")),
+            ("mc-three-levels-local", ("verify", "--engine", "monte-carlo",
+                                        "--n-paths", "12500", "--mfunction",
+                                        "poincare", "--function", "sine"))]
     out += [(f"{engine}-t0-local", ("verify", "--engine", engine, "--ts", "0",
                                     "--mfunction", "poincare", "--function",
                                     "sine")) for engine in ("grid", "mehler")]

@@ -12,7 +12,9 @@ For every run the two trees share, it pairs the records of each report
 - every run whose exit status changes;
 - every check whose `worst` record moved to another (x, t, alpha, s);
 - with --records, every record whose margin or stderr moved, with both
-  trees' values.
+  trees' values and, where the records carry stderrs, the shift in
+  combined stderrs, |margin shift| / sqrt(stderr_a^2 + stderr_b^2), of
+  which the run lines give each run's largest.
 
 Runs, reports or records found in one tree only are listed too.  Exits 1
 when anything but the margins themselves changed, else 0.  Byte identity
@@ -25,6 +27,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -85,6 +88,13 @@ def _shift(a: dict, b: dict) -> float:
     return abs(_num(a["margin"]) - _num(b["margin"])) / scale
 
 
+def _sigmas(a: dict, b: dict) -> float:
+    # the margin shift in combined stderrs; 0 without stderrs
+    combined = math.hypot(_num(a.get("stderr")), _num(b.get("stderr")))
+    shift = abs(_num(a["margin"]) - _num(b["margin"]))
+    return shift / combined if combined > 0.0 else 0.0
+
+
 def _where(check: dict) -> tuple:
     worst = check.get("worst") or {}
     return tuple(json.dumps(worst.get(k)) for k in WHERE)
@@ -108,21 +118,24 @@ def compare(before: Path, after: Path, records: bool = False) -> tuple:
         for key in sorted(rec_a.keys() ^ rec_b.keys()):
             other.append(f"record in one tree only: {name}/{key[0]} "
                          f"row {key[1]}")
-        worst = (0.0, None)
+        worst, sigmas = (0.0, None), 0.0
         for key in sorted(rec_a.keys() & rec_b.keys()):
             ra, rb = rec_a[key], rec_b[key]
             if any(ra[k] != rb[k] for k in WHERE):
                 other.append(f"record moved: {name}/{key[0]} row {key[1]}")
+            z = _sigmas(ra, rb)
             if any(ra.get(k) != rb.get(k) for k in ("margin", "stderr")):
                 rows.append(f"{name}/{key[0]} row {key[1]} "
                             f"({', '.join(f'{k}={rb[k]}' for k in WHERE)}): "
                             f"margin {ra['margin']} -> {rb['margin']}, "
-                            f"stderr {ra.get('stderr')} -> {rb.get('stderr')}")
+                            f"stderr {ra.get('stderr')} -> {rb.get('stderr')}"
+                            + (f", {z:.3g} combined stderrs" if z else ""))
+            sigmas = max(sigmas, z)
             s = _shift(ra, rb)
             if not s <= worst[0]:  # NaN counts as a shift
                 worst = (s, key)
         if worst[1] is not None:
-            shifts.append((worst[0], name, worst[1], rec_b[worst[1]]))
+            shifts.append((worst[0], name, worst[1], rec_b[worst[1]], sigmas))
         for check in sorted(chk_a.keys() & chk_b.keys()):
             ca, cb = chk_a[check], chk_b[check]
             if ca["pass"] != cb["pass"]:
@@ -137,12 +150,13 @@ def compare(before: Path, after: Path, records: bool = False) -> tuple:
     lines = []
     if shifts:
         top = max(shifts, key=lambda item: item[0])
-        s, name, (file, row), rec = top
+        s, name, (file, row), rec, _ = top
         lines.append(f"largest margin shift (scaled): {s:.3g} in "
                      f"{name}/{file} row {row} "
                      f"({', '.join(f'{k}={rec[k]}' for k in WHERE)})")
         lines += [f"  {s:.3g}  {name}"
-                  for s, name, *_ in sorted(shifts, key=lambda i: -i[0])]
+                  + (f"  ({z:.3g} combined stderrs)" if z else "")
+                  for s, name, *_, z in sorted(shifts, key=lambda i: -i[0])]
     else:
         lines.append("largest margin shift (scaled): 0")
     sections = [("pass/fail flips", flips), ("exit-status changes", exits),
