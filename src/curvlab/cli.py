@@ -252,7 +252,8 @@ seed = 0
     "doublewell-falsify": """\
 # claimed curvature 0.5 is false for the double well; the local check
 # must FAIL, and expected_fail turns that into a successful run.  The grid
-# takes the engine's default step
+# evolves in its eigenbasis, with no time step; engine.m is kept, but
+# sets nothing
 potential = double-well
 engine = grid
 engine.lo = -6

@@ -2,15 +2,14 @@
 
 Three interchangeable engines share one three-method contract: exact
 Gauss-Hermite quadrature of the Mehler integral (gaussian potential only),
-Richardson-extrapolated implicit-midpoint (Crank-Nicolson) steps of u_t = Lu
-on a 1-D grid with reflecting ends (`grid_apply` marches arrays of node
-values, reducing each time's as it is reached if asked; the engine builds
-and checks its grid once, when it is built), and Euler-Maruyama Monte Carlo
-(`sde.multilevel_mean`, one checkpoint at a time).  The two deterministic
-engines add a fourth method, for semigroups nested inside a sampled
-function.  Each engine loads its backend when it is built, not in its
-first check: the Mehler engine its Gauss-Hermite rule (numpy.polynomial),
-the grid engine LAPACK (scipy) and the Monte Carlo engine numpy.random.
+sinc collocation of L's symmetric form on a 1-D grid, factored once by
+numpy's eigh so that every time is exact in time (`GridEngine`), and
+Euler-Maruyama Monte Carlo (`sde.multilevel_mean`, one checkpoint at a
+time).  The two deterministic engines add a fourth method, for semigroups
+nested inside a sampled function.  Each engine does its set-up when it is
+built, not in its first check: the Mehler engine loads its Gauss-Hermite
+rule (numpy.polynomial), the grid engine factors its operator and the Monte
+Carlo engine loads numpy.random.  No engine loads scipy.
 
 - `apply(func, t, xs) -> (values, stderr)` evaluates P_t of a plain
   function of position, vectorized over leading axes: (..., n) ->
@@ -25,22 +24,21 @@ the grid engine LAPACK (scipy) and the Monte Carlo engine numpy.random.
   reads them off the path set of f and the Mehler engine off its
   quadrature of f, each bitwise what `apply(rhs_j, t_j, xs)` returns.  The
   grid engine evolves a right side by its linear form (`RightSide`): it
-  marches each distinct basis once, to every positive time that uses it,
+  evolves each distinct basis once, to every positive time that uses it,
   and combines the bases' values at the points, so each right side is
   bitwise its combine of separate `apply(basis, t_j, xs)` calls.  A plain
   function is its own basis, bitwise `apply(rhs_j, t_j, xs)`.  At t = 0,
   and on the other engines, a `RightSide` is only its function.  On every
   engine a right side or stderr that is not finite raises NumericalError.
 - `apply_each(funcs, t, xs) -> (values, stderr)` is P_{t_j} funcs[j], one
-  function per time of t, by one `apply` per time, except on the grid: its
-  march is self-adjoint in pi = D^2, so one march of the points' weights
-  serves every function, equal to `apply` up to rounding (`GridEngine`).
+  function per time of t, by one `apply` per time.
 - `evolved(f, t) -> tuple of callables` (Mehler and grid engines only)
   gives one callable per time s of t, in t's order, mapping points z to
   (P_s f(z), grad P_s f(z)), each bitwise the values and grads of
-  `value_grad(f, s, z)`.  The grid engine takes every time from one march
-  of f; the Mehler engine defers each call to `value_grad`, because its
-  nodes depend on z.
+  `value_grad(f, s, z)`.  The grid engine takes every time from one
+  evolution of f, and its callables also take the nodes beyond the points
+  that `value_grad` takes (`GridEngine._reach`); the Mehler engine defers
+  each call to `value_grad`, because its nodes depend on z.
 
 The first three read points through `as_points`, so xs is anything it
 accepts, and all three return arrays: values and stderr of shape
@@ -74,8 +72,8 @@ import numpy as np
 
 from .errors import DomainError, NumericalError, ParameterError
 from .potentials import Potential, as_points
-from .sde import (BLOCK_SIZE, _check_dt, _check_paths, _check_seed, _step_plan,
-                  _times, multilevel_mean)
+from .sde import (BLOCK_SIZE, _check_dt, _check_paths, _check_seed, _times,
+                  multilevel_mean)
 
 __all__ = [
     "TestFunction",
@@ -83,12 +81,9 @@ __all__ = [
     "MehlerEngine",
     "GridEngine",
     "MonteCarloEngine",
-    "TridiagonalGenerator",
     "make_engine",
     "check_engine_params",
     "mehler_apply",
-    "grid_generator",
-    "grid_apply",
     "gamma",
     "gamma2",
     "gamma_gamma",
@@ -261,12 +256,16 @@ class _Engine:
                                      f"non-finite")
         return _stacked(t, rows)
 
+    def _reach(self, x) -> np.ndarray:
+        # the points an `evolved` reader takes: those of the other methods
+        return self._points(x)
+
     def _readers(self, f: TestFunction, t, evolve) -> tuple:
         # evolve(ts) yields a reader per time of ts
         _check_dimension(f, self.potential)
 
         def still(x):
-            xs = self._points(x)
+            xs = self._reach(x)
             return f(xs), f.gradient(xs)
 
         return tuple(_over_times(t, lambda j: still, evolve))
@@ -387,172 +386,85 @@ class MehlerEngine(_Engine):
 # 1-D grid engine
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class TridiagonalGenerator:
-    """Second-order discretization of L = d^2/dx^2 - V' d/dx, zero-flux ends,
-    on the m equally spaced nodes of a window, h apart.
-
-    L is held in its symmetric form S = D L D^-1.  The discrete L is a
-    birth-death generator, so it satisfies detailed balance with its
-    invariant measure pi, and D = sqrt(pi), scaled so that max ln D and
-    min ln D are opposite, makes S symmetric: its diagonal is L's, and its
-    off-diagonal entry between nodes i and i+1 is sqrt(upper_i lower_{i+1}),
-    the geometric mean of L's coupling of node i to i+1 and of i+1 to i.
-    """
-
-    nodes: np.ndarray
-    h: float
-    diag: np.ndarray
-    off: np.ndarray    # (m - 1,) off-diagonal of S
-    scale: np.ndarray  # D, the sqrt(pi) weights of the nodes
-
-    def apply(self, values: np.ndarray) -> np.ndarray:
-        """L = D^-1 S D applied to node values (m,) or to columns of them."""
-        v = np.asarray(values, dtype=float)
-        diag, off, scale = (a.reshape((-1,) + (1,) * (v.ndim - 1))
-                            for a in (self.diag, self.off, self.scale))
-        y = scale * v
-        out = diag * y
-        out[1:] += off * y[:-1]
-        out[:-1] += off * y[1:]
-        return out / scale
+# the node spacing.  Against half of it, at the default points and times,
+# values and gradients agree to 2e-10 of max(1, |value|, |gradient|) on the
+# double well and to 1e-12 on the gaussian and spherical:alpha=1.5
+_SPACING = 0.1
+# the nodes run between the first and the last multiple of the spacing
+# where e^{-(V - min V)/2} is at least _EDGE: collocation takes u, the
+# semigroup's values times it, to vanish beyond them.  Points are read only
+# between the first and the last node where it is at least _READ, the
+# readout bound: rounding in the eigenbasis reaches a value amplified by
+# e^{(V - min V)/2}, to 1e-13-1e-12 of it, so inside the bound to at most
+# 2.6e-5 of max(1, |value|, |gradient|) (measured over five suite functions
+# on four potentials), and to 1e-9 where e^{(V - min V)/2} <= 1e3
+_EDGE = 1e-16
+_READ = 1e-8
 
 
-# the widest log-span max ln D - min ln D of the sqrt(pi) weights.  D itself
-# leaves the normal float range at a span of 2 ln(DBL_MAX) = 1419: marches
-# on gaussian windows agree with a float80 march to rounding up to a span of
-# 1401 and give NaN from 1421.  At half that, D stays within e^+-350, so D u
-# stays normal for node values of magnitude 1e-155 to 1e155
-_SPAN_MAX = 700.0
+def _node_index(potential: Potential) -> np.ndarray:
+    """The integers k of the nodes k h, h the spacing: from the first to the
+    last where e^{-(V - min V)/2} >= _EDGE, min V taken over the scan."""
+    for reach in 2 ** np.arange(7, 21):
+        k = np.arange(-reach, reach + 1)
+        v = potential.value((k * _SPACING)[:, None])
+        inside = np.flatnonzero(v - np.min(v) <= -2.0 * math.log(_EDGE))
+        if len(inside) and inside[0] > 0 and inside[-1] < 2 * reach:
+            return k[inside[0]:inside[-1] + 1]
+    raise ParameterError(f"{potential.label} does not confine: e^(-V/2) "
+                         f"stays above {_EDGE:g} of its peak out to "
+                         f"|x| = {reach * _SPACING:g}")
 
 
-def grid_generator(potential: Potential, lo: float, hi: float, m: int) -> TridiagonalGenerator:
-    import scipy.linalg.lapack  # noqa: F401  (here, not in the first march)
-    if potential.n != 1:
-        raise ParameterError("the grid engine is one-dimensional")
-    if m < 3:
-        raise ParameterError(f"grid needs at least 3 nodes, got {m}")
-    if not (math.isfinite(lo) and math.isfinite(hi) and hi > lo):
-        raise ParameterError(f"need a finite window lo < hi, got [{lo}, {hi}]")
-    nodes = np.linspace(lo, hi, m)
-    h = (hi - lo) / (m - 1)
-    vp = potential.gradient(nodes[:, None])[:, 0]
-    # at a cell Peclet number |V'| h of 2 an off-diagonal of L reaches 0, and
-    # Crank-Nicolson loses its maximum principle
-    peclet = float(np.max(np.abs(vp[1:-1]))) * h
-    if peclet >= 2.0:
-        raise ParameterError(f"cell Peclet number max |V'| h = {peclet:.3g} "
-                             f"reaches 2 on [{lo}, {hi}] with m={m}; "
-                             f"take more nodes or a narrower window")
-    # L's coupling of node i to i+1 and of node i+1 to i; mirror ghost
-    # nodes, u_{-1} = u_1, kill the drift term at the ends
-    upper = 1.0 / h**2 - vp[:-1] / (2.0 * h)
-    lower = 1.0 / h**2 + vp[1:] / (2.0 * h)
-    upper[0] = lower[-1] = 2.0 / h**2
-    ratio = np.sqrt(upper / lower)  # D_{i+1} / D_i
-    log_d = np.concatenate(([0.0], np.cumsum(np.log(ratio))))
-    span = float(np.max(log_d) - np.min(log_d))
-    if not span <= _SPAN_MAX:
-        raise ParameterError(f"the grid's sqrt(pi) weights span e^{span:.0f} "
-                             f"on [{lo}, {hi}] with m={m}, beyond "
-                             f"e^{_SPAN_MAX:.0f}; take a narrower window")
-    # a running product keeps each ratio of neighbours exact to rounding
-    start = math.exp(-0.5 * (np.max(log_d) + np.min(log_d)))
-    scale = np.cumprod(np.concatenate(([start], ratio)))
-    return TridiagonalGenerator(nodes, h, np.full(m, -2.0 / h**2),
-                                np.sqrt(upper * lower), scale)
+def _eigh(h: np.ndarray) -> tuple:
+    """numpy's eigh of the symmetric h; of its even and odd halves when h is
+    symmetric about its centre, as it is on an even potential's nodes, at
+    about half the cost."""
+    k = len(h) // 2
+    if len(h) % 2 == 0 or not np.array_equal(h, h[::-1, ::-1]):
+        return np.linalg.eigh(h)
+    # the halves in the bases e_k, (e_{k+a} + e_{k-a})/sqrt 2 and
+    # (e_{k+a} - e_{k-a})/sqrt 2, a = 1..k, of the node vectors e_j
+    right, mirror = h[k:, k:], h[k:, k::-1]
+    scale = np.r_[math.sqrt(0.5), np.ones(k)]
+    lam_e, v_e = np.linalg.eigh(scale[:, None] * (right + mirror) * scale)
+    lam_o, v_o = np.linalg.eigh((right - mirror)[1:, 1:])
+    # each basis vector's entries: 1 at the centre, 1/sqrt 2 off it
+    even = v_e * (math.sqrt(0.5) / scale)[:, None]
+    odd = np.r_[np.zeros((1, k)), v_o * math.sqrt(0.5)]
+    return np.r_[lam_e, lam_o], np.c_[np.r_[even[:0:-1], even],
+                                      np.r_[-odd[:0:-1], odd]]
 
 
-def _march(gen: TridiagonalGenerator, u: np.ndarray, ts, dt: float):
-    """Yield (j, node values) of one Crank-Nicolson march of u_t = Lu from
-    the node values u, an (m, ...) array, at each time j of ts, in march
-    order: by step plan, which is time order.
-
-    Each time keeps the step plan of a march straight to it, taking its
-    partial step on a copy, so its values are bitwise those of a march to
-    it alone; a time that takes no step yields u itself.  The march runs on
-    y = D u, divided by D at each time it yields.  A step is CN's implicit
-    midpoint form, 2 z - y for z = (I - (dt/2) S)^-1 y: one solve with the
-    symmetric positive definite I - (dt/2) S, factored once per step size by
-    LAPACK's LDL^T (dpttrf).
-    """
-    from scipy.linalg.lapack import dpttrf, dpttrs  # loaded by grid_generator
-    plans = [_step_plan(float(s), dt) for s in ts]
-    factors = {}
-
-    def step(y, h):
-        if h not in factors:
-            *ldl, info = dpttrf(1.0 - 0.5 * h * gen.diag, -0.5 * h * gen.off)
-            if info != 0:
-                raise NumericalError(f"I - (dt/2) L, in symmetric form, is "
-                                     f"not positive definite at dt={h}")
-            factors[h] = ldl
-        z = dpttrs(*factors[h], y)[0]  # a new array: y is left as it was
-        z *= 2.0
-        z -= y
-        return z
-
-    scale = gen.scale.reshape((-1,) + (1,) * (u.ndim - 1))
-    y = scale * u
-    done = 0
-    for j in sorted(range(len(ts)), key=plans.__getitem__):
-        n_full, rem = plans[j]
-        if (n_full, rem) == (0, 0.0):
-            yield j, u
-            continue
-        for _ in range(done, n_full):
-            y = step(y, dt)
-        done = n_full
-        yield j, (step(y, rem) if rem > 0.0 else y) / scale
-
-
-def grid_apply(gen: TridiagonalGenerator, values, t, dt: float,
-               reduce=None):
-    """Richardson-extrapolated Crank-Nicolson evolution of u_t = Lu from the
-    node values, an (m, ...) array on gen's nodes, to each time of t;
-    trailing columns march together.
-
-    Returns the node values as an array for one time and a tuple of them,
-    in t's order, for a sequence.  Two marches (`_march`) reach every time,
-    at steps dt and 2 dt, advancing together, and each time's values are
-    u_dt + (u_dt - u_2dt)/3, formed and checked to be finite as soon as
-    both marches reach it.  CN's global error expands in even powers of the
-    step, so this is fourth order in time.  dt is the finer step, one that
-    is taken: a time t <= dt, where both marches would take the same one
-    step, returns the fine march's values, and a time that takes no step
-    the values untouched.  Each time's result is bitwise that of a call
-    with it alone.
-
-    With reduce, each time j's node values v are replaced by reduce(j, v)
-    as soon as they are formed, j indexing the times of t, so only the
-    reductions are kept: one time's node values are live at once.
-    """
-    u = np.array(values, dtype=float)
-    if np.shape(u)[:1] != gen.nodes.shape:
-        raise ParameterError(f"node values of shape {np.shape(values)} on a "
-                             f"grid of {len(gen.nodes)} nodes")
-    if not np.all(np.isfinite(u)):
-        raise ParameterError("grid values must be finite")
-    ts = _times(t)
-    _check_dt(dt)
-    slow = np.flatnonzero(ts > dt)
-    coarse = _march(gen, u, ts[slow], 2.0 * dt)
-    ahead = {}  # the coarse march's values of times the fine one has not met
-    out = [None] * len(ts)
-    for j, v in _march(gen, u, ts, dt):
-        if ts[j] > dt:
-            while j not in ahead:
-                i, w = next(coarse)
-                ahead[int(slow[i])] = w
-            v = v + (v - ahead.pop(j)) / 3.0
-        if not np.all(np.isfinite(v)):
-            raise NumericalError("time stepping produced non-finite values")
-        out[j] = v if reduce is None else reduce(j, v)
-    return tuple(out) if np.ndim(t) else out[0]
+def _sinc_slope(y) -> np.ndarray:
+    """d/dy sin(pi y)/(pi y); by its Taylor series near 0, where the closed
+    form cancels."""
+    near = np.abs(y) < 1e-2
+    z = np.where(near, 1.0, y)
+    p = math.pi**2 * np.square(y)
+    series = -math.pi**2 * y / 3.0 * (1.0 - p / 10.0 + p * p / 280.0)
+    return np.where(near, series, (np.cos(math.pi * z) - np.sinc(z)) / z)
 
 
 @dataclass(frozen=True)
 class GridEngine(_Engine):
+    """P_t of a 1-D potential in the eigenbasis of sinc collocation.
+
+    P_t f = e^{V/2} u, where u solves u_t = u'' - W u, W = V'^2/4 - V''/2:
+    L in its symmetric form.  On nodes h = _SPACING apart, sinc collocation
+    makes d^2/dx^2 the symmetric D2, -pi^2/(3 h^2) on the diagonal and
+    -2 (-1)^(j-k) / (h^2 (j-k)^2) off it (Stenger 1993; Weideman and Reddy
+    2000).  numpy's eigh factors H = D2 - diag(W) = Q diag(lam) Q^T once,
+    when the engine is built, so u at the nodes is Q e^{lam t} Q^T u_0 at any
+    t, with no time step.  Values and gradients at points come from the sinc
+    interpolant of u and its derivative.
+
+    The node window is set by V alone (`_EDGE`).  lo and hi bound the
+    points: a point outside [lo, hi], or beyond the readout bound (`_READ`),
+    raises DomainError.  m and dt are checked but set nothing; they stay
+    while configurations pin them.
+    """
+
     potential: Potential
     lo: float = -12.0
     hi: float = 12.0
@@ -562,70 +474,109 @@ class GridEngine(_Engine):
     tolerance = 1e-3
 
     def __post_init__(self):
-        # every check of the grid and its time step runs here, once
+        # every check of the parameters, and the one factorization, here
         _check_dt(self.dt)
-        object.__setattr__(self, "generator", grid_generator(
-            self.potential, self.lo, self.hi, self.m))
+        if self.potential.n != 1:
+            raise ParameterError("the grid engine is one-dimensional")
+        if self.m < 3:
+            raise ParameterError(f"grid needs at least 3 nodes, got {self.m}")
+        if not (math.isfinite(self.lo) and math.isfinite(self.hi)
+                and self.hi > self.lo):
+            raise ParameterError(f"need a finite window lo < hi, got "
+                                 f"[{self.lo}, {self.hi}]")
+        index = _node_index(self.potential)
+        z = (index * _SPACING)[:, None]
+        vp = self.potential.gradient(z)[:, 0]
+        w = 0.25 * vp * vp - 0.5 * self.potential.hessian(z)[:, 0, 0]
+        d = index[:, None] - index
+        with np.errstate(divide="ignore"):
+            d2 = np.where(d % 2, 2.0, -2.0) / (_SPACING**2 * d * d)
+        np.fill_diagonal(d2, -math.pi**2 / (3.0 * _SPACING**2))
+        lam, q = _eigh(d2 - np.diag(w))
+        v = self.potential.value(z)
+        weight = np.exp(-0.5 * (v - np.min(v)))
+        readable = z[weight >= _READ, 0]
+        for name, value in (("index", index), ("nodes", z[:, 0]), ("lam", lam),
+                            ("q", q), ("floor", np.min(v)), ("weight", weight),
+                            ("bound", (readable[0], readable[-1]))):
+            object.__setattr__(self, name, value)
 
-    def _evolved(self, func, ts, reduce=None) -> tuple:
-        # grid_apply's values, or their reductions, at each time of ts
-        gen = self.generator
-        return grid_apply(gen, func(gen.nodes[:, None]), ts, self.dt, reduce)
+    def describe(self) -> dict:
+        return {**super().describe(), "nodes": len(self.nodes),
+                "spacing": _SPACING,
+                "window": [round(float(self.nodes[0]), 12),
+                           round(float(self.nodes[-1]), 12)]}
+
+    def _envelope(self, xs) -> np.ndarray:
+        # e^{-(V - min V)/2} at the (k, 1) points xs
+        return np.exp(-0.5 * (self.potential.value(xs) - self.floor))
 
     def _points(self, x) -> np.ndarray:
-        # np.interp would clamp a point outside the window to the end value
         xs = as_points(x, 1)
-        if np.any((xs < self.lo) | (xs > self.hi)):
-            raise DomainError(f"points outside the grid window "
-                              f"[{self.lo:g}, {self.hi:g}]")
+        if np.any((xs < max(self.lo, self.bound[0]))
+                  | (xs > min(self.hi, self.bound[1]))):
+            raise DomainError(f"points outside the grid window [{self.lo:g}, "
+                              f"{self.hi:g}] or its readout bound "
+                              f"[{self.bound[0]:g}, {self.bound[1]:g}], the "
+                              f"outermost nodes where e^(-(V - min V)/2) >= "
+                              f"{_READ:g}")
         return xs
+
+    def _evolved(self, func, ts, reduce) -> list:
+        # reduce(cols, shape) at each time of ts: cols holds u at the nodes,
+        # one array per trailing column of func, shape.  Each column evolves
+        # from its own arrays, so it is bitwise a call with it alone
+        values = np.asarray(func(self.nodes[:, None]), dtype=float)
+        if values.shape[:1] != self.nodes.shape:
+            raise ParameterError(f"node values of shape {values.shape} on a "
+                                 f"grid of {len(self.nodes)} nodes")
+        if not np.all(np.isfinite(values)):
+            raise ParameterError("grid values must be finite")
+        flat = values.reshape(len(self.nodes), -1)
+        coeffs = [self.q.T @ (self.weight * flat[:, c])
+                  for c in range(flat.shape[1])]
+        return [reduce([self.q @ (np.exp(self.lam * t) * a) for a in coeffs],
+                       values.shape[1:]) for t in ts]
+
+    def _values(self, cols, xs) -> np.ndarray:
+        # P_t at the (k, 1) points xs from u's node columns, (k, columns)
+        y = np.sinc(xs / _SPACING - self.index)
+        return np.stack([y @ c for c in cols], axis=-1) \
+            / self._envelope(xs)[:, None]
 
     def apply(self, func, t, x):
         def evolve(xs, ts):
-            def at_points(j, u):
-                # np.interp takes one column at a time
-                vals = np.stack([np.interp(xs[:, 0], self.generator.nodes, c)
-                                 for c in u.reshape(len(u), -1).T], axis=-1)
-                vals = vals.reshape(len(xs), *u.shape[1:])
+            def at_points(cols, shape):
+                vals = self._values(cols, xs).reshape(len(xs), *shape)
                 return vals, np.zeros(vals.shape)
 
             return self._evolved(func, ts, at_points)
 
         return self._apply(func, t, x, evolve)
 
-    def apply_each(self, funcs, t, x):
-        # P_s g at a point is w . P_s g for w its interpolation weights on
-        # the nodes, that is sum_k pi_k g_k P_s(w / pi)_k
-        pairs, xs, gen = _each(funcs, t), self._points(x), self.generator
-        pi = np.square(gen.scale)[:, None]
-        w = np.maximum(0.0, 1.0 - abs(gen.nodes[:, None] - xs[:, 0]) / gen.h)
+    def _reach(self, x) -> np.ndarray:
+        # a reader takes any point between the first and the last node, as
+        # an outer apply samples it at every node.  Beyond the readout bound
+        # it reads at the bound: values there would be off by up to O(1),
+        # out of an M-function's domain, and the invariant measure e^{-V}
+        # gives those nodes at most e^{-(V - min V)} <= 1e-16 of its mass
+        xs = as_points(x, 1)
+        if np.any((xs < self.nodes[0]) | (xs > self.nodes[-1])):
+            raise DomainError(f"points outside the grid's nodes "
+                              f"[{self.nodes[0]:g}, {self.nodes[-1]:g}]")
+        return np.clip(xs, *self.bound)
 
-        later = [g for g, s in pairs if s > 0.0]
-
-        def at_points(j, v):
-            # P_s g at the points from the marched weights v at time j
-            u = later[j](gen.nodes[:, None])
-            if not np.all(np.isfinite(u)):
-                raise ParameterError("grid values must be finite")
-            # one contiguous dot per (point, column): bitwise per column
-            cols = (pi * u.reshape(len(pi), -1)).T.copy()
-            vals = np.array([[a @ c for c in cols] for a in v.T.copy()])
-            vals = vals.reshape(len(xs), *u.shape[1:])
-            return vals, np.zeros(vals.shape)
-
-        return _stacked(t, _over_times(
-            t, lambda j: _at_points(pairs[j][0], xs),
-            lambda ts: grid_apply(gen, w / pi, ts, self.dt, at_points)))
-
-    def _reader(self, j, u):
-        # the reader of f's node values u at time j: (P f, grad P f)
-        nodes = self.generator.nodes
-        du = np.gradient(u, self.generator.h)
+    def _reader(self, cols, shape):
+        # the reader of f's node column u: (P f, grad P f) at points, from
+        # v = e^{V/2} u and v' = e^{V/2} (u' + V' u / 2)
+        [u] = cols
 
         def at(x):
-            xs = self._points(x)[:, 0]
-            return (np.interp(xs, nodes, u),
-                    np.interp(xs, nodes, du)[:, None])
+            xs = self._reach(x)
+            val = self._values(cols, xs)[:, 0]
+            slope = (_sinc_slope(xs / _SPACING - self.index) @ u) / _SPACING
+            half = 0.5 * self.potential.gradient(xs)[:, 0]
+            return val, (slope / self._envelope(xs) + half * val)[:, None]
         return at
 
     def evolved(self, f: TestFunction, t) -> tuple:
@@ -637,7 +588,8 @@ class GridEngine(_Engine):
         def evolve(xs, ts, later):
             zeros = np.zeros(len(xs))
             sides = self._evolve_right_sides(later, ts, xs)
-            at_xs = self._evolved(f, ts, lambda j, u: self._reader(j, u)(xs))
+            at_xs = self._evolved(
+                f, ts, lambda cols, shape: self._reader(cols, shape)(xs))
             for j, (u, grad) in enumerate(at_xs):
                 yield (u, zeros, grad, sides[j], np.zeros(sides[j].shape)) \
                     if later else (u, zeros, grad)
@@ -646,7 +598,7 @@ class GridEngine(_Engine):
 
     def _evolve_right_sides(self, rhs, ts, xs) -> list:
         # P_t of each right side by its linear form, a plain function being
-        # its own basis: each distinct basis marches once, to every time
+        # its own basis: each distinct basis evolves once, to every time
         # that uses it, and each right side combines its bases' values
         forms = [(g.bases, g.combine) if isinstance(g, RightSide)
                  else ((g,), lambda vals: vals[0]) for g in rhs]

@@ -307,7 +307,7 @@ def verify_H_monotone(mfs, engine, f: TestFunction, t: float, alpha: float,
     Consecutive differences H(s_{i+1}) - H(s_i) are the margins.  Nested
     semigroup evaluations rule out the Monte Carlo engine here.  One
     `evolved` call gives P_{t-s} f and one `apply_each` call the outer P_s
-    of every s: on the grid, one march of f and one of the points' weights.
+    of every s: on the grid, one evolution of f and one per s > 0.
     """
     if not mfs:
         raise ParameterError("need at least one M-function")
@@ -324,7 +324,7 @@ def verify_H_monotone(mfs, engine, f: TestFunction, t: float, alpha: float,
     s_grid = np.linspace(0.0, t, s_count)
     inners = []
     # P_{t-s} f and its gradient for every s from one engine call: the grid
-    # engine marches f once for all of them
+    # engine evolves f once for all of them
     for s, pt_f in zip(s_grid, engine.evolved(f, t - s_grid)):
         factors = [h_alpha(s, t, alpha, rho) if mf.reverse
                    else g_alpha(s, alpha, rho) for mf in mfs]

@@ -489,13 +489,6 @@ def test_an_interpolation_factor_beyond_a_float_exits_2(capsys, argv):
     assert "overflows a float" in capsys.readouterr().err
 
 
-def test_grid_with_a_cell_peclet_number_of_2_exits_2(capsys):
-    # the default gaussian window [-12, 12] at m = 101: max |V'| h = 2.82
-    assert main(["verify", "--engine", "grid", "--m", "101", "--mfunction",
-                 "poincare", "--function", "sine"]) == 2
-    assert "Peclet number max |V'| h = 2.82" in capsys.readouterr().err
-
-
 @pytest.mark.parametrize("engine", ["grid", "monte-carlo"])
 def test_a_time_step_that_is_not_positive_exits_2(tmp_path, capsys, engine):
     # refused when the engine is built, so even a check at t = 0 alone,
@@ -679,15 +672,15 @@ def test_plain_integrated_condition_of_a_y_open_mfunction_runs(capsys):
     assert math.isfinite(json.loads(capsys.readouterr().out)["min_margin"])
 
 
-def test_only_the_grid_engine_loads_scipy(tmp_path):
+def test_no_engine_loads_scipy(tmp_path):
     # a fresh interpreter, because this test process has already imported
     # every backend.  Each optional backend loads with the engine or
     # command that runs it: numpy.random with a Monte Carlo engine,
-    # numpy.polynomial with a Mehler engine, LAPACK (scipy) with a grid
-    # engine, the thread pool only in a threaded walk and spectral only in
-    # houdre-kagan.  Once the Monte Carlo and Mehler engines are built, the
-    # MC, Mehler and integrated checks import nothing, scipy least of all;
-    # the grid engine is built last, so its scipy cannot hide theirs
+    # numpy.polynomial with a Mehler engine, the thread pool only in a
+    # threaded walk and spectral only in houdre-kagan.  Once the engines
+    # are built, the MC, Mehler, grid and integrated checks import nothing;
+    # no command loads scipy but a lyapunov-scan in n >= 2, whose Sobol
+    # points load scipy.stats
     script = f"""
 import json, sys
 import curvlab
@@ -695,7 +688,8 @@ from curvlab.cli import main
 LAZY = ("numpy.random", "numpy.polynomial", "concurrent.futures",
         "curvlab.spectral", "scipy")
 def scipy_loaded():
-    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+    return sorted({{m.split(".")[1] for m in sys.modules
+                   if m.startswith("scipy.")}})
 # dir() lists the spectral names without importing them
 listed = set(curvlab.__all__) | {{"spectral"}} <= set(dir(curvlab))
 at_import = [m for m in LAZY if m in sys.modules]
@@ -706,7 +700,8 @@ def build(engine, module):
     engine(make_example_potential("gaussian"))
     return [before, module in sys.modules]
 built = [build(MonteCarloEngine, "numpy.random"),
-         build(MehlerEngine, "numpy.polynomial")]
+         build(MehlerEngine, "numpy.polynomial"),
+         build(GridEngine, "scipy")]
 at_engines = set(sys.modules)
 codes = [main(argv + ["--out", {str(tmp_path)!r}]) for argv in (
     ["verify", "--engine", "monte-carlo", "--n-paths", "100",
@@ -715,16 +710,20 @@ codes = [main(argv + ["--out", {str(tmp_path)!r}]) for argv in (
     ["verify", "--mfunction", "exp-integrability", "--function", "gauss-bump"],
     ["integrated", "--check", "condition", "--variant", "enhanced",
      "--mfunction", "y", "--function", "sine"],
-    ["run", "ou-local-suite"])]
+    ["run", "ou-local-suite"],
+    ["run", "doublewell-falsify"],
+    ["monotone", "--engine", "grid", "--potential", "spherical:alpha=1.5",
+     "--mfunction", "poincare", "--function", "sine", "--s-count", "4"])]
 checks_load = sorted(set(sys.modules) - at_engines)
 codes += [main(["houdre-kagan", "--coeffs", "0,0,0,1", "--out",
                 {str(tmp_path)!r}]), main(["list"])]
 all_load = sorted(set(sys.modules) - at_engines)
-scipy_before_grid = scipy_loaded()
-built.append(build(GridEngine, "scipy.linalg.lapack"))
+scipy_before_scan = scipy_loaded()
+codes.append(main(["lyapunov-scan", "--kind", "spherical", "--alpha", "1.5",
+                   "--n", "2", "--out", {str(tmp_path)!r}]))
 from curvlab import *
 print(json.dumps([at_import, built, codes, checks_load, all_load,
-                  scipy_before_grid, listed,
+                  scipy_before_scan, scipy_loaded(), listed,
                   curvlab.houdre_kagan is houdre_kagan,
                   callable(variance_bracket_check)]))
 """
@@ -733,14 +732,16 @@ print(json.dumps([at_import, built, codes, checks_load, all_load,
         [src, os.environ.get("PYTHONPATH", "")]))
     out = subprocess.run([sys.executable, "-c", script], env=env,
                          capture_output=True, text=True, check=True)
-    (at_import, built, codes, checks_load, all_load, scipy_before_grid,
-     *resolved) = json.loads(out.stdout.strip().splitlines()[-1])
+    (at_import, built, codes, checks_load, all_load, scipy_before_scan,
+     scipy_after_scan, *resolved) = json.loads(
+        out.stdout.strip().splitlines()[-1])
     assert at_import == []
-    assert built == [[False, True]] * 3
-    assert codes == [0] * 7
+    assert built == [[False, True], [False, True], [False, False]]
+    assert codes == [0] * 10
     assert checks_load == []
     assert all_load == ["curvlab.spectral"]  # houdre-kagan's own module
-    assert scipy_before_grid == []
+    assert scipy_before_scan == []
+    assert "stats" in scipy_after_scan
     assert resolved == [True, True, True]
     import curvlab
     with pytest.raises(AttributeError, match="no attribute 'nonesuch'"):

@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from curvlab import feynman_kac, sde, semigroup
+from curvlab import feynman_kac, sde
 from curvlab.errors import CertificationError, ParameterError, SimulationError
 from curvlab.feynman_kac import (commutation_check, gradient_bound,
                                  supermartingale_check)
@@ -246,15 +246,15 @@ def test_certificate_of_another_dimension_is_refused():
 
 
 def test_grid_left_side_marches_once_per_t(monkeypatch):
-    # the left side evaluates every point at every t from one march
+    # the left side evaluates every point at every t from one evolution
     calls = []
-    real = semigroup.grid_apply
+    real = GridEngine._evolved
 
     def counted(*args, **kwargs):
         calls.append(1)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(semigroup, "grid_apply", counted)
+    monkeypatch.setattr(GridEngine, "_evolved", counted)
     sph = make_example_potential("spherical", alpha=1.5)
     grid = GridEngine(sph, lo=-8.0, hi=8.0, m=1601, dt=1e-2)
     gradient_bound(sph, get("gauss-bump"), xs=[0.0, 1.0], ts=(0.25, 1.0),

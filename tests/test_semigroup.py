@@ -5,10 +5,10 @@ import warnings
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.linalg import lapack, solve_banded
 
 from curvlab.errors import DomainError, NumericalError, ParameterError
-from curvlab.potentials import make_double_well, make_example_potential
+from curvlab.potentials import (Potential, make_double_well,
+                                make_example_potential)
 from curvlab.semigroup import (
     GridEngine,
     MehlerEngine,
@@ -20,13 +20,11 @@ from curvlab.semigroup import (
     gamma,
     gamma2,
     gamma_gamma,
-    grid_apply,
-    grid_generator,
     make_engine,
     mehler_apply,
 )
 from curvlab import semigroup, suite
-from curvlab.sde import BLOCK_SIZE, _step_plan, _times, multilevel_mean
+from curvlab.sde import BLOCK_SIZE, multilevel_mean
 from curvlab.verify import Schedule
 
 GAUSS = make_example_potential("gaussian")
@@ -292,45 +290,107 @@ def test_mehler_value_grad_is_one_quadrature_of_the_old_formula():
 # ---------------------------------------------------------------------------
 
 def test_grid_generator_rows():
-    gen = grid_generator(GAUSS, -8.0, 8.0, 801)
-    np.testing.assert_allclose(gen.apply(np.ones(801)), 0.0, atol=1e-9)
-    nodes = np.linspace(-8, 8, 801)
-    # L x = -x away from the ends, L x^2 = 2 - 2 x^2 to O(h^2)
-    lx = gen.apply(nodes)
-    np.testing.assert_allclose(lx[1:-1], -nodes[1:-1], atol=1e-8)
-    lx2 = gen.apply(nodes**2)
-    np.testing.assert_allclose(lx2[1:-1], 2.0 - 2.0 * nodes[1:-1] ** 2, atol=1e-8)
-
-
-def test_grid_generator_errors():
-    with pytest.raises(ParameterError):
-        grid_generator(GAUSS, -8.0, 8.0, 2)
-    with pytest.raises(ParameterError):
-        grid_generator(GAUSS, 8.0, -8.0, 801)
-    with pytest.raises(ParameterError):
-        grid_generator(SPH15_2, -8.0, 8.0, 801)
-
-
-def test_grid_generator_guards_the_cell_peclet_number():
-    # on [-8, 8] the largest interior |V'| h is (8 - h) h: 1.94 at m = 65,
-    # where every off-diagonal of L is still positive, and 2.06 at m = 61;
-    # L's couplings off_i D_{i+1}/D_i and off_i D_i/D_{i+1} are positive
-    # when the symmetric off-diagonal and the weights D are
-    gen = grid_generator(GAUSS, -8.0, 8.0, 65)
-    assert np.all(gen.off > 0.0) and np.all(gen.scale > 0.0)
-    with pytest.raises(ParameterError, match="Peclet number"):
-        grid_generator(GAUSS, -8.0, 8.0, 61)
+    # the generator that the engine factors, e^{V/2} Q diag(lam) Q^T
+    # e^{-V/2} on the nodes, is L: L 1 = 0, L x = -x and L x^2 = 2 - 2 x^2
+    # on the gaussian, to 1e-8 on |x| <= 6, where rounding grows with
+    # e^{x^2/4} (3.3e-9 measured)
+    eng = GridEngine(GAUSS)
+    x = eng.nodes
+    gen = (eng.q * eng.lam) @ eng.q.T
+    near = np.abs(x) <= 6.0
+    for f, lf in ((np.ones_like(x), np.zeros_like(x)), (x, -x),
+                  (x * x, 2.0 - 2.0 * x * x)):
+        got = (gen @ (eng.weight * f)) / eng.weight
+        np.testing.assert_allclose(got[near], lf[near], rtol=0.0, atol=1e-8)
 
 
 def test_grid_generator_guards_the_weight_span():
-    # the double well's sqrt(pi) weights span e^580 on [-8, 8] at m = 4501,
-    # inside the bound of e^700, and e^727 on [-8.5, 8.5] at m = 6001
-    gen = grid_generator(make_double_well(), -8.0, 8.0, 4501)
-    log_d = np.log(gen.scale)
-    assert 570.0 < np.max(log_d) - np.min(log_d) < 700.0
-    assert np.max(log_d) == pytest.approx(-np.min(log_d))
-    with pytest.raises(ParameterError, match="weights span e\\^727"):
-        grid_generator(make_double_well(), -8.5, 8.5, 6001)
+    # the nodes end where e^{-(V - min V)/2}, which scales u = e^{-V/2} P_t f
+    # and divides it back out at a point read, would fall below 1e-16, so
+    # the weights span at most 16 decades: on the double well the next
+    # multiple of the spacing beyond either end would take them past it
+    dw = make_double_well()
+    eng = GridEngine(dw, lo=-8.5, hi=8.5, m=6001)
+    assert 1e-16 <= np.min(eng.weight) and np.max(eng.weight) == 1.0
+    beyond = np.array([[eng.nodes[0] - 0.1], [eng.nodes[-1] + 0.1]])
+    assert np.all(np.exp(-0.5 * (dw.value(beyond) - eng.floor)) < 1e-16)
+
+
+def test_grid_generator_errors():
+    # m < 3, hi < lo and a 2-D potential are refused when the engine is
+    # built
+    for potential, params in ((GAUSS, dict(m=2)),
+                              (GAUSS, dict(lo=8.0, hi=-8.0)), (SPH15_2, {})):
+        with pytest.raises(ParameterError):
+            GridEngine(potential, **params)
+
+
+def test_grid_nodes_are_set_by_the_potential_alone():
+    # multiples of the spacing out to where e^{-(V - min V)/2} falls to
+    # 1e-16, V - min V = 73.7: |x| <= 12.14 on the gaussian and 4.26 on the
+    # double well, whatever lo, hi and m are; describe() says so
+    for potential, reach in ((GAUSS, 12.1), (make_double_well(), 4.2)):
+        for params in ({}, dict(lo=-2.0, hi=2.0, m=801),
+                       dict(lo=-40.0, hi=40.0, m=3)):
+            eng = GridEngine(potential, **params)
+            np.testing.assert_allclose(eng.nodes, np.arange(
+                -round(reach / 0.1), round(reach / 0.1) + 1) * 0.1)
+            drop = potential.value(eng.nodes[[0, -1]][:, None]) \
+                - np.min(potential.value(eng.nodes[:, None]))
+            assert np.all(drop <= 2.0 * math.log(1e16))
+            desc = eng.describe()
+            assert (desc["nodes"], desc["spacing"], desc["window"]) \
+                == (len(eng.nodes), 0.1, [-reach, reach])
+            assert {k: desc[k] for k in ("lo", "hi", "m", "dt")} \
+                == {k: getattr(eng, k) for k in ("lo", "hi", "m", "dt")}
+
+
+def test_grid_engine_factors_an_uneven_potential_whole():
+    # V = (x - 1/2)^2 / 2, whose nodes [-11.6, 12.6] have no centre of
+    # symmetry, takes one eigh of the whole operator, the even ones (the
+    # gaussian's) one of each half: P_t x = 1/2 + e^-t (x - 1/2) on both
+    shifted = Potential(1, lambda x: 0.5 * (x[..., 0] - 0.5) ** 2,
+                        lambda x: x - 0.5,
+                        lambda x: np.ones(x.shape[:-1] + (1, 1)),
+                        "shifted-gaussian", "shifted-gaussian",
+                        lambda x: np.ones(x.shape[:-1]))
+    xs, f = np.linspace(-3.0, 3.0, 13) + 0.01, suite.get("linear")
+    for potential, centre in ((shifted, 0.5), (GAUSS, 0.0)):
+        eng = GridEngine(potential)
+        assert (eng.nodes[0] + eng.nodes[-1] == 0.0) == (centre == 0.0)
+        u, _, grad = eng.value_grad(f, (0.01, 0.7), xs)
+        for j, t in enumerate((0.01, 0.7)):
+            np.testing.assert_allclose(u[j], centre + math.exp(-t)
+                                       * (xs - centre), rtol=0.0, atol=1e-10)
+            np.testing.assert_allclose(grad[j, :, 0], math.exp(-t), rtol=0.0,
+                                       atol=1e-10)
+
+
+def test_grid_reads_a_narrow_window_right():
+    # [-2, 2] at m = 801 bounds the points, not the nodes: P_0.5 x = e^-0.5 x
+    # at 1 and 1.9 (a grid with zero-flux ends at +-2 gave 0.563 and 0.889)
+    eng = GridEngine(GAUSS, lo=-2.0, hi=2.0, m=801)
+    vals, _ = eng.apply(suite.get("linear"), 0.5, [1.0, 1.9])
+    np.testing.assert_allclose(vals, math.exp(-0.5) * np.array([1.0, 1.9]),
+                               rtol=0.0, atol=1e-9)
+
+
+def test_grid_refuses_points_beyond_its_readout_bound():
+    # the double well's nodes end at 4.2 and its readout bound at 3.6, the
+    # outermost nodes where e^{-(V - min V)/2} >= 1e-8: 5.5 and 3.7 lie in
+    # [lo, hi] = [-6, 6] but are refused, by every method
+    eng = GridEngine(make_double_well(), lo=-6.0, hi=6.0, m=2001)
+    f = suite.get("linear")
+    assert eng.bound == (-3.6, 3.6)
+    for x in (5.5, -3.7, 3.61):
+        with pytest.raises(DomainError, match="readout bound"):
+            eng.apply(f, 0.5, [0.0, x])
+        with pytest.raises(DomainError, match="readout bound"):
+            eng.value_grad(f, (0.0, 0.5), x)
+        with pytest.raises(DomainError, match="readout bound"):
+            eng.apply_each([f], [0.5], x)
+    vals, _ = eng.apply(f, 0.5, [-3.6, 3.6])
+    assert np.all(np.isfinite(vals))
 
 
 @pytest.mark.parametrize("dt", [0.0, -1.0, math.inf, math.nan])
@@ -354,269 +414,108 @@ def test_grid_window_that_is_not_finite_is_refused(lo, hi):
             GridEngine(GAUSS, lo=lo, hi=hi, m=11)
 
 
+GRID_8 = GridEngine(GAUSS, lo=-8.0, hi=8.0, m=801)
+XS_8 = np.linspace(-7.9, 7.9, 33) + 0.013 * np.cos(np.arange(33))
+
+
 def test_grid_apply_linear_decay():
-    gen = grid_generator(GAUSS, -8.0, 8.0, 801)
-    u = grid_apply(gen, suite.get("linear")(gen.nodes[:, None]), 0.5, 1e-3)
-    interior = np.abs(gen.nodes) <= 6.0
-    err = np.abs(u - math.exp(-0.5) * gen.nodes)
-    assert np.max(err[interior]) < 1e-3
+    # P_t x = e^-t x, to 1e-9 of max(1, |x|) on |x| <= 6 (1.5e-13
+    # measured), where e^{(V - min V)/2} <= 8e3
+    xs = XS_8[np.abs(XS_8) <= 6.0]
+    u, _ = GRID_8.apply(suite.get("linear"), 0.5, xs)
+    err = np.abs(u - math.exp(-0.5) * xs) / np.maximum(1.0, np.abs(xs))
+    assert np.max(err) < 1e-9
 
 
 def test_grid_apply_is_a_semigroup():
-    gen = grid_generator(GAUSS, -8.0, 8.0, 801)
-    f0 = suite.get("sine")(gen.nodes[:, None])
-    once = grid_apply(gen, f0, 0.5, 1e-3)
-    split = grid_apply(gen, grid_apply(gen, f0, 0.25, 1e-3), 0.25, 1e-3)
-    np.testing.assert_allclose(split, once, atol=1e-10)
+    f = suite.get("sine")
+    xs = XS_8[np.abs(XS_8) <= 6.0]
+    once, _ = GRID_8.apply(f, 0.5, xs)
+    half = GRID_8.evolved(f, 0.25)[0]
+    split, _ = GRID_8.apply(lambda z: half(z[..., 0])[0], 0.25, xs)
+    np.testing.assert_allclose(split, once, rtol=0.0, atol=1e-10)
 
 
 def test_grid_apply_preserves_constants():
-    gen = grid_generator(GAUSS, -8.0, 8.0, 801)
-    u = grid_apply(gen, np.ones(801), 1.0, 1e-3)
-    np.testing.assert_allclose(u, 1.0, atol=1e-12)
+    # to 1e-12 of e^{(V - min V)/2} = e^{x^2/4}, which scales the rounding
+    # of the eigenbasis at a point read (8.3e-13 measured on the readout
+    # window [-8.5, 8.5]; 1.5e-9 at x = 7.9)
+    u, _ = GRID_8.apply(lambda z: np.ones(z.shape[:-1]), (0.01, 1.0, 10.0),
+                        XS_8)
+    assert np.all(np.abs(u - 1.0) <= 1e-12 * np.exp(np.square(XS_8) / 4.0))
 
 
 def test_grid_apply_time_zero_and_errors():
-    gen = grid_generator(GAUSS, -8.0, 8.0, 801)
-    f0 = suite.get("sine")(gen.nodes[:, None])
-    u0 = grid_apply(gen, f0, 0.0, 1e-3)
-    np.testing.assert_array_equal(u0, f0)
-    assert u0 is not f0
-    # dt > t: the step plan's one partial step is a full step of size t
-    np.testing.assert_array_equal(grid_apply(gen, f0, 0.5, 0.7),
-                                  grid_apply(gen, f0, 0.5, 0.5))
-    with pytest.raises(ParameterError):
-        grid_apply(gen, f0, 0.5, 0.0)
-    other = suite.get("sine")(np.linspace(-8.0, 8.0, 401)[:, None])
-    with pytest.raises(ParameterError):
-        grid_apply(gen, other, 0.5, 1e-3)
-
-
-def _rows(potential, lo, hi, m):
-    # L's rows (lower, diag, upper) as the difference formulas give them,
-    # before any symmetric form; lower[0] and upper[-1] are unused
-    nodes = np.linspace(lo, hi, m)
-    h = (hi - lo) / (m - 1)
-    vp = potential.gradient(nodes[:, None])[:, 0]
-    lower = 1.0 / h**2 + vp / (2.0 * h)
-    upper = 1.0 / h**2 - vp / (2.0 * h)
-    upper[0] = lower[-1] = 2.0 / h**2
-    return lower, np.full(m, -2.0 / h**2), upper
-
-
-def _rows_apply(rows, u):
-    lower, diag, upper = (c.reshape((-1,) + (1,) * (u.ndim - 1))
-                          for c in rows)
-    out = diag * u
-    out[1:] += lower[1:] * u[:-1]
-    out[:-1] += upper[:-1] * u[1:]
-    return out
-
-
-def _marched(gen, u, ts, dt):
-    # one plain march's node values, in ts's order
-    out = [None] * len(ts)
-    for j, v in semigroup._march(gen, u, ts, dt):
-        out[j] = v
-    return out
-
-
-def _banded_march(rows, f, t, dt):
-    # Crank-Nicolson on u itself, with L's rows: solve_banded refactors the
-    # pivoted banded I - (dt/2) L at every step
-    lower, diag, upper = rows
-
-    def banded(h):
-        ab = np.zeros((3, len(diag)))
-        ab[0, 1:] = -0.5 * h * upper[:-1]
-        ab[1, :] = 1.0 - 0.5 * h * diag
-        ab[2, :-1] = -0.5 * h * lower[1:]
-        return ab
-
-    ts = _times(t)
-    plans = [_step_plan(float(s), dt) for s in ts]
-    u = np.array(f, dtype=float)
-    ab = banded(dt)
-    out = [None] * len(ts)
-    done = 0
-    for j in sorted(range(len(ts)), key=plans.__getitem__):
-        n_full, rem = plans[j]
-        for _ in range(done, n_full):
-            u = solve_banded((1, 1), ab, u + 0.5 * dt * _rows_apply(rows, u))
-        done = n_full
-        v = u
-        if rem > 0.0:
-            v = solve_banded((1, 1), banded(rem),
-                             u + 0.5 * rem * _rows_apply(rows, u))
-        out[j] = v
-    return out
-
-
-@pytest.mark.parametrize("potential, lo, hi, m", [
-    (make_double_well(), -6.0, 6.0, 2001),
-    (SPH15, -12.0, 12.0, 4001)])
-@pytest.mark.parametrize("names", [("sine",), ("sine", "quadratic", "cos-mix")])
-def test_grid_apply_is_bitwise_the_banded_march(monkeypatch, potential, lo,
-                                                hi, m, names):
-    # the plain march in y = D u against Crank-Nicolson on u with L's
-    # rows: no longer bitwise, as the two round differently, but within
-    # 1e-11 of each column's largest value (2.2e-13 measured); off-grid and
-    # partial-step times, unsorted
-    ts, dt = (0.3, 0.0004, 0.57, 0.1), 1e-3
-    gen = grid_generator(potential, lo, hi, m)
-    z = np.linspace(lo, hi, m)[:, None]
-    values = np.stack([suite.get(name).value(z) for name in names], axis=-1)
-    # one column marches as an (m,) vector, as GridEngine hands it over
-    f0 = values[:, 0] if len(names) == 1 else values
-    factored = []
-    real = lapack.dpttrf
-    monkeypatch.setattr(lapack, "dpttrf",
-                        lambda *a: factored.append(1) or real(*a))
-    got = _marched(gen, f0, ts, dt)
-    # one factorization for dt and one for each distinct partial step
-    rems = {_step_plan(t, dt)[1] for t in ts} - {0.0}
-    assert len(factored) == 1 + len(rems)
-    for u, want in zip(got, _banded_march(_rows(potential, lo, hi, m), f0,
-                                          ts, dt)):
-        assert u.shape == f0.shape
-        assert np.all(np.abs(u - want)
-                      <= 1e-11 * np.max(np.abs(want), axis=0))
-
-
-def _float80_march(rows, f, n_steps, dt):
-    # n_steps Crank-Nicolson steps of u in float80 by the Thomas algorithm,
-    # which needs no pivoting: I - (dt/2) L is diagonally dominant
-    ld = np.longdouble
-    lower, diag, upper = ([ld(v) for v in c] for c in rows)
-    m, a = len(diag), ld(dt) / 2
-    sub = [-a * v for v in lower]
-    sup = [-a * v for v in upper]
-    inv, ratio = [ld(0)] * m, [ld(0)] * m
-    for i in range(m):
-        pivot = 1 - a * diag[i] - (sub[i] * ratio[i - 1] if i else 0)
-        inv[i] = 1 / pivot
-        ratio[i] = sup[i] * inv[i]
-    u = [ld(v) for v in f]
-    for _ in range(n_steps):
-        r = [u[i] + a * (diag[i] * u[i]
-                         + (lower[i] * u[i - 1] if i else 0)
-                         + (upper[i] * u[i + 1] if i < m - 1 else 0))
-             for i in range(m)]
-        for i in range(m):
-            r[i] = (r[i] - (sub[i] * r[i - 1] if i else 0)) * inv[i]
-        for i in range(m - 2, -1, -1):
-            r[i] -= ratio[i] * r[i + 1]
-        u = r
-    return np.array(u, dtype=np.longdouble)
-
-
-def test_grid_apply_matches_a_float80_march():
-    # the double well on [-6, 6], whose weights D span e^189 at m = 1301:
-    # 200 plain steps in y = D u stay within 1e-12 of max |u| of a float80
-    # march of u with L's rows (3.8e-13 measured; 2.0e-13 for steps that
-    # solve with (I + (dt/2) S) y, 1.6e-13 for a pivoted LU march of u in
-    # float64)
-    lo, hi, m, dt = -6.0, 6.0, 1301, 1e-3
-    potential = make_double_well()
-    gen = grid_generator(potential, lo, hi, m)
-    f0 = suite.get("sine")(gen.nodes[:, None])
-    want = _float80_march(_rows(potential, lo, hi, m), f0, 200, dt)
-    u = _marched(gen, f0, [200 * dt], dt)[0]
-    err = np.max(np.abs(u - want))
-    assert float(err) <= 1e-12 * float(np.max(np.abs(want)))
-
-
-def test_crank_nicolson_step_is_one_solve_of_the_midpoint_form():
-    # 600 steps of 2 z - y, z = (I - (dt/2) S)^-1 y, against 600 steps of
-    # (I - (dt/2) S)^-1 (I + (dt/2) S) y, scaled by max(1, |reference|)
-    # (4.9e-13 measured); each column of a march depends on itself alone,
-    # bitwise
-    gen = grid_generator(make_double_well(), -6.0, 6.0, 2001)
-    z = gen.nodes[:, None]
-    f0 = np.stack([suite.get(name).value(z)
-                   for name in ("sine", "quadratic", "cos-mix")], axis=-1)
-    d, e, _ = lapack.dpttrf(1.0 - 0.5e-3 * gen.diag, -0.5e-3 * gen.off)
-    y = gen.scale[:, None] * f0
-    for _ in range(600):
-        sy = gen.diag[:, None] * y
-        sy[1:] += gen.off[:, None] * y[:-1]
-        sy[:-1] += gen.off[:, None] * y[1:]
-        y = lapack.dpttrs(d, e, y + 0.5e-3 * sy)[0]
-    want = y / gen.scale[:, None]
-    got = _marched(gen, f0, [0.6], 1e-3)[0]
-    assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
-    for c in range(3):
-        one = _marched(gen, f0[:, c], [0.6], 1e-3)[0]
-        assert one.tobytes() == np.ascontiguousarray(got[:, c]).tobytes()
-
-
-@pytest.mark.parametrize("potential, lo, hi, m, name, limit", [
-    (GAUSS, -8.0, 8.0, 801, "hermite4", 2e-7),
-    (GAUSS, -8.0, 8.0, 801, "sine", 2e-7),
-    (make_double_well(), -6.0, 6.0, 2001, "linear", 3e-6)])
-def test_grid_apply_time_error(potential, lo, hi, m, name, limit):
-    # the extrapolated march at the default dt = 1e-2 against a plain march
-    # at dt = 1e-4, on |x| <= 3 at the default schedule's times, scaled by
-    # max(1, |reference|): 1.4e-7, 1.7e-8 and 1.2e-6 measured (the same on
-    # the default gaussian window, [-12, 12] at m = 4001), each below the
-    # plain march's error at dt = 1e-2 (2.9e-4, 3.5e-5, 3.6e-4)
-    ts, dt = (0.1, 0.3, 0.5, 1.0, 2.0), 1e-2
-    gen = grid_generator(potential, lo, hi, m)
-    f0 = suite.get(name)(gen.nodes[:, None])
-    near = np.abs(gen.nodes) <= 3.0
-    ref = _marched(gen, f0, ts, 1e-4)
-
-    def error(got):
-        return max(float(np.max(np.abs(u - r)[near]
-                                / np.maximum(1.0, np.abs(r[near]))))
-                   for u, r in zip(got, ref))
-
-    err = error(grid_apply(gen, f0, ts, dt))
-    assert err <= limit
-    assert err < error(_marched(gen, f0, ts, dt))
-
-
-def test_grid_apply_singular_factor_raises():
-    # a diagonal of 2/dt makes I - (dt/2) L the zero matrix, and one of 4/dt
-    # makes it -I: neither is positive definite, which dpttrf flags
-    m, dt = 101, 1e-3
-    for diag in (2.0 / dt, 4.0 / dt):
-        gen = semigroup.TridiagonalGenerator(np.linspace(-1.0, 1.0, m), 0.02,
-                                             np.full(m, diag),
-                                             np.zeros(m - 1), np.ones(m))
-        with pytest.raises(NumericalError, match="positive definite"):
-            grid_apply(gen, suite.get("sine")(gen.nodes[:, None]), 0.5, dt)
+    f = suite.get("sine")
+    u0, _ = GRID_8.apply(f, 0.0, XS_8)
+    assert u0.tobytes() == f(XS_8[:, None]).tobytes()
+    for t in (-0.5, math.inf, math.nan):
+        with pytest.raises(ParameterError):
+            GRID_8.apply(f, t, XS_8)
 
 
 def test_grid_apply_validates_node_values():
-    gen = grid_generator(GAUSS, -1.0, 1.0, 5)
-    for values in (np.zeros(4), np.zeros((6, 2)), 0.0):
+    # a function must give one finite value per node, with any trailing
+    # columns
+    m = len(GRID_8.nodes)
+    for values in (np.zeros(4), np.zeros((m + 1, 2)), 0.0):
         with pytest.raises(ParameterError, match="nodes"):
-            grid_apply(gen, values, 0.5, 1e-3)
+            GRID_8.apply(lambda z, v=values: v, 0.5, 0.0)
     for bad in (np.nan, np.inf):
         with pytest.raises(ParameterError, match="finite"):
-            grid_apply(gen, np.array([0.0, bad, 1.0, 0.0, 0.0]), 0.5, 1e-3)
+            GRID_8.apply(lambda z: np.where(z[..., 0] > 11.0, bad, 0.0), 0.5,
+                         0.0)
+
+
+def test_grid_apply_matches_a_float80_march():
+    # the double well's collocation operator H = D2 - diag(W), built again
+    # here in float80, and e^{0.3 H} by scaling and squaring in float80:
+    # 2^14 steps of t / 2^14, each a Taylor sum to order 19.  The engine's
+    # P_0.3 sine, read at the nodes with |x| <= 3, agrees to 1e-12 of
+    # e^{(V - min V)/2} <= 3e3, which scales its rounding (3.3e-14 of it
+    # measured)
+    eng = GridEngine(make_double_well(), lo=-6.0, hi=6.0)
+    ld = np.longdouble
+    pi = ld("3.14159265358979323846264338327950288")
+    x, h = eng.index.astype(ld) / 10, ld(1) / 10
+    d = (eng.index[:, None] - eng.index).astype(ld)
+    with np.errstate(divide="ignore"):
+        d2 = np.where(d % 2 != 0, ld(2), ld(-2)) / (h * h * d * d)
+    np.fill_diagonal(d2, -pi * pi / (3 * h * h))
+    vp = (x * x - 1) * x
+    step = (d2 - np.diag(vp * vp / 4 - (3 * x * x - 1) / 2)) * (ld("0.3")
+                                                                / 2**14)
+    march = term = np.eye(len(x), dtype=ld)
+    for k in range(1, 20):
+        term = term @ step / k
+        march = march + term
+    for _ in range(14):
+        march = march @ march
+    grow = np.exp((x * x - 1) ** 2 / 8)  # e^{(V - min V)/2}, min V = 0
+    want = grow * (march @ (np.sin(x) / grow))
+    near = np.abs(eng.nodes) <= 3.0
+    got, _ = eng.apply(suite.get("sine"), 0.3, eng.nodes[near])
+    assert np.all(np.abs(got - want[near]) <= 1e-12 * grow[near])
 
 
 def test_grid_engine_checks_its_grid_at_construction(monkeypatch):
-    # m < 3, hi <= lo, a 2-D potential and a cell Peclet number of 2.06
-    # (see test_grid_generator_guards_the_cell_peclet_number) are refused
-    # when the engine is built, before anything marches; a valid engine
-    # builds its generator once for all its calls
-    built = []
-    real = semigroup.grid_generator
-    monkeypatch.setattr(semigroup, "grid_generator",
-                        lambda *a: built.append(a) or real(*a))
+    # m < 3, hi <= lo and a 2-D potential are refused when the engine is
+    # built, before anything is factored; a valid engine factors its
+    # operator once, when it is built, for all its calls
+    factored = []
+    real = semigroup._eigh
+    monkeypatch.setattr(semigroup, "_eigh",
+                        lambda a: factored.append(len(a)) or real(a))
     for potential, params in ((GAUSS, dict(m=2)), (GAUSS, dict(lo=1.0, hi=1.0)),
-                              (GAUSS, dict(lo=2.0, hi=-2.0)), (SPH15_2, {}),
-                              (GAUSS, dict(lo=-8.0, hi=8.0, m=61))):
+                              (GAUSS, dict(lo=2.0, hi=-2.0)), (SPH15_2, {})):
         with pytest.raises(ParameterError):
             GridEngine(potential, **params)
-    assert len(built) == 5
+    assert factored == []
     eng = GridEngine(GAUSS, lo=-8.0, hi=8.0, m=801, dt=1e-2)
     eng.apply(suite.get("sine"), (0.1, 0.2), [0.0])
     eng.value_grad(suite.get("sine"), 0.3, [0.0])
-    assert len(built) == 6
+    eng.evolved(suite.get("sine"), (0.1, 0.3))[0](0.5)
+    assert factored == [len(eng.nodes)]
 
 
 def test_grid_engine_values_and_gradient():
@@ -625,12 +524,13 @@ def test_grid_engine_values_and_gradient():
     x = np.array([[1.0], [-0.5]])
     vals, err = eng.apply(f, 0.5, x)
     want = math.exp(-1.0) * x[:, 0] ** 2 + 1.0 - math.exp(-1.0)
-    np.testing.assert_allclose(vals, want, atol=1e-3)
+    np.testing.assert_allclose(vals, want, atol=1e-12)
     assert np.all(err == 0.0)
     v, verr, g = eng.value_grad(f, 0.5, x)
     np.testing.assert_array_equal(v, vals)
     assert np.all(verr == 0.0)
-    np.testing.assert_allclose(g[:, 0], 2.0 * math.exp(-1.0) * x[:, 0], atol=1e-3)
+    np.testing.assert_allclose(g[:, 0], 2.0 * math.exp(-1.0) * x[:, 0],
+                               atol=1e-12)
     # t = 0 short-circuits to the analytic values
     v0, _ = eng.apply(f, 0.0, x)
     np.testing.assert_allclose(v0, x[:, 0] ** 2, atol=1e-15)
@@ -642,7 +542,20 @@ def test_grid_engine_small_time():
     eng = GridEngine(GAUSS, lo=-8.0, hi=8.0, m=801, dt=1e-3)
     f = suite.get("linear")
     val, _ = eng.apply(f, 2e-4, np.array([1.0]))
-    assert val == pytest.approx(math.exp(-2e-4), abs=1e-6)
+    assert val == pytest.approx(math.exp(-2e-4), abs=1e-12)
+
+
+def test_grid_sinc_slope_is_smooth_through_its_series():
+    # the series that replaces the closed form below |y| = 1e-2 meets it
+    # there to rounding, and both match a central difference of np.sinc
+    y = np.array([-0.3, -1e-2, -1e-2 + 1e-15, -1e-9, 0.0, 1e-9,
+                  1e-2 - 1e-15, 1e-2, 0.7, 3.0])
+    got = semigroup._sinc_slope(y)
+    h = 1e-5
+    want = (np.sinc(y + h) - np.sinc(y - h)) / (2.0 * h)
+    np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-9)
+    assert abs(got[1] - got[2]) < 1e-13 and abs(got[6] - got[7]) < 1e-13
+    assert got[4] == 0.0 and got[-1] == pytest.approx(-1.0 / 3.0, abs=1e-15)
 
 
 def test_engines_agree_on_hermite_functions():
@@ -660,28 +573,23 @@ def test_engines_agree_on_hermite_functions():
 
 
 POLYTRIG = suite.polytrig_suite()
-GRID_801 = GridEngine(GAUSS, lo=-8.0, hi=8.0, m=801)
 
 
 @given(ts=st.lists(st.floats(0.05, 2.0), min_size=1, max_size=3),
        xs=st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=5))
 @settings(max_examples=5, deadline=None)
 def test_grid_engine_agrees_with_mehler_on_polytrig(ts, xs):
-    # The grid error is C (h^2 + dt^2), h = 0.02, dt = 1e-3.  hermite4,
-    # u = e^{-4t} (x^4 - 6x^2 + 3), sets C on |x| <= 3: linear interpolation
-    # between nodes errs by h^2/8 |u''| <= 12 h^2, and the central
-    # differences' truncation h^2 (|u''''|/12 + |x u'''|/6) decays with
-    # e^{-4t}; a dense scan of t in [0.05, 2] and x in [-3, 3] peaks at
-    # 8.3 h^2.  CN's time error dt^2/12 |d^3u/dt^3| <= 160 dt^2 = 1.6e-4
-    # fits in the margin that C = 15 leaves.
-    tol = 15.0 * (GRID_801.generator.h ** 2 + GRID_801.dt ** 2)
-
+    # sinc collocation converges spectrally in the spacing and the
+    # eigenbasis is exact in time: on |x| <= 3, where e^{(V - min V)/2}
+    # <= 90, the grid agrees with the exact engine to rounding (1.5e-12 of
+    # hermite4's values, up to 1.6e2, on a dense scan)
     def columns(z):
         return np.stack([f.value(z) for f in POLYTRIG], axis=-1)
 
     want, _ = MehlerEngine(GAUSS).apply(columns, ts, xs)
-    got, _ = GRID_801.apply(columns, ts, xs)
-    np.testing.assert_allclose(got, want, rtol=0.0, atol=tol)
+    got, _ = GRID_8.apply(columns, ts, xs)
+    np.testing.assert_allclose(got, want, rtol=0.0,
+                               atol=1e-10 * max(1.0, np.max(np.abs(want))))
 
 
 # ---------------------------------------------------------------------------
@@ -839,20 +747,20 @@ def _linear_side(c):
 
 
 def test_grid_right_sides_march_each_basis_once(monkeypatch):
-    # three right sides at t = 0.3, 0 and 0.1 share one basis: one march of
-    # it to both positive times, each side bitwise its combination of a
-    # separate apply of the basis; P_0 and the Mehler engine take the
-    # function itself
+    # three right sides at t = 0.3, 0 and 0.1 share one basis: one
+    # evolution of it to both positive times, each side bitwise its
+    # combination of a separate apply of the basis; P_0 and the Mehler
+    # engine take the function itself
     f, x, ts, cs = suite.get("sine"), np.linspace(-2.0, 2.0, 5), \
         (0.3, 0.0, 0.1), (0.5, 2.0, 3.0)
     rhs = [_linear_side(c) for c in cs]
     grid = GridEngine(GAUSS, lo=-8.0, hi=8.0, m=801, dt=1e-2)
-    marches = []
-    real = semigroup.grid_apply
-    monkeypatch.setattr(semigroup, "grid_apply",
-                        lambda *a: marches.append(a[2]) or real(*a))
+    evolutions = []
+    real = GridEngine._evolved
+    monkeypatch.setattr(GridEngine, "_evolved",
+                        lambda *a: evolutions.append(a[2]) or real(*a))
     *_, vals, err = grid.value_grad(f, ts, x, rhs=rhs)
-    assert len(marches) == 2
+    assert len(evolutions) == 2
     for t, c, g, v in zip(ts, cs, rhs, vals):
         if t > 0.0:
             ab, _ = grid.apply(_basis, t, x)
@@ -894,10 +802,12 @@ def test_apply_passes_trailing_columns_through():
 
 @pytest.mark.parametrize("threads", ["1", "4"])
 def test_time_sequences_match_single_times(monkeypatch, paths_at, threads):
-    # 0, a time below dt and an off-grid time, unsorted and repeated: each
-    # time's slice is bitwise what a call with that time alone returns
+    # 0, a time below dt, an off-grid time and two times one rounding
+    # apart, unsorted and repeated: each time's slice is bitwise what a
+    # call with that time alone returns
     monkeypatch.setenv("CURVLAB_THREADS", threads)
-    ts = (0.255, 0.0, 0.003, 1.0, 0.255, 0.1)
+    ts = (0.255, 0.0, 0.003, 1.0, 0.255, 0.1, 0.31 + 1e-14, 0.31 - 1e-14)
+    k = len(ts)
     f = suite.get("sine")
 
     def columns(z):
@@ -906,25 +816,18 @@ def test_time_sequences_match_single_times(monkeypatch, paths_at, threads):
     x = np.linspace(-2.0, 2.0, 5)
     for eng in _three_engines():
         got = eng.apply(columns, ts, x) + eng.value_grad(f, ts, x)
-        assert [a.shape for a in got] == [(6, 5, 2), (6, 5, 2), (6, 5),
-                                          (6, 5), (6, 5, 1)]
+        assert [a.shape for a in got] == [(k, 5, 2), (k, 5, 2), (k, 5),
+                                          (k, 5), (k, 5, 1)]
         for j, t in enumerate(ts):
             one = eng.apply(columns, t, x) + eng.value_grad(f, t, x)
             for a, b in zip(got, one):
                 np.testing.assert_array_equal(a[j], b)
-    gen = grid_generator(SPH15, -8.0, 8.0, 801)
-    f0 = f(gen.nodes[:, None])
-    # and two times one rounding apart, whose fine plans tie and whose
-    # coarse plans (a partial step of 0.01 -+ 1e-14) sort the other way
-    for times in (ts, (0.31 + 1e-14, 0.31 - 1e-14)):
-        for u, t in zip(grid_apply(gen, f0, times, 1e-2), times):
-            np.testing.assert_array_equal(u, grid_apply(gen, f0, t, 1e-2))
     # several blocks of paths from two starts
     starts = np.array([[-1.0], [0.5]])
     n_paths = 2 * BLOCK_SIZE + 17
     rho = {"rho": lambda x, drift: SPH15.curvature(x)}
     walk = paths_at(SPH15, starts, ts, 1e-2, n_paths, 3, rho)
-    assert [x.shape for x, _ in walk] == [(2, n_paths, 1)] * 6
+    assert [x.shape for x, _ in walk] == [(2, n_paths, 1)] * k
     for (x, ints), t in zip(walk, ts):
         [(one, one_ints)] = paths_at(SPH15, starts, t, 1e-2, n_paths, 3, rho)
         np.testing.assert_array_equal(x, one)
@@ -933,10 +836,7 @@ def test_time_sequences_match_single_times(monkeypatch, paths_at, threads):
 
 def test_apply_each_is_apply_at_each_time():
     # one function per time, times unsorted, repeated and 0, trailing
-    # columns: the Mehler engine's default loop is bitwise apply, and the
-    # grid engine's one march of the points' weights is apply to rounding,
-    # scaled by max(1, |value|) (3.9e-14 measured); t = 0 evaluates at the
-    # points on both
+    # columns: one apply per time, bitwise; t = 0 evaluates at the points
     ts = (0.255, 0.0, 0.003, 1.0, 0.255)
     funcs = [lambda z, a=a: np.stack([np.sin(a + z[..., 0]), a * z[..., 0]],
                                      axis=-1) for a in range(len(ts))]
@@ -945,22 +845,17 @@ def test_apply_each_is_apply_at_each_time():
         got, err = eng.apply_each(funcs, ts, x)
         assert got.shape == err.shape == (5, 4, 2) and np.all(err == 0.0)
         for j, (g, t) in enumerate(zip(funcs, ts)):
-            want, _ = eng.apply(g, t, x)
-            if eng.kind == "mehler" or t == 0.0:
-                np.testing.assert_array_equal(got[j], want)
-            else:
-                assert np.all(np.abs(got[j] - want)
-                              <= 1e-12 * np.maximum(1.0, np.abs(want)))
+            np.testing.assert_array_equal(got[j], eng.apply(g, t, x)[0])
         with pytest.raises(ParameterError, match="one function per time"):
             eng.apply_each(funcs[:2], ts, x)
 
 
 def test_grid_apply_each_holds_one_time_of_weights():
-    # tracemalloc sees numpy's buffers.  The monotone check's outer march on
-    # the double well (m = 2001, dt = 1e-3, 21 times up to 0.6, the default
-    # schedule's 7 points): the weights of both marches at every time are
-    # 4.7 MB, and with the combined values 7.2 MB were held; reduced to the
-    # points one time at a time, 1.1 MB measured
+    # tracemalloc sees numpy's buffers.  The monotone check's outer applies
+    # on the double well (21 times up to 0.6, the default schedule's 7
+    # points): each evolves one function to one time and reduces it to the
+    # points, so one time's node values are live at once (0.12 MB
+    # measured, with the engine's factors built before tracing)
     grid = GridEngine(make_double_well(), lo=-6.0, hi=6.0, m=2001, dt=1e-3)
     funcs = [lambda z, a=a: np.sin(a + z[..., 0]) for a in range(21)]
     tracemalloc.start()
@@ -975,11 +870,9 @@ def test_grid_apply_each_holds_one_time_of_weights():
 def test_empty_time_sequence_is_rejected():
     f = suite.get("sine")
     x = np.array([0.0, 1.0])
-    gen = grid_generator(GAUSS, -8.0, 8.0, 801)
     calls = [lambda: multilevel_mean(GAUSS, [0.0], (),
                                      lambda j, x, _: x[..., 0], 1e-2, 100, 0,
-                                     {}),
-             lambda: grid_apply(gen, f(gen.nodes[:, None]), (), 1e-2)]
+                                     {})]
     for eng in _three_engines():
         calls += [lambda eng=eng: eng.apply(f, (), x),
                   lambda eng=eng: eng.value_grad(f, [], x)]

@@ -6,7 +6,6 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from scipy.linalg import lapack
 from scipy.optimize import brentq
 
 from curvlab import sde, semigroup, suite, verify
@@ -734,37 +733,75 @@ def test_value_grad_needs_one_right_side_per_time():
 
 def test_grid_margins_match_mehler():
     # the default grid engine against the exact Mehler engine on the
-    # gaussian, default schedule: margins agree to 1.3e-4 of
+    # gaussian, default schedule, at the default points (which sit on
+    # nodes) and at points between nodes: margins agree to 1e-9 of
     # max(1, |lhs|, |rhs|) over the polytrig suite wherever each
-    # M-function's domain holds f (worst 1.20e-4, hermite3 poincare; the
-    # grid's spatial error dominates, 1.17e-4 with plain steps of 1e-3)
+    # M-function's domain holds f (3.6e-12 measured).  The Mehler rule of
+    # order 64 errs by 1.2e-8 on log-sobolev's right side of unit-sine, so
+    # the reference takes order 200 (1e-11 at order 128)
     grid, worst, checked = GridEngine(GAUSS), 0.0, 0
-    for name in suite.POLYTRIG:
-        for ids in (("poincare", "reverse-poincare"), ("log-sobolev",)):
-            mfs = [catalog(m) for m in ids]
-            try:
-                reports = verify_local(mfs, grid, get(name),
-                                       Schedule(), rho=1.0)
-            except DomainError:
-                continue
-            exact = verify_local(mfs, ENGINE, get(name), Schedule(),
-                                 rho=1.0)
-            checked += len(mfs)
-            worst = max([worst] + [
-                abs(r.margin - q.margin) / max(1.0, abs(q.lhs), abs(q.rhs))
-                for a, b in zip(reports, exact)
-                for r, q in zip(a.records, b.records)])
+    exact_engine = MehlerEngine(GAUSS, order=200)
+    for xs in (Schedule().xs, Schedule().xs + 0.0317):
+        schedule = Schedule(xs=xs)
+        for name in suite.POLYTRIG:
+            for ids in (("poincare", "reverse-poincare"), ("log-sobolev",)):
+                mfs = [catalog(m) for m in ids]
+                # quadratic is positive at the shifted points, not at node 0
+                if ids == ("log-sobolev",) and np.any(
+                        get(name)(grid.nodes[:, None]) <= 0.0):
+                    continue
+                try:
+                    reports = verify_local(mfs, grid, get(name), schedule,
+                                           rho=1.0)
+                except DomainError:
+                    continue
+                exact = verify_local(mfs, exact_engine, get(name), schedule,
+                                     rho=1.0)
+                checked += len(mfs)
+                worst = max([worst] + [
+                    abs(r.margin - q.margin) / max(1.0, abs(q.lhs), abs(q.rhs))
+                    for a, b in zip(reports, exact)
+                    for r, q in zip(a.records, b.records)])
     # log-sobolev holds only shifted-sine and unit-sine, which stay positive
-    assert checked == 22
-    assert worst <= 1.3e-4
+    assert checked == 2 * 22
+    assert worst <= 1e-9
+
+
+@pytest.mark.parametrize("potential,command", [
+    (make_double_well(), "falsify"), (make_double_well(), "monotone"),
+    (make_example_potential("spherical", alpha=1.5), "verify")])
+def test_grid_spacing_converges(monkeypatch, potential, command):
+    # the grid workload's checks at the engine's spacing and at one 4/3 as
+    # wide agree to 1e-8 of max(1, |lhs|, |rhs|) (7.5e-10, 1.1e-10 and
+    # 2.3e-11 measured)
+    def records(spacing):
+        monkeypatch.setattr(semigroup, "_SPACING", spacing)
+        eng = GridEngine(potential, lo=-6.0, hi=6.0)
+        if command == "monotone":
+            reports = verify_H_monotone([catalog("poincare")], eng,
+                                        get("sine"), t=0.6, alpha=0.2,
+                                        rho=-1.0)
+        elif command == "falsify":
+            reports = verify_local([catalog("y")], eng, get("linear"),
+                                   Schedule(), rho=0.5)
+        else:
+            reports = verify_local([catalog("poincare")], eng, get("sine"),
+                                   Schedule(), rho=0.0)
+        return [r for rep in reports for r in rep.records]
+
+    fine = records(semigroup._SPACING)
+    coarse = records(semigroup._SPACING * 4.0 / 3.0)
+    assert len(fine) == len(coarse) > 0
+    assert max(abs(a.margin - b.margin) / max(1.0, abs(b.lhs), abs(b.rhs))
+               for a, b in zip(coarse, fine)) <= 1e-8
 
 
 def test_grid_local_march_count(monkeypatch):
-    # one checkpointed march of f for value and gradient at every t, then,
-    # inside the same value_grad call, one march of the linear form
+    # one evolution of f for value and gradient at every t, then, inside
+    # the same value_grad call, one of the linear form
     # [M(f, 0), M_y(f, 0) Gamma(f)] to all 5 times t > 0, from which the
     # right sides of every alpha are combined
-    calls = _count_calls(monkeypatch, "grid_apply")
+    calls = _count_calls(monkeypatch, "_evolved", GridEngine)
     eng = GridEngine(make_double_well(), lo=-6.0, hi=6.0, m=2001, dt=1e-2)
     verify_local([catalog("y")], eng, get("linear"), Schedule(),
                  rho=0.5)
@@ -809,26 +846,26 @@ def test_mehler_local_quadrature_count(monkeypatch):
 
 
 def test_grid_monotone_march_count(monkeypatch):
-    # the benchmark's grid monotone check: one march of f to every t - s > 0
-    # gives all 20 inner functions, then one march of the 7 points'
-    # interpolation weights to every s > 0 gives all 20 outer values; each
-    # march runs at dt and at 2 dt, one solve per step for all its columns.
-    # Every t - s and s (multiples of 0.03) is a whole number of steps of
-    # dt and of 2 dt to within rounding, so no march takes a partial step:
-    # 600 steps each to 0.6 at dt, 300 at 2 dt
-    marches = _count_calls(monkeypatch, "grid_apply")
-    solves = _count_calls(monkeypatch, "dpttrs", lapack)
+    # the benchmark's grid monotone check: one eigendecomposition, when the
+    # engine is built; one evolution of f to every t - s > 0 gives all 20
+    # inner functions, then one evolution of each inner function at its
+    # s > 0 gives the 20 outer values.  The points are only read, so 50 of
+    # them cost the evolutions of the default 7
+    factored = _count_calls(monkeypatch, "_eigh")
+    evolutions = _count_calls(monkeypatch, "_evolved", GridEngine)
     eng = GridEngine(make_double_well(), lo=-6.0, hi=6.0, m=2001, dt=1e-3)
-    verify_H_monotone([catalog("poincare")], eng, get("sine"), t=0.6,
-                      alpha=0.2, rho=-1.0, s_count=21)
-    assert len(marches) == 1 + 1
-    assert len(solves) == 600 + 600 + 300 + 300
+    for xs in (None, np.linspace(-3.0, 3.0, 50)):
+        verify_H_monotone([catalog("poincare")], eng, get("sine"), t=0.6,
+                          alpha=0.2, rho=-1.0, s_count=21, xs=xs)
+        assert len(factored) == 1
+        assert len(evolutions) == 1 + 20
+        evolutions.clear()
 
 
 def test_grid_monotone_refuses_an_outer_function_that_is_not_finite():
     # an M-function whose values overflow at some nodes: the outer function
-    # of an s > 0 is refused by the ParameterError that grid_apply raises on
-    # node values that are not finite, before any margin is formed
+    # of an s > 0 is refused by the ParameterError that the grid engine
+    # raises on node values that are not finite, before any margin is formed
     eng = GridEngine(GAUSS, lo=-8.0, hi=8.0, m=801, dt=1e-2)
     big = SimpleNamespace(label="big", reverse=False,
                           value=lambda u, y: np.where(u > 0.5, np.inf, u))
@@ -850,10 +887,11 @@ def test_mehler_monotone_quadrature_count(monkeypatch):
 
 
 def _evolution_times(monkeypatch) -> list:
-    """Every time handed to mehler_apply, grid_apply or the path walk."""
+    """Every time handed to mehler_apply, the grid's evolution or the path
+    walk."""
     times = []
     for module, name, at in ((semigroup, "mehler_apply", 1),
-                             (semigroup, "grid_apply", 2), (sde, "_walk", 2)):
+                             (GridEngine, "_evolved", 2), (sde, "_walk", 2)):
         def traced(*args, real=getattr(module, name), at=at, **kwargs):
             times.extend(np.atleast_1d(args[at]).tolist())
             return real(*args, **kwargs)
@@ -908,16 +946,19 @@ def test_time_zero_is_the_identity(monkeypatch, engine):
 
 def _per_s_monotone(mf, engine, f, t, alpha, rho, s_count, xs=None):
     """(lhs, rhs, margin) of each record of verify_H_monotone, from one
-    apply per s whose sampled function calls value_grad(f, t - s, z)."""
+    apply per s whose sampled function reads P_{t-s} f from its own
+    evolution: value_grad(f, t - s, z) on the Mehler engine, and on the
+    grid a reader of `evolved(f, t - s)`, which reads the nodes that
+    value_grad's readout bound refuses."""
     xs = as_points(Schedule().xs if xs is None else xs, 1)
     H = []
     for s in np.linspace(0.0, t, s_count):
         factor = h_alpha(s, t, alpha, rho) if mf.reverse \
             else g_alpha(s, alpha, rho)
 
-        def inner(z, factor=factor, rem=t - s):
+        def inner(z, factor=factor, read=engine.evolved(f, t - s)[0]):
             z = np.asarray(z, dtype=float)
-            u, _, grad = engine.value_grad(f, rem, z.reshape(-1, 1))
+            u, grad = read(z.reshape(-1, 1))
             y = np.maximum(factor * np.sum(np.square(grad), axis=-1), 0.0)
             return np.asarray(mf.value(u, y)).reshape(z.shape[:-1])
 
@@ -934,20 +975,13 @@ def _per_s_monotone(mf, engine, f, t, alpha, rho, s_count, xs=None):
     ENGINE, GridEngine(GAUSS, lo=-8.0, hi=8.0, m=801, dt=1e-2)],
     ids=["mehler", "grid"])
 def test_monotone_matches_a_value_grad_per_s(engine, t, s_count, mf_id, fn):
-    # the Mehler engine applies each s's outer function on its own, as the
-    # per-s route does: bitwise.  The grid engine marches the points'
-    # weights backwards instead of each outer function forwards, the
-    # adjoint route through the same discrete scheme: equal to rounding,
-    # scaled by max(1, |lhs|, |rhs|) (4.6e-14 measured)
+    # both engines apply each s's outer function on its own, as the per-s
+    # route does, and read each P_{t-s} f off one evolution of f: bitwise
     mf, f = catalog(mf_id), get(fn)
     [rep] = verify_H_monotone([mf], engine, f, t=t, alpha=0.2, rho=1.0,
                               s_count=s_count)
     got = [(r.lhs, r.rhs, r.margin) for r in rep.records]
-    want = _per_s_monotone(mf, engine, f, t, 0.2, 1.0, s_count)
-    if engine.kind == "mehler":
-        assert got == want
-    else:
-        _assert_scaled_close(got, want, 1e-12)
+    assert got == _per_s_monotone(mf, engine, f, t, 0.2, 1.0, s_count)
 
 
 def _assert_scaled_close(got, want, bound):
@@ -985,11 +1019,13 @@ def test_monotone_needs_finite_t_and_alpha_at_least_0(t, alpha):
 
 
 def test_evolved_reads_one_march_per_call(monkeypatch):
-    # every positive time from one march, bitwise value_grad at each time;
-    # t = 0 evaluates f, and points outside the window are refused
+    # every positive time from one evolution, bitwise value_grad at each
+    # time; t = 0 evaluates f.  A reader takes every node, as an outer
+    # apply needs, [-12.1, 12.1] on the gaussian, beyond the points
+    # [-8, 8] that value_grad takes; points outside the nodes are refused
     eng = GridEngine(GAUSS, lo=-8.0, hi=8.0, m=801, dt=1e-2)
     f, xs, ts = get("sine"), as_points([-1.0, 0.3, 2.0], 1), ODD_TS.ts
-    calls = _count_calls(monkeypatch, "grid_apply")
+    calls = _count_calls(monkeypatch, "_evolved", GridEngine)
     readers = eng.evolved(f, ts)
     assert len(calls) == 1 and len(readers) == len(ts)
     for s, read in zip(ts, readers):
@@ -997,8 +1033,12 @@ def test_evolved_reads_one_march_per_call(monkeypatch):
         got = read(xs)
         assert got[0].tobytes() == u.tobytes()
         assert got[1].tobytes() == grad.tobytes()
+        assert all(np.all(np.isfinite(a)) for a in read(eng.nodes))
     with pytest.raises(DomainError):
-        readers[0](9.0)
+        eng.value_grad(f, ts[0], 9.0)
+    for read in readers:
+        with pytest.raises(DomainError):
+            read(12.2)
 
 
 # ---------------------------------------------------------------------------
@@ -1052,12 +1092,12 @@ def test_grouped_monotone_reports_equal_single_ones(engine, t):
 
 
 def test_grid_mixed_affinity_group_equals_single_ones(monkeypatch):
-    # y and poincare read a + c b off one march of their shared linear
-    # form; sqrt-y, not affine in y, marches its own columns to each t > 0
+    # y and poincare read a + c b off one evolution of their shared linear
+    # form; sqrt-y, not affine in y, evolves its own columns to each t > 0
     eng = GridEngine(GAUSS, lo=-8.0, hi=8.0, m=801, dt=1e-2)
     mfs, f = [catalog(m) for m in ("sqrt-y", "y", "poincare")], get("sine")
     single = [verify_local([mf], eng, f, ODD_TS, rho=1.0)[0] for mf in mfs]
-    calls = _count_calls(monkeypatch, "grid_apply")
+    calls = _count_calls(monkeypatch, "_evolved", GridEngine)
     _same_reports(verify_local(mfs, eng, f, ODD_TS, rho=1.0), single)
     assert len(calls) == 1 + 1 + 4
 
@@ -1072,9 +1112,9 @@ def test_mehler_monotone_group_makes_the_quadratures_of_one(monkeypatch):
 
 
 def test_grid_local_group_marches_f_once(monkeypatch):
-    # the march of f, and one march to every t > 0 of the linear forms of
+    # the evolution of f, and one to every t > 0 of the linear forms of
     # every M-function as columns: the count of a single M-function
-    calls = _count_calls(monkeypatch, "grid_apply")
+    calls = _count_calls(monkeypatch, "_evolved", GridEngine)
     eng = GridEngine(make_double_well(), lo=-6.0, hi=6.0, m=2001, dt=1e-2)
     verify_local([catalog(m) for m in ("y", "poincare", "reverse-poincare")],
                  eng, get("linear"), Schedule(), rho=0.5)

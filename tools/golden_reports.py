@@ -12,7 +12,9 @@ check of `quadratic` on the default schedule, one of `sine` at 12 500
 paths, which runs three Euler levels, local checks at t = 0 alone
 on the grid and Mehler engines, and monotone checks beyond the benchmark's:
 on the grid at a t off the dt grid and at t = 0, and a reverse one on the
-Mehler engine; a grid `verify-reverse`; and checks that share one
+Mehler engine; a grid `verify-reverse`; grid `verify` runs on the gaussian
+with `--lo -2 --hi 2`, on `spherical:alpha=1.2`, whose node window is wide,
+and on the double well at its readout bound, 3.6; and checks that share one
 evolution across M-functions: Monte Carlo `verify` and `verify-reverse`, a
 grid monotone check of a forward and a reverse M-function, and a grid
 `verify` of `sqrt-y`, which is not affine in y, with `y` and `poincare`,
@@ -125,6 +127,19 @@ def cases(configs: dict, seed: int) -> list:
             ("grid-reverse", ("verify-reverse", "--engine", "grid",
                               "--mfunction", "reverse-log-sobolev",
                               "--function", "shifted-sine")),
+            ("grid-narrow-window", ("verify", "--engine", "grid", "--lo", "-2",
+                                    "--hi", "2", "--xs=-1.9,-1,0,1,1.9",
+                                    "--mfunction", "poincare", "--function",
+                                    "linear")),
+            ("grid-wide-nodes", ("verify", "--engine", "grid", "--potential",
+                                 "spherical:alpha=1.2", "--rho", "0",
+                                 "--mfunction", "poincare", "--function",
+                                 "sine")),
+            ("grid-readout-bound", ("verify", "--engine", "grid",
+                                    "--potential", "double-well", "--lo", "-6",
+                                    "--hi", "6", "--xs=-3.6,-3.5,3.5,3.6",
+                                    "--rho", "-1", "--mfunction", "poincare",
+                                    "--function", "sine")),
             ("grouped-grid-mixed", ("verify", "--engine", "grid",
                                     "--mfunction", "sqrt-y", "--mfunction",
                                     "y", "--mfunction", "poincare",
