@@ -36,9 +36,10 @@ Carlo engine loads numpy.random.  No engine loads scipy.
   gives one callable per time s of t, in t's order, mapping points z to
   (P_s f(z), grad P_s f(z)), each bitwise the values and grads of
   `value_grad(f, s, z)`.  The grid engine takes every time from one
-  evolution of f, and its callables also take the nodes beyond the points
-  that `value_grad` takes (`GridEngine._reach`); the Mehler engine defers
-  each call to `value_grad`, because its nodes depend on z.
+  evolution of f, and its callables also take the nodes where an outer
+  evolution samples them, beyond the points that `value_grad` takes
+  (`GridEngine._reach`); the Mehler engine defers each call to
+  `value_grad`, because its nodes depend on z.
 
 The first three read points through `as_points`, so xs is anything it
 accepts, and all three return arrays: values and stderr of shape
@@ -390,15 +391,21 @@ class MehlerEngine(_Engine):
 # values and gradients agree to 2e-10 of max(1, |value|, |gradient|) on the
 # double well and to 1e-12 on the gaussian and spherical:alpha=1.5
 _SPACING = 0.1
-# the nodes run between the first and the last multiple of the spacing
-# where e^{-(V - min V)/2} is at least _EDGE: collocation takes u, the
-# semigroup's values times it, to vanish beyond them.  Points are read only
-# between the first and the last node where it is at least _READ, the
-# readout bound: rounding in the eigenbasis reaches a value amplified by
-# e^{(V - min V)/2}, to 1e-13-1e-12 of it, so inside the bound to at most
-# 2.6e-5 of max(1, |value|, |gradient|) (measured over five suite functions
-# on four potentials), and to 1e-9 where e^{(V - min V)/2} <= 1e3
+# the nodes run from the first to the last multiple of the spacing where
+# e^{-(V - min V)/2} >= _EDGE: collocation takes u, P_t f times it, to
+# vanish beyond.  Rounding in the eigenbasis reaches a value amplified by
+# e^{(V - min V)/2}, so a function is sampled only from the first to the
+# last node where it is >= _SAMPLE (u starts at 0 beyond), and points are
+# read only between those where it is >= _READ, the readout bound: there
+# values and gradients are within 4e-7 of max(1, |value|), and within 1e-9
+# where e^{(V - min V)/2} <= 1e3 (five suite functions, four potentials).
+# An outer evolution's sampled function reads an inner one's values out to
+# _SAMPLE, where they are within 7e-3 (1e-1-1e1 below 1e-14, out of an
+# M-function's domain); a grid monotone check near the gaussian's readout
+# bound errs by 1e-1-1e1 if u starts at 0 beyond _READ, 7e-4 beyond 1e-10,
+# and 2e-7 beyond _SAMPLE, as when sampled at every node
 _EDGE = 1e-16
+_SAMPLE = 1e-12
 _READ = 1e-8
 
 
@@ -416,24 +423,17 @@ def _node_index(potential: Potential) -> np.ndarray:
                          f"|x| = {reach * _SPACING:g}")
 
 
-def _eigh(h: np.ndarray) -> tuple:
-    """numpy's eigh of the symmetric h; of its even and odd halves when h is
-    symmetric about its centre, as it is on an even potential's nodes, at
-    about half the cost."""
-    k = len(h) // 2
-    if len(h) % 2 == 0 or not np.array_equal(h, h[::-1, ::-1]):
-        return np.linalg.eigh(h)
-    # the halves in the bases e_k, (e_{k+a} + e_{k-a})/sqrt 2 and
-    # (e_{k+a} - e_{k-a})/sqrt 2, a = 1..k, of the node vectors e_j
-    right, mirror = h[k:, k:], h[k:, k::-1]
-    scale = np.r_[math.sqrt(0.5), np.ones(k)]
-    lam_e, v_e = np.linalg.eigh(scale[:, None] * (right + mirror) * scale)
-    lam_o, v_o = np.linalg.eigh((right - mirror)[1:, 1:])
-    # each basis vector's entries: 1 at the centre, 1/sqrt 2 off it
-    even = v_e * (math.sqrt(0.5) / scale)[:, None]
-    odd = np.r_[np.zeros((1, k)), v_o * math.sqrt(0.5)]
-    return np.r_[lam_e, lam_o], np.c_[np.r_[even[:0:-1], even],
-                                      np.r_[-odd[:0:-1], odd]]
+def _operator(potential: Potential, index: np.ndarray) -> np.ndarray:
+    """H = D2 - diag(W) at the nodes index * h: sinc collocation of
+    u'' - W u, W = V'^2/4 - V''/2."""
+    z = (index * _SPACING)[:, None]
+    vp = potential.gradient(z)[:, 0]
+    d = index[:, None] - index
+    with np.errstate(divide="ignore"):
+        h = np.where(d % 2, 2.0, -2.0) / (_SPACING**2 * d * d)
+    np.fill_diagonal(h, -math.pi**2 / (3.0 * _SPACING**2)
+                     - (0.25 * vp * vp - 0.5 * potential.hessian(z)[:, 0, 0]))
+    return h
 
 
 def _sinc_slope(y) -> np.ndarray:
@@ -456,13 +456,14 @@ class GridEngine(_Engine):
     -2 (-1)^(j-k) / (h^2 (j-k)^2) off it (Stenger 1993; Weideman and Reddy
     2000).  numpy's eigh factors H = D2 - diag(W) = Q diag(lam) Q^T once,
     when the engine is built, so u at the nodes is Q e^{lam t} Q^T u_0 at any
-    t, with no time step.  Values and gradients at points come from the sinc
-    interpolant of u and its derivative.
+    t, with no time step.  f's mean under e^{-V}, which P_t keeps, is
+    carried apart, and only the rest evolves.  Values and gradients at
+    points come from the sinc interpolant of u and its derivative.
 
-    The node window is set by V alone (`_EDGE`).  lo and hi bound the
-    points: a point outside [lo, hi], or beyond the readout bound (`_READ`),
-    raises DomainError.  m and dt are checked but set nothing; they stay
-    while configurations pin them.
+    The node window is set by V alone (`_EDGE`, `_SAMPLE`).  lo and hi bound
+    the points: a point outside [lo, hi], or beyond the readout bound
+    (`_READ`), raises DomainError.  m and dt are checked but set nothing;
+    they stay while configurations pin them.
     """
 
     potential: Potential
@@ -486,19 +487,18 @@ class GridEngine(_Engine):
                                  f"[{self.lo}, {self.hi}]")
         index = _node_index(self.potential)
         z = (index * _SPACING)[:, None]
-        vp = self.potential.gradient(z)[:, 0]
-        w = 0.25 * vp * vp - 0.5 * self.potential.hessian(z)[:, 0, 0]
-        d = index[:, None] - index
-        with np.errstate(divide="ignore"):
-            d2 = np.where(d % 2, 2.0, -2.0) / (_SPACING**2 * d * d)
-        np.fill_diagonal(d2, -math.pi**2 / (3.0 * _SPACING**2))
-        lam, q = _eigh(d2 - np.diag(w))
+        lam, q = np.linalg.eigh(_operator(self.potential, index))
         v = self.potential.value(z)
         weight = np.exp(-0.5 * (v - np.min(v)))
-        readable = z[weight >= _READ, 0]
+        sampled, read = (np.flatnonzero(weight >= least)
+                         for least in (_SAMPLE, _READ))
+        sampled = slice(sampled[0], sampled[-1] + 1)
         for name, value in (("index", index), ("nodes", z[:, 0]), ("lam", lam),
                             ("q", q), ("floor", np.min(v)), ("weight", weight),
-                            ("bound", (readable[0], readable[-1]))):
+                            ("sampled", sampled),
+                            ("density", weight[sampled]**2
+                             / np.sum(weight[sampled]**2)),
+                            ("bound", (z[read[0], 0], z[read[-1], 0]))):
             object.__setattr__(self, name, value)
 
     def describe(self) -> dict:
@@ -523,26 +523,38 @@ class GridEngine(_Engine):
         return xs
 
     def _evolved(self, func, ts, reduce) -> list:
-        # reduce(cols, shape) at each time of ts: cols holds u at the nodes,
-        # one array per trailing column of func, shape.  Each column evolves
-        # from its own arrays, so it is bitwise a call with it alone
-        values = np.asarray(func(self.nodes[:, None]), dtype=float)
-        if values.shape[:1] != self.nodes.shape:
+        # reduce(cols, shape) at each time of ts: cols holds, per trailing
+        # column of func, shape, its invariant mean, which P_t keeps, and u
+        # of the rest at the nodes.  The mean is carried exactly, so that
+        # P_t 1 = 1 takes no rounding from the eigenbasis, which a point
+        # read amplifies by e^{(V - min V)/2}.  Each column evolves from
+        # its own arrays, so it is bitwise a call with it alone
+        nodes = self.nodes[self.sampled]
+        values = np.asarray(func(nodes[:, None]), dtype=float)
+        if values.shape[:1] != nodes.shape:
             raise ParameterError(f"node values of shape {values.shape} on a "
-                                 f"grid of {len(self.nodes)} nodes")
+                                 f"grid of {len(nodes)} sampled nodes")
         if not np.all(np.isfinite(values)):
             raise ParameterError("grid values must be finite")
-        flat = values.reshape(len(self.nodes), -1)
-        coeffs = [self.q.T @ (self.weight * flat[:, c])
-                  for c in range(flat.shape[1])]
-        return [reduce([self.q @ (np.exp(self.lam * t) * a) for a in coeffs],
-                       values.shape[1:]) for t in ts]
+        flat = values.reshape(len(nodes), -1)
+        cols = [np.ascontiguousarray(flat[:, c]) for c in range(flat.shape[1])]
+        means = [self.density @ c for c in cols]
+        pad = (self.sampled.start, len(self.nodes) - self.sampled.stop)
+        coeffs = [self.q.T @ np.pad(self.weight[self.sampled] * (c - mean), pad)
+                  for c, mean in zip(cols, means)]
+        return [reduce([(mean, self.q @ (np.exp(self.lam * t) * a))
+                        for mean, a in zip(means, coeffs)], values.shape[1:])
+                for t in ts]
 
     def _values(self, cols, xs) -> np.ndarray:
-        # P_t at the (k, 1) points xs from u's node columns, (k, columns)
+        # P_t at the (k, 1) points xs from cols' (mean, u) pairs, (k,
+        # columns).  Each point sums its own row, so its value does not
+        # depend on the other points: BLAS may round a row of a taller
+        # matrix differently
         y = np.sinc(xs / _SPACING - self.index)
-        return np.stack([y @ c for c in cols], axis=-1) \
-            / self._envelope(xs)[:, None]
+        envelope = self._envelope(xs)
+        return np.stack([mean + np.sum(y * u, axis=-1) / envelope
+                         for mean, u in cols], axis=-1)
 
     def apply(self, func, t, x):
         def evolve(xs, ts):
@@ -555,28 +567,29 @@ class GridEngine(_Engine):
         return self._apply(func, t, x, evolve)
 
     def _reach(self, x) -> np.ndarray:
-        # a reader takes any point between the first and the last node, as
-        # an outer apply samples it at every node.  Beyond the readout bound
-        # it reads at the bound: values there would be off by up to O(1),
-        # out of an M-function's domain, and the invariant measure e^{-V}
-        # gives those nodes at most e^{-(V - min V)} <= 1e-16 of its mass
+        # a reader takes every point between the first and the last sampled
+        # node, beyond [lo, hi] and the readout bound too, as an outer
+        # evolution samples it at each of those nodes
         xs = as_points(x, 1)
-        if np.any((xs < self.nodes[0]) | (xs > self.nodes[-1])):
-            raise DomainError(f"points outside the grid's nodes "
-                              f"[{self.nodes[0]:g}, {self.nodes[-1]:g}]")
-        return np.clip(xs, *self.bound)
+        lo, hi = self.nodes[self.sampled][[0, -1]]
+        if np.any((xs < lo) | (xs > hi)):
+            raise DomainError(f"points outside the grid's sampled nodes "
+                              f"[{lo:g}, {hi:g}]")
+        return xs
 
     def _reader(self, cols, shape):
-        # the reader of f's node column u: (P f, grad P f) at points, from
-        # v = e^{V/2} u and v' = e^{V/2} (u' + V' u / 2)
-        [u] = cols
+        # the reader of f's column: (P f, grad P f) at points, from
+        # v = e^{V/2} u and v' = e^{V/2} (u' + V' u / 2), P f = mean + v
+        [(mean, u)] = cols
 
         def at(x):
             xs = self._reach(x)
-            val = self._values(cols, xs)[:, 0]
-            slope = (_sinc_slope(xs / _SPACING - self.index) @ u) / _SPACING
+            rest = self._values([(0.0, u)], xs)[:, 0]
+            slope = np.sum(_sinc_slope(xs / _SPACING - self.index) * u,
+                           axis=-1) / _SPACING
             half = 0.5 * self.potential.gradient(xs)[:, 0]
-            return val, (slope / self._envelope(xs) + half * val)[:, None]
+            return mean + rest, \
+                (slope / self._envelope(xs) + half * rest)[:, None]
         return at
 
     def evolved(self, f: TestFunction, t) -> tuple:

@@ -290,18 +290,23 @@ def test_mehler_value_grad_is_one_quadrature_of_the_old_formula():
 # ---------------------------------------------------------------------------
 
 def test_grid_generator_rows():
-    # the generator that the engine factors, e^{V/2} Q diag(lam) Q^T
-    # e^{-V/2} on the nodes, is L: L 1 = 0, L x = -x and L x^2 = 2 - 2 x^2
-    # on the gaussian, to 1e-8 on |x| <= 6, where rounding grows with
-    # e^{x^2/4} (3.3e-9 measured)
+    # the operator that the engine factors, H = D2 - diag(W), is L in its
+    # symmetric form: e^{V/2} H e^{-V/2} g = L g on the gaussian's nodes,
+    # for g = f - <f>, the part of f that the engine evolves once it has
+    # taken out f's mean <f> under e^{-V}.  L 1 = 0 on [-8, 8], and
+    # L x = -x, L x^2 = 2 - 2 x^2 inside it (1.2e-9 and 8.7e-9 measured)
     eng = GridEngine(GAUSS)
-    x = eng.nodes
-    gen = (eng.q * eng.lam) @ eng.q.T
-    near = np.abs(x) <= 6.0
-    for f, lf in ((np.ones_like(x), np.zeros_like(x)), (x, -x),
-                  (x * x, 2.0 - 2.0 * x * x)):
-        got = (gen @ (eng.weight * f)) / eng.weight
-        np.testing.assert_allclose(got[near], lf[near], rtol=0.0, atol=1e-8)
+    x, w = eng.nodes, eng.weight
+    h = semigroup._operator(GAUSS, eng.index)
+    window = np.abs(x) <= 8.0
+    inside = np.abs(x) < 8.0 - 1e-9
+    for f, lf, where, tol in ((np.ones_like(x), np.zeros_like(x), window,
+                               1e-9),
+                              (x, -x, inside, 1e-8),
+                              (x * x, 2.0 - 2.0 * x * x, inside, 1e-8)):
+        g = f - np.sum(w * w * f) / np.sum(w * w)
+        got = (h @ (w * g)) / w
+        np.testing.assert_allclose(got[where], lf[where], rtol=0.0, atol=tol)
 
 
 def test_grid_generator_guards_the_weight_span():
@@ -345,25 +350,23 @@ def test_grid_nodes_are_set_by_the_potential_alone():
                 == {k: getattr(eng, k) for k in ("lo", "hi", "m", "dt")}
 
 
-def test_grid_engine_factors_an_uneven_potential_whole():
+def test_grid_engine_evolves_an_uneven_potential():
     # V = (x - 1/2)^2 / 2, whose nodes [-11.6, 12.6] have no centre of
-    # symmetry, takes one eigh of the whole operator, the even ones (the
-    # gaussian's) one of each half: P_t x = 1/2 + e^-t (x - 1/2) on both
+    # symmetry: P_t x = 1/2 + e^-t (x - 1/2)
     shifted = Potential(1, lambda x: 0.5 * (x[..., 0] - 0.5) ** 2,
                         lambda x: x - 0.5,
                         lambda x: np.ones(x.shape[:-1] + (1, 1)),
                         "shifted-gaussian", "shifted-gaussian",
                         lambda x: np.ones(x.shape[:-1]))
     xs, f = np.linspace(-3.0, 3.0, 13) + 0.01, suite.get("linear")
-    for potential, centre in ((shifted, 0.5), (GAUSS, 0.0)):
-        eng = GridEngine(potential)
-        assert (eng.nodes[0] + eng.nodes[-1] == 0.0) == (centre == 0.0)
-        u, _, grad = eng.value_grad(f, (0.01, 0.7), xs)
-        for j, t in enumerate((0.01, 0.7)):
-            np.testing.assert_allclose(u[j], centre + math.exp(-t)
-                                       * (xs - centre), rtol=0.0, atol=1e-10)
-            np.testing.assert_allclose(grad[j, :, 0], math.exp(-t), rtol=0.0,
-                                       atol=1e-10)
+    eng = GridEngine(shifted)
+    assert eng.nodes[0] + eng.nodes[-1] != 0.0
+    u, _, grad = eng.value_grad(f, (0.01, 0.7), xs)
+    for j, t in enumerate((0.01, 0.7)):
+        np.testing.assert_allclose(u[j], 0.5 + math.exp(-t) * (xs - 0.5),
+                                   rtol=0.0, atol=1e-10)
+        np.testing.assert_allclose(grad[j, :, 0], math.exp(-t), rtol=0.0,
+                                   atol=1e-10)
 
 
 def test_grid_reads_a_narrow_window_right():
@@ -428,8 +431,8 @@ def test_grid_apply_linear_decay():
 
 
 def test_grid_apply_is_a_semigroup():
-    f = suite.get("sine")
-    xs = XS_8[np.abs(XS_8) <= 6.0]
+    # P_0.25 P_0.25 sine = P_0.5 sine on [-8, 8] (3.3e-11 measured)
+    f, xs = suite.get("sine"), np.linspace(-8.0, 8.0, 801)
     once, _ = GRID_8.apply(f, 0.5, xs)
     half = GRID_8.evolved(f, 0.25)[0]
     split, _ = GRID_8.apply(lambda z: half(z[..., 0])[0], 0.25, xs)
@@ -437,12 +440,18 @@ def test_grid_apply_is_a_semigroup():
 
 
 def test_grid_apply_preserves_constants():
-    # to 1e-12 of e^{(V - min V)/2} = e^{x^2/4}, which scales the rounding
-    # of the eigenbasis at a point read (8.3e-13 measured on the readout
-    # window [-8.5, 8.5]; 1.5e-9 at x = 7.9)
+    # the engine carries a function's invariant mean exactly, so a constant
+    # takes no rounding from the eigenbasis, even where e^{(V - min V)/2}
+    # amplifies it by 1e7
+    xs = np.linspace(-8.0, 8.0, 801)
     u, _ = GRID_8.apply(lambda z: np.ones(z.shape[:-1]), (0.01, 1.0, 10.0),
-                        XS_8)
-    assert np.all(np.abs(u - 1.0) <= 1e-12 * np.exp(np.square(XS_8) / 4.0))
+                        xs)
+    np.testing.assert_allclose(u, 1.0, rtol=0.0, atol=1e-12)
+    one = TestFunction.from_1d("one", np.ones_like, np.zeros_like,
+                               np.zeros_like)
+    v, _, grad = GRID_8.value_grad(one, 0.3, xs)
+    np.testing.assert_allclose(v, 1.0, rtol=0.0, atol=1e-12)
+    np.testing.assert_allclose(grad, 0.0, rtol=0.0, atol=1e-12)
 
 
 def test_grid_apply_time_zero_and_errors():
@@ -455,15 +464,15 @@ def test_grid_apply_time_zero_and_errors():
 
 
 def test_grid_apply_validates_node_values():
-    # a function must give one finite value per node, with any trailing
-    # columns
-    m = len(GRID_8.nodes)
+    # a function must give one finite value per sampled node, with any
+    # trailing columns
+    m = len(GRID_8.nodes[GRID_8.sampled])
     for values in (np.zeros(4), np.zeros((m + 1, 2)), 0.0):
         with pytest.raises(ParameterError, match="nodes"):
             GRID_8.apply(lambda z, v=values: v, 0.5, 0.0)
     for bad in (np.nan, np.inf):
         with pytest.raises(ParameterError, match="finite"):
-            GRID_8.apply(lambda z: np.where(z[..., 0] > 11.0, bad, 0.0), 0.5,
+            GRID_8.apply(lambda z: np.where(z[..., 0] > 10.0, bad, 0.0), 0.5,
                          0.0)
 
 
@@ -503,8 +512,8 @@ def test_grid_engine_checks_its_grid_at_construction(monkeypatch):
     # built, before anything is factored; a valid engine factors its
     # operator once, when it is built, for all its calls
     factored = []
-    real = semigroup._eigh
-    monkeypatch.setattr(semigroup, "_eigh",
+    real = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh",
                         lambda a: factored.append(len(a)) or real(a))
     for potential, params in ((GAUSS, dict(m=2)), (GAUSS, dict(lo=1.0, hi=1.0)),
                               (GAUSS, dict(lo=2.0, hi=-2.0)), (SPH15_2, {})):

@@ -851,7 +851,7 @@ def test_grid_monotone_march_count(monkeypatch):
     # inner functions, then one evolution of each inner function at its
     # s > 0 gives the 20 outer values.  The points are only read, so 50 of
     # them cost the evolutions of the default 7
-    factored = _count_calls(monkeypatch, "_eigh")
+    factored = _count_calls(monkeypatch, "eigh", np.linalg)
     evolutions = _count_calls(monkeypatch, "_evolved", GridEngine)
     eng = GridEngine(make_double_well(), lo=-6.0, hi=6.0, m=2001, dt=1e-3)
     for xs in (None, np.linspace(-3.0, 3.0, 50)):
@@ -946,19 +946,28 @@ def test_time_zero_is_the_identity(monkeypatch, engine):
 
 def _per_s_monotone(mf, engine, f, t, alpha, rho, s_count, xs=None):
     """(lhs, rhs, margin) of each record of verify_H_monotone, from one
-    apply per s whose sampled function reads P_{t-s} f from its own
-    evolution: value_grad(f, t - s, z) on the Mehler engine, and on the
-    grid a reader of `evolved(f, t - s)`, which reads the nodes that
-    value_grad's readout bound refuses."""
+    apply per s whose sampled function calls value_grad(f, t - s, z).  On
+    the grid, value_grad refuses the sampled nodes beyond [lo, hi] and the
+    readout bound, and a reader of `evolved(f, t - s)` reads those."""
     xs = as_points(Schedule().xs if xs is None else xs, 1)
     H = []
     for s in np.linspace(0.0, t, s_count):
         factor = h_alpha(s, t, alpha, rho) if mf.reverse \
             else g_alpha(s, alpha, rho)
 
-        def inner(z, factor=factor, read=engine.evolved(f, t - s)[0]):
+        def inner(z, factor=factor, rem=t - s):
             z = np.asarray(z, dtype=float)
-            u, grad = read(z.reshape(-1, 1))
+            flat = z.reshape(-1, 1)
+            u, grad = np.empty(len(flat)), np.empty(flat.shape)
+            inside = np.ones(len(flat), dtype=bool)
+            if engine.kind == "grid":
+                inside = ((flat >= max(engine.lo, engine.bound[0]))
+                          & (flat <= min(engine.hi, engine.bound[1])))[:, 0]
+            if not inside.all():
+                u[~inside], grad[~inside] = engine.evolved(f, rem)[0](
+                    flat[~inside])
+            u[inside], _, grad[inside] = engine.value_grad(f, rem,
+                                                           flat[inside])
             y = np.maximum(factor * np.sum(np.square(grad), axis=-1), 0.0)
             return np.asarray(mf.value(u, y)).reshape(z.shape[:-1])
 
@@ -1007,6 +1016,27 @@ def test_grid_monotone_reads_points_between_nodes_and_at_the_window_ends(
                                          xs), 1e-12)
 
 
+@pytest.mark.parametrize("mf_id,fn", SIDE_PAIRS + (("y", "linear"),
+                                                    ("reverse-poincare",
+                                                     "cos-mix")))
+@pytest.mark.parametrize("t", [0.05, 0.6])
+def test_grid_monotone_near_the_readout_bound_matches_mehler(t, mf_id, fn):
+    # the gaussian's readout bound is 8.5; an outer evolution samples the
+    # inner P_{t-s} f at the nodes out to 10.5, beyond it, and u starts at
+    # 0 further out: within 1e-6 of max(1, |lhs|, |rhs|) of the Mehler
+    # integral (1.9e-7 measured), where reading the inner values at the
+    # bound instead erred by 1.9e-2
+    mf, f = catalog(mf_id), get(fn)
+    xs = [-8.4, -8.0, 8.2, 8.4, 8.5]
+    [got] = verify_H_monotone([mf], GridEngine(GAUSS), f, t=t, alpha=0.2,
+                              rho=1.0, s_count=7, xs=xs)
+    [want] = verify_H_monotone([mf], MehlerEngine(GAUSS, order=200), f, t=t,
+                               alpha=0.2, rho=1.0, s_count=7, xs=xs)
+    _assert_scaled_close([(r.lhs, r.rhs, r.margin) for r in got.records],
+                         [(r.lhs, r.rhs, r.margin) for r in want.records],
+                         1e-6)
+
+
 @pytest.mark.parametrize("t,alpha", [(math.inf, 0.2), (math.nan, 0.2),
                                      (0.6, -1.0), (0.6, math.inf),
                                      (0.6, math.nan)])
@@ -1020,25 +1050,28 @@ def test_monotone_needs_finite_t_and_alpha_at_least_0(t, alpha):
 
 def test_evolved_reads_one_march_per_call(monkeypatch):
     # every positive time from one evolution, bitwise value_grad at each
-    # time; t = 0 evaluates f.  A reader takes every node, as an outer
-    # apply needs, [-12.1, 12.1] on the gaussian, beyond the points
-    # [-8, 8] that value_grad takes; points outside the nodes are refused
+    # time; t = 0 evaluates f.  A reader takes the nodes that an outer
+    # apply samples, [-10.5, 10.5] on the gaussian, beyond the points
+    # [-8, 8] that value_grad takes; points beyond them are refused
     eng = GridEngine(GAUSS, lo=-8.0, hi=8.0, m=801, dt=1e-2)
     f, xs, ts = get("sine"), as_points([-1.0, 0.3, 2.0], 1), ODD_TS.ts
     calls = _count_calls(monkeypatch, "_evolved", GridEngine)
     readers = eng.evolved(f, ts)
     assert len(calls) == 1 and len(readers) == len(ts)
+    sampled = eng.nodes[eng.sampled]
+    assert (sampled[0], sampled[-1]) == (-10.5, 10.5)
     for s, read in zip(ts, readers):
         u, _, grad = eng.value_grad(f, s, xs)
         got = read(xs)
         assert got[0].tobytes() == u.tobytes()
         assert got[1].tobytes() == grad.tobytes()
-        assert all(np.all(np.isfinite(a)) for a in read(eng.nodes))
+        assert all(np.all(np.isfinite(a)) for a in read(sampled))
     with pytest.raises(DomainError):
         eng.value_grad(f, ts[0], 9.0)
     for read in readers:
-        with pytest.raises(DomainError):
-            read(12.2)
+        for x in (10.6, -10.51):
+            with pytest.raises(DomainError, match="sampled nodes"):
+                read(x)
 
 
 # ---------------------------------------------------------------------------
