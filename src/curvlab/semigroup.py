@@ -397,10 +397,11 @@ _SPACING = 0.1
 # e^{(V - min V)/2}, so a function is sampled only from the first to the
 # last node where it is >= _SAMPLE (u starts at 0 beyond), and points are
 # read only between those where it is >= _READ, the readout bound: there
-# values and gradients are within 4e-7 of max(1, |value|), and within 1e-9
-# where e^{(V - min V)/2} <= 1e3 (five suite functions, four potentials).
+# values and gradients are within 3e-6 of max(1, |value|) of a grid at half
+# the spacing, and within 3e-11 where e^{(V - min V)/2} <= 1e3 (five suite
+# functions, four potentials, four times).
 # An outer evolution's sampled function reads an inner one's values out to
-# _SAMPLE, where they are within 7e-3 (1e-1-1e1 below 1e-14, out of an
+# _SAMPLE, where they are within 7e-3 (up to 2e1 below 1e-14, out of an
 # M-function's domain); a grid monotone check near the gaussian's readout
 # bound errs by 1e-1-1e1 if u starts at 0 beyond _READ, 7e-4 beyond 1e-10,
 # and 2e-7 beyond _SAMPLE, as when sampled at every node
